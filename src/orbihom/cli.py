@@ -30,7 +30,6 @@ from .orbmodel import (
     Custom,
     Disc2,
     OrbifoldDesc,
-    OwcError,
     ProductTorus,
     Surface,
     adapted_model,
@@ -194,13 +193,25 @@ def _render_group(g: FgAbGroup, coeff: str) -> str:
     return str(g)
 
 
-def _load_model(args) -> tuple:
-    """Build the weighted model from --desc or --file."""
+def _load_model(args, build) -> tuple:
+    """Model from --desc or --file, built by t_model or adapted_model,
+    with its subject text."""
     if getattr(args, "file", None):
         desc = Custom(args.file)
-        return t_model(desc), describe(desc)
-    desc = parse_descriptor(args.desc)
-    return t_model(desc), describe(desc)
+    else:
+        desc = parse_descriptor(args.desc)
+    return build(desc), describe(desc)
+
+
+# Verify checks that take one --desc: name -> (check, help).
+_DESC_CHECKS = {
+    "rational": (check_rational, "integer ranks vs rational dimensions"),
+    "underlying": (check_underlying,
+                   "weight-one degeneration vs textbook homology"),
+    "hurewicz": (check_hurewicz, "abelianized fundamental group vs H_1"),
+    "duality": (check_duality,
+                "scaled-dual cohomology vs complementary homology"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,12 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of circle factors (default 1)")
     p_kun.add_argument("--json", action="store_true")
 
-    for name, helptext in [
-        ("rational", "integer ranks vs rational dimensions"),
-        ("underlying", "weight-one degeneration vs textbook homology"),
-        ("hurewicz", "abelianized fundamental group vs H_1"),
-        ("duality", "scaled-dual cohomology vs complementary homology"),
-    ]:
+    for name, (_, helptext) in _DESC_CHECKS.items():
         p_c = vsub.add_parser(name, help=helptext)
         add_source(p_c, file_ok=False)
         p_c.add_argument("--json", action="store_true")
@@ -302,7 +308,7 @@ def _emit_report(report, as_json: bool) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "homology":
-        wcc, subject = _load_model(args)
+        wcc, subject = _load_model(args, t_model)
         chain = wcc.chain_complex()
         rel = getattr(args, "rel", None)
         if rel:
@@ -314,12 +320,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ws-cohomology":
-        if getattr(args, "file", None):
-            desc = Custom(args.file)
-            am, subject = adapted_model(desc), describe(desc)
-        else:
-            desc = parse_descriptor(args.desc)
-            am, subject = adapted_model(desc), describe(desc)
+        am, subject = _load_model(args, adapted_model)
         rel = getattr(args, "rel", None)
         result = homology(ws_complex(am, rel=rel))
         n = am.dim
@@ -335,23 +336,16 @@ def _dispatch(args) -> int:
                     "verify mv needs exactly two --sub arguments, "
                     f"got {len(subs)}"
                 )
-            wcc, _ = _load_model(args)
+            wcc, _ = _load_model(args, t_model)
             report = check_mv(wcc, subs[0], subs[1])
         elif args.check == "kunneth":
             report = check_kunneth(parse_descriptor(args.desc), args.torus)
-        elif args.check == "rational":
-            report = check_rational(parse_descriptor(args.desc))
-        elif args.check == "underlying":
-            report = check_underlying(parse_descriptor(args.desc))
-        elif args.check == "hurewicz":
-            report = check_hurewicz(parse_descriptor(args.desc))
-        elif args.check == "duality":
-            report = check_duality(parse_descriptor(args.desc))
         elif args.check == "bhomotopy":
             report = check_bhomotopy_pair(
                 parse_descriptor(args.a), parse_descriptor(args.b))
         else:
-            raise ValueError(f"unknown verify check {args.check!r}")
+            check, _ = _DESC_CHECKS[args.check]
+            report = check(parse_descriptor(args.desc))
         return _emit_report(report, args.json)
 
     if args.command == "affops":
@@ -366,9 +360,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
-    except OwcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

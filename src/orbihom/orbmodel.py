@@ -156,12 +156,22 @@ class Cell:
                            tuple((ref, merged[ref]) for ref in order if merged[ref]))
 
 
+class ComplexError(ValueError):
+    """Invalid complex structure, naming the offending cell (and sub)."""
+
+    def __init__(self, message: str, cell: str, sub: str | None = None):
+        super().__init__(message)
+        self.cell = cell
+        self.sub = sub
+
+
 class WeightedCellComplex:
     """Immutable weighted cell complex with named subcomplexes.
 
     Construction checks that boundary references exist one dimension
-    down, that the induced chain complex satisfies boundary-of-boundary
-    equals zero, and that subcomplex members exist.
+    down, that subcomplex members exist, that the induced chain complex
+    satisfies boundary-of-boundary equals zero, and that subcomplexes
+    are closed under boundaries.  A failure raises ComplexError.
     """
 
     __slots__ = ("name", "dim", "cells", "subs", "_by_id")
@@ -172,36 +182,45 @@ class WeightedCellComplex:
         by_id: dict[str, Cell] = {}
         for cell in cells:
             if cell.id in by_id:
-                raise ValueError(f"duplicate cell id {cell.id}")
-            if cell.dim > dim:
-                raise ValueError(f"cell {cell.id}: dimension {cell.dim} "
-                                 f"exceeds complex dimension {dim}")
+                raise ComplexError(f"duplicate cell id {cell.id}", cell.id)
             by_id[cell.id] = cell
         for cell in cells:
+            if cell.dim > dim:
+                raise ComplexError(f"cell {cell.id}: dimension {cell.dim} "
+                                   f"exceeds declared dim {dim}", cell.id)
             for ref, _ in cell.boundary:
                 if ref not in by_id:
-                    raise ValueError(f"cell {cell.id}: unknown boundary "
-                                     f"cell {ref}")
+                    raise ComplexError(f"cell {cell.id}: unknown boundary "
+                                       f"cell {ref}", cell.id)
                 if by_id[ref].dim != cell.dim - 1:
-                    raise ValueError(
+                    raise ComplexError(
                         f"cell {cell.id}: boundary cell {ref} has dimension "
-                        f"{by_id[ref].dim}, expected {cell.dim - 1}")
-        normalized: dict[str, frozenset[str]] = {}
-        for sub_name, members in (subs or {}).items():
-            members = frozenset(members)
-            unknown = members - by_id.keys()
-            if unknown:
-                raise ValueError(f"subcomplex {sub_name}: unknown cells "
-                                 f"{sorted(unknown)}")
-            normalized[sub_name] = members
+                        f"{by_id[ref].dim}, expected {cell.dim - 1}", cell.id)
+        listed = {sub_name: list(members)
+                  for sub_name, members in (subs or {}).items()}
+        for sub_name, members in listed.items():
+            for member in members:
+                if member not in by_id:
+                    raise ComplexError(f"subcomplex {sub_name}: unknown cell "
+                                       f"{member}", member, sub_name)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "subs", normalized)
+        object.__setattr__(self, "subs", {
+            sub_name: frozenset(members) for sub_name, members in listed.items()})
         object.__setattr__(self, "_by_id", by_id)
         problems = chains.validate(self.chain_complex())
         if problems:
-            raise ValueError(f"complex {name}: " + problems[0])
+            culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
+            raise ComplexError("boundary of boundary is nonzero: "
+                               + problems[0], culprit.group(1))
+        for sub_name, members in listed.items():
+            for member in members:
+                for ref, _ in by_id[member].boundary:
+                    if ref not in self.subs[sub_name]:
+                        raise ComplexError(
+                            f"subcomplex {sub_name}: cell {member} has face "
+                            f"{ref} outside it", member, sub_name)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedCellComplex is immutable")
@@ -223,18 +242,51 @@ class WeightedCellComplex:
         return self.subs[name]
 
     def chain_complex(self) -> ChainComplex:
-        basis = [[cell.id for cell in self.cells_of_dim(q)]
-                 for q in range(self.dim + 1)]
-        position = [{label: i for i, label in enumerate(labels)}
-                    for labels in basis]
-        boundaries = []
-        for q in range(1, self.dim + 1):
-            mat = [[0] * len(basis[q]) for _ in range(len(basis[q - 1]))]
-            for j, label in enumerate(basis[q]):
-                for ref, coefficient in self.cell(label).boundary:
-                    mat[position[q - 1][ref]][j] += coefficient
-            boundaries.append(IntMatrix(mat, cols=len(basis[q])))
-        return ChainComplex(basis, boundaries)
+        by_dim = [self.cells_of_dim(q) for q in range(self.dim + 1)]
+        boundaries = [
+            IntMatrix.from_columns(
+                _incidence_rows(by_dim[q - 1], by_dim[q],
+                                lambda coface, ref, coefficient: coefficient),
+                rows=len(by_dim[q - 1]))
+            for q in range(1, self.dim + 1)]
+        return ChainComplex([[cell.id for cell in cells] for cells in by_dim],
+                            boundaries)
+
+
+def _incidence_rows(faces: Sequence[Cell], cofaces: Sequence[Cell],
+                    entry) -> list[list[int]]:
+    """Rows of entry(coface, face id, coefficient) over each coface's
+    boundary list, walked once; faces missing from faces are skipped."""
+    position = {cell.id: j for j, cell in enumerate(faces)}
+    rows = []
+    for coface in cofaces:
+        row = [0] * len(faces)
+        for ref, coefficient in coface.boundary:
+            if ref in position:
+                row[position[ref]] += entry(coface, ref, coefficient)
+        rows.append(row)
+    return rows
+
+
+def _tensor_parts(a_cells: Iterable[Cell],
+                  a_subs: Mapping[str, Iterable[str]],
+                  b_cells: Sequence[Cell]) -> tuple[list[Cell], dict]:
+    """Cells, stably sorted by dimension, and subcomplexes of the
+    product of two cell lists, as described for tensor_weighted."""
+    cells = []
+    for ca in a_cells:
+        sign = -1 if ca.dim % 2 else 1
+        for cb in b_cells:
+            boundary = [(f"{ref}_x_{cb.id}", coefficient)
+                        for ref, coefficient in ca.boundary]
+            boundary += [(f"{ca.id}_x_{ref}", sign * coefficient)
+                         for ref, coefficient in cb.boundary]
+            cells.append(Cell(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim,
+                              ca.weight * cb.weight, tuple(boundary)))
+    cells.sort(key=lambda cell: cell.dim)
+    subs = {sub_name: {f"{x}_x_{cb.id}" for x in members for cb in b_cells}
+            for sub_name, members in a_subs.items()}
+    return cells, subs
 
 
 def tensor_weighted(a: WeightedCellComplex, b: WeightedCellComplex,
@@ -244,26 +296,12 @@ def tensor_weighted(a: WeightedCellComplex, b: WeightedCellComplex,
     Named subcomplexes of the first factor propagate as their product
     with all of the second factor.
     """
-    cells = []
-    for ca in a.cells:
-        sign = -1 if ca.dim % 2 else 1
-        for cb in b.cells:
-            boundary = [(f"{ref}_x_{cb.id}", coefficient)
-                        for ref, coefficient in ca.boundary]
-            boundary += [(f"{ca.id}_x_{ref}", sign * coefficient)
-                         for ref, coefficient in cb.boundary]
-            cells.append(Cell(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim,
-                              ca.weight * cb.weight, tuple(boundary)))
-    cells.sort(key=lambda cell: cell.dim)
-    b_ids = b.ids()
-    subs = {sub_name: {f"{x}_x_{y}" for x in members for y in b_ids}
-            for sub_name, members in a.subs.items()}
+    cells, subs = _tensor_parts(a.cells, a.subs, b.cells)
     return WeightedCellComplex(name or f"{a.name}_x_{b.name}",
                                a.dim + b.dim, cells, subs)
 
 
-def _circle() -> WeightedCellComplex:
-    return WeightedCellComplex("circle", 1, [Cell("z", 0, 1), Cell("t", 1, 1)])
+_CIRCLE = (Cell("z", 0, 1), Cell("t", 1, 1))
 
 
 def cone_point_index(m1: int, m2: int, m3: int) -> int:
@@ -285,7 +323,26 @@ def cone_point_index(m1: int, m2: int, m3: int) -> int:
     return 2 * ell
 
 
-def _t_surface(d: Surface, name: str) -> WeightedCellComplex:
+def _t_disc2(d: Disc2):
+    n = d.order
+    cells = [
+        Cell("v0", 0, 1),
+        Cell("u", 0, 1),
+        Cell("c_out", 1, 1),
+        Cell("r", 1, 1, (("v0", 1), ("u", -1))),
+        Cell("c_in", 1, 1),
+        Cell("A", 2, 1, (("c_out", 1), ("c_in", -1))),
+        Cell("sighat", 2, n, (("c_in", n),)),
+    ]
+    subs = {
+        "boundary": {"v0", "c_out"},
+        "cone": {"u", "c_in", "sighat"},
+        "annulus": {"v0", "u", "c_out", "r", "c_in", "A"},
+    }
+    return 2, cells, subs
+
+
+def _t_surface(d: Surface):
     g, b, ms = d.genus, d.boundary, d.cone_orders
     cells = [Cell("v", 0, 1)]
     loop_names = []
@@ -312,7 +369,135 @@ def _t_surface(d: Surface, name: str) -> WeightedCellComplex:
         | {f"sighat{i}" for i in range(1, len(ms) + 1)}
     subs["complement"] = {cell.id for cell in cells} \
         - {f"sighat{i}" for i in range(1, len(ms) + 1)}
-    return WeightedCellComplex(name, 2, cells, subs)
+    return 2, cells, subs
+
+
+def _t_ball(orders: tuple[int, ...], index: int):
+    """Cone-point sphere with a 3-cell of weight index attached, meeting
+    each cone disc with multiplicity index over its order."""
+    _, cells, _ = _t_surface(Surface(0, 0, orders))
+    boundary = tuple((f"sighat{i}", index // m)
+                     for i, m in enumerate(orders, start=1))
+    tau = Cell("tauhat", 3, index, (("sigma0", index),) + boundary)
+    return 3, cells + [tau], {"boundary": {cell.id for cell in cells}}
+
+
+def _adapted_disc2(d: Disc2):
+    n = d.order
+    cells = [
+        Cell("v", 0, 1),
+        Cell("p", 0, n),
+        Cell("a", 1, 1, (("p", 1), ("v", -1))),
+        Cell("c", 1, 1),
+        Cell("E", 2, 1, (("c", 1),)),
+    ]
+    return 2, cells, {"boundary": {"v", "c"}}
+
+
+def _adapted_surface(d: Surface):
+    g, b, ms = d.genus, d.boundary, d.cone_orders
+    cells = [Cell("v", 0, 1)]
+    for i, m in enumerate(ms, start=1):
+        cells.append(Cell(f"p{i}", 0, m))
+        cells.append(Cell(f"e{i}", 1, 1, ((f"p{i}", 1), ("v", -1))))
+    for k in range(1, g + 1):
+        cells.append(Cell(f"a{k}", 1, 1))
+        cells.append(Cell(f"b{k}", 1, 1))
+    for j in range(1, b + 1):
+        cells.append(Cell(f"w{j}", 0, 1))
+        cells.append(Cell(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
+        cells.append(Cell(f"d{j}", 1, 1))
+    cells.append(Cell("F", 2, 1,
+                      tuple((f"d{j}", 1) for j in range(1, b + 1))))
+    cells.sort(key=lambda cell: cell.dim)
+    subs = {}
+    if b >= 1:
+        subs["boundary"] = {f"w{j}" for j in range(1, b + 1)} \
+            | {f"d{j}" for j in range(1, b + 1)}
+    return 2, cells, subs
+
+
+def _adapted_ball3(d: Ball3):
+    m1, m2, m3 = d.orders
+    n0 = cone_point_index(m1, m2, m3)
+    cells = [
+        Cell("p1", 0, m1), Cell("p2", 0, m2), Cell("p3", 0, m3),
+        Cell("o", 0, n0),
+        Cell("E12", 1, 1, (("p2", 1), ("p1", -1))),
+        Cell("E23", 1, 1, (("p3", 1), ("p2", -1))),
+        Cell("E31", 1, 1, (("p1", 1), ("p3", -1))),
+        Cell("g1", 1, m1, (("p1", 1), ("o", -1))),
+        Cell("g2", 1, m2, (("p2", 1), ("o", -1))),
+        Cell("g3", 1, m3, (("p3", 1), ("o", -1))),
+        Cell("F_up", 2, 1, (("E12", 1), ("E23", 1), ("E31", 1))),
+        Cell("F_down", 2, 1, (("E12", -1), ("E23", -1), ("E31", -1))),
+        Cell("D12", 2, 1, (("g1", 1), ("E12", 1), ("g2", -1))),
+        Cell("D23", 2, 1, (("g2", 1), ("E23", 1), ("g3", -1))),
+        Cell("D31", 2, 1, (("g3", 1), ("E31", 1), ("g1", -1))),
+        Cell("T_up", 3, 1,
+             (("F_up", 1), ("D12", -1), ("D23", -1), ("D31", -1))),
+        Cell("T_down", 3, 1,
+             (("F_down", 1), ("D12", 1), ("D23", 1), ("D31", 1))),
+    ]
+    subs = {"boundary": {"p1", "p2", "p3", "E12", "E23", "E31",
+                         "F_up", "F_down"}}
+    return 3, cells, subs
+
+
+def _adapted_ball3cyclic(d: Ball3Cyclic):
+    n = d.order
+    cells = [
+        Cell("p1", 0, n), Cell("p2", 0, n),
+        Cell("e_a", 1, 1, (("p2", 1), ("p1", -1))),
+        Cell("e_b", 1, 1, (("p2", 1), ("p1", -1))),
+        Cell("g", 1, n, (("p2", 1), ("p1", -1))),
+        Cell("F_a", 2, 1, (("e_a", 1), ("e_b", -1))),
+        Cell("F_b", 2, 1, (("e_b", 1), ("e_a", -1))),
+        Cell("D_a", 2, 1, (("e_a", 1), ("g", -1))),
+        Cell("D_b", 2, 1, (("e_b", 1), ("g", -1))),
+        Cell("T_a", 3, 1, (("F_a", 1), ("D_a", -1), ("D_b", 1))),
+        Cell("T_b", 3, 1, (("F_b", 1), ("D_a", 1), ("D_b", -1))),
+    ]
+    subs = {"boundary": {"p1", "p2", "e_a", "e_b", "F_a", "F_b"}}
+    return 3, cells, subs
+
+
+# Per descriptor family: (t model builder, adapted model builder), each
+# giving (dim, cells, subs).  _build makes the complex once, after any
+# torus product, so each model is validated once.
+_FAMILIES = {
+    Disc2: (_t_disc2, _adapted_disc2),
+    Surface: (_t_surface, _adapted_surface),
+    Ball3: (lambda d: _t_ball(d.orders, cone_point_index(*d.orders)),
+            _adapted_ball3),
+    Ball3Cyclic: (lambda d: _t_ball((d.order, d.order), d.order),
+                  _adapted_ball3cyclic),
+}
+
+
+def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
+    """The t model (adapted false) or adapted model of a descriptor.
+
+    A file descriptor gives the parsed complex for both kinds.
+    """
+    if isinstance(d, Custom):
+        with open(d.path, encoding="utf-8") as handle:
+            return parse_owc(handle.read())
+    return WeightedCellComplex(describe(d), *_parts(d, adapted))
+
+
+def _parts(d: OrbifoldDesc, adapted: bool):
+    if isinstance(d, ProductTorus):
+        dim, cells, subs = _parts(d.base, adapted)
+        for _ in range(d.torus_factors):
+            cells, subs = _tensor_parts(cells, subs, _CIRCLE)
+        return dim + d.torus_factors, cells, subs
+    if isinstance(d, Custom):
+        wcc = _build(d, adapted)
+        return wcc.dim, wcc.cells, wcc.subs
+    if type(d) not in _FAMILIES:
+        raise TypeError(f"not a descriptor: {d!r}")
+    return _FAMILIES[type(d)][adapted](d)
 
 
 def t_model(d: OrbifoldDesc) -> WeightedCellComplex:
@@ -323,52 +508,7 @@ def t_model(d: OrbifoldDesc) -> WeightedCellComplex:
     the boundary sphere with multiplicities scaled by the cone point
     index.
     """
-    if isinstance(d, Disc2):
-        n = d.order
-        cells = [
-            Cell("v0", 0, 1),
-            Cell("u", 0, 1),
-            Cell("c_out", 1, 1),
-            Cell("r", 1, 1, (("v0", 1), ("u", -1))),
-            Cell("c_in", 1, 1),
-            Cell("A", 2, 1, (("c_out", 1), ("c_in", -1))),
-            Cell("sighat", 2, n, (("c_in", n),)),
-        ]
-        subs = {
-            "boundary": {"v0", "c_out"},
-            "cone": {"u", "c_in", "sighat"},
-            "annulus": {"v0", "u", "c_out", "r", "c_in", "A"},
-        }
-        return WeightedCellComplex(describe(d), 2, cells, subs)
-    if isinstance(d, Surface):
-        return _t_surface(d, describe(d))
-    if isinstance(d, Ball3):
-        n0 = cone_point_index(*d.orders)
-        sphere = _t_surface(Surface(0, 0, d.orders), "sphere")
-        boundary = tuple((f"sighat{i}", n0 // m)
-                         for i, m in enumerate(d.orders, start=1))
-        tau = Cell("tauhat", 3, n0, (("sigma0", n0),) + boundary)
-        cells = list(sphere.cells) + [tau]
-        subs = {"boundary": set(sphere.ids())}
-        return WeightedCellComplex(describe(d), 3, cells, subs)
-    if isinstance(d, Ball3Cyclic):
-        n = d.order
-        sphere = _t_surface(Surface(0, 0, (n, n)), "sphere")
-        tau = Cell("tauhat", 3, n,
-                   (("sigma0", n), ("sighat1", 1), ("sighat2", 1)))
-        cells = list(sphere.cells) + [tau]
-        subs = {"boundary": set(sphere.ids())}
-        return WeightedCellComplex(describe(d), 3, cells, subs)
-    if isinstance(d, ProductTorus):
-        model = t_model(d.base)
-        for _ in range(d.torus_factors):
-            model = tensor_weighted(model, _circle())
-        return WeightedCellComplex(describe(d), model.dim, model.cells,
-                                   model.subs)
-    if isinstance(d, Custom):
-        with open(d.path, encoding="utf-8") as handle:
-            return parse_owc(handle.read())
-    raise TypeError(f"not a descriptor: {d!r}")
+    return _build(d, False)
 
 
 def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
@@ -408,89 +548,7 @@ def adapted_model(d: OrbifoldDesc) -> WeightedCellComplex:
     dual of this complex carries the weighted cochains.  For a file
     descriptor the parsed complex itself is taken as already adapted.
     """
-    if isinstance(d, Disc2):
-        n = d.order
-        cells = [
-            Cell("v", 0, 1),
-            Cell("p", 0, n),
-            Cell("a", 1, 1, (("p", 1), ("v", -1))),
-            Cell("c", 1, 1),
-            Cell("E", 2, 1, (("c", 1),)),
-        ]
-        return WeightedCellComplex(describe(d), 2, cells,
-                                   {"boundary": {"v", "c"}})
-    if isinstance(d, Surface):
-        g, b, ms = d.genus, d.boundary, d.cone_orders
-        cells = [Cell("v", 0, 1)]
-        for i, m in enumerate(ms, start=1):
-            cells.append(Cell(f"p{i}", 0, m))
-            cells.append(Cell(f"e{i}", 1, 1, ((f"p{i}", 1), ("v", -1))))
-        for k in range(1, g + 1):
-            cells.append(Cell(f"a{k}", 1, 1))
-            cells.append(Cell(f"b{k}", 1, 1))
-        for j in range(1, b + 1):
-            cells.append(Cell(f"w{j}", 0, 1))
-            cells.append(Cell(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
-            cells.append(Cell(f"d{j}", 1, 1))
-        cells.append(Cell("F", 2, 1,
-                          tuple((f"d{j}", 1) for j in range(1, b + 1))))
-        cells.sort(key=lambda cell: cell.dim)
-        subs = {}
-        if b >= 1:
-            subs["boundary"] = {f"w{j}" for j in range(1, b + 1)} \
-                | {f"d{j}" for j in range(1, b + 1)}
-        return WeightedCellComplex(describe(d), 2, cells, subs)
-    if isinstance(d, Ball3):
-        m1, m2, m3 = d.orders
-        n0 = cone_point_index(m1, m2, m3)
-        cells = [
-            Cell("p1", 0, m1), Cell("p2", 0, m2), Cell("p3", 0, m3),
-            Cell("o", 0, n0),
-            Cell("E12", 1, 1, (("p2", 1), ("p1", -1))),
-            Cell("E23", 1, 1, (("p3", 1), ("p2", -1))),
-            Cell("E31", 1, 1, (("p1", 1), ("p3", -1))),
-            Cell("g1", 1, m1, (("p1", 1), ("o", -1))),
-            Cell("g2", 1, m2, (("p2", 1), ("o", -1))),
-            Cell("g3", 1, m3, (("p3", 1), ("o", -1))),
-            Cell("F_up", 2, 1, (("E12", 1), ("E23", 1), ("E31", 1))),
-            Cell("F_down", 2, 1, (("E12", -1), ("E23", -1), ("E31", -1))),
-            Cell("D12", 2, 1, (("g1", 1), ("E12", 1), ("g2", -1))),
-            Cell("D23", 2, 1, (("g2", 1), ("E23", 1), ("g3", -1))),
-            Cell("D31", 2, 1, (("g3", 1), ("E31", 1), ("g1", -1))),
-            Cell("T_up", 3, 1,
-                 (("F_up", 1), ("D12", -1), ("D23", -1), ("D31", -1))),
-            Cell("T_down", 3, 1,
-                 (("F_down", 1), ("D12", 1), ("D23", 1), ("D31", 1))),
-        ]
-        subs = {"boundary": {"p1", "p2", "p3", "E12", "E23", "E31",
-                             "F_up", "F_down"}}
-        return WeightedCellComplex(describe(d), 3, cells, subs)
-    if isinstance(d, Ball3Cyclic):
-        n = d.order
-        cells = [
-            Cell("p1", 0, n), Cell("p2", 0, n),
-            Cell("e_a", 1, 1, (("p2", 1), ("p1", -1))),
-            Cell("e_b", 1, 1, (("p2", 1), ("p1", -1))),
-            Cell("g", 1, n, (("p2", 1), ("p1", -1))),
-            Cell("F_a", 2, 1, (("e_a", 1), ("e_b", -1))),
-            Cell("F_b", 2, 1, (("e_b", 1), ("e_a", -1))),
-            Cell("D_a", 2, 1, (("e_a", 1), ("g", -1))),
-            Cell("D_b", 2, 1, (("e_b", 1), ("g", -1))),
-            Cell("T_a", 3, 1, (("F_a", 1), ("D_a", -1), ("D_b", 1))),
-            Cell("T_b", 3, 1, (("F_b", 1), ("D_a", 1), ("D_b", -1))),
-        ]
-        subs = {"boundary": {"p1", "p2", "e_a", "e_b", "F_a", "F_b"}}
-        return WeightedCellComplex(describe(d), 3, cells, subs)
-    if isinstance(d, ProductTorus):
-        model = adapted_model(d.base)
-        for _ in range(d.torus_factors):
-            model = tensor_weighted(model, _circle())
-        return WeightedCellComplex(describe(d), model.dim, model.cells,
-                                   model.subs)
-    if isinstance(d, Custom):
-        with open(d.path, encoding="utf-8") as handle:
-            return parse_owc(handle.read())
-    raise TypeError(f"not a descriptor: {d!r}")
+    return _build(d, True)
 
 
 def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex:
@@ -505,31 +563,20 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
     n = wcc.dim
     kept = [[cell for cell in wcc.cells_of_dim(q) if cell.id not in dropped]
             for q in range(n + 1)]
+
+    def scaled(coface: Cell, ref: str, coefficient: int) -> int:
+        value, remainder = divmod(coefficient * wcc.cell(ref).weight,
+                                  coface.weight)
+        if remainder:
+            raise ValueError(f"weights are not adapted: entry from "
+                             f"{coface.id} to {ref} is not integral")
+        return value
+
     basis = [[cell.id for cell in kept[n - k]] for k in range(n + 1)]
-    boundaries = []
-    for k in range(1, n + 1):
-        q = n - k
-        row_pos = {cell.id: i for i, cell in enumerate(kept[q + 1])}
-        mat = [[0] * len(kept[q]) for _ in range(len(kept[q + 1]))]
-        for j, cell in enumerate(kept[q]):
-            for f in kept[q + 1]:
-                for ref, coefficient in f.boundary:
-                    if ref != cell.id:
-                        continue
-                    scaled, remainder = divmod(coefficient * cell.weight,
-                                               f.weight)
-                    if remainder:
-                        raise ValueError(
-                            f"weights are not adapted: entry from {f.id} "
-                            f"to {cell.id} is not integral")
-                    mat[row_pos[f.id]][j] += scaled
-        boundaries.append(IntMatrix(mat, cols=len(kept[q])))
+    boundaries = [IntMatrix(_incidence_rows(kept[q], kept[q + 1], scaled),
+                            cols=len(kept[q]))
+                  for q in range(n - 1, -1, -1)]
     return ChainComplex(basis, boundaries)
-
-
-def ws_model(d: OrbifoldDesc) -> ChainComplex:
-    """Absolute weighted cochain complex of the adapted model."""
-    return ws_complex(adapted_model(d))
 
 
 class OwcError(ValueError):
@@ -551,12 +598,16 @@ def parse_owc(text: str) -> WeightedCellComplex:
       dim <n>
       cell <id> dim=<q> weight=<w> [boundary=<id>:<int>,...]
       sub <name> = <id>,...
+
+    Structural faults found by WeightedCellComplex are reported at the
+    line of the offending cell or sub member.
     """
     name = None
     dim = None
     cells: list[Cell] = []
     cell_lines: dict[str, int] = {}
-    raw_subs: list[tuple[int, str, list[str]]] = []
+    subs: dict[str, list[str]] = {}
+    sub_lines: dict[tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -568,7 +619,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 raise OwcError(lineno, "orbifold needs a name")
             name = line[len("orbifold"):].strip()
         elif verb == "dim":
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                 raise OwcError(lineno, "dim needs one integer")
             dim = int(parts[1])
             if dim < 0:
@@ -577,8 +628,6 @@ def parse_owc(text: str) -> WeightedCellComplex:
             if len(parts) < 2:
                 raise OwcError(lineno, "cell needs an id")
             cell_id = parts[1]
-            if not _ID_RE.match(cell_id):
-                raise OwcError(lineno, f"bad cell id {cell_id!r}")
             if cell_id in cell_lines:
                 raise OwcError(lineno, f"duplicate cell id {cell_id}")
             fields = {}
@@ -597,9 +646,6 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 weight = int(fields["weight"])
             except ValueError:
                 raise OwcError(lineno, "dim and weight must be integers")
-            if weight < 1:
-                raise OwcError(lineno, f"cell {cell_id}: weight must be "
-                                       "at least 1")
             boundary = []
             if "boundary" in fields:
                 for entry in fields["boundary"].split(","):
@@ -626,63 +672,21 @@ def parse_owc(text: str) -> WeightedCellComplex:
             if not _ID_RE.match(sub_name):
                 raise OwcError(lineno, f"bad subcomplex name {sub_name!r}")
             ids = [m.strip() for m in members.split(",") if m.strip()]
-            raw_subs.append((lineno, sub_name, ids))
+            subs.setdefault(sub_name, []).extend(ids)
+            for member in ids:
+                sub_lines.setdefault((sub_name, member), lineno)
         else:
             raise OwcError(lineno, f"unknown directive {verb!r}")
     if name is None:
         raise OwcError(1, "missing 'orbifold <name>' line")
     if dim is None:
         raise OwcError(1, "missing 'dim <n>' line")
-
-    by_id = {cell.id: cell for cell in cells}
-    for cell in cells:
-        if cell.dim > dim:
-            raise OwcError(cell_lines[cell.id],
-                           f"cell {cell.id}: dimension {cell.dim} exceeds "
-                           f"declared dim {dim}")
-        for ref, _ in cell.boundary:
-            if ref not in by_id:
-                raise OwcError(cell_lines[cell.id],
-                               f"cell {cell.id}: unknown boundary cell {ref}")
-            if by_id[ref].dim != cell.dim - 1:
-                raise OwcError(cell_lines[cell.id],
-                               f"cell {cell.id}: boundary cell {ref} has "
-                               f"dimension {by_id[ref].dim}, expected "
-                               f"{cell.dim - 1}")
-    subs: dict[str, set[str]] = {}
-    for lineno, sub_name, ids in raw_subs:
-        unknown = [i for i in ids if i not in by_id]
-        if unknown:
-            raise OwcError(lineno, f"subcomplex {sub_name}: unknown cell "
-                                   f"{unknown[0]}")
-        subs.setdefault(sub_name, set()).update(ids)
-
-    complex_candidate = ChainComplex(
-        [[cell.id for cell in cells if cell.dim == q] for q in range(dim + 1)],
-        _boundary_matrices(cells, dim))
-    problems = chains.validate(complex_candidate)
-    if problems:
-        offender = problems[0].split("boundary of boundary of ", 1)
-        cell_id = offender[1].split()[0] if len(offender) == 2 else cells[0].id
-        raise OwcError(cell_lines.get(cell_id, 1),
-                       "boundary of boundary is nonzero: " + problems[0])
-    return WeightedCellComplex(name, dim, cells, subs)
-
-
-def _boundary_matrices(cells: Sequence[Cell], dim: int) -> list[IntMatrix]:
-    basis = [[cell.id for cell in cells if cell.dim == q]
-             for q in range(dim + 1)]
-    position = [{label: i for i, label in enumerate(labels)}
-                for labels in basis]
-    by_id = {cell.id: cell for cell in cells}
-    out = []
-    for q in range(1, dim + 1):
-        mat = [[0] * len(basis[q]) for _ in range(len(basis[q - 1]))]
-        for j, label in enumerate(basis[q]):
-            for ref, coefficient in by_id[label].boundary:
-                mat[position[q - 1][ref]][j] += coefficient
-        out.append(IntMatrix(mat, cols=len(basis[q])))
-    return out
+    try:
+        return WeightedCellComplex(name, dim, cells, subs)
+    except ComplexError as exc:
+        line = (cell_lines[exc.cell] if exc.sub is None
+                else sub_lines[exc.sub, exc.cell])
+        raise OwcError(line, str(exc)) from None
 
 
 def serialize_owc(wcc: WeightedCellComplex) -> str:

@@ -219,14 +219,13 @@ def test_criterion_10_duality_grids(acceptance_log):
             report = check_duality(Surface(0, 0, triple))
             assert report.passed, report.render()
         # the 3-ball pairing uses an interior-arc model extending the
-        # surface construction; its verdicts are archived, not asserted
+        # surface construction; its verdicts are asserted and archived
         REPORT_DIR.mkdir(exist_ok=True)
-        chunks = []
-        for triple in BALL_TRIPLES:
-            report = check_duality(Ball3(triple))
-            chunks.append(report.render())
+        reports = [check_duality(Ball3(triple)) for triple in BALL_TRIPLES]
         (REPORT_DIR / "ball3_duality.txt").write_text(
-            "\n\n".join(chunks) + "\n")
+            "\n\n".join(report.render() for report in reports) + "\n")
+        for report in reports:
+            assert report.passed, report.render()
 
     _criterion(acceptance_log, 10, "scaled-dual duality grids", check)
 

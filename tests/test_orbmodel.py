@@ -134,6 +134,23 @@ def test_tensor_weighted_multiplies_weights():
     assert "v0_x_z" in bd and "v0_x_t" in bd and "c_out_x_t" in bd
 
 
+def test_product_models_match_iterated_tensor():
+    circle = WeightedCellComplex(
+        name="circle", dim=1,
+        cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
+    )
+    for d in (ProductTorus(Disc2(3), 1), ProductTorus(Ball3((2, 3, 5)), 2),
+              ProductTorus(Surface(1, 2, (2, 3)), 2),
+              ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3)):
+        for build in (t_model, adapted_model):
+            model = build(d.base)
+            for _ in range(d.torus_factors):
+                model = tensor_weighted(model, circle, name=describe(d))
+                assert validate(model.chain_complex()) == []
+            assert serialize_owc(build(d)) == serialize_owc(model), \
+                (d, build.__name__)
+
+
 # ------------------------------------------------------- homology tables
 
 
@@ -325,33 +342,39 @@ sub boundary = p1,p2,p3,E12,E23,E31,F_up,F_down
 def test_owc_parse_errors_cite_lines():
     cases = [
         ("orbifold x\ndim 1\ncell v dim=0 weight=1\ncell v dim=0 weight=1\n",
-         4, "duplicate cell id"),
+         4, "line 4: duplicate cell id v"),
         ("orbifold x\ndim 1\ncell v dim=0 weight=0\n",
-         3, "weight must be at least 1"),
+         3, "line 3: cell v: weight must be at least 1"),
         ("orbifold x\ndim 1\ncell v dim=0 weight=1\n"
          "cell e dim=1 weight=1 boundary=w:1\n",
-         4, "unknown boundary cell"),
+         4, "line 4: cell e: unknown boundary cell w"),
         ("orbifold x\ndim 2\ncell v dim=0 weight=1\ncell w dim=0 weight=1\n"
          "cell e dim=1 weight=1 boundary=v:1,w:-1\n"
          "cell f dim=2 weight=1 boundary=e:1\n",
-         6, "boundary of boundary"),
+         6, "line 6: boundary of boundary is nonzero: degree 2: boundary of "
+            "boundary of f hits v with coefficient 1"),
         ("orbifold x\ndim 1\ncell v dim=zero weight=1\n",
-         3, "must be integers"),
+         3, "line 3: dim and weight must be integers"),
         ("orbifold x\ndim 1\ncell v dim=2 weight=1\n",
-         3, "exceeds declared dim"),
+         3, "line 3: cell v: dimension 2 exceeds declared dim 1"),
         ("orbifold x\ndim 0\ncell v dim=0 weight=1\nsub s = v,q\n",
-         4, "unknown cell"),
+         4, "line 4: subcomplex s: unknown cell q"),
         ("orbifold x\ncell v dim=0 weight=1\n",
-         1, "missing 'dim"),
+         1, "line 1: missing 'dim <n>' line"),
         ("orbifold x\ndim 2\ncell v dim=0 weight=1\n"
          "cell f dim=2 weight=1 boundary=v:1\n",
-         4, "has dimension 0, expected 1"),
+         4, "line 4: cell f: boundary cell v has dimension 0, expected 1"),
+        ("orbifold x\ndim 1\ncell v dim=0 weight=1\ncell w dim=0 weight=1\n"
+         "cell e dim=1 weight=1 boundary=v:1,w:-1\nsub s = v\nsub s = e\n",
+         7, "line 7: subcomplex s: cell e has face w outside it"),
+        ("orbifold x\ndim --3\n", 2, "line 2: dim needs one integer"),
+        ("orbifold x\ndim \u00b2\n", 2, "line 2: dim needs one integer"),
     ]
-    for text, line, fragment in cases:
+    for text, line, message in cases:
         with pytest.raises(OwcError) as err:
             parse_owc(text)
         assert err.value.line == line, text
-        assert fragment in str(err.value)
+        assert str(err.value) == message
 
 
 def test_custom_file_loading(tmp_path: pathlib.Path):
