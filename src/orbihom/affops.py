@@ -150,14 +150,9 @@ def boundary(c) -> AffineChain:
     """Alternating-sign sum of vertex deletions, extended linearly."""
     if isinstance(c, AffineSimplex):
         c = AffineChain.of(c)
-    out: dict[AffineSimplex, int] = {}
-    for s, n in c.terms().items():
-        if s.dim == 0:
-            continue
-        for i in range(s.dim + 1):
-            t = s.face(i)
-            out[t] = out.get(t, 0) + n * (-1) ** i
-    return AffineChain(out)
+    return AffineChain([(s.face(i), n * (-1) ** i)
+                        for s, n in c.terms().items() if s.dim
+                        for i in range(s.dim + 1)])
 
 
 def _check_interior(a, p: int) -> tuple[Fraction, ...]:
@@ -207,18 +202,12 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     ap = _face_point(s, idx, a)
     q = s.dim
     ip = idx[-1]
-    out: dict[AffineSimplex, int] = {}
-    for k in range(len(idx)):
-        ik = idx[k]
-        verts = (
-            [s.vertices[t] for t in range(ip + 1) if t != ik]
-            + [ap]
-            + [s.vertices[t] for t in range(ip + 1, q + 1)]
-        )
-        term = AffineSimplex(tuple(verts))
-        sign = (-1) ** (ik + ip)
-        out[term] = out.get(term, 0) + sign
-    return AffineChain(out)
+    return AffineChain([
+        ([s.vertices[t] for t in range(ip + 1) if t != ik]
+         + [ap]
+         + [s.vertices[t] for t in range(ip + 1, q + 1)],
+         (-1) ** (ik + ip))
+        for ik in idx])
 
 
 def prism(s: AffineSimplex, face, a) -> AffineChain:
@@ -229,46 +218,24 @@ def prism(s: AffineSimplex, face, a) -> AffineChain:
     interior point.
     """
     q = s.dim
-    out: dict[AffineSimplex, int] = {}
-
-    def add(verts, coeff):
-        term = AffineSimplex(tuple(verts))
-        val = out.get(term, 0) + coeff
-        if val:
-            out[term] = val
-        elif term in out:
-            del out[term]
-
-    if face is None:
-        for j in range(q + 1):
-            verts = (
-                [s.vertices[t] for t in range(j + 1)]
-                + [s.vertices[t] for t in range(j, q + 1)]
-            )
-            add(verts, (-1) ** (j + 1))
-        return AffineChain(out)
-
-    idx = _check_face(s, face)
-    ap = _face_point(s, idx, a)
-    i0, ip = idx[0], idx[-1]
+    terms = []
+    if face is not None:
+        idx = _check_face(s, face)
+        ap = _face_point(s, idx, a)
+        i0, ip = idx[0], idx[-1]
     for j in range(q + 1):
-        if j <= i0:
-            for k in range(len(idx)):
-                ik = idx[k]
-                verts = (
-                    [s.vertices[t] for t in range(j + 1)]
-                    + [s.vertices[t] for t in range(j, ip + 1) if t != ik]
-                    + [ap]
-                    + [s.vertices[t] for t in range(ip + 1, q + 1)]
-                )
-                add(verts, (-1) ** (j + 1) * (-1) ** (ik + ip))
-        else:
-            verts = (
-                [s.vertices[t] for t in range(j + 1)]
-                + [s.vertices[t] for t in range(j, q + 1)]
-            )
-            add(verts, (-1) ** (j + 1))
-    return AffineChain(out)
+        if face is None or j > i0:
+            terms.append(([s.vertices[t] for t in range(j + 1)]
+                          + [s.vertices[t] for t in range(j, q + 1)],
+                          (-1) ** (j + 1)))
+            continue
+        for ik in idx:
+            terms.append(([s.vertices[t] for t in range(j + 1)]
+                          + [s.vertices[t] for t in range(j, ip + 1) if t != ik]
+                          + [ap]
+                          + [s.vertices[t] for t in range(ip + 1, q + 1)],
+                          (-1) ** (j + 1) * (-1) ** (ik + ip)))
+    return AffineChain(terms)
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):
@@ -286,24 +253,25 @@ def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
     _check_interior(a, phi.dim)
-    out = AffineChain.zero()
+    terms = []
     for s, n in c.terms().items():
         idx = find_face(s, phi)
         if idx is None:
-            out = out + AffineChain.of(s, n)
+            terms.append((s, n))
         else:
-            out = out + refine(s, idx, a).scale(n)
-    return out
+            terms += [(t, n * m) for t, m in refine(s, idx, a).terms().items()]
+    return AffineChain(terms)
 
 
 def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Chain homotopy between the identity and the refinement operator."""
     _check_interior(a, phi.dim)
-    out = AffineChain.zero()
+    terms = []
     for s, n in c.terms().items():
         idx = find_face(s, phi)
-        out = out + prism(s, idx, a if idx is not None else None).scale(n)
-    return out
+        prism_s = prism(s, idx, a if idx is not None else None)
+        terms += [(t, n * m) for t, m in prism_s.terms().items()]
+    return AffineChain(terms)
 
 
 def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:

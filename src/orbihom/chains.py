@@ -24,28 +24,43 @@ from .intlin import (
     unimodular_inverse,
 )
 
+# A sparse boundary column: (row, coefficient) pairs, rows ascending,
+# no zero coefficients.
+Column = tuple[tuple[int, int], ...]
+
 
 class ChainComplex:
-    """Finite chain complex with labeled bases.
+    """Finite chain complex with labeled bases and sparse boundaries.
 
-    basis[q] lists the degree-q cell labels; boundaries[q-1] is the
-    matrix of the boundary map from degree q to degree q-1 (rows indexed
-    by the lower basis).  Labels must be unique within each degree.
+    basis[q] lists the degree-q cell labels; boundaries[q-1][j] is the
+    boundary of basis[q][j] as (row, coefficient) pairs, rows indexing
+    basis[q-1], sorted by row with zeros dropped.  Each degree's
+    boundary may be given as such columns or as an IntMatrix.  Labels
+    must be unique within each degree.
     """
 
     __slots__ = ("top_dim", "basis", "boundaries", "_index")
 
     def __init__(self, basis: Sequence[Sequence[str]],
-                 boundaries: Sequence[IntMatrix]):
+                 boundaries: Sequence[IntMatrix | Sequence[Column]]):
         basis = tuple(tuple(labels) for labels in basis)
         boundaries = tuple(boundaries)
         if not basis:
             raise ValueError("a complex needs at least degree 0")
         if len(boundaries) != len(basis) - 1:
             raise ValueError("need exactly one boundary matrix per degree pair")
-        for q, mat in enumerate(boundaries, start=1):
-            if mat.rows != len(basis[q - 1]) or mat.cols != len(basis[q]):
+        sparse = []
+        for q, columns in enumerate(boundaries, start=1):
+            rows = len(basis[q - 1])
+            height = rows
+            if isinstance(columns, IntMatrix):
+                height = columns.rows
+                columns = [enumerate(col) for col in columns.columns()]
+            columns = tuple(_column(col) for col in columns)
+            if (height != rows or len(columns) != len(basis[q])
+                    or any(not 0 <= i < rows for col in columns for i, _ in col)):
                 raise ValueError(f"boundary shape mismatch at degree {q}")
+            sparse.append(columns)
         index: list[dict[str, int]] = []
         for q, labels in enumerate(basis):
             pos = {label: i for i, label in enumerate(labels)}
@@ -54,7 +69,7 @@ class ChainComplex:
             index.append(pos)
         object.__setattr__(self, "top_dim", len(basis) - 1)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "boundaries", tuple(sparse))
         object.__setattr__(self, "_index", tuple(index))
 
     def __setattr__(self, name, value):
@@ -66,10 +81,14 @@ class ChainComplex:
         return 0
 
     def d(self, q: int) -> IntMatrix:
-        """Boundary matrix from degree q to q-1, zero outside the range."""
+        """Dense boundary matrix from degree q to q-1, zero outside the range."""
+        cols = self.dim(q)
+        mat = [[0] * cols for _ in range(self.dim(q - 1))]
         if 1 <= q <= self.top_dim:
-            return self.boundaries[q - 1]
-        return IntMatrix.zeros(self.dim(q - 1), self.dim(q))
+            for j, col in enumerate(self.boundaries[q - 1]):
+                for i, value in col:
+                    mat[i][j] = value
+        return IntMatrix(mat, cols=cols)
 
     def position(self, q: int, label: str) -> int:
         return self._index[q][label]
@@ -85,23 +104,36 @@ class ChainComplex:
         return tuple(vec)
 
 
+def _column(pairs: Iterable[tuple[int, int]]) -> Column:
+    """(row, coefficient) pairs merged by row, sorted, zeros dropped."""
+    merged: dict[int, int] = {}
+    for i, value in pairs:
+        merged[i] = merged.get(i, 0) + int(value)
+    return tuple(sorted((i, value) for i, value in merged.items() if value))
+
+
 def validate(c: ChainComplex) -> list[str]:
     """Check that consecutive boundaries compose to zero.
 
     Returns a list of violation descriptions, empty when the complex is
-    valid.  Each entry names the degree and the offending basis pair.
+    valid.  Each entry names the degree and the offending basis pair;
+    entries go column by column, rows ascending.  The work is
+    proportional to the nonzero incidences composed.
     """
     problems = []
     for q in range(2, c.top_dim + 1):
-        composite = c.d(q - 1) @ c.d(q)
-        if not composite.is_zero():
-            for j in range(composite.cols):
-                for i in range(composite.rows):
-                    if composite[i, j]:
-                        problems.append(
-                            f"degree {q}: boundary of boundary of "
-                            f"{c.basis[q][j]} hits {c.basis[q - 2][i]} "
-                            f"with coefficient {composite[i, j]}")
+        lower = c.boundaries[q - 2]
+        for j, col in enumerate(c.boundaries[q - 1]):
+            composite: dict[int, int] = {}
+            for k, x in col:
+                for i, y in lower[k]:
+                    composite[i] = composite.get(i, 0) + x * y
+            for i in sorted(composite):
+                if composite[i]:
+                    problems.append(
+                        f"degree {q}: boundary of boundary of "
+                        f"{c.basis[q][j]} hits {c.basis[q - 2][i]} "
+                        f"with coefficient {composite[i]}")
     return problems
 
 
@@ -254,32 +286,26 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
 
     boundaries = []
     for k in range(1, top + 1):
-        rows = len(layout[k - 1])
-        mat = [[0] * len(layout[k]) for _ in range(rows)]
-        for col, (qc, i, qd, j) in enumerate(layout[k]):
-            dc = c.d(qc)
-            for r in range(dc.rows):
-                value = dc[r, i]
-                if value:
-                    mat[position[k - 1][(qc - 1, r, qd, j)]][col] += value
-            dd = d.d(qd)
+        below = position[k - 1]
+        columns = []
+        for qc, i, qd, j in layout[k]:
             sign = -1 if qc % 2 else 1
-            for r in range(dd.rows):
-                value = dd[r, j]
-                if value:
-                    mat[position[k - 1][(qc, i, qd - 1, r)]][col] += sign * value
-        boundaries.append(IntMatrix(mat, cols=len(layout[k])))
+            col = [(below[qc - 1, r, qd, j], value)
+                   for r, value in (c.boundaries[qc - 1][i] if qc else ())]
+            col += [(below[qc, i, qd - 1, r], sign * value)
+                    for r, value in (d.boundaries[qd - 1][j] if qd else ())]
+            columns.append(col)
+        boundaries.append(columns)
     return ChainComplex(labels, boundaries)
 
 
 def _check_boundary_closed(c: ChainComplex, cells: set[str], role: str) -> None:
     for q in range(1, c.top_dim + 1):
-        dq = c.d(q)
-        for j, label in enumerate(c.basis[q]):
+        for label, col in zip(c.basis[q], c.boundaries[q - 1]):
             if label not in cells:
                 continue
-            for i in range(dq.rows):
-                if dq[i, j] and c.basis[q - 1][i] not in cells:
+            for i, _ in col:
+                if c.basis[q - 1][i] not in cells:
                     raise ValueError(
                         f"{role} is not boundary closed: cell {label} has "
                         f"face {c.basis[q - 1][i]} outside it")
@@ -309,11 +335,11 @@ def _restrict(c: ChainComplex, keep) -> ChainComplex:
     basis = [[label for label in labels if keep(label)] for labels in c.basis]
     boundaries = []
     for q in range(1, c.top_dim + 1):
-        dq = c.d(q)
-        rows = [i for i, label in enumerate(c.basis[q - 1]) if keep(label)]
-        cols = [j for j, label in enumerate(c.basis[q]) if keep(label)]
-        boundaries.append(IntMatrix([[dq[i, j] for j in cols] for i in rows],
-                                    cols=len(cols)))
+        kept_rows = (i for i, label in enumerate(c.basis[q - 1]) if keep(label))
+        row = {i: n for n, i in enumerate(kept_rows)}
+        boundaries.append([[(row[i], value) for i, value in col if i in row]
+                           for label, col in zip(c.basis[q], c.boundaries[q - 1])
+                           if keep(label)])
     return ChainComplex(basis, boundaries)
 
 
@@ -446,4 +472,4 @@ def point_complex(label: str = "pt") -> ChainComplex:
 
 
 def circle_complex(vertex: str = "v", edge: str = "t") -> ChainComplex:
-    return ChainComplex([[vertex], [edge]], [IntMatrix.zeros(1, 1)])
+    return ChainComplex([[vertex], [edge]], [[()]])

@@ -278,31 +278,6 @@ def smith_diagonal(a: IntMatrix) -> list[int]:
     return [s[i, i] for i in range(min(a.rows, a.cols))]
 
 
-def det(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def rational_rank(a: IntMatrix) -> int:
     """Rank over the rationals, by integer cross-multiplication elimination.
 
@@ -360,15 +335,6 @@ def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
         return None
     return tuple(sum(w[k, i] * y[k] for k in range(a.cols))
                  for i in range(a.cols))
-
-
-def subgroup_contains(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
-    """True iff the column lattice of gens_b lies inside that of gens_a."""
-    if gens_a.rows != gens_b.rows:
-        raise ValueError("ambient ranks differ")
-    ht, _ = hnf(gens_a.transpose())
-    return all(_echelon_solve(ht, gens_b.column(j)) is not None
-               for j in range(gens_b.cols))
 
 
 def lattice_hnf(a: IntMatrix) -> IntMatrix:
@@ -517,10 +483,3 @@ class GroupHom:
     def __post_init__(self):
         if self.matrix.rows != self.target.gens or self.matrix.cols != self.source.gens:
             raise ValueError("matrix shape does not match presentations")
-
-    def is_well_defined(self) -> bool:
-        for j in range(self.source.rels.cols):
-            image = self.matrix.apply(self.source.rels.column(j))
-            if solve_linear(self.target.rels, image) is None:
-                return False
-        return True

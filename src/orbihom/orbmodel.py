@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import chains
 from .chains import ChainComplex
-from .intlin import IntMatrix
 
 
 def _lcm(values: Iterable[int]) -> int:
@@ -171,7 +170,8 @@ class WeightedCellComplex:
     Construction checks that boundary references exist one dimension
     down, that subcomplex members exist, that the induced chain complex
     satisfies boundary-of-boundary equals zero, and that subcomplexes
-    are closed under boundaries.  A failure raises ComplexError.
+    are closed under boundaries.  A failure raises ComplexError.  No
+    subcomplex may be named all: sub_cells reserves it for every cell.
     """
 
     __slots__ = ("name", "dim", "cells", "subs", "_by_id")
@@ -198,6 +198,8 @@ class WeightedCellComplex:
                         f"{by_id[ref].dim}, expected {cell.dim - 1}", cell.id)
         listed = {sub_name: list(members)
                   for sub_name, members in (subs or {}).items()}
+        if "all" in listed:
+            raise ValueError("subcomplex name 'all' is reserved")
         for sub_name, members in listed.items():
             for member in members:
                 if member not in by_id:
@@ -243,29 +245,13 @@ class WeightedCellComplex:
 
     def chain_complex(self) -> ChainComplex:
         by_dim = [self.cells_of_dim(q) for q in range(self.dim + 1)]
-        boundaries = [
-            IntMatrix.from_columns(
-                _incidence_rows(by_dim[q - 1], by_dim[q],
-                                lambda coface, ref, coefficient: coefficient),
-                rows=len(by_dim[q - 1]))
-            for q in range(1, self.dim + 1)]
-        return ChainComplex([[cell.id for cell in cells] for cells in by_dim],
-                            boundaries)
-
-
-def _incidence_rows(faces: Sequence[Cell], cofaces: Sequence[Cell],
-                    entry) -> list[list[int]]:
-    """Rows of entry(coface, face id, coefficient) over each coface's
-    boundary list, walked once; faces missing from faces are skipped."""
-    position = {cell.id: j for j, cell in enumerate(faces)}
-    rows = []
-    for coface in cofaces:
-        row = [0] * len(faces)
-        for ref, coefficient in coface.boundary:
-            if ref in position:
-                row[position[ref]] += entry(coface, ref, coefficient)
-        rows.append(row)
-    return rows
+        position = {cell.id: j for cells in by_dim
+                    for j, cell in enumerate(cells)}
+        return ChainComplex(
+            [[cell.id for cell in cells] for cells in by_dim],
+            [[[(position[ref], coefficient)
+               for ref, coefficient in cell.boundary] for cell in cells]
+             for cells in by_dim[1:]])
 
 
 def _tensor_parts(a_cells: Iterable[Cell],
@@ -563,20 +549,24 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
     n = wcc.dim
     kept = [[cell for cell in wcc.cells_of_dim(q) if cell.id not in dropped]
             for q in range(n + 1)]
-
-    def scaled(coface: Cell, ref: str, coefficient: int) -> int:
-        value, remainder = divmod(coefficient * wcc.cell(ref).weight,
-                                  coface.weight)
-        if remainder:
-            raise ValueError(f"weights are not adapted: entry from "
-                             f"{coface.id} to {ref} is not integral")
-        return value
-
-    basis = [[cell.id for cell in kept[n - k]] for k in range(n + 1)]
-    boundaries = [IntMatrix(_incidence_rows(kept[q], kept[q + 1], scaled),
-                            cols=len(kept[q]))
-                  for q in range(n - 1, -1, -1)]
-    return ChainComplex(basis, boundaries)
+    position = {cell.id: j for cells in kept for j, cell in enumerate(cells)}
+    boundaries = []
+    for q in range(n - 1, -1, -1):
+        # Transpose: the dual of each q-cell gets one entry per coface.
+        columns = [[] for _ in kept[q]]
+        for row, coface in enumerate(kept[q + 1]):
+            for ref, coefficient in coface.boundary:
+                if ref not in position:
+                    continue
+                value, remainder = divmod(
+                    coefficient * wcc.cell(ref).weight, coface.weight)
+                if remainder:
+                    raise ValueError(f"weights are not adapted: entry from "
+                                     f"{coface.id} to {ref} is not integral")
+                columns[position[ref]].append((row, value))
+        boundaries.append(columns)
+    return ChainComplex([[cell.id for cell in kept[n - k]] for k in range(n + 1)],
+                        boundaries)
 
 
 class OwcError(ValueError):
@@ -671,6 +661,8 @@ def parse_owc(text: str) -> WeightedCellComplex:
             sub_name = sub_name.strip()
             if not _ID_RE.match(sub_name):
                 raise OwcError(lineno, f"bad subcomplex name {sub_name!r}")
+            if sub_name == "all":
+                raise OwcError(lineno, "subcomplex name 'all' is reserved")
             ids = [m.strip() for m in members.split(",") if m.strip()]
             subs.setdefault(sub_name, []).extend(ids)
             for member in ids:

@@ -1,0 +1,89 @@
+"""Test-only oracles, kept independent of the routes they check.
+
+Exact determinants, lattice containment and homomorphism
+well-definedness back the Smith form and induced-map tests.  The dense
+boundary builds walk each cell's incidence list into full matrix rows,
+as the chain complexes did before they stored sparse columns, and serve
+as the reference for `ChainComplex.d` and `ws_complex`.
+"""
+
+from orbihom.intlin import GroupHom, IntMatrix, solve_linear
+
+
+def det(a: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def subgroup_contains(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
+    """True iff the column lattice of gens_b lies inside that of gens_a."""
+    if gens_a.rows != gens_b.rows:
+        raise ValueError("ambient ranks differ")
+    return all(solve_linear(gens_a, gens_b.column(j)) is not None
+               for j in range(gens_b.cols))
+
+
+def is_well_defined(hom: GroupHom) -> bool:
+    """True iff every source relator lands in the target relator lattice."""
+    return subgroup_contains(hom.target.rels, hom.matrix @ hom.source.rels)
+
+
+def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:
+    """One dense row per coface: entry(coface, face id, coefficient)
+    summed over its boundary list; faces missing from faces are skipped."""
+    position = {cell.id: j for j, cell in enumerate(faces)}
+    rows = []
+    for coface in cofaces:
+        row = [0] * len(faces)
+        for ref, coefficient in coface.boundary:
+            if ref in position:
+                row[position[ref]] += entry(coface, ref, coefficient)
+        rows.append(row)
+    return rows
+
+
+def dense_boundary(wcc, q: int) -> IntMatrix:
+    """Boundary matrix of wcc from degree q to q-1."""
+    faces, cofaces = wcc.cells_of_dim(q - 1), wcc.cells_of_dim(q)
+    rows = _incidence_rows(faces, cofaces, lambda coface, ref, k: k)
+    return IntMatrix.from_columns(rows, rows=len(faces))
+
+
+def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
+    """Degree-k boundary of the scaled dual of wcc: the transpose of the
+    boundary onto (n-k)-cells, each entry times the face weight over
+    the coface weight, with the cells of sub rel dropped."""
+    dropped = wcc.sub_cells(rel) if rel is not None else frozenset()
+
+    def kept(q):
+        return [cell for cell in wcc.cells_of_dim(q) if cell.id not in dropped]
+
+    def scaled(coface, ref, coefficient):
+        value, remainder = divmod(coefficient * wcc.cell(ref).weight,
+                                  coface.weight)
+        assert remainder == 0, (coface.id, ref)
+        return value
+
+    q = wcc.dim - k
+    return IntMatrix(_incidence_rows(kept(q), kept(q + 1), scaled),
+                     cols=len(kept(q)))

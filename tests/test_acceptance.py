@@ -11,7 +11,7 @@ import time
 from orbihom.chains import homology, tensor, validate
 from orbihom.cli import run
 from orbihom.groups import abelianization, pi1_presentation
-from orbihom.intlin import FgAbGroup, det, rational_rank, snf
+from orbihom.intlin import FgAbGroup, rational_rank, snf
 from orbihom.orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -34,6 +34,7 @@ from orbihom.verify import (
 )
 
 from conftest import REPORT_DIR
+from oracles import det
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()

@@ -28,6 +28,8 @@ from orbihom.orbmodel import (
     t_model,
 )
 
+from oracles import subgroup_contains
+
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
 
@@ -82,6 +84,52 @@ def test_constructor_errors():
     with pytest.raises(ValueError):
         ChainComplex(basis=(("v",), ("e",)),
                      boundaries=(IntMatrix.zeros(2, 1),))
+
+
+def test_sparse_columns_match_the_matrix_form():
+    c = half_disk()
+    assert c.boundaries == (
+        (((0, -1), (1, 1)),) * 3,
+        (((0, 1), (1, -1)), ((1, 1), (2, -1))),
+    )
+    assert c.d(1) == IntMatrix([[-1, -1, -1], [1, 1, 1]])
+    assert c.d(2) == IntMatrix([[1, 0], [-1, 1], [0, -1]])
+    assert c.d(0) == IntMatrix.zeros(0, 2)
+    assert c.d(3) == IntMatrix.zeros(2, 0)
+    again = ChainComplex(c.basis, c.boundaries)
+    assert again.boundaries == c.boundaries
+    # columns are merged by row, sorted, and stripped of zeros
+    messy = ChainComplex((("v", "w"), ("e",)),
+                         [[((1, 2), (0, -1), (1, -1), (0, 0))]])
+    assert messy.boundaries == ((((0, -1), (1, 1)),),)
+
+
+def test_d_gives_back_the_matrix_built_from():
+    rng = random.Random(7)
+    for _ in range(200):
+        dims = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        mats = [IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2))
+                            for _ in range(dims[q])]
+                           for _ in range(dims[q - 1])], cols=dims[q])
+                for q in range(1, len(dims))]
+        basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
+        c = ChainComplex(basis, mats)
+        for q, mat in enumerate(mats, start=1):
+            assert c.d(q) == mat
+            assert ChainComplex(basis, c.boundaries).d(q) == mat
+
+
+def test_sparse_constructor_rejects_bad_shapes():
+    basis = (("v", "w"), ("e",))
+    for columns in ([((2, 1),)],          # row past the last face
+                    [((-1, 1),)],         # negative row
+                    [(), ()],             # one column too many
+                    []):                  # one column too few
+        with pytest.raises(ValueError,
+                           match="boundary shape mismatch at degree 1"):
+            ChainComplex(basis, [columns])
+    with pytest.raises(ValueError, match="boundary shape mismatch at degree 1"):
+        ChainComplex(basis, [IntMatrix.zeros(3, 1)])
 
 
 def test_homology_bad_coeff():
@@ -276,8 +324,6 @@ def test_inclusion_map_unit_columns():
 
 def _is_zero_hom(hom):
     """True when every generator image lies in the target relations."""
-    from orbihom.intlin import subgroup_contains
-
     return subgroup_contains(hom.target.rels, hom.matrix)
 
 

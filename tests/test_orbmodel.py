@@ -28,6 +28,9 @@ from orbihom.orbmodel import (
     ws_complex,
 )
 
+from oracles import dense_boundary, dense_ws_boundary
+from test_acceptance import GRID_1_TO_3
+
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
 
@@ -107,6 +110,8 @@ def test_weighted_complex_validation():
         WeightedCellComplex("x", 1, (v, Cell("e", 1, 1, (("w", 1),))))
     with pytest.raises(ValueError):
         WeightedCellComplex("x", 0, (v,), subs={"s": ("ghost",)})
+    with pytest.raises(ValueError, match="'all' is reserved"):
+        WeightedCellComplex("x", 0, (v,), subs={"all": ("v",)})
 
 
 def test_sub_cells_all_and_unknown():
@@ -369,6 +374,9 @@ def test_owc_parse_errors_cite_lines():
          7, "line 7: subcomplex s: cell e has face w outside it"),
         ("orbifold x\ndim --3\n", 2, "line 2: dim needs one integer"),
         ("orbifold x\ndim \u00b2\n", 2, "line 2: dim needs one integer"),
+        ("orbifold c\ndim 1\ncell v dim=0 weight=1\ncell t dim=1 weight=1\n"
+         "sub all = v\nsub pt = v\n",
+         5, "line 5: subcomplex name 'all' is reserved"),
     ]
     for text, line, message in cases:
         with pytest.raises(OwcError) as err:
@@ -389,6 +397,21 @@ def test_custom_file_loading(tmp_path: pathlib.Path):
     # a raw complex file is taken as already adapted for ws purposes
     again = adapted_model(desc)
     assert again.ids() == loaded.ids()
+
+
+def test_sparse_boundaries_match_dense_oracle():
+    """Dense rebuilds from the cells' incidence lists equal d(q) of the
+    chain complex and of the scaled dual, with and without rel."""
+    for d in GRID_1_TO_3 + [ProductTorus(Surface(1, 1, (2, 3)), 2)]:
+        for wcc in (t_model(d), adapted_model(d)):
+            c = wcc.chain_complex()
+            for q in range(wcc.dim + 2):
+                assert c.d(q) == dense_boundary(wcc, q), (d, q)
+        am = adapted_model(d)
+        for rel in (None, "boundary") if "boundary" in am.subs else (None,):
+            ws = ws_complex(am, rel=rel)
+            for k in range(am.dim + 2):
+                assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
 
 
 def test_all_builtin_models_have_valid_boundaries():
