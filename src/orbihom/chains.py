@@ -1,15 +1,18 @@
 """Chain complexes of free abelian groups, with exact homology.
 
-Homology is computed by two Smith normal forms per degree: one to find a
-lattice basis of the cycles, one to diagonalize the boundaries inside
-that basis.  Every result keeps its change-of-basis data, so cycles can
-be expressed in canonical coordinates and induced maps never re-solve
-from scratch.
+The homology groups come from each sparse boundary's rank and invariant
+factors, found by unit-pivot elimination without transforms.  The
+representatives of a degree are computed on first request by two Smith
+normal forms: one to find a lattice basis of the cycles, one to
+diagonalize the boundaries inside that basis.  They keep their
+change-of-basis data, so cycles can be expressed in canonical
+coordinates and induced maps never re-solve from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intlin import (
@@ -17,10 +20,11 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _hnf_solver,
     hstack,
     rational_rank,
+    smith_diagonal,
     snf,
-    solve_linear,
     unimodular_inverse,
 )
 
@@ -144,19 +148,20 @@ class DegreeHomology:
     generators lists cycle vectors for the canonical summands, free
     summands first, then torsion summands in divisor order.  kernel
     holds a lattice basis of all cycles (the presentation generators);
-    presentation presents the homology group on that basis.
+    presentation presents the homology group on that basis.  Over Q
+    only the group is set.
     """
 
     group: FgAbGroup
-    generators: tuple[tuple[int, ...], ...]
-    presentation: AbPresentation | None
-    kernel: IntMatrix | None
-    _w: IntMatrix | None
-    _zero_pos: tuple[int, ...]
-    _ux: IntMatrix | None
-    _diag: tuple[int, ...]
-    _free_pos: tuple[int, ...]
-    _tors_pos: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...] = ()
+    presentation: AbPresentation | None = None
+    kernel: IntMatrix | None = None
+    _w: IntMatrix | None = None
+    _zero_pos: tuple[int, ...] = ()
+    _ux: IntMatrix | None = None
+    _diag: tuple[int, ...] = ()
+    _free_pos: tuple[int, ...] = ()
+    _tors_pos: tuple[int, ...] = ()
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the kernel lattice basis."""
@@ -183,45 +188,133 @@ class DegreeHomology:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Per-degree homology of a chain complex."""
+    """Per-degree homology of a chain complex.
+
+    The groups are known from the start.  degree(q) computes that
+    degree's representatives from the complex on first use and keeps
+    them.
+    """
 
     coeff: str
-    degrees: tuple[DegreeHomology, ...]
+    _complex: ChainComplex = field(compare=False, repr=False)
+    _groups: tuple[FgAbGroup, ...]
+    _degrees: dict[int, DegreeHomology] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def top_dim(self) -> int:
-        return len(self.degrees) - 1
+        return len(self._groups) - 1
 
     def degree(self, q: int) -> DegreeHomology:
-        return self.degrees[q]
+        if not 0 <= q <= self.top_dim:
+            raise IndexError(f"no degree {q} in a complex of top degree "
+                             f"{self.top_dim}")
+        if q not in self._degrees:
+            self._degrees[q] = (DegreeHomology(self._groups[q])
+                                if self.coeff == "Q"
+                                else _integral_degree(self._complex, q))
+        return self._degrees[q]
 
     def group(self, q: int) -> FgAbGroup:
         if 0 <= q <= self.top_dim:
-            return self.degrees[q].group
+            return self._groups[q]
         return FgAbGroup.trivial()
 
     def groups(self) -> tuple[FgAbGroup, ...]:
-        return tuple(d.group for d in self.degrees)
+        return self._groups
 
 
 def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
-    """Homology of a valid complex, over Z (default) or Q."""
+    """Homology of a valid complex, over Z (default) or Q.
+
+    Each boundary is ranked once.  Over Z, H_q is free of rank
+    dim C_q - rank d_q - rank d_(q+1), plus the invariant factors
+    above 1 of d_(q+1).
+    """
     problems = validate(c)
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
     if coeff not in ("Z", "Q"):
         raise ValueError("coefficients must be 'Z' or 'Q'")
     if coeff == "Q":
-        degrees = []
-        for q in range(c.top_dim + 1):
-            rank = c.dim(q) - rational_rank(c.d(q)) - rational_rank(c.d(q + 1))
-            degrees.append(DegreeHomology(
-                group=FgAbGroup.free(rank), generators=(), presentation=None,
-                kernel=None, _w=None, _zero_pos=(), _ux=None, _diag=(),
-                _free_pos=(), _tors_pos=()))
-        return HomologyResult("Q", tuple(degrees))
-    degrees = [_integral_degree(c, q) for q in range(c.top_dim + 1)]
-    return HomologyResult("Z", tuple(degrees))
+        factored = [(rational_rank(c.d(q)), ())
+                    for q in range(1, c.top_dim + 1)]
+    else:
+        factored = [_boundary_factors(columns, c.dim(q - 1))
+                    for q, columns in enumerate(c.boundaries, start=1)]
+    # Boundaries out of degree 0 and into the top degree are zero.
+    factored = [(0, ())] + factored + [(0, ())]
+    groups = tuple(
+        FgAbGroup(c.dim(q) - factored[q][0] - factored[q + 1][0],
+                  factored[q + 1][1])
+        for q in range(c.top_dim + 1))
+    return HomologyResult(coeff, c, groups)
+
+
+def _boundary_factors(columns: Sequence[Column],
+                      rows: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of a sparse boundary.
+
+    While a +-1 entry is left, one with the fewest (row count - 1) x
+    (column count - 1), the most fill-in it can make, is the pivot:
+    column operations clear its row, after which its row and column
+    split off a unit invariant factor and are dropped.  No transform is
+    kept.  The small residual with no unit entry goes to smith_diagonal.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    in_row: list[set[int]] = [set() for _ in range(rows)]
+    for j, col in cols.items():
+        for i in col:
+            in_row[i].add(j)
+
+    def cost(i: int, j: int) -> int:
+        return (len(in_row[i]) - 1) * (len(cols[j]) - 1)
+
+    # Candidate pivots (cost, column, row), possibly stale: each is
+    # checked and its cost refreshed when it is popped.
+    heap = [(cost(i, j), j, i) for j, col in cols.items()
+            for i, value in col.items() if value in (1, -1)]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        stale, c, r = heapq.heappop(heap)
+        if cols.get(c, {}).get(r) not in (1, -1):
+            continue
+        now = cost(r, c)
+        if now > stale:
+            heapq.heappush(heap, (now, c, r))
+            continue
+        pivot = cols.pop(c)
+        unit = pivot.pop(r)
+        for i in pivot:
+            in_row[i].discard(c)
+        for j in in_row[r] - {c}:
+            col = cols[j]
+            factor = col.pop(r) * unit
+            for i, value in pivot.items():
+                new = col.get(i, 0) - factor * value
+                if new:
+                    if i not in col:
+                        in_row[i].add(j)
+                    col[i] = new
+                    if new in (1, -1):
+                        heapq.heappush(heap, (cost(i, j), j, i))
+                elif i in col:
+                    del col[i]
+                    in_row[i].discard(j)
+            if not col:
+                del cols[j]
+        in_row[r].clear()
+        rank += 1
+
+    if not cols:
+        return rank, ()
+    left = [cols[j] for j in sorted(cols)]
+    residual = IntMatrix([[col.get(i, 0) for col in left] for i in
+                          sorted({i for col in left for i in col})],
+                         cols=len(left))
+    diagonal = [x for x in smith_diagonal(residual) if x]
+    return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
 
 
 def _integral_degree(c: ChainComplex, q: int) -> DegreeHomology:
@@ -432,6 +525,7 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
 
     incl_a = inclusion_map(m, a_cells)
     incl_b = inclusion_map(m, b_cells)
+    inter_cells = inter.labels()
     homs = []
     for q in range(m.top_dim + 1):
         src = h_m.degree(q)
@@ -441,11 +535,10 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
                                  IntMatrix.zeros(0, src.presentation.gens)))
             continue
         dst = h_inter.degree(q - 1)
-        stacked = hstack(incl_a.matrix(q), incl_b.matrix(q))
+        split = _hnf_solver(hstack(incl_a.matrix(q), incl_b.matrix(q)))
         columns = []
         for i in range(src.kernel.cols):
-            z = src.kernel.column(i)
-            sol = solve_linear(stacked, z)
+            sol = split(src.kernel.column(i))
             if sol is None:
                 raise ValueError(f"degree-{q} cycle has no chain-level "
                                  "splitting; cover is not exact")
@@ -455,7 +548,7 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
             for pos, value in enumerate(bd):
                 if value:
                     label = a.basis[q - 1][pos]
-                    if label not in inter.labels():
+                    if label not in inter_cells:
                         raise ValueError(
                             "boundary of the lifted chain leaves the "
                             f"intersection at cell {label}")

@@ -311,7 +311,7 @@ def _dispatch(args) -> int:
         wcc, subject = _load_model(args, t_model)
         chain = wcc.chain_complex()
         rel = getattr(args, "rel", None)
-        if rel:
+        if rel is not None:
             chain = relative(chain, wcc.sub_cells(rel))
         coeff = "Q" if args.coeff == "q" else "Z"
         result = homology(chain, coeff=coeff)

@@ -174,7 +174,7 @@ class WeightedCellComplex:
     subcomplex may be named all: sub_cells reserves it for every cell.
     """
 
-    __slots__ = ("name", "dim", "cells", "subs", "_by_id")
+    __slots__ = ("name", "dim", "cells", "subs", "_by_id", "_chain")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -211,7 +211,15 @@ class WeightedCellComplex:
         object.__setattr__(self, "subs", {
             sub_name: frozenset(members) for sub_name, members in listed.items()})
         object.__setattr__(self, "_by_id", by_id)
-        problems = chains.validate(self.chain_complex())
+        by_dim = [self.cells_of_dim(q) for q in range(dim + 1)]
+        position = {cell.id: j for cells in by_dim
+                    for j, cell in enumerate(cells)}
+        object.__setattr__(self, "_chain", ChainComplex(
+            [[cell.id for cell in cells] for cells in by_dim],
+            [[[(position[ref], coefficient)
+               for ref, coefficient in cell.boundary] for cell in cells]
+             for cells in by_dim[1:]]))
+        problems = chains.validate(self._chain)
         if problems:
             culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
             raise ComplexError("boundary of boundary is nonzero: "
@@ -244,14 +252,8 @@ class WeightedCellComplex:
         return self.subs[name]
 
     def chain_complex(self) -> ChainComplex:
-        by_dim = [self.cells_of_dim(q) for q in range(self.dim + 1)]
-        position = {cell.id: j for cells in by_dim
-                    for j, cell in enumerate(cells)}
-        return ChainComplex(
-            [[cell.id for cell in cells] for cells in by_dim],
-            [[[(position[ref], coefficient)
-               for ref, coefficient in cell.boundary] for cell in cells]
-             for cells in by_dim[1:]])
+        """The cellular chain complex, built and validated once."""
+        return self._chain
 
 
 def _tensor_parts(a_cells: Iterable[Cell],

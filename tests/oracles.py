@@ -1,7 +1,9 @@
 """Test-only oracles, kept independent of the routes they check.
 
 Exact determinants, lattice containment and homomorphism
-well-definedness back the Smith form and induced-map tests.  The dense
+well-definedness back the Smith form and induced-map tests.  The
+presentation groups read each degree's group off its representatives,
+a second route to the groups that homology() finds by elimination.  The dense
 boundary builds walk each cell's incidence list into full matrix rows,
 as the chain complexes did before they stored sparse columns, and serve
 as the reference for `ChainComplex.d` and `ws_complex`.
@@ -46,6 +48,11 @@ def subgroup_contains(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
 def is_well_defined(hom: GroupHom) -> bool:
     """True iff every source relator lands in the target relator lattice."""
     return subgroup_contains(hom.target.rels, hom.matrix @ hom.source.rels)
+
+
+def presentation_groups(h) -> tuple:
+    """Each degree's group from the Smith form of its presentation."""
+    return tuple(h.degree(q).group for q in range(h.top_dim + 1))
 
 
 def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
+from orbihom import chains
 from orbihom.chains import (
     ChainComplex,
     ChainMap,
@@ -18,7 +21,14 @@ from orbihom.chains import (
     tensor,
     validate,
 )
-from orbihom.intlin import FgAbGroup, IntMatrix, lattice_hnf, rational_rank
+from orbihom.intlin import (
+    FgAbGroup,
+    IntMatrix,
+    kernel_basis,
+    lattice_hnf,
+    rational_rank,
+    smith_diagonal,
+)
 from orbihom.orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -28,7 +38,7 @@ from orbihom.orbmodel import (
     t_model,
 )
 
-from oracles import subgroup_contains
+from oracles import presentation_groups, subgroup_contains
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
@@ -271,6 +281,89 @@ def test_express_reduces_torsion():
     tripled = deg.express(tuple(3 * x for x in gen))
     assert one != (0,)
     assert tripled == (0,)
+
+
+# ------------------------------------------------------ group routes agree
+
+ENTRIES = (0, 0, 0, 0, 1, -1, 2, 3, -4, 6)
+
+
+def _random_matrix(rng, rows, cols):
+    return IntMatrix([[rng.choice(ENTRIES) for _ in range(cols)]
+                      for _ in range(rows)], cols=cols)
+
+
+def _random_complex(rng):
+    """A one-step complex with random entries, or a two-step one whose
+    upper boundary is random combinations of the lower one's cycles."""
+    dims = [rng.randint(0, 6) for _ in range(rng.choice((2, 3)))]
+    lower = _random_matrix(rng, dims[0], dims[1])
+    boundaries = [lower]
+    if len(dims) == 3:
+        cycles = kernel_basis(lower)
+        boundaries.append(cycles @ _random_matrix(rng, cycles.cols, dims[2]))
+    basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
+    return ChainComplex(basis, boundaries)
+
+
+def test_elimination_groups_match_presentation_groups_on_random_complexes():
+    rng = random.Random(2024)
+    torsion_seen = 0
+    for _ in range(300):
+        h = homology(_random_complex(rng))
+        assert h.groups() == presentation_groups(h)
+        torsion_seen += any(g.torsion for g in h.groups())
+    assert torsion_seen > 30
+
+
+def test_elimination_matches_sympy_invariant_factors():
+    rng = random.Random(7)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        a = _random_matrix(rng, rows, cols)
+        factors = [abs(int(x)) for x in invariant_factors(
+            Matrix(rows, cols, [a[i, j] for i in range(rows)
+                                for j in range(cols)]), domain=ZZ)]
+        nonzero = [x for x in factors if x]
+        expect = FgAbGroup(rows - len(nonzero),
+                           tuple(x for x in nonzero if x > 1))
+        c = ChainComplex([[f"v{i}" for i in range(rows)],
+                          [f"e{j}" for j in range(cols)]], [a])
+        assert homology(c).group(0) == expect, a
+        assert homology(c).group(1) == FgAbGroup.free(cols - len(nonzero))
+        diagonal = smith_diagonal(a)
+        assert diagonal == factors + [0] * (len(diagonal) - len(factors)), a
+
+
+def test_groups_never_build_transforms(monkeypatch):
+    c = t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex()
+    expect = homology(c).degree(1).group
+
+    def refuse(_):
+        raise AssertionError("groups() built a Smith transform inverse")
+
+    monkeypatch.setattr(chains, "unimodular_inverse", refuse)
+    h = homology(c)
+    assert h.groups()[1] == expect
+    with pytest.raises(AssertionError):
+        h.degree(1)
+
+
+def test_rational_route_builds_each_boundary_once(monkeypatch):
+    c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
+    built = []
+    dense = ChainComplex.d
+    monkeypatch.setattr(ChainComplex, "d",
+                        lambda self, q: built.append(q) or dense(self, q))
+    assert [g.rank for g in groups_of(c, "Q")] == [1, 3, 2, 0]
+    assert sorted(built) == [1, 2, 3]
+
+
+def test_degree_representatives_are_kept():
+    h = homology(t_model(Disc2(3)).chain_complex())
+    assert h.degree(1) is h.degree(1)
+    with pytest.raises(IndexError):
+        h.degree(3)
 
 
 def test_rational_homology_ranks():

@@ -165,6 +165,12 @@ def test_input_errors_exit_two():
         assert "error" in text.lower()
 
 
+def test_empty_rel_names_no_subcomplex():
+    for command in ("homology", "ws-cohomology"):
+        code, text = run([command, "--desc", "disc2(3)", "--rel", ""])
+        assert (code, text) == (2, "error: no subcomplex named ''\n"), command
+
+
 def test_malformed_file_reports_line(tmp_path):
     path = tmp_path / "bad.owc"
     path.write_text("orbifold x\ndim 1\ncell v dim=0 weight=0\n")

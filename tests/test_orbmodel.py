@@ -28,7 +28,7 @@ from orbihom.orbmodel import (
     ws_complex,
 )
 
-from oracles import dense_boundary, dense_ws_boundary
+from oracles import dense_boundary, dense_ws_boundary, presentation_groups
 from test_acceptance import GRID_1_TO_3
 
 Z = FgAbGroup.free(1)
@@ -412,6 +412,27 @@ def test_sparse_boundaries_match_dense_oracle():
             ws = ws_complex(am, rel=rel)
             for k in range(am.dim + 2):
                 assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
+
+
+def test_chain_complex_is_built_once():
+    wcc = t_model(Surface(1, 1, (2,)))
+    assert wcc.chain_complex() is wcc.chain_complex()
+
+
+def test_elimination_groups_match_presentation_groups():
+    """homology().groups() equals the groups read off each degree's
+    presentation, on the t and adapted models and the scaled dual."""
+    products = [ProductTorus(Surface(1, 1, (2, 3)), 2),
+                ProductTorus(Ball3((2, 2, 3)), 1)]
+    for d in GRID_1_TO_3 + products:
+        complexes = [t_model(d).chain_complex(),
+                     adapted_model(d).chain_complex()]
+        am = adapted_model(d)
+        for rel in (None, "boundary") if "boundary" in am.subs else (None,):
+            complexes.append(ws_complex(am, rel=rel))
+        for c in complexes:
+            h = homology(c)
+            assert h.groups() == presentation_groups(h), d
 
 
 def test_all_builtin_models_have_valid_boundaries():
