@@ -20,8 +20,6 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _hnf_solver,
-    hstack,
     rational_rank,
     smith_diagonal,
     snf,
@@ -53,18 +51,10 @@ class ChainComplex:
             raise ValueError("a complex needs at least degree 0")
         if len(boundaries) != len(basis) - 1:
             raise ValueError("need exactly one boundary matrix per degree pair")
-        sparse = []
-        for q, columns in enumerate(boundaries, start=1):
-            rows = len(basis[q - 1])
-            height = rows
-            if isinstance(columns, IntMatrix):
-                height = columns.rows
-                columns = [enumerate(col) for col in columns.columns()]
-            columns = tuple(_column(col) for col in columns)
-            if (height != rows or len(columns) != len(basis[q])
-                    or any(not 0 <= i < rows for col in columns for i, _ in col)):
-                raise ValueError(f"boundary shape mismatch at degree {q}")
-            sparse.append(columns)
+        sparse = tuple(
+            _columns(columns, len(basis[q - 1]), len(basis[q]),
+                     f"boundary shape mismatch at degree {q}")
+            for q, columns in enumerate(boundaries, start=1))
         index: list[dict[str, int]] = []
         for q, labels in enumerate(basis):
             pos = {label: i for i, label in enumerate(labels)}
@@ -73,7 +63,7 @@ class ChainComplex:
             index.append(pos)
         object.__setattr__(self, "top_dim", len(basis) - 1)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "boundaries", tuple(sparse))
+        object.__setattr__(self, "boundaries", sparse)
         object.__setattr__(self, "_index", tuple(index))
 
     def __setattr__(self, name, value):
@@ -86,13 +76,8 @@ class ChainComplex:
 
     def d(self, q: int) -> IntMatrix:
         """Dense boundary matrix from degree q to q-1, zero outside the range."""
-        cols = self.dim(q)
-        mat = [[0] * cols for _ in range(self.dim(q - 1))]
-        if 1 <= q <= self.top_dim:
-            for j, col in enumerate(self.boundaries[q - 1]):
-                for i, value in col:
-                    mat[i][j] = value
-        return IntMatrix(mat, cols=cols)
+        columns = self.boundaries[q - 1] if 1 <= q <= self.top_dim else ()
+        return _dense(columns, self.dim(q - 1), self.dim(q))
 
     def position(self, q: int, label: str) -> int:
         return self._index[q][label]
@@ -116,6 +101,40 @@ def _column(pairs: Iterable[tuple[int, int]]) -> Column:
     return tuple(sorted((i, value) for i, value in merged.items() if value))
 
 
+def _columns(columns: IntMatrix | Sequence[Iterable[tuple[int, int]]],
+             rows: int, cols: int, error: str) -> tuple[Column, ...]:
+    """Sparse columns of a rows x cols map; ValueError(error) if misshapen."""
+    height = rows
+    if isinstance(columns, IntMatrix):
+        height = columns.rows
+        columns = [enumerate(col) for col in columns.columns()]
+    columns = tuple(_column(col) for col in columns)
+    if (height != rows or len(columns) != cols
+            or any(not 0 <= i < rows for col in columns for i, _ in col)):
+        raise ValueError(error)
+    return columns
+
+
+def _dense(columns: Sequence[Column], rows: int, cols: int) -> IntMatrix:
+    """Dense rows x cols view of sparse columns; missing columns are zero."""
+    mat = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, value in col:
+            mat[i][j] = value
+    return IntMatrix(mat, cols=cols)
+
+
+def _compose(outer: Sequence[Column], col: Column) -> Column:
+    """outer @ col, as a merged, sorted Column."""
+    composite: dict[int, int] = {}
+    for k, x in col:
+        for i, y in outer[k]:
+            composite[i] = composite.get(i, 0) + x * y
+    if not any(composite.values()):  # the common case: d∘d columns vanish
+        return ()
+    return tuple(sorted([(i, value) for i, value in composite.items() if value]))
+
+
 def validate(c: ChainComplex) -> list[str]:
     """Check that consecutive boundaries compose to zero.
 
@@ -128,32 +147,24 @@ def validate(c: ChainComplex) -> list[str]:
     for q in range(2, c.top_dim + 1):
         lower = c.boundaries[q - 2]
         for j, col in enumerate(c.boundaries[q - 1]):
-            composite: dict[int, int] = {}
-            for k, x in col:
-                for i, y in lower[k]:
-                    composite[i] = composite.get(i, 0) + x * y
-            for i in sorted(composite):
-                if composite[i]:
-                    problems.append(
-                        f"degree {q}: boundary of boundary of "
-                        f"{c.basis[q][j]} hits {c.basis[q - 2][i]} "
-                        f"with coefficient {composite[i]}")
+            for i, value in _compose(lower, col):
+                problems.append(
+                    f"degree {q}: boundary of boundary of "
+                    f"{c.basis[q][j]} hits {c.basis[q - 2][i]} "
+                    f"with coefficient {value}")
     return problems
 
 
 @dataclass(frozen=True)
 class DegreeHomology:
-    """Homology of one degree, with generator cycles and coordinates.
+    """Homology of one degree, with cycle lattice and coordinates.
 
-    generators lists cycle vectors for the canonical summands, free
-    summands first, then torsion summands in divisor order.  kernel
-    holds a lattice basis of all cycles (the presentation generators);
-    presentation presents the homology group on that basis.  Over Q
-    only the group is set.
+    kernel holds a lattice basis of all cycles (the presentation
+    generators); presentation presents the homology group on that
+    basis.  Over Q only the group is set.
     """
 
     group: FgAbGroup
-    generators: tuple[tuple[int, ...], ...] = ()
     presentation: AbPresentation | None = None
     kernel: IntMatrix | None = None
     _w: IntMatrix | None = None
@@ -162,6 +173,15 @@ class DegreeHomology:
     _diag: tuple[int, ...] = ()
     _free_pos: tuple[int, ...] = ()
     _tors_pos: tuple[int, ...] = ()
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Cycles of the canonical summands, free ones first, then torsion
+        ones in divisor order; () over Q.  Computed on each read."""
+        if self._ux is None:
+            return ()
+        basis = self.kernel @ unimodular_inverse(self._ux)
+        return tuple(basis.column(i) for i in self._free_pos + self._tors_pos)
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the kernel lattice basis."""
@@ -342,12 +362,8 @@ def _integral_degree(c: ChainComplex, q: int) -> DegreeHomology:
     free_pos = tuple(i for i in range(rels.rows) if diag[i] == 0)
     tors_pos = tuple(i for i in range(rels.rows) if diag[i] >= 2)
     group = FgAbGroup(len(free_pos), tuple(diag[i] for i in tors_pos))
-
-    gen_basis = kernel @ unimodular_inverse(ux)
-    generators = tuple(gen_basis.column(i) for i in free_pos + tors_pos)
     return DegreeHomology(
-        group=group, generators=generators,
-        presentation=AbPresentation(len(zero_pos), rels),
+        group=group, presentation=AbPresentation(len(zero_pos), rels),
         kernel=kernel, _w=w, _zero_pos=zero_pos, _ux=ux, _diag=diag,
         _free_pos=free_pos, _tors_pos=tors_pos)
 
@@ -392,7 +408,12 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     return ChainComplex(labels, boundaries)
 
 
-def _check_boundary_closed(c: ChainComplex, cells: set[str], role: str) -> None:
+def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
+    """cells as a set, checked to be cells of c closed under faces."""
+    cells = set(cells)
+    unknown = cells - c.labels()
+    if unknown:
+        raise ValueError(f"unknown cells: {sorted(unknown)}")
     for q in range(1, c.top_dim + 1):
         for label, col in zip(c.basis[q], c.boundaries[q - 1]):
             if label not in cells:
@@ -402,25 +423,18 @@ def _check_boundary_closed(c: ChainComplex, cells: set[str], role: str) -> None:
                     raise ValueError(
                         f"{role} is not boundary closed: cell {label} has "
                         f"face {c.basis[q - 1][i]} outside it")
+    return cells
 
 
 def relative(c: ChainComplex, sub: Iterable[str]) -> ChainComplex:
     """Quotient complex killing a boundary-closed set of cells."""
-    sub = set(sub)
-    unknown = sub - c.labels()
-    if unknown:
-        raise ValueError(f"unknown cells: {sorted(unknown)}")
-    _check_boundary_closed(c, sub, "relative subcomplex")
+    sub = _closed_cells(c, sub, "relative subcomplex")
     return _restrict(c, lambda label: label not in sub)
 
 
 def subcomplex(c: ChainComplex, cells: Iterable[str]) -> ChainComplex:
     """Subcomplex spanned by a boundary-closed set of cells."""
-    cells = set(cells)
-    unknown = cells - c.labels()
-    if unknown:
-        raise ValueError(f"unknown cells: {sorted(unknown)}")
-    _check_boundary_closed(c, cells, "subcomplex")
+    cells = _closed_cells(c, cells, "subcomplex")
     return _restrict(c, lambda label: label in cells)
 
 
@@ -438,41 +452,63 @@ def _restrict(c: ChainComplex, keep) -> ChainComplex:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise linear map between chain complexes."""
+    """Degreewise linear map between chain complexes.
+
+    matrices[q][j] is the image of source.basis[q][j] as (row,
+    coefficient) pairs, rows indexing target.basis[q], in the sparse
+    form of ChainComplex boundaries.  Each degree may be given as such
+    columns or as an IntMatrix; matrix(q) is the dense view.
+    """
 
     source: ChainComplex
     target: ChainComplex
-    matrices: tuple[IntMatrix, ...]
+    matrices: tuple[tuple[Column, ...], ...]
 
     def __post_init__(self):
         if len(self.matrices) != self.source.top_dim + 1:
             raise ValueError("need one matrix per source degree")
-        for q, mat in enumerate(self.matrices):
-            if mat.rows != self.target.dim(q) or mat.cols != self.source.dim(q):
-                raise ValueError(f"matrix shape mismatch at degree {q}")
+        object.__setattr__(self, "matrices", tuple(
+            _columns(columns, self.target.dim(q), self.source.dim(q),
+                     f"matrix shape mismatch at degree {q}")
+            for q, columns in enumerate(self.matrices)))
 
     def matrix(self, q: int) -> IntMatrix:
-        if 0 <= q <= self.source.top_dim:
-            return self.matrices[q]
-        return IntMatrix.zeros(self.target.dim(q), 0)
+        columns = self.matrices[q] if 0 <= q <= self.source.top_dim else ()
+        return _dense(columns, self.target.dim(q), self.source.dim(q))
 
     def commutes(self) -> bool:
-        for q in range(1, self.source.top_dim + 1):
-            if self.target.d(q) @ self.matrices[q] != self.matrices[q - 1] @ self.source.d(q):
-                return False
+        """d f == f d, composed column by column on the sparse forms."""
+        s, t = self.source, self.target
+        for q in range(1, s.top_dim + 1):
+            outer = t.boundaries[q - 1] if q <= t.top_dim else ()
+            for col, s_col in zip(self.matrices[q], s.boundaries[q - 1]):
+                if _compose(outer, col) != _compose(self.matrices[q - 1], s_col):
+                    return False
         return True
 
 
 def inclusion_map(c: ChainComplex, cells: Iterable[str]) -> ChainMap:
     """Inclusion of the subcomplex spanned by cells into c."""
     sub = subcomplex(c, cells)
-    matrices = []
-    for q in range(sub.top_dim + 1):
-        mat = [[0] * sub.dim(q) for _ in range(c.dim(q))]
-        for j, label in enumerate(sub.basis[q]):
-            mat[c.position(q, label)][j] = 1
-        matrices.append(IntMatrix(mat, cols=sub.dim(q)))
-    return ChainMap(sub, c, tuple(matrices))
+    return ChainMap(sub, c, tuple(
+        tuple(((c.position(q, label), 1),) for label in labels)
+        for q, labels in enumerate(sub.basis)))
+
+
+def _check_homology(h: HomologyResult, c: ChainComplex, role: str) -> None:
+    """ValueError unless h is the integral homology of c (same basis and boundaries)."""
+    if h.coeff != "Z":
+        raise ValueError(f"{role} homology must be over Z, not {h.coeff}")
+    if (h._complex.basis, h._complex.boundaries) != (c.basis, c.boundaries):
+        raise ValueError(f"{role} homology is not that of the {role} complex")
+
+
+def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, image) -> GroupHom:
+    """Map of presentations sending each cycle-lattice generator z of src
+    to the kernel coordinates of image(z) in dst."""
+    columns = [dst.kernel_coords(image(z)) for z in src.kernel.columns()]
+    return GroupHom(src.presentation, dst.presentation, IntMatrix.from_columns(
+        columns, rows=dst.presentation.gens))
 
 
 def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
@@ -480,25 +516,13 @@ def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[Gr
 
     hc and hd must be the integral homology of f.source and f.target.
     """
+    _check_homology(hc, f.source, "source")
+    _check_homology(hd, f.target, "target")
     if not f.commutes():
         raise ValueError("chain map does not commute with boundaries")
-    homs = []
-    for q in range(f.source.top_dim + 1):
-        src = hc.degree(q)
-        dst = hd.degree(q)
-        columns = []
-        for i in range(src.kernel.cols):
-            image = f.matrix(q).apply(src.kernel.column(i))
-            try:
-                columns.append(dst.kernel_coords(image))
-            except ValueError:
-                raise ValueError(
-                    f"image of a degree-{q} cycle is not a cycle; "
-                    "the chain map is broken")
-        homs.append(GroupHom(
-            source=src.presentation, target=dst.presentation,
-            matrix=IntMatrix.from_columns(columns, rows=dst.presentation.gens)))
-    return tuple(homs)
+    # f commutes and hd is the target's, so every image is a cycle of hd.
+    return tuple(_cycle_hom(hc.degree(q), hd.degree(q), f.matrix(q).apply)
+                 for q in range(f.source.top_dim + 1))
 
 
 def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
@@ -509,54 +533,40 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
     a and b must be subcomplexes of m (matched by label) that jointly
     contain every cell.  The short exact sequence sends a chain c of the
     intersection to (c, -c) and a pair (x, y) to x + y; the connecting
-    map lifts a cycle of m to such a pair, takes the boundary of the
-    first component, and reads it in the intersection.
+    map lifts a cycle of m to the pair whose x keeps its coefficients on
+    a's cells, takes the boundary of x in a, and reads it in the
+    intersection.
     """
-    a_cells = a.labels()
-    b_cells = b.labels()
+    a_cells, b_cells = a.labels(), b.labels()
     missing = m.labels() - (a_cells | b_cells)
     if missing:
         raise ValueError(f"cells not covered by the two pieces: {sorted(missing)}")
     inter = subcomplex(m, a_cells & b_cells)
-    if h_inter is None:
-        h_inter = homology(inter)
-    if h_m is None:
-        h_m = homology(m)
+    h_inter = homology(inter) if h_inter is None else h_inter
+    h_m = homology(m) if h_m is None else h_m
+    _closed_cells(m, a_cells, "subcomplex")
+    _closed_cells(m, b_cells, "subcomplex")
+    _check_homology(h_inter, inter, "intersection")
+    _check_homology(h_m, m, "whole")
 
-    incl_a = inclusion_map(m, a_cells)
-    incl_b = inclusion_map(m, b_cells)
-    inter_cells = inter.labels()
-    homs = []
-    for q in range(m.top_dim + 1):
-        src = h_m.degree(q)
-        if q == 0:
-            target = AbPresentation.free(0)
-            homs.append(GroupHom(src.presentation, target,
-                                 IntMatrix.zeros(0, src.presentation.gens)))
-            continue
-        dst = h_inter.degree(q - 1)
-        split = _hnf_solver(hstack(incl_a.matrix(q), incl_b.matrix(q)))
-        columns = []
-        for i in range(src.kernel.cols):
-            sol = split(src.kernel.column(i))
-            if sol is None:
-                raise ValueError(f"degree-{q} cycle has no chain-level "
-                                 "splitting; cover is not exact")
-            xa = sol[:a.dim(q)]
-            bd = a.d(q).apply(xa)
+    pres_0 = h_m.degree(0).presentation
+    homs = [GroupHom(pres_0, AbPresentation.free(0), IntMatrix.zeros(0, pres_0.gens))]
+    for q in range(1, m.top_dim + 1):
+        cells_a, d_a = (a.basis[q], a.boundaries[q - 1]) if q <= a.top_dim else ((), ())
+        in_m = [m.position(q, label) for label in cells_a]
+
+        def lifted_boundary(z: Sequence[int]) -> tuple[int, ...]:
+            lift = _column((j, z[pos]) for j, pos in enumerate(in_m))
             coeffs = {}
-            for pos, value in enumerate(bd):
-                if value:
-                    label = a.basis[q - 1][pos]
-                    if label not in inter_cells:
-                        raise ValueError(
-                            "boundary of the lifted chain leaves the "
-                            f"intersection at cell {label}")
-                    coeffs[label] = value
-            columns.append(dst.kernel_coords(inter.vector(q - 1, coeffs)))
-        homs.append(GroupHom(
-            source=src.presentation, target=dst.presentation,
-            matrix=IntMatrix.from_columns(columns, rows=dst.presentation.gens)))
+            for row, value in _compose(d_a, lift):
+                label = a.basis[q - 1][row]
+                if label not in b_cells:  # a's faces outside b miss a ∩ b
+                    raise ValueError("boundary of the lifted chain leaves the "
+                                     f"intersection at cell {label}")
+                coeffs[label] = value
+            return inter.vector(q - 1, coeffs)
+
+        homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), lifted_boundary))
     return tuple(homs)
 
 

@@ -329,22 +329,12 @@ def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
-    return _hnf_solver(a)(b)
-
-
-def _hnf_solver(a: IntMatrix):
-    """Factor a once; the returned function maps each right hand side b
-    to the solution solve_linear(a, b) gives, or None."""
     ht, w = hnf(a.transpose())
-
-    def solve(b: Sequence[int]) -> tuple[int, ...] | None:
-        y = _echelon_solve(ht, b)
-        if y is None:
-            return None
-        return tuple(sum(w[k, i] * y[k] for k in range(a.cols))
-                     for i in range(a.cols))
-
-    return solve
+    y = _echelon_solve(ht, b)
+    if y is None:
+        return None
+    return tuple(sum(w[k, i] * y[k] for k in range(a.cols))
+                 for i in range(a.cols))
 
 
 def lattice_hnf(a: IntMatrix) -> IntMatrix:

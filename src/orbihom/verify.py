@@ -179,14 +179,10 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
     h_b = homology(comp_b)
     h_m = homology(m)
 
-    incl_ia = inclusion_map(comp_a, cells_i)
-    incl_ib = inclusion_map(comp_b, cells_i)
-    incl_am = inclusion_map(m, cells_a)
-    incl_bm = inclusion_map(m, cells_b)
-    i_star_a = induced_map(incl_ia, h_i, h_a)
-    i_star_b = induced_map(incl_ib, h_i, h_b)
-    j_star_a = induced_map(incl_am, h_a, h_m)
-    j_star_b = induced_map(incl_bm, h_b, h_m)
+    i_star_a = induced_map(inclusion_map(comp_a, cells_i), h_i, h_a)
+    i_star_b = induced_map(inclusion_map(comp_b, cells_i), h_i, h_b)
+    j_star_a = induced_map(inclusion_map(m, cells_a), h_a, h_m)
+    j_star_b = induced_map(inclusion_map(m, cells_b), h_b, h_m)
     k_star = connecting_hom(comp_a, comp_b, m, h_inter=h_i, h_m=h_m)
 
     report = VerdictReport(

@@ -6,10 +6,14 @@ presentation groups read each degree's group off its representatives,
 a second route to the groups that homology() finds by elimination.  The dense
 boundary builds walk each cell's incidence list into full matrix rows,
 as the chain complexes did before they stored sparse columns, and serve
-as the reference for `ChainComplex.d` and `ws_complex`.
+as the reference for `ChainComplex.d` and `ws_complex`.  The chain-map
+references multiply dense matrices and lift cycles by an HNF solve, as
+`ChainMap.commutes` and `connecting_hom` did before they worked on
+sparse columns.
 """
 
-from orbihom.intlin import GroupHom, IntMatrix, solve_linear
+from orbihom.chains import homology, inclusion_map, subcomplex
+from orbihom.intlin import GroupHom, IntMatrix, hstack, solve_linear
 
 
 def det(a: IntMatrix) -> int:
@@ -94,3 +98,34 @@ def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
     q = wcc.dim - k
     return IntMatrix(_incidence_rows(kept(q), kept(q + 1), scaled),
                      cols=len(kept(q)))
+
+
+def dense_commutes(f) -> bool:
+    """d f == f d, checked by dense matrix products in every degree."""
+    return all(f.target.d(q) @ f.matrix(q) == f.matrix(q - 1) @ f.source.d(q)
+               for q in range(1, f.source.top_dim + 1))
+
+
+def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
+    """Matrices of the connecting maps of the cover (a, b) of m, degree
+    q to q-1 for q >= 1: each cycle of m is split as x + y over
+    [incl_a | incl_b] by solve_linear, and the boundary of x is read in
+    the intersection."""
+    cells_a, cells_b = a.labels(), b.labels()
+    inter = subcomplex(m, cells_a & cells_b)
+    h_inter, h_m = homology(inter), homology(m)
+    incl_a, incl_b = inclusion_map(m, cells_a), inclusion_map(m, cells_b)
+    matrices = []
+    for q in range(1, m.top_dim + 1):
+        src, dst = h_m.degree(q), h_inter.degree(q - 1)
+        stacked = hstack(incl_a.matrix(q), incl_b.matrix(q))
+        columns = []
+        for i in range(src.kernel.cols):
+            sol = solve_linear(stacked, src.kernel.column(i))
+            boundary = a.d(q).apply(sol[:a.dim(q)])
+            coeffs = {a.basis[q - 1][r]: value
+                      for r, value in enumerate(boundary) if value}
+            columns.append(dst.kernel_coords(inter.vector(q - 1, coeffs)))
+        matrices.append(IntMatrix.from_columns(
+            columns, rows=dst.presentation.gens))
+    return matrices

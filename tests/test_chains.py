@@ -38,7 +38,14 @@ from orbihom.orbmodel import (
     t_model,
 )
 
-from oracles import presentation_groups, subgroup_contains
+from orbihom.verify import random_two_cover
+from oracles import (
+    dense_commutes,
+    hnf_connecting_matrices,
+    presentation_groups,
+    subgroup_contains,
+)
+from test_acceptance import GRID_1_TO_3
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
@@ -412,7 +419,195 @@ def test_inclusion_map_unit_columns():
     assert inc.matrix(1) == IntMatrix([[0], [1], [0]])
 
 
+def _sparse(mat):
+    """The (row, coefficient) columns of a dense matrix."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in mat.columns()]
+
+
+def _random_chain_map(rng, source, target, kind):
+    """A chain map d h + h d for a random h of degree +1 ("chain"), the
+    same with one entry changed ("perturbed"), or random matrices; every
+    other degree is handed over as sparse columns."""
+    def h(q):
+        return _random_matrix(rng, target.dim(q + 1), source.dim(q))
+
+    homotopy = {q: h(q) for q in range(-1, source.top_dim + 1)}
+    rows = []
+    for q in range(source.top_dim + 1):
+        if kind == "random":
+            rows.append(_random_matrix(rng, target.dim(q), source.dim(q)).to_rows())
+            continue
+        left = (target.d(q + 1) @ homotopy[q]).to_rows()
+        right = (homotopy[q - 1] @ source.d(q)).to_rows()
+        rows.append([[x + y for x, y in zip(r1, r2)]
+                     for r1, r2 in zip(left, right)])
+    if kind == "perturbed":
+        cells = [(q, i, j) for q, mat in enumerate(rows)
+                 for i, row in enumerate(mat) for j in range(len(row))]
+        if cells:
+            q, i, j = rng.choice(cells)
+            rows[q][i][j] += rng.choice((1, -1, 2))
+    matrices = [IntMatrix(mat, cols=source.dim(q)) for q, mat in enumerate(rows)]
+    return ChainMap(source, target, tuple(
+        _sparse(mat) if q % 2 else mat for q, mat in enumerate(matrices)))
+
+
+def test_sparse_commutes_matches_dense_reference():
+    rng = random.Random(31)
+    verdicts = {True: 0, False: 0}
+    for n in range(600):
+        source, target = _random_complex(rng), _random_complex(rng)
+        kind = ("chain", "perturbed", "random")[n % 3]
+        f = _random_chain_map(rng, source, target, kind)
+        assert f.commutes() == dense_commutes(f), kind
+        assert f.commutes() or kind != "chain"
+        verdicts[f.commutes()] += 1
+    assert verdicts[False] > 200
+
+
+def test_chain_map_sparse_and_dense_forms_agree():
+    c = half_disk()
+    dense = ChainMap(c, c, tuple(IntMatrix.diagonal([3] * c.dim(q))
+                                 for q in range(3)))
+    sparse = ChainMap(c, c, tuple([[(j, 3)] for j in range(c.dim(q))]
+                                  for q in range(3)))
+    assert dense == sparse
+    assert sparse.matrices[1] == (((0, 3),), ((1, 3),), ((2, 3),))
+    assert sparse.matrix(1) == IntMatrix.diagonal([3, 3, 3])
+    assert sparse.matrix(3) == IntMatrix.zeros(0, 0)
+    assert sparse.commutes()
+
+
+def test_chain_map_rejects_bad_shapes():
+    c = half_disk()
+    good = [[[(j, 1)] for j in range(c.dim(q))] for q in range(3)]
+    out_of_range = [list(cols) for cols in good]
+    out_of_range[1] = [[(0, 1)], [(3, 1)], [(2, 1)]]
+    with pytest.raises(ValueError, match="matrix shape mismatch at degree 1"):
+        ChainMap(c, c, tuple(out_of_range))
+    negative = [list(cols) for cols in good]
+    negative[2] = [[(-1, 1)], [(1, 1)]]
+    with pytest.raises(ValueError, match="matrix shape mismatch at degree 2"):
+        ChainMap(c, c, tuple(negative))
+    too_few = [list(cols) for cols in good]
+    too_few[0] = [[(0, 1)]]
+    with pytest.raises(ValueError, match="matrix shape mismatch at degree 0"):
+        ChainMap(c, c, tuple(too_few))
+    wrong_dense = [IntMatrix.identity(2), IntMatrix.identity(2),
+                   IntMatrix.identity(2)]
+    with pytest.raises(ValueError, match="matrix shape mismatch at degree 1"):
+        ChainMap(c, c, tuple(wrong_dense))
+
+
+def _disc_pieces():
+    wcc = t_model(Disc2(3))
+    c = wcc.chain_complex()
+    return c, subcomplex(c, wcc.sub_cells("annulus"))
+
+
+def test_induced_map_rejects_rational_homology():
+    c, _ = _disc_pieces()
+    f = inclusion_map(c, c.labels())
+    with pytest.raises(ValueError, match="source homology must be over Z"):
+        induced_map(f, homology(c, "Q"), homology(c))
+    with pytest.raises(ValueError, match="target homology must be over Z"):
+        induced_map(f, homology(c), homology(c, "Q"))
+
+
+def test_induced_map_rejects_homology_of_another_complex():
+    c, annulus = _disc_pieces()
+    f = inclusion_map(c, c.labels())
+    with pytest.raises(ValueError, match="not that of the source complex"):
+        induced_map(f, homology(annulus), homology(c))
+    with pytest.raises(ValueError, match="not that of the target complex"):
+        induced_map(f, homology(c), homology(annulus))
+    # an equal complex built separately is accepted
+    again = homology(subcomplex(c, c.labels()))
+    assert induced_map(f, again, homology(c)) == \
+        induced_map(f, homology(c), homology(c))
+
+
 # -------------------------------------------------------- connecting map
+
+
+def test_connecting_hom_rejects_wrong_homology():
+    c = half_disk()
+    a = subcomplex(c, {"p", "q", "t", "m", "U"})
+    b = subcomplex(c, {"p", "q", "m", "b", "L"})
+    inter = subcomplex(c, {"p", "q", "m"})
+    with pytest.raises(ValueError, match="whole homology must be over Z"):
+        connecting_hom(a, b, c, h_m=homology(c, "Q"))
+    with pytest.raises(ValueError,
+                       match="intersection homology must be over Z"):
+        connecting_hom(a, b, c, h_inter=homology(inter, "Q"))
+    with pytest.raises(ValueError, match="not that of the whole complex"):
+        connecting_hom(a, b, c, h_m=homology(a))
+    with pytest.raises(ValueError,
+                       match="not that of the intersection complex"):
+        connecting_hom(a, b, c, h_inter=homology(a))
+
+
+def test_connecting_hom_rejects_unknown_and_open_pieces():
+    c = half_disk()
+    b = subcomplex(c, {"p", "q", "m", "b", "L"})
+    unknown = ChainComplex(
+        basis=(("p", "q", "zz"), ("t", "m"), ("U",)),
+        boundaries=([[(0, -1), (1, 1)], [(0, -1), (1, 1)]], [[(0, 1), (1, -1)]]),
+    )
+    with pytest.raises(ValueError, match=r"unknown cells: \['zz'\]"):
+        connecting_hom(unknown, b, c)
+    # U's face m is left out of the first piece; the intersection {p, q}
+    # is closed
+    open_piece = ChainComplex(
+        basis=(("p", "q"), ("t",), ("U",)),
+        boundaries=([[(0, -1), (1, 1)]], [[]]),
+    )
+    with pytest.raises(ValueError, match="subcomplex is not boundary closed: "
+                                         "cell U has face m outside it"):
+        connecting_hom(open_piece, b, c)
+    with pytest.raises(ValueError, match="subcomplex is not boundary closed"):
+        connecting_hom(b, open_piece, c)
+
+
+def test_chain_map_layer_builds_no_dense_matrix(monkeypatch):
+    # commutes, inclusion_map and connecting_hom (on homology whose
+    # representatives are known) work on the sparse columns alone
+    wcc = t_model(Surface(1, 1, (2, 3)))
+    m = wcc.chain_complex()
+    cells_a, cells_b = wcc.sub_cells("conedisks"), wcc.sub_cells("complement")
+    a, b = subcomplex(m, cells_a), subcomplex(m, cells_b)
+    h_inter, h_m = homology(subcomplex(m, cells_a & cells_b)), homology(m)
+    for h in (h_inter, h_m):
+        for q in range(h.top_dim + 1):
+            h.degree(q)
+    expected = connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix algebra in the chain-map layer")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", forbidden)
+    monkeypatch.setattr(ChainComplex, "d", forbidden)
+    monkeypatch.setattr(ChainMap, "matrix", forbidden)
+    for name in ("hnf", "snf", "hstack", "solve_linear"):
+        monkeypatch.setattr(f"orbihom.intlin.{name}", forbidden)
+    assert inclusion_map(m, cells_a).commutes()
+    assert connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m) == expected
+
+
+def test_connecting_hom_matches_hnf_lift_on_random_covers():
+    rng = random.Random(1234)
+    cycles = 0
+    for d in GRID_1_TO_3:
+        wcc = t_model(d)
+        m = wcc.chain_complex()
+        for _ in range(3):
+            cells_a, cells_b = random_two_cover(wcc, rng)
+            a, b = subcomplex(m, cells_a), subcomplex(m, cells_b)
+            got = [hom.matrix for hom in connecting_hom(a, b, m)[1:]]
+            assert got == hnf_connecting_matrices(a, b, m), (d, cells_a)
+            cycles += sum(mat.cols for mat in got)
+    assert cycles > 200
+
 
 
 def _is_zero_hom(hom):
