@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 from .intlin import (
@@ -20,9 +21,9 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _smith,
     rational_rank,
     smith_diagonal,
-    snf,
     unimodular_inverse,
 )
 
@@ -97,7 +98,7 @@ def _column(pairs: Iterable[tuple[int, int]]) -> Column:
     """(row, coefficient) pairs merged by row, sorted, zeros dropped."""
     merged: dict[int, int] = {}
     for i, value in pairs:
-        merged[i] = merged.get(i, 0) + int(value)
+        merged[i] = merged.get(i, 0) + index(value)
     return tuple(sorted((i, value) for i, value in merged.items() if value))
 
 
@@ -121,7 +122,7 @@ def _dense(columns: Sequence[Column], rows: int, cols: int) -> IntMatrix:
     for j, col in enumerate(columns):
         for i, value in col:
             mat[i][j] = value
-    return IntMatrix(mat, cols=cols)
+    return IntMatrix._of(mat, cols)
 
 
 def _compose(outer: Sequence[Column], col: Column) -> Column:
@@ -330,41 +331,41 @@ def _boundary_factors(columns: Sequence[Column],
     if not cols:
         return rank, ()
     left = [cols[j] for j in sorted(cols)]
-    residual = IntMatrix([[col.get(i, 0) for col in left] for i in
-                          sorted({i for col in left for i in col})],
-                         cols=len(left))
+    residual = IntMatrix._of([[col.get(i, 0) for col in left] for i in
+                              sorted({i for col in left for i in col})],
+                             len(left))
     diagonal = [x for x in smith_diagonal(residual) if x]
     return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
 
 
 def _integral_degree(c: ChainComplex, q: int) -> DegreeHomology:
     dq = c.d(q)
-    s, _, v = snf(dq)
+    s, _, v = _smith(dq, right=True)
     k = min(dq.rows, dq.cols)
-    zero_pos = tuple(j for j in range(dq.cols) if j >= k or s[j, j] == 0)
-    kernel = IntMatrix.from_columns([v.column(j) for j in zero_pos], rows=dq.cols)
-    w = unimodular_inverse(v)
+    zero_pos = tuple(j for j in range(dq.cols) if j >= k or s[j][j] == 0)
+    kernel = IntMatrix._of([[row[j] for j in zero_pos] for row in v], len(zero_pos))
+    w = unimodular_inverse(IntMatrix._of(v, dq.cols))
     zero_set = set(zero_pos)
 
-    dq1 = c.d(q + 1)
     rel_cols = []
-    for j in range(dq1.cols):
-        full = w.apply(dq1.column(j))
+    for col in c.d(q + 1).columns():
+        full = w.apply(col)
         for i, value in enumerate(full):
             if value and i not in zero_set:
                 raise ValueError("boundary image escapes the cycle lattice")
         rel_cols.append([full[p] for p in zero_pos])
-    rels = IntMatrix.from_columns(rel_cols, rows=len(zero_pos))
+    rels = IntMatrix._of(rel_cols, len(zero_pos)).transpose()
 
-    sx, ux, _ = snf(rels)
+    sx, ux, _ = _smith(rels, left=True)
     kx = min(rels.rows, rels.cols)
-    diag = tuple(sx[i, i] if i < kx else 0 for i in range(rels.rows))
+    diag = tuple(sx[i][i] if i < kx else 0 for i in range(rels.rows))
     free_pos = tuple(i for i in range(rels.rows) if diag[i] == 0)
     tors_pos = tuple(i for i in range(rels.rows) if diag[i] >= 2)
     group = FgAbGroup(len(free_pos), tuple(diag[i] for i in tors_pos))
     return DegreeHomology(
         group=group, presentation=AbPresentation(len(zero_pos), rels),
-        kernel=kernel, _w=w, _zero_pos=zero_pos, _ux=ux, _diag=diag,
+        kernel=kernel, _w=w, _zero_pos=zero_pos,
+        _ux=IntMatrix._of(ux, rels.rows), _diag=diag,
         _free_pos=free_pos, _tors_pos=tors_pos)
 
 
@@ -487,9 +488,23 @@ class ChainMap:
         return True
 
 
-def inclusion_map(c: ChainComplex, cells: Iterable[str]) -> ChainMap:
-    """Inclusion of the subcomplex spanned by cells into c."""
-    sub = subcomplex(c, cells)
+def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
+    """ValueError unless sub is subcomplex(c, its cells), up to the order
+    of the cells within each degree."""
+    _closed_cells(c, sub.labels(), role)
+    for q, labels in enumerate(sub.basis):  # lower degrees are checked first
+        for j, label in enumerate(labels):
+            i = c._index[q].get(label) if q <= c.top_dim else None
+            if i is None or q and c.boundaries[q - 1][i] != _column(
+                    (c.position(q - 1, sub.basis[q - 1][r]), value)
+                    for r, value in sub.boundaries[q - 1][j]):
+                raise ValueError(f"{role} cell {label} in degree {q} is not "
+                                 "that of the whole complex")
+
+
+def inclusion_map(c: ChainComplex, sub: ChainComplex) -> ChainMap:
+    """Inclusion into c of sub, a subcomplex built by subcomplex(c, cells)."""
+    _check_subcomplex(c, sub, "subcomplex")
     return ChainMap(sub, c, tuple(
         tuple(((c.position(q, label), 1),) for label in labels)
         for q, labels in enumerate(sub.basis)))
@@ -507,8 +522,8 @@ def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, image) -> GroupHom:
     """Map of presentations sending each cycle-lattice generator z of src
     to the kernel coordinates of image(z) in dst."""
     columns = [dst.kernel_coords(image(z)) for z in src.kernel.columns()]
-    return GroupHom(src.presentation, dst.presentation, IntMatrix.from_columns(
-        columns, rows=dst.presentation.gens))
+    return GroupHom(src.presentation, dst.presentation,
+                    IntMatrix._of(columns, dst.presentation.gens).transpose())
 
 
 def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
@@ -535,17 +550,22 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
     intersection to (c, -c) and a pair (x, y) to x + y; the connecting
     map lifts a cycle of m to the pair whose x keeps its coefficients on
     a's cells, takes the boundary of x in a, and reads it in the
-    intersection.
+    intersection.  h_inter, if given, must be the homology of
+    subcomplex(m, a ∩ b); its complex is then not rebuilt.
     """
     a_cells, b_cells = a.labels(), b.labels()
     missing = m.labels() - (a_cells | b_cells)
     if missing:
         raise ValueError(f"cells not covered by the two pieces: {sorted(missing)}")
-    inter = subcomplex(m, a_cells & b_cells)
-    h_inter = homology(inter) if h_inter is None else h_inter
+    _check_subcomplex(m, a, "subcomplex")
+    _check_subcomplex(m, b, "subcomplex")
+    if h_inter is None:
+        h_inter = homology(subcomplex(m, a_cells & b_cells))
+    inter = h_inter._complex
+    if inter.labels() != a_cells & b_cells:
+        raise ValueError("intersection homology is not that of the intersection complex")
+    _check_subcomplex(m, inter, "intersection")
     h_m = homology(m) if h_m is None else h_m
-    _closed_cells(m, a_cells, "subcomplex")
-    _closed_cells(m, b_cells, "subcomplex")
     _check_homology(h_inter, inter, "intersection")
     _check_homology(h_m, m, "whole")
 
@@ -557,14 +577,9 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
 
         def lifted_boundary(z: Sequence[int]) -> tuple[int, ...]:
             lift = _column((j, z[pos]) for j, pos in enumerate(in_m))
-            coeffs = {}
-            for row, value in _compose(d_a, lift):
-                label = a.basis[q - 1][row]
-                if label not in b_cells:  # a's faces outside b miss a ∩ b
-                    raise ValueError("boundary of the lifted chain leaves the "
-                                     f"intersection at cell {label}")
-                coeffs[label] = value
-            return inter.vector(q - 1, coeffs)
+            # z - lift lies on b's cells, so d(lift) = -d(z - lift) is in a ∩ b
+            return inter.vector(q - 1, {a.basis[q - 1][row]: value
+                                        for row, value in _compose(d_a, lift)})
 
         homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), lifted_boundary))
     return tuple(homs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -17,13 +18,16 @@ class IntMatrix:
     """Immutable integer matrix with explicit row and column counts.
 
     Zero-dimensional shapes (0 x n, n x 0) are legal and behave like the
-    corresponding linear maps between trivial groups.
+    corresponding linear maps between trivial groups.  The constructor
+    takes every entry through operator.index, so floats and strings
+    raise TypeError; matrices built here from ints go through _of,
+    which checks nothing.
     """
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -37,16 +41,25 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_e", rows)
 
+    @classmethod
+    def _of(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """Trusted build from rows of ints of length cols; nothing is checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_e", tuple(map(tuple, rows)))
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(_eye(n), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None,
@@ -61,11 +74,11 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        """Matrix with the given columns, entries checked like the constructor."""
         for col in columns:
             if len(col) != rows:
                 raise ValueError("column length does not match row count")
-        return cls([[col[i] for col in columns] for i in range(rows)],
-                   cols=len(columns))
+        return cls._of([tuple(map(index, col)) for col in columns], rows).transpose()
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -82,34 +95,30 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        oc = other.cols
-        return IntMatrix(
-            [[sum(self._e[i][k] * other._e[k][j] for k in range(self.cols))
-              for j in range(oc)] for i in range(self.rows)],
-            cols=oc)
+        cols = other.columns()
+        return IntMatrix._of([[sum(map(mul, row, col)) for col in cols]
+                              for row in self._e], other.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._e], cols=self.cols)
+        return IntMatrix._of([[-x for x in row] for row in self._e], self.cols)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(row[j] * vector[j] for j in range(self.cols))
-                     for row in self._e)
+        return tuple(sum(map(mul, row, vector)) for row in self._e)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self._e[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
+        return IntMatrix._of(self.columns(), self.rows)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._e[i]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self._e[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self._e)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self._e)) or [()] * self.cols
 
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self._e]
@@ -118,37 +127,96 @@ class IntMatrix:
         return all(x == 0 for row in self._e for x in row)
 
 
+def _eye(n: int) -> list[list[int]]:
+    """Identity rows: the seed of every carried transform."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    return IntMatrix([list(a.row(i)) + list(b.row(i)) for i in range(a.rows)],
-                     cols=a.cols + b.cols)
+    return IntMatrix._of([ra + rb for ra, rb in zip(a._e, b._e)], a.cols + b.cols)
 
 
 def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.cols:
         raise ValueError("column counts differ")
-    return IntMatrix(a.to_rows() + b.to_rows(), cols=a.cols)
+    return IntMatrix._of(a._e + b._e, a.cols)
 
 
 def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    top = [list(r) + [0] * b.cols for r in a.to_rows()]
-    bottom = [[0] * a.cols + list(r) for r in b.to_rows()]
-    return IntMatrix(top + bottom, cols=a.cols + b.cols)
+    top = [r + (0,) * b.cols for r in a._e]
+    bottom = [(0,) * a.cols + r for r in b._e]
+    return IntMatrix._of(top + bottom, a.cols + b.cols)
 
 
 def _addmul_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
     if factor:
-        row_s = m[src]
-        row_d = m[dst]
-        for j in range(len(row_d)):
-            row_d[j] += factor * row_s[j]
+        m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
 
 
 def _addmul_col(m: list[list[int]], dst: int, src: int, factor: int) -> None:
     if factor:
         for row in m:
             row[dst] += factor * row[src]
+
+
+def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
+    for row in m:
+        row[a], row[b] = row[b], row[a]
+
+
+def _least(values: Iterable[int]) -> int | None:
+    """Index of the first nonzero value of least absolute value, or None."""
+    sizes = list(map(abs, values))
+    low = min(filter(None, sizes), default=0)
+    return sizes.index(low) if low else None
+
+
+def _augment(a: IntMatrix, left: bool, right: bool) -> list[list[int]]:
+    """Rows of a, each followed by its row of an identity U if left,
+    then the rows of an identity V if right.  Row operations on the
+    first a.rows rows and column operations on the first a.cols columns
+    then carry U and V along, and only the transforms asked for."""
+    rows = [list(r) + e for r, e in zip(a._e, _eye(a.rows))] if left else a.to_rows()
+    return rows + (_eye(a.cols) if right else [])
+
+
+def _split(rows: list[list[int]], a: IntMatrix, left: bool, right: bool):
+    """(form, U or None, V or None) out of rows made by _augment."""
+    top, n = rows[:a.rows], a.cols
+    return ([r[:n] for r in top] if left else top,
+            [r[n:] for r in top] if left else None, rows[a.rows:] if right else None)
+
+
+def _hermite(a: IntMatrix, left: bool):
+    """Rows of the row Hermite form of a, and of U only if left (else None)."""
+    m, n = a.rows, a.cols
+    h = _augment(a, left, False)
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        if all(h[i][c] == 0 for i in range(r, m)):
+            continue
+        while True:
+            i0 = r + _least(h[i][c] for i in range(r, m))
+            if i0 != r:
+                h[r], h[i0] = h[i0], h[r]
+            clean = True
+            for i in range(r + 1, m):
+                if h[i][c]:
+                    _addmul_row(h, i, r, -(h[i][c] // h[r][c]))
+                    if h[i][c]:
+                        clean = False
+            if clean:
+                break
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            _addmul_row(h, i, r, -(h[i][c] // h[r][c]))
+        r += 1
+    return _split(h, a, left, False)[:2]
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -158,40 +226,65 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     echelon form with positive pivots and every entry above a pivot
     reduced into [0, pivot).
     """
+    h, u = _hermite(a, left=True)
+    return IntMatrix._of(h, a.cols), IntMatrix._of(u, a.rows)
+
+
+def _smith(a: IntMatrix, left: bool = False, right: bool = False):
+    """Rows of the Smith form S of a, of U only if left and of V only
+    if right (else None).  No operation on S reads U or V, so S is the
+    same whichever transforms are carried."""
     m, n = a.rows, a.cols
-    h = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    r = 0
-    for c in range(n):
-        if r == m:
+    s = _augment(a, left, right)
+    t = 0
+    while t < min(m, n):
+        best = pos = None
+        for i in range(t, m):  # row-major; a unit is least, so stop at one
+            j = _least(s[i][t:n])
+            if j is not None and (best is None or abs(s[i][t + j]) < best):
+                best, pos = abs(s[i][t + j]), (i, t + j)
+                if best == 1:
+                    break
+        if pos is None:
             break
-        if all(h[i][c] == 0 for i in range(r, m)):
-            continue
+        i0, j0 = pos
+        if i0 != t:
+            s[t], s[i0] = s[i0], s[t]
+        if j0 != t:
+            _swap_cols(s, t, j0)
         while True:
-            i0 = min((i for i in range(r, m) if h[i][c] != 0),
-                     key=lambda i: abs(h[i][c]))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-            clean = True
-            for i in range(r + 1, m):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    _addmul_row(h, i, r, -q)
-                    _addmul_row(u, i, r, -q)
-                    if h[i][c]:
-                        clean = False
-            if clean:
+            # clear column t below the pivot by gcd row reduction
+            while True:
+                for i in range(t + 1, m):
+                    if s[i][t]:
+                        _addmul_row(s, i, t, -(s[i][t] // s[t][t]))
+                nz = [i for i in range(t + 1, m) if s[i][t]]
+                if not nz:
+                    break
+                i0 = min([t] + nz, key=lambda i: abs(s[i][t]))
+                if i0 != t:
+                    s[t], s[i0] = s[i0], s[t]
+            # clear row t to the right of the pivot by gcd column reduction
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    _addmul_col(s, j, t, -(s[t][j] // s[t][t]))
+            nz = [j for j in range(t + 1, n) if s[t][j]]
+            if nz:
+                _swap_cols(s, t, min(nz, key=lambda j: abs(s[t][j])))
+                continue
+            # pivot must divide the whole trailing submatrix; a unit does
+            pivot = s[t][t]
+            if pivot in (1, -1):
                 break
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            _addmul_row(h, i, r, -q)
-            _addmul_row(u, i, r, -q)
-        r += 1
-    return IntMatrix(h, cols=n), IntMatrix(u, cols=m)
+            bad = next((i for i in range(t + 1, m)
+                        if any(x % pivot for x in s[i][t + 1:n])), None)
+            if bad is None:
+                break
+            _addmul_row(s, t, bad, 1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+        t += 1
+    return _split(s, a, left, right)
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -201,81 +294,15 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     non-negative, each diagonal entry dividing the next.  Pivots are
     chosen with minimal absolute value to limit coefficient growth.
     """
-    m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-    t = 0
-    while t < min(m, n):
-        best = None
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pos = (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            s[t], s[i0] = s[i0], s[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            _swap_cols(s, t, j0)
-            _swap_cols(v, t, j0)
-        while True:
-            # clear column t below the pivot by gcd row reduction
-            while True:
-                for i in range(t + 1, m):
-                    if s[i][t]:
-                        q = s[i][t] // s[t][t]
-                        _addmul_row(s, i, t, -q)
-                        _addmul_row(u, i, t, -q)
-                nz = [i for i in range(t + 1, m) if s[i][t]]
-                if not nz:
-                    break
-                i0 = min([t] + nz, key=lambda i: abs(s[i][t]))
-                if i0 != t:
-                    s[t], s[i0] = s[i0], s[t]
-                    u[t], u[i0] = u[i0], u[t]
-            # clear row t to the right of the pivot by gcd column reduction
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    _addmul_col(s, j, t, -q)
-                    _addmul_col(v, j, t, -q)
-            nz = [j for j in range(t + 1, n) if s[t][j]]
-            if nz:
-                j0 = min(nz, key=lambda j: abs(s[t][j]))
-                _swap_cols(s, t, j0)
-                _swap_cols(v, t, j0)
-                continue
-            # pivot must divide the whole trailing submatrix
-            bad = None
-            for i in range(t + 1, m):
-                if any(s[i][j] % s[t][t] for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            _addmul_row(s, t, bad, 1)
-            _addmul_row(u, t, bad, 1)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(s, cols=n), IntMatrix(u, cols=m), IntMatrix(v, cols=n)
-
-
-def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
-    for row in m:
-        row[a], row[b] = row[b], row[a]
+    s, u, v = _smith(a, left=True, right=True)
+    return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
+            IntMatrix._of(v, a.cols))
 
 
 def smith_diagonal(a: IntMatrix) -> list[int]:
-    s, _, _ = snf(a)
-    return [s[i, i] for i in range(min(a.rows, a.cols))]
+    """Diagonal of the Smith form, carrying no transform."""
+    s, _, _ = _smith(a)
+    return [s[i][i] for i in range(min(a.rows, a.cols))]
 
 
 def rational_rank(a: IntMatrix) -> int:
@@ -343,25 +370,24 @@ def lattice_hnf(a: IntMatrix) -> IntMatrix:
     Rows of the result are an echelon basis; two matrices span the same
     column lattice iff their lattice_hnf values are equal.
     """
-    h, _ = hnf(a.transpose())
-    basis = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    return IntMatrix(basis, cols=a.rows)
+    h, _ = _hermite(a.transpose(), left=False)
+    return IntMatrix._of([row for row in h if any(row)], a.rows)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Matrix whose columns are a lattice basis of the integer kernel of a."""
-    s, _, v = snf(a)
+    s, _, v = _smith(a, right=True)
     k = min(a.rows, a.cols)
-    free = [j for j in range(a.cols) if j >= k or s[j, j] == 0]
-    return IntMatrix.from_columns([v.column(j) for j in free], rows=a.cols)
+    free = [j for j in range(a.cols) if j >= k or s[j][j] == 0]
+    return IntMatrix._of([[row[j] for j in free] for row in v], len(free))
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix."""
-    h, u = hnf(a)
-    if h != IntMatrix.identity(a.rows) or a.rows != a.cols:
+    h, u = _hermite(a, left=True)
+    if h != _eye(a.rows) or a.rows != a.cols:
         raise ValueError("matrix is not unimodular")
-    return u
+    return IntMatrix._of(u, a.rows)
 
 
 @dataclass(frozen=True)

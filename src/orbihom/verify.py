@@ -79,7 +79,7 @@ def _render_rows(m: IntMatrix) -> str:
 
 
 def _top_rows(m: IntMatrix, k: int) -> IntMatrix:
-    return IntMatrix(list(m.to_rows())[:k], cols=m.cols)
+    return IntMatrix._of([m.row(i) for i in range(k)], m.cols)
 
 
 def _image_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
@@ -168,10 +168,8 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
             f"pieces do not cover the complex: missing {sorted(missing)}"
         )
     m = wcc.chain_complex()
-    comp_a = subcomplex(m, cells_a)
-    comp_b = subcomplex(m, cells_b)
-    cells_i = cells_a & cells_b
-    comp_i = subcomplex(m, cells_i)
+    comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
+    comp_i = subcomplex(m, cells_a & cells_b)
     n = m.top_dim
 
     h_i = homology(comp_i)
@@ -179,10 +177,10 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
     h_b = homology(comp_b)
     h_m = homology(m)
 
-    i_star_a = induced_map(inclusion_map(comp_a, cells_i), h_i, h_a)
-    i_star_b = induced_map(inclusion_map(comp_b, cells_i), h_i, h_b)
-    j_star_a = induced_map(inclusion_map(m, cells_a), h_a, h_m)
-    j_star_b = induced_map(inclusion_map(m, cells_b), h_b, h_m)
+    i_star_a = induced_map(inclusion_map(comp_a, comp_i), h_i, h_a)
+    i_star_b = induced_map(inclusion_map(comp_b, comp_i), h_i, h_b)
+    j_star_a = induced_map(inclusion_map(m, comp_a), h_a, h_m)
+    j_star_b = induced_map(inclusion_map(m, comp_b), h_b, h_m)
     k_star = connecting_hom(comp_a, comp_b, m, h_inter=h_i, h_m=h_m)
 
     report = VerdictReport(

@@ -114,7 +114,7 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
     cells_a, cells_b = a.labels(), b.labels()
     inter = subcomplex(m, cells_a & cells_b)
     h_inter, h_m = homology(inter), homology(m)
-    incl_a, incl_b = inclusion_map(m, cells_a), inclusion_map(m, cells_b)
+    incl_a, incl_b = inclusion_map(m, a), inclusion_map(m, b)
     matrices = []
     for q in range(1, m.top_dim + 1):
         src, dst = h_m.degree(q), h_inter.degree(q - 1)

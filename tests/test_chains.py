@@ -413,10 +413,54 @@ def test_non_commuting_map_rejected():
 
 def test_inclusion_map_unit_columns():
     c = half_disk()
-    inc = inclusion_map(c, {"p", "q", "m"})
+    inc = inclusion_map(c, subcomplex(c, {"p", "q", "m"}))
     assert inc.commutes()
     assert inc.matrix(0).cols == 2
     assert inc.matrix(1) == IntMatrix([[0], [1], [0]])
+
+
+def test_inclusion_map_checks_the_subcomplex():
+    c = half_disk()
+    sub = subcomplex(c, {"p", "q", "m"})
+    assert inclusion_map(c, sub).source is sub
+    # the same cells in another order are the same subcomplex
+    flipped = ChainComplex([["q", "p"], ["m"]], [[[(0, 1), (1, -1)]]])
+    assert inclusion_map(c, flipped).commutes()
+    with pytest.raises(ValueError, match=r"unknown cells: \['zz'\]"):
+        inclusion_map(c, ChainComplex([["p", "zz"]], []))
+    with pytest.raises(ValueError, match="not boundary closed"):
+        inclusion_map(c, ChainComplex([["p"], ["t"]], [[[(0, -1)]]]))
+    with pytest.raises(ValueError, match="subcomplex cell m in degree 0 is not"):
+        inclusion_map(c, ChainComplex([["p", "q", "m"]], []))
+    with pytest.raises(ValueError, match="subcomplex cell m in degree 1 is not"):
+        inclusion_map(c, ChainComplex([["p", "q"], ["m"]], [[[(0, 1), (1, -1)]]]))
+
+
+def test_connecting_hom_checks_the_intersection_of_given_homology():
+    c = half_disk()
+    a = subcomplex(c, {"p", "q", "t", "m", "U"})
+    b = subcomplex(c, {"p", "q", "m", "b", "L"})
+    inter = subcomplex(c, {"p", "q", "m"})
+    assert connecting_hom(a, b, c, h_inter=homology(inter)) == connecting_hom(a, b, c)
+    # right cells, but m's boundary is reversed
+    wrong = ChainComplex([["p", "q"], ["m"]], [[[(0, 1), (1, -1)]]])
+    with pytest.raises(ValueError, match="intersection cell m in degree 1"):
+        connecting_hom(a, b, c, h_inter=homology(wrong))
+    # t's boundary is reversed in the first piece
+    twisted = ChainComplex([["p", "q"], ["t", "m"], ["U"]],
+                           [[[(0, 1), (1, -1)], [(0, -1), (1, 1)]],
+                            [[(0, 1), (1, -1)]]])
+    with pytest.raises(ValueError, match="subcomplex cell t in degree 1"):
+        connecting_hom(twisted, b, c)
+
+
+def test_chain_complex_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        ChainComplex([["p", "q"], ["e"]], [[[(0, -1), (1, 1.9)]]])
+    with pytest.raises(TypeError):
+        ChainComplex([["p", "q"], ["e"]], [[[(0, "-1"), (1, 1)]]])
+    ok = ChainComplex([["p", "q"], ["e"]], [[[(0, -1), (1, True)]]])
+    assert ok.boundaries == (((((0, -1), (1, 1)),),))
 
 
 def _sparse(mat):
@@ -507,7 +551,7 @@ def _disc_pieces():
 
 def test_induced_map_rejects_rational_homology():
     c, _ = _disc_pieces()
-    f = inclusion_map(c, c.labels())
+    f = inclusion_map(c, c)
     with pytest.raises(ValueError, match="source homology must be over Z"):
         induced_map(f, homology(c, "Q"), homology(c))
     with pytest.raises(ValueError, match="target homology must be over Z"):
@@ -516,7 +560,7 @@ def test_induced_map_rejects_rational_homology():
 
 def test_induced_map_rejects_homology_of_another_complex():
     c, annulus = _disc_pieces()
-    f = inclusion_map(c, c.labels())
+    f = inclusion_map(c, c)
     with pytest.raises(ValueError, match="not that of the source complex"):
         induced_map(f, homology(annulus), homology(c))
     with pytest.raises(ValueError, match="not that of the target complex"):
@@ -590,7 +634,7 @@ def test_chain_map_layer_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(ChainMap, "matrix", forbidden)
     for name in ("hnf", "snf", "hstack", "solve_linear"):
         monkeypatch.setattr(f"orbihom.intlin.{name}", forbidden)
-    assert inclusion_map(m, cells_a).commutes()
+    assert inclusion_map(m, a).commutes()
     assert connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m) == expected
 
 
@@ -697,8 +741,7 @@ def test_connecting_hom_class_ignores_preimage_choice():
     from orbihom.intlin import hstack, solve_linear
 
     q = 1
-    incl_a = inclusion_map(m, torus.sub_cells("left"))
-    incl_b = inclusion_map(m, torus.sub_cells("right"))
+    incl_a, incl_b = inclusion_map(m, a), inclusion_map(m, b)
     h_m = homology(m)
     z = h_m.degree(q).kernel.column(0)
     stacked = hstack(incl_a.matrix(q), incl_b.matrix(q))

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from orbihom import intlin
+from orbihom.chains import homology
 from orbihom.intlin import (
     AbPresentation,
     FgAbGroup,
@@ -23,6 +25,7 @@ from orbihom.intlin import (
     unimodular_inverse,
     vstack,
 )
+from orbihom.orbmodel import Ball3, ProductTorus, Surface, t_model
 
 from oracles import det, is_well_defined, subgroup_contains
 
@@ -84,6 +87,20 @@ def test_matrix_immutable():
     m = IntMatrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 5
+
+
+def test_matrix_entries_must_be_integers():
+    with pytest.raises(TypeError):
+        IntMatrix([[2.7, "3"]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.0]])
+    with pytest.raises(TypeError):
+        IntMatrix([["3"]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([[1.5]], rows=1)
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([[1], ["2"]], rows=1)
+    assert IntMatrix([[True, -2]]) == IntMatrix([[1, -2]])
 
 
 def test_matrix_shape_errors():
@@ -176,6 +193,65 @@ def test_snf_properties_random():
         assert len(nonzero) == rational_rank(a)
         assert smith_diagonal(a) == [s[i, i]
                                      for i in range(min(s.rows, s.cols))]
+
+
+def transform_cases(rng, count=300):
+    """Seeded matrices, with every degenerate shape and entry kind:
+    0 x n, n x 0, all zero, no unit entry, sparse with units."""
+    fixed = [IntMatrix([], cols=3), IntMatrix([[], []], cols=0),
+             IntMatrix([], cols=0), IntMatrix.zeros(3, 4),
+             IntMatrix([[2, 4], [6, 8]]), IntMatrix([[0, 6], [4, 0], [0, 0]])]
+    kinds = [range(-9, 10), [0] * 6 + [1, -1, 2, -2],
+             [0, 0, 2, -2, 3, 4, 6, -9], [0]]
+    out = list(fixed)
+    while len(out) < count:
+        values = kinds[len(out) % len(kinds)]
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        out.append(IntMatrix([[rng.choice(values) for _ in range(cols)]
+                              for _ in range(rows)], cols=cols))
+    return out
+
+
+def test_transform_skipping_eliminations_match_full_forms():
+    for a in transform_cases(random.Random(606)):
+        s, u, v = snf(a)
+        for left in (False, True):
+            for right in (False, True):
+                s_rows, u_rows, v_rows = intlin._smith(a, left, right)
+                assert s_rows == s.to_rows()
+                assert u_rows == (u.to_rows() if left else None)
+                assert v_rows == (v.to_rows() if right else None)
+        h, w = hnf(a)
+        assert intlin._hermite(a, left=True) == (h.to_rows(), w.to_rows())
+        assert intlin._hermite(a, left=False) == (h.to_rows(), None)
+        k = min(a.rows, a.cols)
+        assert smith_diagonal(a) == [s[i, i] for i in range(k)]
+        free = [j for j in range(a.cols) if j >= k or s[j, j] == 0]
+        assert kernel_basis(a) == IntMatrix.from_columns(
+            [v.column(j) for j in free], rows=a.cols)
+        ht, _ = hnf(a.transpose())
+        assert lattice_hnf(a) == IntMatrix(
+            [r for r in ht.to_rows() if any(r)], cols=a.rows)
+
+
+def test_no_transform_where_none_is_read(monkeypatch):
+    rng = random.Random(607)
+    cases = transform_cases(rng, 60)
+    complexes = [t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex(),
+                 t_model(ProductTorus(Ball3((2, 3, 5)), 1)).chain_complex()]
+    expect = ([smith_diagonal(a) for a in cases], [lattice_hnf(a) for a in cases],
+              [homology(c).groups() for c in complexes])
+
+    def refuse(_):
+        raise AssertionError("a transform was seeded")
+
+    monkeypatch.setattr(intlin, "_eye", refuse)
+    assert ([smith_diagonal(a) for a in cases], [lattice_hnf(a) for a in cases],
+            [homology(c).groups() for c in complexes]) == expect
+    with pytest.raises(AssertionError):
+        snf(IntMatrix([[2]]))
+    with pytest.raises(AssertionError):
+        hnf(IntMatrix([[2]]))
 
 
 # ---------------------------------------------------------------- det, rank

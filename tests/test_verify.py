@@ -117,6 +117,22 @@ def test_mv_random_covers():
             assert report.passed, report.render()
 
 
+def test_mv_builds_each_subcomplex_once(monkeypatch):
+    from orbihom import chains, verify
+    built = []
+    original = chains.subcomplex
+
+    def counting(c, cells):
+        built.append(frozenset(cells))
+        return original(c, cells)
+
+    monkeypatch.setattr(chains, "subcomplex", counting)
+    monkeypatch.setattr(verify, "subcomplex", counting)
+    report = check_mv(t_model(Surface(0, 0, (2, 2))), "conedisks", "complement")
+    assert report.passed
+    assert len(built) == 3 and len(set(built)) == 3
+
+
 def test_mv_precondition_errors():
     wcc = t_model(Disc2(2))
     with pytest.raises(ValueError):
