@@ -2,11 +2,10 @@
 
 The homology groups come from each sparse boundary's rank and invariant
 factors, found by unit-pivot elimination without transforms.  The
-representatives of a degree are computed on first request by two Smith
-normal forms: one to find a lattice basis of the cycles, one to
-diagonalize the boundaries inside that basis.  They keep their
-change-of-basis data, so cycles can be expressed in canonical
-coordinates and induced maps never re-solve from scratch.
+representatives of a degree are computed on first request: the
+canonical (Hermite) basis of the cycles, with the coordinates of the
+boundaries in it as relators.  A Smith form of the relators is taken
+only when generators or reduced classes are read.
 """
 
 from __future__ import annotations
@@ -21,7 +20,9 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _echelon_solver,
     _smith,
+    kernel_basis,
     rational_rank,
     smith_diagonal,
     unimodular_inverse,
@@ -160,40 +161,46 @@ def validate(c: ChainComplex) -> list[str]:
 class DegreeHomology:
     """Homology of one degree, with cycle lattice and coordinates.
 
-    kernel holds a lattice basis of all cycles (the presentation
-    generators); presentation presents the homology group on that
-    basis.  Over Q only the group is set.
+    kernel holds the Hermite basis of the cycles as columns (see
+    intlin.kernel_basis), the generators of presentation, whose
+    relators are the coordinates of the boundaries in that basis.
+    Over Q only the group is set.
     """
 
     group: FgAbGroup
     presentation: AbPresentation | None = None
     kernel: IntMatrix | None = None
-    _w: IntMatrix | None = None
-    _zero_pos: tuple[int, ...] = ()
-    _ux: IntMatrix | None = None
-    _diag: tuple[int, ...] = ()
-    _free_pos: tuple[int, ...] = ()
-    _tors_pos: tuple[int, ...] = ()
+
+    def _summands(self):
+        """U of the Smith form U @ rels @ V of the relators, and the row
+        and divisor of each summand: free ones (divisor 0), then torsion."""
+        rels = self.presentation.rels
+        s, u, _ = _smith(rels, left=True)
+        diag = [s[i][i] if i < rels.cols else 0 for i in range(rels.rows)]
+        free = [(i, 0) for i, d in enumerate(diag) if d == 0]
+        return IntMatrix._of(u, rels.rows), free + [
+            (i, d) for i, d in enumerate(diag) if d > 1]
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of the canonical summands, free ones first, then torsion
         ones in divisor order; () over Q.  Computed on each read."""
-        if self._ux is None:
+        if self.kernel is None:
             return ()
-        basis = self.kernel @ unimodular_inverse(self._ux)
-        return tuple(basis.column(i) for i in self._free_pos + self._tors_pos)
+        u, summands = self._summands()
+        basis = self.kernel @ unimodular_inverse(u)
+        return tuple(basis.column(i) for i, _ in summands)
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle in the kernel lattice basis."""
-        if self._w is None:
+        if self.kernel is None:
             raise ValueError("no integral cycle data (rational coefficients)")
-        full = self._w.apply(cycle)
-        zero_set = set(self._zero_pos)
-        for i, value in enumerate(full):
-            if value and i not in zero_set:
-                raise ValueError("vector is not a cycle")
-        return tuple(full[p] for p in self._zero_pos)
+        if len(cycle) != self.kernel.rows:
+            raise ValueError("vector length does not match the cell count")
+        coords = _echelon_solver(self.kernel.columns())(cycle)
+        if coords is None:
+            raise ValueError("vector is not a cycle")
+        return tuple(coords)
 
     def express(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle class.
@@ -201,10 +208,10 @@ class DegreeHomology:
         Free coordinates come first and are exact integers; torsion
         coordinates follow, reduced modulo their divisors.
         """
-        y = self._ux.apply(self.kernel_coords(cycle))
-        coords = [y[i] for i in self._free_pos]
-        coords.extend(y[i] % self._diag[i] for i in self._tors_pos)
-        return tuple(coords)
+        coords = self.kernel_coords(cycle)  # over Q this raises first
+        u, summands = self._summands()
+        y = u.apply(coords)
+        return tuple(y[i] % d if d else y[i] for i, d in summands)
 
 
 @dataclass(frozen=True)
@@ -231,9 +238,9 @@ class HomologyResult:
             raise IndexError(f"no degree {q} in a complex of top degree "
                              f"{self.top_dim}")
         if q not in self._degrees:
-            self._degrees[q] = (DegreeHomology(self._groups[q])
-                                if self.coeff == "Q"
-                                else _integral_degree(self._complex, q))
+            group = self._groups[q]
+            self._degrees[q] = (DegreeHomology(group) if self.coeff == "Q"
+                                else _integral_degree(self._complex, q, group))
         return self._degrees[q]
 
     def group(self, q: int) -> FgAbGroup:
@@ -338,35 +345,15 @@ def _boundary_factors(columns: Sequence[Column],
     return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
 
 
-def _integral_degree(c: ChainComplex, q: int) -> DegreeHomology:
-    dq = c.d(q)
-    s, _, v = _smith(dq, right=True)
-    k = min(dq.rows, dq.cols)
-    zero_pos = tuple(j for j in range(dq.cols) if j >= k or s[j][j] == 0)
-    kernel = IntMatrix._of([[row[j] for j in zero_pos] for row in v], len(zero_pos))
-    w = unimodular_inverse(IntMatrix._of(v, dq.cols))
-    zero_set = set(zero_pos)
-
-    rel_cols = []
-    for col in c.d(q + 1).columns():
-        full = w.apply(col)
-        for i, value in enumerate(full):
-            if value and i not in zero_set:
-                raise ValueError("boundary image escapes the cycle lattice")
-        rel_cols.append([full[p] for p in zero_pos])
-    rels = IntMatrix._of(rel_cols, len(zero_pos)).transpose()
-
-    sx, ux, _ = _smith(rels, left=True)
-    kx = min(rels.rows, rels.cols)
-    diag = tuple(sx[i][i] if i < kx else 0 for i in range(rels.rows))
-    free_pos = tuple(i for i in range(rels.rows) if diag[i] == 0)
-    tors_pos = tuple(i for i in range(rels.rows) if diag[i] >= 2)
-    group = FgAbGroup(len(free_pos), tuple(diag[i] for i in tors_pos))
-    return DegreeHomology(
-        group=group, presentation=AbPresentation(len(zero_pos), rels),
-        kernel=kernel, _w=w, _zero_pos=zero_pos,
-        _ux=IntMatrix._of(ux, rels.rows), _diag=diag,
-        _free_pos=free_pos, _tors_pos=tors_pos)
+def _integral_degree(c: ChainComplex, q: int, group: FgAbGroup) -> DegreeHomology:
+    """Hermite cycle basis of degree q, with the coordinates of the
+    sparse boundary columns out of degree q + 1 as relators."""
+    kernel = kernel_basis(c.d(q))
+    solve = _echelon_solver(kernel.columns())
+    bounds = [dict(col) for col in (c.boundaries[q] if q < c.top_dim else ())]
+    relators = [solve([b.get(i, 0) for i in range(c.dim(q))]) for b in bounds]
+    rels = IntMatrix._of(relators, kernel.cols).transpose()
+    return DegreeHomology(group, AbPresentation(kernel.cols, rels), kernel)
 
 
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:

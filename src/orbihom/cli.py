@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -214,6 +215,7 @@ _DESC_CHECKS = {
 }
 
 
+@functools.cache  # built once per process, shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbihom",

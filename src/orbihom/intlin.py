@@ -327,25 +327,32 @@ def rational_rank(a: IntMatrix) -> int:
     return rank
 
 
-def _echelon_solve(ht: IntMatrix, b: Sequence[int]) -> list[int] | None:
-    """Solve B y = b where B = ht.transpose() is in column echelon form."""
-    residual = list(b)
-    y = [0] * ht.rows
-    for k in range(ht.rows):
-        pivot_row = next((j for j in range(ht.cols) if ht[k, j] != 0), None)
-        if pivot_row is None:
+def _echelon_solver(rows: Sequence[Sequence[int]]):
+    """solve(b): the y with sum(y[k] * rows[k]) == b, or None if there
+    is none, by back-substitution on the pivots of rows, which are in
+    row echelon form (zero rows last, where y is 0)."""
+    pivots = []
+    p = 0
+    for k, row in enumerate(rows):
+        p = next((j for j in range(p, len(row)) if row[j]), None)
+        if p is None:
             break
-        pivot = ht[k, pivot_row]
-        if residual[pivot_row] % pivot:
-            return None
-        q = residual[pivot_row] // pivot
-        if q:
-            y[k] = q
-            for i in range(len(residual)):
-                residual[i] -= q * ht[k, i]
-    if any(residual):
-        return None
-    return y
+        pivots.append((k, p, row[p]))
+
+    def solve(b: Sequence[int]) -> list[int] | None:
+        residual = list(b)
+        y = [0] * len(rows)
+        for k, p, pivot in pivots:
+            if residual[p]:
+                q, r = divmod(residual[p], pivot)
+                if r:
+                    return None
+                y[k] = q
+                residual[p:] = [x - q * e
+                                for x, e in zip(residual[p:], rows[k][p:])]
+        return None if any(residual) else y
+
+    return solve
 
 
 def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -356,12 +363,9 @@ def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
-    ht, w = hnf(a.transpose())
-    y = _echelon_solve(ht, b)
-    if y is None:
-        return None
-    return tuple(sum(w[k, i] * y[k] for k in range(a.cols))
-                 for i in range(a.cols))
+    h, u = _hermite(a.transpose(), left=True)
+    y = _echelon_solver(h)(b)
+    return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
 
 
 def lattice_hnf(a: IntMatrix) -> IntMatrix:
@@ -375,11 +379,13 @@ def lattice_hnf(a: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Matrix whose columns are a lattice basis of the integer kernel of a."""
-    s, _, v = _smith(a, right=True)
-    k = min(a.rows, a.cols)
-    free = [j for j in range(a.cols) if j >= k or s[j][j] == 0]
-    return IntMatrix._of([[row[j] for j in free] for row in v], len(free))
+    """Canonical basis of the integer kernel of a, as columns: the row
+    Hermite form of the rows of U, in U @ a.transpose() == H, whose
+    rows of H are zero.  Equal kernels give equal bases."""
+    h, u = _hermite(a.transpose(), left=True)
+    null = [row for row, form in zip(u, h) if not any(form)]
+    basis, _ = _hermite(IntMatrix._of(null, a.cols), left=False)
+    return IntMatrix._of(basis, a.cols).transpose()
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:

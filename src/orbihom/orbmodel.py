@@ -10,6 +10,7 @@ text format (.owc) round-trips user-supplied complexes.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from math import gcd
@@ -129,7 +130,8 @@ class Cell:
     """One cell: label, dimension, weight, and incidence list.
 
     Repeated boundary labels are merged by summing coefficients; zero
-    coefficients are dropped.
+    coefficients are dropped.  Dimension, weight and coefficients go
+    through operator.index, so a float or a string raises TypeError.
     """
 
     id: str
@@ -140,6 +142,8 @@ class Cell:
     def __post_init__(self):
         if not _ID_RE.match(self.id):
             raise ValueError(f"bad cell id {self.id!r}")
+        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "weight", operator.index(self.weight))
         if self.dim < 0:
             raise ValueError(f"cell {self.id}: negative dimension")
         if self.weight < 1:
@@ -150,7 +154,7 @@ class Cell:
             if ref not in merged:
                 merged[ref] = 0
                 order.append(ref)
-            merged[ref] += int(coefficient)
+            merged[ref] += operator.index(coefficient)
         object.__setattr__(self, "boundary",
                            tuple((ref, merged[ref]) for ref in order if merged[ref]))
 

@@ -56,7 +56,7 @@ def is_well_defined(hom: GroupHom) -> bool:
 
 def presentation_groups(h) -> tuple:
     """Each degree's group from the Smith form of its presentation."""
-    return tuple(h.degree(q).group for q in range(h.top_dim + 1))
+    return tuple(h.degree(q).presentation.group() for q in range(h.top_dim + 1))
 
 
 def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:

@@ -6,7 +6,7 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from orbihom import chains
+from orbihom import chains, intlin
 from orbihom.chains import (
     ChainComplex,
     ChainMap,
@@ -28,6 +28,7 @@ from orbihom.intlin import (
     lattice_hnf,
     rational_rank,
     smith_diagonal,
+    snf,
 )
 from orbihom.orbmodel import (
     Ball3,
@@ -279,6 +280,39 @@ def test_kernel_coords_rejects_non_cycles():
         h.degree(1).kernel_coords(non_cycle)
 
 
+def test_kernel_coords_round_trip_on_random_cycles():
+    """Cycles built from the V columns of snf, an independent route to
+    the kernel, come back from kernel_coords; non-cycles do not."""
+    rng = random.Random(77)
+    models = [t_model(d) for d in GRID_1_TO_3]
+    models.append(t_model(ProductTorus(Ball3((2, 3, 5)), 2)))
+    rejected = 0
+    for wcc in models:
+        c = wcc.chain_complex()
+        h = homology(c)
+        for q in range(c.top_dim + 1):
+            deg, dq = h.degree(q), c.d(q)
+            s, _, v = snf(dq)
+            free = [j for j in range(dq.cols)
+                    if j >= min(dq.rows, dq.cols) or s[j, j] == 0]
+            assert len(free) == deg.kernel.cols
+            for _ in range(3):
+                z = [0] * c.dim(q)
+                for j in free:
+                    t = rng.randint(-3, 3)
+                    z = [x + t * y for x, y in zip(z, v.column(j))]
+                assert deg.kernel.apply(deg.kernel_coords(z)) == tuple(z)
+                cell = rng.randrange(c.dim(q))
+                if any(dq.column(cell)):
+                    z[cell] += 1
+                    with pytest.raises(ValueError, match="not a cycle"):
+                        deg.kernel_coords(z)
+                    rejected += 1
+            with pytest.raises(ValueError):
+                deg.kernel_coords([0] * (c.dim(q) + 1))
+    assert rejected > 50
+
+
 def test_express_reduces_torsion():
     c = t_model(Disc2(3)).chain_complex()
     h = homology(c)
@@ -288,6 +322,16 @@ def test_express_reduces_torsion():
     tripled = deg.express(tuple(3 * x for x in gen))
     assert one != (0,)
     assert tripled == (0,)
+
+
+def test_rational_degrees_have_no_cycle_data():
+    c = t_model(Disc2(3)).chain_complex()
+    deg = homology(c, coeff="Q").degree(1)
+    assert deg.generators == ()
+    cycle = homology(c).degree(1).generators[0]
+    for read in (deg.kernel_coords, deg.express):
+        with pytest.raises(ValueError, match="no integral cycle data"):
+            read(cycle)
 
 
 # ------------------------------------------------------ group routes agree
@@ -344,16 +388,25 @@ def test_elimination_matches_sympy_invariant_factors():
 
 def test_groups_never_build_transforms(monkeypatch):
     c = t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex()
-    expect = homology(c).degree(1).group
+    expect = homology(c).groups()
+    smith = intlin._smith
 
     def refuse(_):
-        raise AssertionError("groups() built a Smith transform inverse")
+        raise AssertionError("a unimodular inverse was built")
 
-    monkeypatch.setattr(chains, "unimodular_inverse", refuse)
+    def transform_free_smith(a, left=False, right=False):
+        if left or right:
+            raise AssertionError("a Smith transform was carried")
+        return smith(a)
+
+    for module in (chains, intlin):
+        monkeypatch.setattr(module, "unimodular_inverse", refuse)
+        monkeypatch.setattr(module, "_smith", transform_free_smith)
     h = homology(c)
-    assert h.groups()[1] == expect
+    assert h.groups() == expect
+    assert presentation_groups(h) == expect
     with pytest.raises(AssertionError):
-        h.degree(1)
+        h.degree(1).generators
 
 
 def test_rational_route_builds_each_boundary_once(monkeypatch):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from orbihom.cli import main, parse_descriptor, parse_group, run
+from orbihom.cli import build_parser, main, parse_descriptor, parse_group, run
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     Ball3,
@@ -186,6 +186,22 @@ def test_argparse_errors_exit_two():
     assert code == 2
     code, _ = run(["homology", "--desc", "disc2(2)", "--file", "x.owc"])
     assert code == 2
+
+
+def test_one_parser_serves_every_call():
+    parser = build_parser()
+    code, text = run(["verify", "mv", "--desc", "disc2(3)", "--sub", "cone"])
+    assert (code, text) == (2, "error: verify mv needs exactly two --sub "
+                                "arguments, got 1\n")
+    assert run(["homology", "--desc"])[0] == 2
+    assert run(["homology", "--desc", "disc2(3)"]) == (
+        0, "H_0 = Z\nH_1 = Z/3\nH_2 = 0\n")
+    # --sub appends: a parser that kept state would now see three subs
+    for _ in range(2):
+        code, text = run(["verify", "mv", "--desc", "disc2(3)",
+                          "--sub", "cone", "--sub", "annulus"])
+        assert code == 0 and text.endswith("RESULT PASS\n")
+    assert build_parser() is parser
 
 
 # ------------------------------------------------------------------ json

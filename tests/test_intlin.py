@@ -227,8 +227,10 @@ def test_transform_skipping_eliminations_match_full_forms():
         k = min(a.rows, a.cols)
         assert smith_diagonal(a) == [s[i, i] for i in range(k)]
         free = [j for j in range(a.cols) if j >= k or s[j, j] == 0]
-        assert kernel_basis(a) == IntMatrix.from_columns(
-            [v.column(j) for j in free], rows=a.cols)
+        kernel = kernel_basis(a)
+        assert kernel == lattice_hnf(IntMatrix.from_columns(
+            [v.column(j) for j in free], rows=a.cols)).transpose()
+        assert (a @ kernel).is_zero()
         ht, _ = hnf(a.transpose())
         assert lattice_hnf(a) == IntMatrix(
             [r for r in ht.to_rows() if any(r)], cols=a.rows)

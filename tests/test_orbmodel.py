@@ -98,6 +98,12 @@ def test_cell_validation():
         Cell("v", 0, 0)
     merged = Cell("e", 1, 1, (("v", 1), ("v", 2), ("w", 0)))
     assert merged.boundary == (("v", 3),)
+    for bad in (lambda: Cell("e", 1, 1, (("p", 1.9),)),
+                lambda: Cell("e", 1.5, 2.5),
+                lambda: Cell("e", 1, "2"),
+                lambda: Cell("e", 1, 1, (("p", "1"),))):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_weighted_complex_validation():
