@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index
 from typing import Iterable, Sequence
 
@@ -163,13 +164,28 @@ class DegreeHomology:
 
     kernel holds the Hermite basis of the cycles as columns (see
     intlin.kernel_basis), the generators of presentation, whose
-    relators are the coordinates of the boundaries in that basis.
-    Over Q only the group is set.
+    relators, solved on first read, are the coordinates in that basis
+    of boundaries, the sparse columns out of degree q + 1.  Over Q only
+    the group is set.
     """
 
     group: FgAbGroup
-    presentation: AbPresentation | None = None
     kernel: IntMatrix | None = None
+    boundaries: Sequence[Column] = field(default=(), repr=False)
+
+    @cached_property
+    def _solve(self):
+        return _echelon_solver(self.kernel.columns())
+
+    @cached_property
+    def presentation(self) -> AbPresentation | None:
+        if self.kernel is None:
+            return None
+        k, bounds = self.kernel, self.boundaries
+        relators = [self._solve(b) for b in
+                    _dense(bounds, k.rows, len(bounds)).columns()]
+        rels = IntMatrix._of(relators, k.cols).transpose()
+        return AbPresentation(k.cols, rels)
 
     def _summands(self):
         """U of the Smith form U @ rels @ V of the relators, and the row
@@ -197,7 +213,7 @@ class DegreeHomology:
             raise ValueError("no integral cycle data (rational coefficients)")
         if len(cycle) != self.kernel.rows:
             raise ValueError("vector length does not match the cell count")
-        coords = _echelon_solver(self.kernel.columns())(cycle)
+        coords = self._solve(cycle)
         if coords is None:
             raise ValueError("vector is not a cycle")
         return tuple(coords)
@@ -238,9 +254,11 @@ class HomologyResult:
             raise IndexError(f"no degree {q} in a complex of top degree "
                              f"{self.top_dim}")
         if q not in self._degrees:
-            group = self._groups[q]
-            self._degrees[q] = (DegreeHomology(group) if self.coeff == "Q"
-                                else _integral_degree(self._complex, q, group))
+            c, group = self._complex, self._groups[q]
+            self._degrees[q] = (
+                DegreeHomology(group) if self.coeff == "Q" else
+                DegreeHomology(group, kernel_basis(c.d(q)),
+                               c.boundaries[q] if q < c.top_dim else ()))
         return self._degrees[q]
 
     def group(self, q: int) -> FgAbGroup:
@@ -343,17 +361,6 @@ def _boundary_factors(columns: Sequence[Column],
                              len(left))
     diagonal = [x for x in smith_diagonal(residual) if x]
     return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
-
-
-def _integral_degree(c: ChainComplex, q: int, group: FgAbGroup) -> DegreeHomology:
-    """Hermite cycle basis of degree q, with the coordinates of the
-    sparse boundary columns out of degree q + 1 as relators."""
-    kernel = kernel_basis(c.d(q))
-    solve = _echelon_solver(kernel.columns())
-    bounds = [dict(col) for col in (c.boundaries[q] if q < c.top_dim else ())]
-    relators = [solve([b.get(i, 0) for i in range(c.dim(q))]) for b in bounds]
-    rels = IntMatrix._of(relators, kernel.cols).transpose()
-    return DegreeHomology(group, AbPresentation(kernel.cols, rels), kernel)
 
 
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:

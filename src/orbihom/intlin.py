@@ -2,8 +2,11 @@
 
 Provides Hermite and Smith normal forms, integer linear solving, column
 lattice arithmetic, and finitely generated abelian groups in canonical
-form (free rank plus a divisor chain).  Everything is exact: entries are
-Python ints, so no overflow is possible.
+form (free rank plus a divisor chain).  Both normal forms come from one
+row echelon elimination, _echelon: the Smith form alternates row and
+column Hermite forms until the matrix is diagonal.  Divisor chains are
+built by gcd/lcm insertion, with no matrix.  Everything is exact:
+entries are Python ints, so no overflow is possible.
 """
 
 from __future__ import annotations
@@ -155,17 +158,6 @@ def _addmul_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
         m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
 
 
-def _addmul_col(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    if factor:
-        for row in m:
-            row[dst] += factor * row[src]
-
-
-def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
 def _least(values: Iterable[int]) -> int | None:
     """Index of the first nonzero value of least absolute value, or None."""
     sizes = list(map(abs, values))
@@ -173,50 +165,50 @@ def _least(values: Iterable[int]) -> int | None:
     return sizes.index(low) if low else None
 
 
-def _augment(a: IntMatrix, left: bool, right: bool) -> list[list[int]]:
-    """Rows of a, each followed by its row of an identity U if left,
-    then the rows of an identity V if right.  Row operations on the
-    first a.rows rows and column operations on the first a.cols columns
-    then carry U and V along, and only the transforms asked for."""
-    rows = [list(r) + e for r, e in zip(a._e, _eye(a.rows))] if left else a.to_rows()
-    return rows + (_eye(a.cols) if right else [])
+def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Rows of the transpose of rows, which have cols entries each."""
+    return [list(c) for c in zip(*rows)] or [[] for _ in range(cols)]
 
 
-def _split(rows: list[list[int]], a: IntMatrix, left: bool, right: bool):
-    """(form, U or None, V or None) out of rows made by _augment."""
-    top, n = rows[:a.rows], a.cols
-    return ([r[:n] for r in top] if left else top,
-            [r[n:] for r in top] if left else None, rows[a.rows:] if right else None)
+def _echelon(rows: list[list[int]], n: int) -> None:
+    """Row Hermite form of the first n columns of rows, in place; the
+    rest of each row is carried along by the same row operations."""
+    m, r = len(rows), 0
+    for c in range(n):
+        if all(rows[i][c] == 0 for i in range(r, m)):
+            continue
+        while True:
+            i0 = r + _least(rows[i][c] for i in range(r, m))
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+            clean = True
+            for i in range(r + 1, m):
+                if rows[i][c]:
+                    _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+                    if rows[i][c]:
+                        clean = False
+            if clean:
+                break
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+        r += 1
+
+
+def _carried_echelon(form: list[list[int]], carried: list[list[int]], n: int):
+    """Rows of the row Hermite form of the n-column rows form, and the
+    rows of carried after the same row operations."""
+    rows = [f + t for f, t in zip(form, carried)]
+    _echelon(rows, n)
+    return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 def _hermite(a: IntMatrix, left: bool):
     """Rows of the row Hermite form of a, and of U only if left (else None)."""
-    m, n = a.rows, a.cols
-    h = _augment(a, left, False)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        if all(h[i][c] == 0 for i in range(r, m)):
-            continue
-        while True:
-            i0 = r + _least(h[i][c] for i in range(r, m))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-            clean = True
-            for i in range(r + 1, m):
-                if h[i][c]:
-                    _addmul_row(h, i, r, -(h[i][c] // h[r][c]))
-                    if h[i][c]:
-                        clean = False
-            if clean:
-                break
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-        for i in range(r):
-            _addmul_row(h, i, r, -(h[i][c] // h[r][c]))
-        r += 1
-    return _split(h, a, left, False)[:2]
+    h, u = _carried_echelon(a.to_rows(), _eye(a.rows) if left else [[]] * a.rows,
+                            a.cols)
+    return h, u if left else None
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -232,67 +224,46 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def _smith(a: IntMatrix, left: bool = False, right: bool = False):
     """Rows of the Smith form S of a, of U only if left and of V only
-    if right (else None).  No operation on S reads U or V, so S is the
-    same whichever transforms are carried."""
+    if right (else None).
+
+    Row Hermite forms of the rows [S | U] alternate with row Hermite
+    forms of [S^T | V^T] until S is diagonal (Kannan and Bachem, SIAM
+    J. Comput. 8(4), 1979).  Without transforms the diagonal is then
+    written back as its divisor chain; with them, a diagonal entry that
+    does not divide the next gets the next column added to its column,
+    and the alternation goes on.  No operation on S reads U or V, so S
+    is the same whichever transforms are carried.
+    """
     m, n = a.rows, a.cols
-    s = _augment(a, left, right)
-    t = 0
-    while t < min(m, n):
-        best = pos = None
-        for i in range(t, m):  # row-major; a unit is least, so stop at one
-            j = _least(s[i][t:n])
-            if j is not None and (best is None or abs(s[i][t + j]) < best):
-                best, pos = abs(s[i][t + j]), (i, t + j)
-                if best == 1:
-                    break
-        if pos is None:
+    s, u = a.to_rows(), _eye(m) if left else [[]] * m
+    vt = _eye(n) if right else [[]] * n
+    while True:
+        s, u = _carried_echelon(s, u, n)
+        st, vt = _carried_echelon(_transpose(s, n), vt, m)
+        s = _transpose(st, m)
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            continue
+        # S is diagonal, positive entries first, then zeros.
+        d = [x for x in (s[i][i] for i in range(min(m, n))) if x]
+        if not (left or right):
+            chain = invariant_factors(d)
+            for i, x in enumerate((1,) * (len(d) - len(chain)) + chain):
+                s[i][i] = x
             break
-        i0, j0 = pos
-        if i0 != t:
-            s[t], s[i0] = s[i0], s[t]
-        if j0 != t:
-            _swap_cols(s, t, j0)
-        while True:
-            # clear column t below the pivot by gcd row reduction
-            while True:
-                for i in range(t + 1, m):
-                    if s[i][t]:
-                        _addmul_row(s, i, t, -(s[i][t] // s[t][t]))
-                nz = [i for i in range(t + 1, m) if s[i][t]]
-                if not nz:
-                    break
-                i0 = min([t] + nz, key=lambda i: abs(s[i][t]))
-                if i0 != t:
-                    s[t], s[i0] = s[i0], s[t]
-            # clear row t to the right of the pivot by gcd column reduction
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    _addmul_col(s, j, t, -(s[t][j] // s[t][t]))
-            nz = [j for j in range(t + 1, n) if s[t][j]]
-            if nz:
-                _swap_cols(s, t, min(nz, key=lambda j: abs(s[t][j])))
-                continue
-            # pivot must divide the whole trailing submatrix; a unit does
-            pivot = s[t][t]
-            if pivot in (1, -1):
-                break
-            bad = next((i for i in range(t + 1, m)
-                        if any(x % pivot for x in s[i][t + 1:n])), None)
-            if bad is None:
-                break
-            _addmul_row(s, t, bad, 1)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-        t += 1
-    return _split(s, a, left, right)
+        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
+        if i is None:
+            break
+        s[i + 1][i] = d[i + 1]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
+    return s, u if left else None, _transpose(vt, n) if right else None
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (S, U, V) with U, V unimodular and U @ a @ V == S diagonal,
-    non-negative, each diagonal entry dividing the next.  Pivots are
-    chosen with minimal absolute value to limit coefficient growth.
+    non-negative, each diagonal entry dividing the next.  S is unique;
+    U and V depend on the elimination (see _smith).
     """
     s, u, v = _smith(a, left=True, right=True)
     return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
@@ -409,9 +380,10 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", index(self.rank))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
         for i, d in enumerate(self.torsion):
             if d < 2:
                 raise ValueError("torsion divisors must be at least 2")
@@ -431,9 +403,6 @@ class FgAbGroup:
         if n < 1:
             raise ValueError("cyclic order must be positive")
         return cls(0, ()) if n == 1 else cls(0, (n,))
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup(self.rank + other.rank,
@@ -461,21 +430,27 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     """Canonical divisor chain of a direct sum of cyclic groups.
 
     values are finite cyclic orders (>= 1); factors equal to 1 vanish.
+    Each order v goes into the chain from the top: Z/d + Z/v is
+    Z/lcm(d, v) + Z/gcd(d, v), so d becomes the lcm and the gcd moves
+    on down as the next v.
     """
-    values = [int(v) for v in values]
-    if any(v < 1 for v in values):
-        raise ValueError("cyclic orders must be positive")
-    values = [v for v in values if v > 1]
-    if not values:
-        return ()
-    group = cokernel_group(IntMatrix.diagonal(values))
-    return group.torsion
+    chain: list[int] = []
+    for v in map(index, values):
+        if v < 1:
+            raise ValueError("cyclic orders must be positive")
+        for i in reversed(range(len(chain))):
+            if v == 1:
+                break
+            g = gcd(chain[i], v)
+            chain[i], v = chain[i] // g * v, g
+        if v > 1:
+            chain.insert(0, v)
+    return tuple(chain)
 
 
 def cokernel_group(a: IntMatrix) -> FgAbGroup:
     """Z^rows modulo the column span of a, in canonical form."""
-    diag = smith_diagonal(a)
-    nonzero = [d for d in diag if d != 0]
+    nonzero = [d for d in smith_diagonal(a) if d]
     return FgAbGroup(a.rows - len(nonzero),
                      tuple(d for d in nonzero if d >= 2))
 

@@ -313,6 +313,23 @@ def test_kernel_coords_round_trip_on_random_cycles():
     assert rejected > 50
 
 
+def test_one_degree_builds_one_cycle_solver(monkeypatch):
+    """kernel_coords and the relators of presentation share one
+    back-substitution solver per degree, however often they are read."""
+    built = []
+    solver = chains._echelon_solver
+    monkeypatch.setattr(chains, "_echelon_solver",
+                        lambda rows: built.append(rows) or solver(rows))
+    c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
+    deg = homology(c).degree(1)
+    cycles = deg.kernel.columns()
+    for _ in range(3):
+        for z in cycles:
+            assert deg.kernel.apply(deg.kernel_coords(z)) == tuple(z)
+    assert deg.presentation.group() == deg.group
+    assert len(built) == 1
+
+
 def test_express_reduces_torsion():
     c = t_model(Disc2(3)).chain_complex()
     h = homology(c)

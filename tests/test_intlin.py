@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors as sympy_factors
+from sympy.matrices.normalforms import smith_normal_form
 
-from orbihom import intlin
+from orbihom import chains, intlin
 from orbihom.chains import homology
 from orbihom.intlin import (
     AbPresentation,
@@ -25,7 +29,7 @@ from orbihom.intlin import (
     unimodular_inverse,
     vstack,
 )
-from orbihom.orbmodel import Ball3, ProductTorus, Surface, t_model
+from orbihom.orbmodel import Ball3, Ball3Cyclic, ProductTorus, Surface, t_model
 
 from oracles import det, is_well_defined, subgroup_contains
 
@@ -256,6 +260,66 @@ def test_no_transform_where_none_is_read(monkeypatch):
         hnf(IntMatrix([[2]]))
 
 
+ENTRY_POOLS = (range(-9, 10), (0, 2, 3, 4, 6, 9), (0, 1, -1, 2, 5))
+
+
+@st.composite
+def pooled_matrices(draw):
+    """Matrices up to 8 x 8 (empty shapes included), entries from one
+    pool: all small values, no unit entry, or sparse with units."""
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = draw(st.lists(st.lists(st.sampled_from(pool), min_size=cols,
+                                     max_size=cols),
+                            min_size=rows, max_size=rows))
+    return IntMatrix(entries, cols=cols)
+
+
+def sympy_matrix(a):
+    return Matrix(a.rows, a.cols, [a[i, j] for i in range(a.rows)
+                                   for j in range(a.cols)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pooled_matrices())
+def test_snf_property_against_sympy(a):
+    s, u, v = snf(a)
+    assert u @ a @ v == s
+    assert det(u) in (1, -1) and det(v) in (1, -1)
+    k = min(a.rows, a.cols)
+    assert all(s[i, j] == 0 for i in range(s.rows) for j in range(s.cols)
+               if i != j)
+    diag = [s[i, i] for i in range(k)]
+    rank = len([x for x in diag if x])
+    assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
+    assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
+    reference = smith_normal_form(sympy_matrix(a), domain=ZZ)
+    assert smith_diagonal(a) == [abs(int(reference[i, i])) for i in range(k)]
+
+
+def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):
+    """Z groups of two ballic products against sympy's invariant factors
+    of every dense boundary; some residuals left after unit-pivot
+    elimination are not diagonal, so the Smith alternation is exercised."""
+    residuals = []
+    diagonal = chains.smith_diagonal
+    monkeypatch.setattr(chains, "smith_diagonal",
+                        lambda a: residuals.append(a) or diagonal(a))
+    for d in (Ball3((2, 3, 5)), Ball3Cyclic(4)):
+        c = t_model(ProductTorus(d, 3)).chain_complex()
+        factors = [()] + [
+            [abs(int(x)) for x in sympy_factors(sympy_matrix(c.d(q)),
+                                                 domain=ZZ) if x]
+            for q in range(1, c.top_dim + 1)] + [()]
+        expect = tuple(FgAbGroup(
+            c.dim(q) - len(factors[q]) - len(factors[q + 1]),
+            tuple(x for x in factors[q + 1] if x > 1))
+            for q in range(c.top_dim + 1))
+        assert homology(c).groups() == expect
+    assert any(a[i, j] for a in residuals for i in range(a.rows)
+               for j in range(a.cols) if i != j)
+
+
 # ---------------------------------------------------------------- det, rank
 
 
@@ -445,6 +509,39 @@ def test_invariant_factors():
     assert invariant_factors([]) == ()
     with pytest.raises(ValueError):
         invariant_factors([0])
+
+
+def test_invariant_factors_match_sympy():
+    rng = random.Random(808)
+    orders = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 27, 30, 210)
+    for _ in range(200):
+        values = [rng.choice(orders) for _ in range(rng.randint(0, 9))]
+        expect = [abs(int(x)) for x in sympy_factors(
+            Matrix.diag(*values), domain=ZZ)] if values else []
+        assert invariant_factors(values) == tuple(x for x in expect if x > 1)
+
+
+def test_divisor_chains_take_no_smith_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith form was taken")
+
+    monkeypatch.setattr(intlin, "_smith", refuse)
+    assert invariant_factors([4, 6, 10]) == (2, 2, 60)
+    assert FgAbGroup(1, (2,)).direct_sum(FgAbGroup(0, (3, 9))) == \
+        FgAbGroup(1, (3, 18))
+    assert FgAbGroup(1, (4,)).tensor(FgAbGroup(2, (6,))) == \
+        FgAbGroup(2, (2, 2, 4, 12))
+
+
+def test_groups_take_integers_only():
+    """Ranks, torsion entries and cyclic orders go through
+    operator.index: a float or a string is refused, never truncated."""
+    for build in (lambda: FgAbGroup(1.5, (2,)), lambda: FgAbGroup(1, (2.9,)),
+                  lambda: FgAbGroup(0, ("2",)), lambda: FgAbGroup.free(2.0),
+                  lambda: FgAbGroup.cyclic(2.0),
+                  lambda: invariant_factors([2.7, 3])):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_cokernel_group():
