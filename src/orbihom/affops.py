@@ -81,15 +81,14 @@ class AffineChain:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        """Sum (simplex, coefficient) pairs in order of first appearance."""
         data: dict[AffineSimplex, int] = {}
-        if terms:
-            for simplex, coeff in (
-                terms.items() if isinstance(terms, dict) else terms
-            ):
-                if not isinstance(simplex, AffineSimplex):
-                    simplex = AffineSimplex(simplex)
-                if coeff:
-                    data[simplex] = data.get(simplex, 0) + coeff
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        for simplex, coeff in pairs:
+            if not isinstance(simplex, AffineSimplex):
+                simplex = AffineSimplex(simplex)
+            if coeff:
+                data[simplex] = data.get(simplex, 0) + coeff
         self._terms = {s: c for s, c in data.items() if c}
 
     @classmethod
@@ -114,19 +113,17 @@ class AffineChain:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "AffineChain") -> "AffineChain":
-        out = dict(self._terms)
-        for s, c in other._terms.items():
-            out[s] = out.get(s, 0) + c
-        return AffineChain(out)
+        return AffineChain([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "AffineChain":
-        return AffineChain({s: -c for s, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "AffineChain") -> "AffineChain":
-        return self + (-other)
+        return AffineChain([*self._terms.items(),
+                            *((s, -c) for s, c in other._terms.items())])
 
     def scale(self, n: int) -> "AffineChain":
-        return AffineChain({s: n * c for s, c in self._terms.items()})
+        return AffineChain((s, n * c) for s, c in self._terms.items())
 
     def degree(self) -> int:
         """Common dimension of all terms (error if mixed or zero)."""
@@ -136,23 +133,17 @@ class AffineChain:
         return dims.pop()
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for s, c in sorted(
-            self._terms.items(), key=lambda item: item[0].vertices
-        ):
-            parts.append(f"{c:+d}*{s!r}")
-        return " ".join(parts)
+        terms = sorted(self._terms.items(), key=lambda t: t[0].vertices)
+        return " ".join(f"{c:+d}*{s!r}" for s, c in terms) or "0"
 
 
 def boundary(c) -> AffineChain:
     """Alternating-sign sum of vertex deletions, extended linearly."""
     if isinstance(c, AffineSimplex):
         c = AffineChain.of(c)
-    return AffineChain([(s.face(i), n * (-1) ** i)
-                        for s, n in c.terms().items() if s.dim
-                        for i in range(s.dim + 1)])
+    return AffineChain((s.face(i), n * (-1) ** i)
+                       for s, n in c._terms.items() if s.dim
+                       for i in range(s.dim + 1))
 
 
 def _check_interior(a, p: int) -> tuple[Fraction, ...]:
@@ -190,6 +181,14 @@ def _check_face(s: AffineSimplex, face) -> tuple[int, ...]:
     return idx
 
 
+def _fan(s: AffineSimplex, idx, point: Point, start: int = 0):
+    """(vertices, sign) of each fan term of s through point, interior to
+    the face idx, keeping only the vertices from index start on."""
+    v, ip = s.vertices, idx[-1]
+    return [(v[start:ik] + v[ik + 1:ip + 1] + (point,) + v[ip + 1:],
+             (-1) ** (ik + ip)) for ik in idx]
+
+
 def refine(s: AffineSimplex, face, a) -> AffineChain:
     """Fan of s through the interior point of the marked face.
 
@@ -199,42 +198,26 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     face vertex.
     """
     idx = _check_face(s, face)
-    ap = _face_point(s, idx, a)
-    q = s.dim
-    ip = idx[-1]
-    return AffineChain([
-        ([s.vertices[t] for t in range(ip + 1) if t != ik]
-         + [ap]
-         + [s.vertices[t] for t in range(ip + 1, q + 1)],
-         (-1) ** (ik + ip))
-        for ik in idx])
+    return AffineChain(_fan(s, idx, _face_point(s, idx, a)))
 
 
 def prism(s: AffineSimplex, face, a) -> AffineChain:
     """Degree +1 homotopy term for one simplex.
 
-    With face None the result is the plain vertex-doubling prism; with
-    a marked face it mixes doubled prefixes with fan terms through the
-    interior point.
+    Term j doubles v_j: v_0..v_j followed by v_j..v_q.  With a marked
+    face, the terms with j up to the face's first index continue instead
+    with the fan through the interior point from v_j on; with face None
+    the result is the plain vertex-doubling prism.
     """
-    q = s.dim
-    terms = []
+    v, i0 = s.vertices, -1
     if face is not None:
         idx = _check_face(s, face)
-        ap = _face_point(s, idx, a)
-        i0, ip = idx[0], idx[-1]
-    for j in range(q + 1):
-        if face is None or j > i0:
-            terms.append(([s.vertices[t] for t in range(j + 1)]
-                          + [s.vertices[t] for t in range(j, q + 1)],
-                          (-1) ** (j + 1)))
-            continue
-        for ik in idx:
-            terms.append(([s.vertices[t] for t in range(j + 1)]
-                          + [s.vertices[t] for t in range(j, ip + 1) if t != ik]
-                          + [ap]
-                          + [s.vertices[t] for t in range(ip + 1, q + 1)],
-                          (-1) ** (j + 1) * (-1) ** (ik + ip)))
+        point, i0 = _face_point(s, idx, a), idx[0]
+    terms = []
+    for j in range(s.dim + 1):
+        tails = [(v[j:], 1)] if j > i0 else _fan(s, idx, point, j)
+        terms += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
+                  for tail, m in tails]
     return AffineChain(terms)
 
 
@@ -249,29 +232,23 @@ def find_face(s: AffineSimplex, phi: AffineSimplex):
     return None
 
 
+def _operator(op, phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
+    """Sum of n * op(s, find_face(s, phi)) over the terms n*s of c."""
+    _check_interior(a, phi.dim)
+    return AffineChain((t, n * m) for s, n in c._terms.items()
+                       for t, m in op(s, find_face(s, phi))._terms.items())
+
+
 def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
-    _check_interior(a, phi.dim)
-    terms = []
-    for s, n in c.terms().items():
-        idx = find_face(s, phi)
-        if idx is None:
-            terms.append((s, n))
-        else:
-            terms += [(t, n * m) for t, m in refine(s, idx, a).terms().items()]
-    return AffineChain(terms)
+    return _operator(lambda s, idx: AffineChain.of(s) if idx is None
+                     else refine(s, idx, a), phi, a, c)
 
 
 def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Chain homotopy between the identity and the refinement operator."""
-    _check_interior(a, phi.dim)
-    terms = []
-    for s, n in c.terms().items():
-        idx = find_face(s, phi)
-        prism_s = prism(s, idx, a if idx is not None else None)
-        terms += [(t, n * m) for t, m in prism_s.terms().items()]
-    return AffineChain(terms)
+    return _operator(lambda s, idx: prism(s, idx, a), phi, a, c)
 
 
 def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
@@ -283,6 +260,19 @@ def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
         )
         if len(set(verts)) == q + 1:
             return AffineSimplex(verts)
+
+
+# Label, statement and the two sides on (phi, a, c) of each identity.  The
+# sides look the operators up at call time, so patched ones are checked.
+_IDENTITIES = (
+    ("i", "boundary commutes with refinement",
+     lambda phi, a, c: (boundary(sd_operator(phi, a, c)),
+                        sd_operator(phi, a, boundary(c)))),
+    ("ii", "prism homotopy matches identity minus refinement",
+     lambda phi, a, c: (boundary(prism_operator(phi, a, c)),
+                        c - sd_operator(phi, a, c)
+                        - prism_operator(phi, a, boundary(c)))),
+)
 
 
 def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:
@@ -301,63 +291,33 @@ def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    fail_i = fail_ii = 0
+    failures = [0] * len(_IDENTITIES)
     notes: list[str] = []
     for trial in range(trials):
         q = rng.randint(1, 4)
-        ambient = rng.randint(q, q + 2)
-        s = _random_simplex(rng, q, ambient)
+        s = _random_simplex(rng, q, rng.randint(q, q + 2))
         p = rng.randint(1, q)
         face = tuple(sorted(rng.sample(range(q + 1), p + 1)))
         weights = [rng.randint(1, 4) for _ in range(p + 1)]
         total = sum(weights)
         a = tuple(Fraction(w, total) for w in weights)
-        phi = s.restrict(face)
-        c = AffineChain.of(s)
-
-        lhs_i = boundary(sd_operator(phi, a, c))
-        rhs_i = sd_operator(phi, a, boundary(c))
-        if lhs_i != rhs_i:
-            fail_i += 1
-            if len(notes) < 6:
-                notes.append(
-                    f"trial {trial} identity (i) failed on {s!r} "
-                    f"face {face}: difference {(lhs_i - rhs_i)!r}"
-                )
-
-        lhs_ii = boundary(prism_operator(phi, a, c))
-        rhs_ii = c - sd_operator(phi, a, c) - prism_operator(phi, a, boundary(c))
-        if lhs_ii != rhs_ii:
-            fail_ii += 1
-            if len(notes) < 6:
-                notes.append(
-                    f"trial {trial} identity (ii) failed on {s!r} "
-                    f"face {face}: difference {(lhs_ii - rhs_ii)!r}"
-                )
-
-    report = VerdictReport(
+        phi, c = s.restrict(face), AffineChain.of(s)
+        for k, (label, _, sides) in enumerate(_IDENTITIES):
+            lhs, rhs = sides(phi, a, c)
+            if lhs != rhs:
+                failures[k] += 1
+                if len(notes) < 6:
+                    notes.append(f"trial {trial} identity ({label}) failed "
+                                 f"on {s!r} face {face}: difference "
+                                 f"{(lhs - rhs)!r}")
+    return VerdictReport(
         check="affops-selftest",
         subject=f"trials={trials} seed={seed}",
         assertions=[
-            Assertion(
-                statement=(
-                    "boundary commutes with refinement "
-                    f"on {trials} random chains"
-                ),
-                left=f"{fail_i} failures",
-                right="0 failures",
-                passed=fail_i == 0,
-            ),
-            Assertion(
-                statement=(
-                    "prism homotopy matches identity minus refinement "
-                    f"on {trials} random chains"
-                ),
-                left=f"{fail_ii} failures",
-                right="0 failures",
-                passed=fail_ii == 0,
-            ),
+            Assertion(statement=f"{statement} on {trials} random chains",
+                      left=f"{n} failures", right="0 failures",
+                      passed=n == 0)
+            for (_, statement, _), n in zip(_IDENTITIES, failures)
         ],
         notes=notes,
     )
-    return report

@@ -187,6 +187,7 @@ class DegreeHomology:
         rels = IntMatrix._of(relators, k.cols).transpose()
         return AbPresentation(k.cols, rels)
 
+    @cached_property
     def _summands(self):
         """U of the Smith form U @ rels @ V of the relators, and the row
         and divisor of each summand: free ones (divisor 0), then torsion."""
@@ -197,13 +198,13 @@ class DegreeHomology:
         return IntMatrix._of(u, rels.rows), free + [
             (i, d) for i, d in enumerate(diag) if d > 1]
 
-    @property
+    @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of the canonical summands, free ones first, then torsion
-        ones in divisor order; () over Q.  Computed on each read."""
+        ones in divisor order; () over Q.  Computed on first read."""
         if self.kernel is None:
             return ()
-        u, summands = self._summands()
+        u, summands = self._summands
         basis = self.kernel @ unimodular_inverse(u)
         return tuple(basis.column(i) for i, _ in summands)
 
@@ -225,7 +226,7 @@ class DegreeHomology:
         coordinates follow, reduced modulo their divisors.
         """
         coords = self.kernel_coords(cycle)  # over Q this raises first
-        u, summands = self._summands()
+        u, summands = self._summands
         y = u.apply(coords)
         return tuple(y[i] % d if d else y[i] for i, d in summands)
 

@@ -34,6 +34,7 @@ class Disc2:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
         if self.order < 2:
             raise ValueError("cone order must be at least 2")
 
@@ -49,7 +50,8 @@ class Ball3:
     orders: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
+        object.__setattr__(self, "orders",
+                           tuple(map(operator.index, self.orders)))
         if len(self.orders) != 3 or any(m < 2 for m in self.orders):
             raise ValueError("need three orders, each at least 2")
 
@@ -61,6 +63,7 @@ class Ball3Cyclic:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
         if self.order < 2:
             raise ValueError("axis order must be at least 2")
 
@@ -74,8 +77,10 @@ class Surface:
     cone_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "genus", operator.index(self.genus))
+        object.__setattr__(self, "boundary", operator.index(self.boundary))
         object.__setattr__(self, "cone_orders",
-                           tuple(int(m) for m in self.cone_orders))
+                           tuple(map(operator.index, self.cone_orders)))
         if self.genus < 0 or self.boundary < 0:
             raise ValueError("genus and boundary count must be non-negative")
         if any(m < 2 for m in self.cone_orders):
@@ -90,6 +95,8 @@ class ProductTorus:
     torus_factors: int
 
     def __post_init__(self):
+        object.__setattr__(self, "torus_factors",
+                           operator.index(self.torus_factors))
         if self.torus_factors < 1:
             raise ValueError("torus factor count must be at least 1")
 

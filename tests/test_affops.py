@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbihom import affops
 from orbihom.affops import (
     AffineChain,
     AffineSimplex,
@@ -206,3 +207,19 @@ def test_selftest_passes_and_is_deterministic():
 def test_selftest_validation():
     with pytest.raises(ValueError):
         selftest(trials=0)
+
+
+def test_selftest_reports_failures(monkeypatch):
+    """A boundary that drops the first term of its result breaks both
+    identities: every failure is counted and the first six are quoted."""
+    exact = affops.boundary
+    monkeypatch.setattr(affops, "boundary", lambda c: AffineChain(
+        list(exact(c).terms().items())[1:]))
+    report = selftest(12, 5)
+    assert not report.passed
+    assert [a.left for a in report.assertions] == ["6 failures",
+                                                   "12 failures"]
+    assert len(report.notes) == 6
+    assert report.notes[0].startswith(
+        "trial 0 identity (i) failed on <(3, 3/2, -7/3,")
+    assert "  note: trial 0 identity (ii) failed" in report.render()

@@ -315,19 +315,29 @@ def test_kernel_coords_round_trip_on_random_cycles():
 
 def test_one_degree_builds_one_cycle_solver(monkeypatch):
     """kernel_coords and the relators of presentation share one
-    back-substitution solver per degree, however often they are read."""
-    built = []
-    solver = chains._echelon_solver
+    back-substitution solver per degree, and generators and express one
+    Smith form and one inverse, however often they are read."""
+    built, smiths, inverses = [], [], []
+    solver, smith = chains._echelon_solver, chains._smith
+    inverse = chains.unimodular_inverse
     monkeypatch.setattr(chains, "_echelon_solver",
                         lambda rows: built.append(rows) or solver(rows))
+    monkeypatch.setattr(chains, "_smith", lambda a, **kw: smiths.append(a)
+                        or smith(a, **kw))
+    monkeypatch.setattr(chains, "unimodular_inverse",
+                        lambda u: inverses.append(u) or inverse(u))
     c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
     deg = homology(c).degree(1)
     cycles = deg.kernel.columns()
     for _ in range(3):
         for z in cycles:
             assert deg.kernel.apply(deg.kernel_coords(z)) == tuple(z)
+        for i, g in enumerate(deg.generators):
+            assert deg.express(g) == tuple(int(i == j) for j in
+                                           range(len(deg.generators)))
     assert deg.presentation.group() == deg.group
     assert len(built) == 1
+    assert (len(smiths), len(inverses)) == (1, 1)
 
 
 def test_express_reduces_torsion():

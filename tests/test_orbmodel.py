@@ -72,6 +72,16 @@ def test_descriptor_validation():
         Surface(0, 0, (1,))
     with pytest.raises(ValueError):
         ProductTorus(Disc2(2), 0)
+    # integer fields go through operator.index: no truncation, no strings
+    for build in (lambda: Ball3((2.7, 3, 5)), lambda: Ball3(("2", "3", "5")),
+                  lambda: Surface(0, 0, (2.9, 3)), lambda: Surface(1.5, 0),
+                  lambda: Surface(0, 1.0), lambda: Disc2(2.5),
+                  lambda: Ball3Cyclic(3.5),
+                  lambda: ProductTorus(Disc2(3), 1.5)):
+        with pytest.raises(TypeError):
+            build()
+    assert Ball3([2, 3, 5]).orders == (2, 3, 5)
+    assert Surface(True, 0, [2, 3]) == Surface(1, 0, (2, 3))
 
 
 def test_cone_point_index_values():

@@ -211,6 +211,9 @@ def test_classical_reference_values():
     assert classical_reference(ProductTorus(Surface(0, 0), 1)) == (
         FgAbGroup.free(1), FgAbGroup.free(1),
         FgAbGroup.free(1), FgAbGroup.free(1))
+    assert classical_reference(ProductTorus(Disc2(3), 2)) == (
+        FgAbGroup.free(1), FgAbGroup.free(2), FgAbGroup.free(1),
+        FgAbGroup.trivial(), FgAbGroup.trivial())
 
 
 # ------------------------------------------------------------- hurewicz
