@@ -12,29 +12,48 @@ matched exactly where it occurs:
     boundary(P(c))  == c - Sd(c) - P(boundary(c))
 
 The self-test exercises both identities on seeded random inputs.
+
+Coordinates, barycentric weights and chain coefficients are exact:
+coordinates and weights must be int or Fraction, coefficients must be
+integers, and anything else raises TypeError.  A simplex hashes each
+vertex once, when the public constructor builds it; faces,
+restrictions and the fan and prism terms are trusted builds that reuse
+the parent's points and vertex hashes, so only a new interior point is
+ever hashed again.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .report import Assertion, VerdictReport
 
 Point = tuple[Fraction, ...]
 
 
+def _exact(x) -> Fraction:
+    if not isinstance(x, Rational):
+        raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
 def _as_point(coords) -> Point:
-    return tuple(Fraction(x) for x in coords)
+    return tuple(map(_exact, coords))
 
 
-@dataclass(frozen=True)
 class AffineSimplex:
-    """An ordered tuple of points in a common ambient dimension."""
+    """An ordered tuple of points in a common ambient dimension.
 
-    vertices: tuple[Point, ...]
+    Immutable.  Each vertex is hashed once, when it first enters a
+    simplex; faces, restrictions and fan terms reuse those hashes, and
+    the simplex hash is taken once from them.
+    """
+
+    __slots__ = ("vertices", "_vertex_hashes", "_hash")
 
     def __init__(self, vertices):
         verts = tuple(_as_point(v) for v in vertices)
@@ -43,7 +62,40 @@ class AffineSimplex:
         ambient = len(verts[0])
         if any(len(v) != ambient for v in verts):
             raise ValueError("vertices have mixed ambient dimensions")
+        self._set(verts, tuple(map(hash, verts)))
+
+    @classmethod
+    def _of(cls, verts: tuple[Point, ...], vertex_hashes: tuple[int, ...]):
+        """Trusted build from points of already-built simplices or from
+        _face_point, with their hashes: no conversion, no checks and no
+        hashing of coordinates."""
+        self = object.__new__(cls)
+        self._set(verts, vertex_hashes)
+        return self
+
+    def _set(self, verts, vertex_hashes) -> None:
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_vertex_hashes", vertex_hashes)
+        object.__setattr__(self, "_hash", hash(vertex_hashes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AffineSimplex is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AffineSimplex is immutable: cannot del {name}")
+
+    def __reduce__(self):
+        """Copy and pickle through the public constructor, since an
+        instance refuses attribute assignment."""
+        return AffineSimplex, (self.vertices,)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineSimplex):
+            return NotImplemented
+        return self._hash == other._hash and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -57,7 +109,8 @@ class AffineSimplex:
         """Delete vertex i."""
         if not 0 <= i <= self.dim:
             raise ValueError(f"no face index {i} on a {self.dim}-simplex")
-        return AffineSimplex(self.vertices[:i] + self.vertices[i + 1:])
+        v, h = self.vertices, self._vertex_hashes
+        return AffineSimplex._of(v[:i] + v[i + 1:], h[:i] + h[i + 1:])
 
     def restrict(self, indices) -> "AffineSimplex":
         """Sub-simplex on an increasing tuple of vertex indices."""
@@ -66,13 +119,19 @@ class AffineSimplex:
             raise ValueError("face indices must be strictly increasing")
         if not idx or idx[0] < 0 or idx[-1] > self.dim:
             raise ValueError(f"face indices {idx} out of range")
-        return AffineSimplex(tuple(self.vertices[i] for i in idx))
+        return _pick(self.vertices, self._vertex_hashes, idx)
 
     def __repr__(self) -> str:
         pts = ", ".join(
             "(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices
         )
         return f"<{pts}>"
+
+
+def _pick(verts, vertex_hashes, idx) -> AffineSimplex:
+    """Trusted simplex on the vertices at the indices idx."""
+    return AffineSimplex._of(tuple(map(verts.__getitem__, idx)),
+                             tuple(map(vertex_hashes.__getitem__, idx)))
 
 
 class AffineChain:
@@ -87,9 +146,12 @@ class AffineChain:
         for simplex, coeff in pairs:
             if not isinstance(simplex, AffineSimplex):
                 simplex = AffineSimplex(simplex)
+            coeff = operator.index(coeff)
             if coeff:
                 data[simplex] = data.get(simplex, 0) + coeff
-        self._terms = {s: c for s, c in data.items() if c}
+        for simplex in [s for s, c in data.items() if not c]:
+            del data[simplex]
+        self._terms = data
 
     @classmethod
     def zero(cls) -> "AffineChain":
@@ -147,7 +209,7 @@ def boundary(c) -> AffineChain:
 
 
 def _check_interior(a, p: int) -> tuple[Fraction, ...]:
-    weights = tuple(Fraction(x) for x in a)
+    weights = tuple(map(_exact, a))
     if len(weights) != p + 1:
         raise ValueError(
             f"interior point needs {p + 1} barycentric coordinates, "
@@ -181,12 +243,21 @@ def _check_face(s: AffineSimplex, face) -> tuple[int, ...]:
     return idx
 
 
-def _fan(s: AffineSimplex, idx, point: Point, start: int = 0):
-    """(vertices, sign) of each fan term of s through point, interior to
-    the face idx, keeping only the vertices from index start on."""
-    v, ip = s.vertices, idx[-1]
+def _fan(v, idx, point, start: int = 0):
+    """(vertex indices, sign) of each fan term of the simplex with vertex
+    indices v through the point interior to the face idx, whose index is
+    point, keeping only the vertices from index start on."""
+    ip = idx[-1]
     return [(v[start:ik] + v[ik + 1:ip + 1] + (point,) + v[ip + 1:],
              (-1) ** (ik + ip)) for ik in idx]
+
+
+def _simplices(s: AffineSimplex, point, layouts) -> list:
+    """(simplex, sign) for each (vertex indices, sign) in layouts, where
+    index s.dim + 1 stands for point."""
+    verts = s.vertices + (point,)
+    hashes = s._vertex_hashes + (hash(point),)
+    return [(_pick(verts, hashes, ix), m) for ix, m in layouts]
 
 
 def refine(s: AffineSimplex, face, a) -> AffineChain:
@@ -198,7 +269,9 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     face vertex.
     """
     idx = _check_face(s, face)
-    return AffineChain(_fan(s, idx, _face_point(s, idx, a)))
+    q = s.dim
+    return AffineChain(_simplices(s, _face_point(s, idx, a),
+                                  _fan(tuple(range(q + 1)), idx, q + 1)))
 
 
 def prism(s: AffineSimplex, face, a) -> AffineChain:
@@ -209,16 +282,17 @@ def prism(s: AffineSimplex, face, a) -> AffineChain:
     with the fan through the interior point from v_j on; with face None
     the result is the plain vertex-doubling prism.
     """
-    v, i0 = s.vertices, -1
+    q, point, i0 = s.dim, None, -1
     if face is not None:
         idx = _check_face(s, face)
         point, i0 = _face_point(s, idx, a), idx[0]
-    terms = []
-    for j in range(s.dim + 1):
-        tails = [(v[j:], 1)] if j > i0 else _fan(s, idx, point, j)
-        terms += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
-                  for tail, m in tails]
-    return AffineChain(terms)
+    v = tuple(range(q + 1))
+    layouts = []
+    for j in range(q + 1):
+        tails = [(v[j:], 1)] if j > i0 else _fan(v, idx, q + 1, j)
+        layouts += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
+                    for tail, m in tails]
+    return AffineChain(_simplices(s, point, layouts))
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):

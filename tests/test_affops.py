@@ -60,6 +60,77 @@ def test_simplex_validation():
         s.face(3)
     with pytest.raises(ValueError):
         s.restrict((2, 0))
+    # Coordinates are exact: floats and strings are refused, not rounded
+    # or parsed.
+    with pytest.raises(TypeError):
+        AffineSimplex([(0.1,), (1,)])
+    with pytest.raises(TypeError):
+        AffineSimplex([("1/3",), (1,)])
+    assert AffineSimplex([(1,), (F(1, 3),)]) == simplex((1,), (F(1, 3),))
+
+
+def test_simplex_is_immutable():
+    s = simplex((0, 0), (1, 0))
+    with pytest.raises(AttributeError):
+        s.vertices = ((F(5), F(5)),)
+    with pytest.raises(AttributeError):
+        del s.vertices
+    assert s == simplex((0, 0), (1, 0))
+
+
+def test_internal_builds_match_public_simplices():
+    """Faces, restrictions and fan terms are built without re-checking
+    or re-hashing their points; each equals, hashes like and looks up
+    as the same simplex built through the public constructor."""
+    s = simplex((0, 0), (1, 0), (0, 1))
+    half = (F(1, 2), F(1, 2))
+    pairs = [
+        (s.face(0), simplex((1, 0), (0, 1))),
+        (s.restrict((0, 2)), simplex((0, 0), (0, 1))),
+        (list(refine(s, (1, 2), half).terms())[0],
+         simplex((0, 0), (0, 1), (F(1, 2), F(1, 2)))),
+        (list(prism(s, (1, 2), half).terms())[0],
+         simplex((0, 0), (0, 0), (0, 1), (F(1, 2), F(1, 2)))),
+    ]
+    for built, public in pairs:
+        assert built == public and public == built
+        assert hash(built) == hash(public)
+        assert {built: 1}[public] == 1
+        assert AffineChain([(built, 2), (public, -2)]) == AffineChain.zero()
+    assert s.face(0) != s.face(1)
+    assert s != s.vertices
+
+
+def test_operators_build_no_public_simplices(monkeypatch):
+    """Once the inputs exist, the operators and boundary convert no
+    coordinates: every simplex they make comes from a trusted build."""
+    s = simplex((0, 0), (1, 0), (0, 1))
+    phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
+    c = AffineChain.of(s, 2)
+    expected = [sd_operator(phi, a, c), prism_operator(phi, a, c),
+                boundary(c)]
+
+    def refuse(coords):
+        raise AssertionError("_as_point called on an internal build")
+
+    monkeypatch.setattr(affops, "_as_point", refuse)
+    assert [sd_operator(phi, a, c), prism_operator(phi, a, c),
+            boundary(c)] == expected
+
+
+def test_selftest_hashes_each_vertex_once(monkeypatch):
+    """A count, not a timing: 20 trials used to hash 108,631 Fractions
+    when every dict lookup rehashed every coordinate."""
+    calls = [0]
+    exact = Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return exact(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert selftest(20, 0).passed
+    assert 0 < calls[0] < 20_000
 
 
 def test_chain_algebra():
@@ -74,6 +145,13 @@ def test_chain_algebra():
     mixed = c + AffineChain.of(simplex((5,)))
     with pytest.raises(ValueError):
         mixed.degree()
+    with pytest.raises(TypeError):
+        AffineChain.of(s, 1.5)
+    with pytest.raises(TypeError):
+        AffineChain([(s, 1), (t, 0.0)])
+    assert repr(AffineChain([(t, 2), (s, 1), (t, -2)])) == "+1*<(0), (1)>"
+    assert list(AffineChain([(t, 1), (s, 1), (t, -1), (t, 1)]).terms()) \
+        == [t, s]
 
 
 def test_boundary_of_boundary_vanishes():
@@ -110,6 +188,12 @@ def test_refine_validation():
         refine(s, (1, 0), (F(1, 2), F(1, 2)))  # not increasing
     with pytest.raises(ValueError):
         refine(s, (0, 1), (F(1, 3), F(1, 3), F(1, 3)))  # wrong length
+    with pytest.raises(TypeError):
+        refine(s, (0, 1), (0.3, 0.7))  # inexact weights
+    with pytest.raises(TypeError):
+        refine(s, (0, 1), ("1/2", "1/2"))
+    assert refine(s, (0, 1), (F(1, 2), F(1, 2))) == \
+        refine(s, (0, 1), (F(2, 4), F(1, 2)))
 
 
 def test_refine_term_count():
