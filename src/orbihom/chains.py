@@ -41,10 +41,11 @@ class ChainComplex:
     boundary of basis[q][j] as (row, coefficient) pairs, rows indexing
     basis[q-1], sorted by row with zeros dropped.  Each degree's
     boundary may be given as such columns or as an IntMatrix.  Labels
-    must be unique within each degree.
+    must be unique within each degree.  validate(c) is worked out once
+    per complex and kept.
     """
 
-    __slots__ = ("top_dim", "basis", "boundaries", "_index")
+    __slots__ = ("top_dim", "basis", "boundaries", "_index", "_problems")
 
     def __init__(self, basis: Sequence[Sequence[str]],
                  boundaries: Sequence[IntMatrix | Sequence[Column]]):
@@ -58,16 +59,30 @@ class ChainComplex:
             _columns(columns, len(basis[q - 1]), len(basis[q]),
                      f"boundary shape mismatch at degree {q}")
             for q, columns in enumerate(boundaries, start=1))
-        index: list[dict[str, int]] = []
-        for q, labels in enumerate(basis):
-            pos = {label: i for i, label in enumerate(labels)}
+        index = _label_index(basis)
+        for q, (labels, pos) in enumerate(zip(basis, index)):
             if len(pos) != len(labels):
                 raise ValueError(f"duplicate label in degree {q}")
-            index.append(pos)
+        self._set(basis, sparse, index)
+
+    @classmethod
+    def _of(cls, basis: Sequence[Sequence[str]],
+            boundaries: Sequence[Sequence[Column]]) -> "ChainComplex":
+        """Trusted build from unique labels per degree and one Column
+        per cell, each merged, sorted, nonzero and in range; nothing is
+        checked."""
+        c = object.__new__(cls)
+        basis = tuple(map(tuple, basis))
+        c._set(basis, tuple(tuple(map(tuple, columns)) for columns in boundaries),
+               _label_index(basis))
+        return c
+
+    def _set(self, basis, boundaries, index) -> None:
         object.__setattr__(self, "top_dim", len(basis) - 1)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "boundaries", sparse)
-        object.__setattr__(self, "_index", tuple(index))
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_problems", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -94,6 +109,10 @@ class ChainComplex:
         for label, coefficient in coefficients.items():
             vec[self.position(q, label)] += coefficient
         return tuple(vec)
+
+
+def _label_index(basis: tuple[tuple[str, ...], ...]) -> tuple[dict[str, int], ...]:
+    return tuple(dict(zip(labels, range(len(labels)))) for labels in basis)
 
 
 def _column(pairs: Iterable[tuple[int, int]]) -> Column:
@@ -144,18 +163,17 @@ def validate(c: ChainComplex) -> list[str]:
     Returns a list of violation descriptions, empty when the complex is
     valid.  Each entry names the degree and the offending basis pair;
     entries go column by column, rows ascending.  The work is
-    proportional to the nonzero incidences composed.
+    proportional to the nonzero incidences composed, and is done once
+    per complex: the result is kept on c.
     """
-    problems = []
-    for q in range(2, c.top_dim + 1):
-        lower = c.boundaries[q - 2]
-        for j, col in enumerate(c.boundaries[q - 1]):
-            for i, value in _compose(lower, col):
-                problems.append(
-                    f"degree {q}: boundary of boundary of "
-                    f"{c.basis[q][j]} hits {c.basis[q - 2][i]} "
-                    f"with coefficient {value}")
-    return problems
+    if c._problems is None:
+        object.__setattr__(c, "_problems", tuple(
+            f"degree {q}: boundary of boundary of {c.basis[q][j]} hits "
+            f"{c.basis[q - 2][i]} with coefficient {value}"
+            for q in range(2, c.top_dim + 1)
+            for j, col in enumerate(c.boundaries[q - 1])
+            for i, value in _compose(c.boundaries[q - 2], col)))
+    return list(c._problems)
 
 
 @dataclass(frozen=True)
@@ -440,10 +458,16 @@ def _restrict(c: ChainComplex, keep) -> ChainComplex:
     for q in range(1, c.top_dim + 1):
         kept_rows = (i for i, label in enumerate(c.basis[q - 1]) if keep(label))
         row = {i: n for n, i in enumerate(kept_rows)}
+        # row is monotone, so the kept pairs stay sorted.
         boundaries.append([[(row[i], value) for i, value in col if i in row]
                            for label, col in zip(c.basis[q], c.boundaries[q - 1])
                            if keep(label)])
-    return ChainComplex(basis, boundaries)
+    out = ChainComplex._of(basis, boundaries)
+    if c._problems == ():
+        # A closed subcomplex of a valid complex, and the quotient by
+        # one, are valid: d∘d of a kept cell is zero in c already.
+        object.__setattr__(out, "_problems", ())
+    return out
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def describe(d: OrbifoldDesc) -> str:
     raise TypeError(f"not a descriptor: {d!r}")
 
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class Cell:
     boundary: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if not _ID_RE.match(self.id):
+        if not _ID_RE.fullmatch(self.id):
             raise ValueError(f"bad cell id {self.id!r}")
         object.__setattr__(self, "dim", operator.index(self.dim))
         object.__setattr__(self, "weight", operator.index(self.weight))
@@ -164,6 +164,18 @@ class Cell:
             merged[ref] += operator.index(coefficient)
         object.__setattr__(self, "boundary",
                            tuple((ref, merged[ref]) for ref in order if merged[ref]))
+
+    @classmethod
+    def _of(cls, id: str, dim: int, weight: int,
+            boundary: tuple[tuple[str, int], ...]) -> "Cell":
+        """Trusted build from fields that already satisfy the checks
+        above, with a merged boundary; nothing is checked or merged."""
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "id", id)
+        object.__setattr__(cell, "dim", dim)
+        object.__setattr__(cell, "weight", weight)
+        object.__setattr__(cell, "boundary", boundary)
+        return cell
 
 
 class ComplexError(ValueError):
@@ -222,14 +234,20 @@ class WeightedCellComplex:
         object.__setattr__(self, "subs", {
             sub_name: frozenset(members) for sub_name, members in listed.items()})
         object.__setattr__(self, "_by_id", by_id)
-        by_dim = [self.cells_of_dim(q) for q in range(dim + 1)]
+        if dim < 0:
+            raise ValueError("a complex needs at least degree 0")
+        by_dim: list[list[Cell]] = [[] for _ in range(dim + 1)]
+        for cell in cells:
+            by_dim[cell.dim].append(cell)
         position = {cell.id: j for cells in by_dim
                     for j, cell in enumerate(cells)}
-        object.__setattr__(self, "_chain", ChainComplex(
+        # Each boundary is merged, nonzero and checked above to lie one
+        # dimension down, so its positions only need sorting.
+        object.__setattr__(self, "_chain", ChainComplex._of(
             [[cell.id for cell in cells] for cells in by_dim],
-            [[[(position[ref], coefficient)
-               for ref, coefficient in cell.boundary] for cell in cells]
-             for cells in by_dim[1:]]))
+            [[sorted((position[ref], coefficient)
+                     for ref, coefficient in cell.boundary)
+              for cell in cells] for cells in by_dim[1:]]))
         problems = chains.validate(self._chain)
         if problems:
             culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
@@ -263,7 +281,9 @@ class WeightedCellComplex:
         return self.subs[name]
 
     def chain_complex(self) -> ChainComplex:
-        """The cellular chain complex, built and validated once."""
+        """The cellular chain complex, built once from the checked cells
+        with no second check of its columns.  Its d∘d is composed once,
+        at construction, and homology() reads that result."""
         return self._chain
 
 
@@ -271,7 +291,14 @@ def _tensor_parts(a_cells: Iterable[Cell],
                   a_subs: Mapping[str, Iterable[str]],
                   b_cells: Sequence[Cell]) -> tuple[list[Cell], dict]:
     """Cells, stably sorted by dimension, and subcomplexes of the
-    product of two cell lists, as described for tensor_weighted."""
+    product of two cell lists, as described for tensor_weighted.
+
+    The cells are trusted builds from checked ones: '_x_' labels are
+    ids, and each boundary relabels two merged ones.  Two of its refs
+    can coincide only when factor ids contain '_x_', and then two
+    product cells share an id, which WeightedCellComplex rejects before
+    it reads a boundary.
+    """
     cells = []
     for ca in a_cells:
         sign = -1 if ca.dim % 2 else 1
@@ -280,8 +307,8 @@ def _tensor_parts(a_cells: Iterable[Cell],
                         for ref, coefficient in ca.boundary]
             boundary += [(f"{ca.id}_x_{ref}", sign * coefficient)
                          for ref, coefficient in cb.boundary]
-            cells.append(Cell(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim,
-                              ca.weight * cb.weight, tuple(boundary)))
+            cells.append(Cell._of(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim,
+                                  ca.weight * cb.weight, tuple(boundary)))
     cells.sort(key=lambda cell: cell.dim)
     subs = {sub_name: {f"{x}_x_{cb.id}" for x in members for cb in b_cells}
             for sub_name, members in a_subs.items()}
@@ -461,27 +488,59 @@ def _adapted_ball3cyclic(d: Ball3Cyclic):
     return 3, cells, subs
 
 
+def _surface_cells(d: Surface) -> tuple[int, int]:
+    n = 2 + 2 * d.genus + 3 * d.boundary + 2 * len(d.cone_orders)
+    return n, n
+
+
 # Per descriptor family: (t model builder, adapted model builder), each
-# giving (dim, cells, subs).  _build makes the complex once, after any
-# torus product, so each model is validated once.
+# giving (dim, cells, subs), then the cell counts of the two models.
+# _build makes the complex once, after any torus product, so each model
+# is validated once.
 _FAMILIES = {
-    Disc2: (_t_disc2, _adapted_disc2),
-    Surface: (_t_surface, _adapted_surface),
+    Disc2: (_t_disc2, _adapted_disc2, lambda d: (7, 5)),
+    Surface: (_t_surface, _adapted_surface, _surface_cells),
     Ball3: (lambda d: _t_ball(d.orders, cone_point_index(*d.orders)),
-            _adapted_ball3),
+            _adapted_ball3, lambda d: (9, 17)),
     Ball3Cyclic: (lambda d: _t_ball((d.order, d.order), d.order),
-                  _adapted_ball3cyclic),
+                  _adapted_ball3cyclic, lambda d: (7, 11)),
 }
+
+# The most cells _build makes from a descriptor.  The largest product
+# measured, surface(4,3;2,3,5,7) x torus(11) with 55,296 cells, takes
+# 190 MB and 10 s for its groups over Z; one more torus factor, which
+# doubles both, is refused.
+MAX_CELLS = 100_000
+
+
+def _cell_count(d: OrbifoldDesc, adapted: bool) -> tuple[int, int]:
+    """(n, k) such that the model of d has n * 2**k cells, found without
+    building it; a file descriptor is read to count its cells."""
+    if isinstance(d, ProductTorus):
+        n, k = _cell_count(d.base, adapted)
+        return n, k + d.torus_factors
+    if isinstance(d, Custom):
+        return len(_build(d, adapted).cells), 0
+    if type(d) not in _FAMILIES:
+        raise TypeError(f"not a descriptor: {d!r}")
+    return _FAMILIES[type(d)][2](d)[adapted], 0
 
 
 def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
     """The t model (adapted false) or adapted model of a descriptor.
 
-    A file descriptor gives the parsed complex for both kinds.
+    A file descriptor gives the parsed complex for both kinds.  A model
+    of more than MAX_CELLS cells raises ValueError before it is built.
     """
     if isinstance(d, Custom):
         with open(d.path, encoding="utf-8") as handle:
             return parse_owc(handle.read())
+    n, k = _cell_count(d, adapted)
+    # With n >= 1, k >= 17 is over the limit: n << k is not formed then.
+    if k >= MAX_CELLS.bit_length() or n << k > MAX_CELLS:
+        estimate = f"{n} x 2^{k}" if k else str(n)
+        raise ValueError(f"{describe(d)} would have {estimate} cells, "
+                         f"more than the limit of {MAX_CELLS}")
     return WeightedCellComplex(describe(d), *_parts(d, adapted))
 
 
@@ -494,8 +553,6 @@ def _parts(d: OrbifoldDesc, adapted: bool):
     if isinstance(d, Custom):
         wcc = _build(d, adapted)
         return wcc.dim, wcc.cells, wcc.subs
-    if type(d) not in _FAMILIES:
-        raise TypeError(f"not a descriptor: {d!r}")
     return _FAMILIES[type(d)][adapted](d)
 
 
@@ -578,8 +635,9 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
                                      f"{coface.id} to {ref} is not integral")
                 columns[position[ref]].append((row, value))
         boundaries.append(columns)
-    return ChainComplex([[cell.id for cell in kept[n - k]] for k in range(n + 1)],
-                        boundaries)
+    # Rows go in ascending order, one nonzero entry per coface.
+    return ChainComplex._of([[cell.id for cell in kept[n - k]]
+                             for k in range(n + 1)], boundaries)
 
 
 class OwcError(ValueError):
@@ -672,7 +730,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 raise OwcError(lineno, "sub needs '= id,id,...'")
             sub_name, _, members = rest.partition("=")
             sub_name = sub_name.strip()
-            if not _ID_RE.match(sub_name):
+            if not _ID_RE.fullmatch(sub_name):
                 raise OwcError(lineno, f"bad subcomplex name {sub_name!r}")
             if sub_name == "all":
                 raise OwcError(lineno, "subcomplex name 'all' is reserved")

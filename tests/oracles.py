@@ -9,11 +9,14 @@ as the chain complexes did before they stored sparse columns, and serve
 as the reference for `ChainComplex.d` and `ws_complex`.  The chain-map
 references multiply dense matrices and lift cycles by an HNF solve, as
 `ChainMap.commutes` and `connecting_hom` did before they worked on
-sparse columns.
+sparse columns.  The product and chain-complex references build every
+cell, model and complex through the public, checking constructors, as
+the product models were built before they used trusted cells.
 """
 
-from orbihom.chains import homology, inclusion_map, subcomplex
+from orbihom.chains import ChainComplex, homology, inclusion_map, subcomplex
 from orbihom.intlin import GroupHom, IntMatrix, hstack, solve_linear
+from orbihom.orbmodel import Cell, WeightedCellComplex
 
 
 def det(a: IntMatrix) -> int:
@@ -129,3 +132,33 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
         matrices.append(IntMatrix.from_columns(
             columns, rows=dst.presentation.gens))
     return matrices
+
+
+def public_tensor(a, b, name: str) -> WeightedCellComplex:
+    """tensor_weighted(a, b, name), with each cell built by the public
+    Cell: a x b is labelled a_x_b, weights multiply, and its boundary
+    is (boundary a) x b, then (-1)^(dim a) a x (boundary b); cells are
+    stably sorted by dimension, and a's subs are crossed with all of b."""
+    cells = [Cell(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim, ca.weight * cb.weight,
+                  tuple((f"{ref}_x_{cb.id}", k) for ref, k in ca.boundary)
+                  + tuple((f"{ca.id}_x_{ref}", (-1) ** ca.dim * k)
+                          for ref, k in cb.boundary))
+             for ca in a.cells for cb in b.cells]
+    subs = {sub: [f"{x}_x_{cb.id}" for x in members for cb in b.cells]
+            for sub, members in a.subs.items()}
+    return WeightedCellComplex(name, a.dim + b.dim,
+                               sorted(cells, key=lambda cell: cell.dim), subs)
+
+
+def public_chain_complex(wcc, kept=None) -> ChainComplex:
+    """The public ChainComplex of wcc's cells, or of those with ids in
+    kept, from their incidence lists in cell order; faces outside kept
+    are dropped, so a closed kept set gives the subcomplex and the
+    complement of one the relative complex."""
+    by_dim = [[cell for cell in wcc.cells_of_dim(q)
+               if kept is None or cell.id in kept] for q in range(wcc.dim + 1)]
+    position = {cell.id: j for cells in by_dim for j, cell in enumerate(cells)}
+    return ChainComplex(
+        [[cell.id for cell in cells] for cells in by_dim],
+        [[[(position[ref], k) for ref, k in cell.boundary if ref in position]
+          for cell in cells] for cells in by_dim[1:]])

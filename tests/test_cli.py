@@ -5,9 +5,11 @@ import re
 
 import pytest
 
+from orbihom import orbmodel
 from orbihom.cli import build_parser, main, parse_descriptor, parse_group, run
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
+    MAX_CELLS,
     Ball3,
     Ball3Cyclic,
     Disc2,
@@ -163,6 +165,18 @@ def test_input_errors_exit_two():
         code, text = run(argv)
         assert code == 2, (argv, text)
         assert "error" in text.lower()
+
+
+def test_oversized_product_exits_two_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(orbmodel, "_tensor_parts", build)
+    for argv in (["homology", "--desc", "disc2(3) x torus(40)"],
+                 ["verify", "kunneth", "--desc", "disc2(3)", "--torus", "40"]):
+        code, text = run(argv)
+        assert code == 2, (argv, text)
+        assert "7 x 2^40 cells" in text and f"limit of {MAX_CELLS}" in text
 
 
 def test_empty_rel_names_no_subcomplex():

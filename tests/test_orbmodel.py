@@ -1,15 +1,19 @@
 """Weighted cellular models: builders, file format, degenerations."""
 
 import pathlib
+from collections import Counter
 
 import pytest
 
-from orbihom.chains import homology, relative, validate
+from orbihom import chains, orbmodel
+from orbihom.chains import ChainComplex, homology, relative, subcomplex, validate
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
+    MAX_CELLS,
     Ball3,
     Ball3Cyclic,
     Cell,
+    ComplexError,
     Custom,
     Disc2,
     OwcError,
@@ -28,11 +32,21 @@ from orbihom.orbmodel import (
     ws_complex,
 )
 
-from oracles import dense_boundary, dense_ws_boundary, presentation_groups
+from oracles import (
+    dense_boundary,
+    dense_ws_boundary,
+    presentation_groups,
+    public_chain_complex,
+    public_tensor,
+)
 from test_acceptance import GRID_1_TO_3
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
+CIRCLE = WeightedCellComplex("circle", 1, (Cell("z", 0, 1), Cell("t", 1, 1)))
+PRODUCTS = (ProductTorus(Disc2(3), 1), ProductTorus(Ball3((2, 3, 5)), 2),
+            ProductTorus(Surface(1, 2, (2, 3)), 2),
+            ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
 
 
 def t_groups(d):
@@ -102,8 +116,9 @@ def test_cone_point_index_values():
 
 
 def test_cell_validation():
-    with pytest.raises(ValueError):
-        Cell("bad id", 0, 1)
+    for bad_id in ("bad id", "v\n", ""):
+        with pytest.raises(ValueError, match="bad cell id"):
+            Cell(bad_id, 0, 1)
     with pytest.raises(ValueError):
         Cell("v", 0, 0)
     merged = Cell("e", 1, 1, (("v", 1), ("v", 2), ("w", 0)))
@@ -156,20 +171,112 @@ def test_tensor_weighted_multiplies_weights():
 
 
 def test_product_models_match_iterated_tensor():
-    circle = WeightedCellComplex(
-        name="circle", dim=1,
-        cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
-    )
-    for d in (ProductTorus(Disc2(3), 1), ProductTorus(Ball3((2, 3, 5)), 2),
-              ProductTorus(Surface(1, 2, (2, 3)), 2),
-              ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3)):
+    for d in PRODUCTS:
         for build in (t_model, adapted_model):
             model = build(d.base)
             for _ in range(d.torus_factors):
-                model = tensor_weighted(model, circle, name=describe(d))
+                model = tensor_weighted(model, CIRCLE, name=describe(d))
                 assert validate(model.chain_complex()) == []
             assert serialize_owc(build(d)) == serialize_owc(model), \
                 (d, build.__name__)
+
+
+def _same_complex(c: ChainComplex, other: ChainComplex) -> bool:
+    return (c.basis, c.boundaries) == (other.basis, other.boundaries)
+
+
+def test_product_models_match_public_builds():
+    """Product models, their chain complexes, restrictions and scaled
+    duals equal rebuilds through the public, checking constructors."""
+    for d in PRODUCTS:
+        for build in (t_model, adapted_model):
+            model, ref = build(d), build(d.base)
+            for _ in range(d.torus_factors):
+                ref = public_tensor(ref, CIRCLE, describe(d))
+            assert model.cells == ref.cells, (d, build.__name__)
+            assert model.subs == ref.subs
+            c = model.chain_complex()
+            assert _same_complex(c, ref.chain_complex())
+            assert _same_complex(c, public_chain_complex(model))
+            for sub in model.subs:
+                cells = model.sub_cells(sub)
+                for got, kept in ((subcomplex(c, cells), cells),
+                                  (relative(c, cells), set(model.ids()) - cells)):
+                    want = public_chain_complex(model, kept)
+                    assert _same_complex(got, want), (d, sub)
+                    assert validate(got) == validate(want) == []
+        am = adapted_model(d)
+        for rel in (None, *am.subs):
+            ws = ws_complex(am, rel=rel)
+            assert _same_complex(ws, ChainComplex(ws.basis, ws.boundaries))
+            for k in range(am.dim + 2):
+                assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
+
+
+def test_product_build_checks_only_the_base_cells(monkeypatch):
+    """Product cells and the model's chain complex are trusted builds,
+    and homology reads the d∘d composed when the model was built."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Cell, "__post_init__",
+                        counted("cell", Cell.__post_init__))
+    monkeypatch.setattr(chains, "_column", counted("column", chains._column))
+    monkeypatch.setattr(chains, "_compose", counted("compose", chains._compose))
+    model = t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
+    assert len(model.cells) == 216
+    assert calls["cell"] == 27 and calls["column"] == 0
+    assert calls["compose"] > 0
+    calls.clear()
+    homology(model.chain_complex())
+    c = model.chain_complex()
+    homology(subcomplex(c, model.sub_cells("boundary")))
+    homology(relative(c, model.sub_cells("boundary")))
+    assert calls["compose"] == 0
+
+
+def test_tensor_weighted_rejects_colliding_product_ids():
+    """Factor ids with '_x_' can give two product cells one id; that is
+    refused before the boundaries, whose refs then collide, are read."""
+    a = WeightedCellComplex("a", 1, (Cell("V", 0, 1),
+                                     Cell("V_x_y", 1, 1, (("V", 1),))))
+    b = WeightedCellComplex("b", 1, (Cell("Z", 0, 1),
+                                     Cell("y_x_Z", 1, 1, (("Z", 1),))))
+    with pytest.raises(ComplexError,
+                       match="^duplicate cell id V_x_y_x_Z$") as info:
+        tensor_weighted(a, b)
+    assert info.value.cell == "V_x_y_x_Z"
+
+
+def test_cell_count_matches_built_models():
+    for d in GRID_1_TO_3 + list(PRODUCTS):
+        for adapted, build in ((False, t_model), (True, adapted_model)):
+            n, k = orbmodel._cell_count(d, adapted)
+            assert n << k == len(build(d).cells), (d, adapted)
+
+
+def test_size_guard_refuses_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(orbmodel, "_parts", build)
+    for d, estimate in ((ProductTorus(Disc2(3), 40), "7 x 2^40"),
+                        (ProductTorus(Disc2(3), 10 ** 30), f"7 x 2^{10 ** 30}"),
+                        (Surface(60_000, 0), "120002")):
+        for model in (t_model, adapted_model, underlying_model):
+            with pytest.raises(ValueError, match="limit of 100000") as info:
+                model(d)
+            if model is not adapted_model:
+                assert f"would have {estimate} cells" in str(info.value)
+    assert MAX_CELLS == 100_000
+    # The largest model measured, 55,296 cells, is let through.
+    with pytest.raises(AssertionError, match="was built"):
+        t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 11))
 
 
 # ------------------------------------------------------- homology tables
