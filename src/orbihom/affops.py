@@ -67,7 +67,7 @@ class AffineSimplex:
     @classmethod
     def _of(cls, verts: tuple[Point, ...], vertex_hashes: tuple[int, ...]):
         """Trusted build from points of already-built simplices or from
-        _face_point, with their hashes: no conversion, no checks and no
+        _interior_point, with their hashes: no conversion, no checks and no
         hashing of coordinates."""
         self = object.__new__(cls)
         self._set(verts, vertex_hashes)
@@ -222,14 +222,11 @@ def _check_interior(a, p: int) -> tuple[Fraction, ...]:
     return weights
 
 
-def _face_point(s: AffineSimplex, face, a) -> Point:
-    weights = _check_interior(a, len(face) - 1)
-    ambient = s.ambient
-    return tuple(
-        sum((weights[k] * s.vertices[face[k]][j] for k in range(len(face))),
-            Fraction(0))
-        for j in range(ambient)
-    )
+def _interior_point(verts, a) -> Point:
+    """Point with the checked barycentric coordinates a on the points verts."""
+    weights = _check_interior(a, len(verts) - 1)
+    return tuple(sum((w * x for w, x in zip(weights, coords)), Fraction(0))
+                 for coords in zip(*verts))
 
 
 def _check_face(s: AffineSimplex, face) -> tuple[int, ...]:
@@ -269,8 +266,13 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     face vertex.
     """
     idx = _check_face(s, face)
+    return _refine(s, idx, _interior_point([s.vertices[i] for i in idx], a))
+
+
+def _refine(s: AffineSimplex, idx, point: Point) -> AffineChain:
+    """refine on checked face indices idx and their marked point."""
     q = s.dim
-    return AffineChain(_simplices(s, _face_point(s, idx, a),
+    return AffineChain(_simplices(s, point,
                                   _fan(tuple(range(q + 1)), idx, q + 1)))
 
 
@@ -282,17 +284,23 @@ def prism(s: AffineSimplex, face, a) -> AffineChain:
     with the fan through the interior point from v_j on; with face None
     the result is the plain vertex-doubling prism.
     """
-    q, point, i0 = s.dim, None, -1
-    if face is not None:
-        idx = _check_face(s, face)
-        point, i0 = _face_point(s, idx, a), idx[0]
+    if face is None:
+        return _prism(s, None, None)
+    idx = _check_face(s, face)
+    return _prism(s, idx, _interior_point([s.vertices[i] for i in idx], a))
+
+
+def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
+    """prism on checked face indices idx and their marked point, or on
+    no marked face when idx is None; the point is then not hashed."""
+    q, i0 = s.dim, -1 if idx is None else idx[0]
     v = tuple(range(q + 1))
     layouts = []
     for j in range(q + 1):
         tails = [(v[j:], 1)] if j > i0 else _fan(v, idx, q + 1, j)
         layouts += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
                     for tail, m in tails]
-    return AffineChain(_simplices(s, point, layouts))
+    return AffineChain(_simplices(s, None if idx is None else point, layouts))
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):
@@ -307,22 +315,28 @@ def find_face(s: AffineSimplex, phi: AffineSimplex):
 
 
 def _operator(op, phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
-    """Sum of n * op(s, find_face(s, phi)) over the terms n*s of c."""
-    _check_interior(a, phi.dim)
-    return AffineChain((t, n * m) for s, n in c._terms.items()
-                       for t, m in op(s, find_face(s, phi))._terms.items())
+    """Sum of n * op(s, idx, point) over the terms n*s of c, where idx is
+    find_face(s, phi), checked, or None, and point, the marked point of
+    phi, is checked and computed once."""
+    point = _interior_point(phi.vertices, a)
+    terms = []
+    for s, n in c._terms.items():
+        idx = find_face(s, phi)
+        chain = op(s, idx if idx is None else _check_face(s, idx), point)
+        terms += [(t, n * m) for t, m in chain._terms.items()]
+    return AffineChain(terms)
 
 
 def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
-    return _operator(lambda s, idx: AffineChain.of(s) if idx is None
-                     else refine(s, idx, a), phi, a, c)
+    return _operator(lambda s, idx, point: AffineChain.of(s) if idx is None
+                     else _refine(s, idx, point), phi, a, c)
 
 
 def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Chain homotopy between the identity and the refinement operator."""
-    return _operator(lambda s, idx: prism(s, idx, a), phi, a, c)
+    return _operator(_prism, phi, a, c)
 
 
 def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:

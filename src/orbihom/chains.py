@@ -39,16 +39,15 @@ class ChainComplex:
 
     basis[q] lists the degree-q cell labels; boundaries[q-1][j] is the
     boundary of basis[q][j] as (row, coefficient) pairs, rows indexing
-    basis[q-1], sorted by row with zeros dropped.  Each degree's
-    boundary may be given as such columns or as an IntMatrix.  Labels
-    must be unique within each degree.  validate(c) is worked out once
-    per complex and kept.
+    basis[q-1], sorted by row with zeros dropped; columns are the only
+    form taken.  Labels must be unique within each degree.  validate(c)
+    is worked out once per complex and kept.
     """
 
     __slots__ = ("top_dim", "basis", "boundaries", "_index", "_problems")
 
     def __init__(self, basis: Sequence[Sequence[str]],
-                 boundaries: Sequence[IntMatrix | Sequence[Column]]):
+                 boundaries: Sequence[Sequence[Column]]):
         basis = tuple(tuple(labels) for labels in basis)
         boundaries = tuple(boundaries)
         if not basis:
@@ -123,15 +122,13 @@ def _column(pairs: Iterable[tuple[int, int]]) -> Column:
     return tuple(sorted((i, value) for i, value in merged.items() if value))
 
 
-def _columns(columns: IntMatrix | Sequence[Iterable[tuple[int, int]]],
+def _columns(columns: Sequence[Iterable[tuple[int, int]]],
              rows: int, cols: int, error: str) -> tuple[Column, ...]:
     """Sparse columns of a rows x cols map; ValueError(error) if misshapen."""
-    height = rows
     if isinstance(columns, IntMatrix):
-        height = columns.rows
-        columns = [enumerate(col) for col in columns.columns()]
+        raise TypeError("maps are given as sparse columns, not an IntMatrix")
     columns = tuple(_column(col) for col in columns)
-    if (height != rows or len(columns) != cols
+    if (len(columns) != cols
             or any(not 0 <= i < rows for col in columns for i, _ in col)):
         raise ValueError(error)
     return columns
@@ -144,6 +141,14 @@ def _dense(columns: Sequence[Column], rows: int, cols: int) -> IntMatrix:
         for i, value in col:
             mat[i][j] = value
     return IntMatrix._of(mat, cols)
+
+
+def _vector(col: Column, rows: int) -> list[int]:
+    """Dense vector of length rows of a sparse column."""
+    vec = [0] * rows
+    for i, value in col:
+        vec[i] = value
+    return vec
 
 
 def _compose(outer: Sequence[Column], col: Column) -> Column:
@@ -199,11 +204,9 @@ class DegreeHomology:
     def presentation(self) -> AbPresentation | None:
         if self.kernel is None:
             return None
-        k, bounds = self.kernel, self.boundaries
-        relators = [self._solve(b) for b in
-                    _dense(bounds, k.rows, len(bounds)).columns()]
-        rels = IntMatrix._of(relators, k.cols).transpose()
-        return AbPresentation(k.cols, rels)
+        k = self.kernel
+        relators = [self._solve(_vector(b, k.rows)) for b in self.boundaries]
+        return AbPresentation(k.cols, IntMatrix._of(relators, k.cols).transpose())
 
     @cached_property
     def _summands(self):
@@ -382,46 +385,6 @@ def _boundary_factors(columns: Sequence[Column],
     return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
 
 
-def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """Tensor product complex, with the usual alternating sign.
-
-    The boundary of a product cell is (boundary x) * y plus
-    (-1)^(deg x) * x * (boundary y); labels are joined with '_x_'.
-    """
-    top = c.top_dim + d.top_dim
-    layout: list[list[tuple[int, int, int, int]]] = []
-    labels: list[list[str]] = []
-    position: list[dict[tuple[int, int, int, int], int]] = []
-    for k in range(top + 1):
-        cells = []
-        names = []
-        for qc in range(min(k, c.top_dim) + 1):
-            qd = k - qc
-            if qd > d.top_dim:
-                continue
-            for i, la in enumerate(c.basis[qc]):
-                for j, lb in enumerate(d.basis[qd]):
-                    cells.append((qc, i, qd, j))
-                    names.append(f"{la}_x_{lb}")
-        layout.append(cells)
-        labels.append(names)
-        position.append({cell: n for n, cell in enumerate(cells)})
-
-    boundaries = []
-    for k in range(1, top + 1):
-        below = position[k - 1]
-        columns = []
-        for qc, i, qd, j in layout[k]:
-            sign = -1 if qc % 2 else 1
-            col = [(below[qc - 1, r, qd, j], value)
-                   for r, value in (c.boundaries[qc - 1][i] if qc else ())]
-            col += [(below[qc, i, qd - 1, r], sign * value)
-                    for r, value in (d.boundaries[qd - 1][j] if qd else ())]
-            columns.append(col)
-        boundaries.append(columns)
-    return ChainComplex(labels, boundaries)
-
-
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
     """cells as a set, checked to be cells of c closed under faces."""
     cells = set(cells)
@@ -476,8 +439,7 @@ class ChainMap:
 
     matrices[q][j] is the image of source.basis[q][j] as (row,
     coefficient) pairs, rows indexing target.basis[q], in the sparse
-    form of ChainComplex boundaries.  Each degree may be given as such
-    columns or as an IntMatrix; matrix(q) is the dense view.
+    form of ChainComplex boundaries, the only form taken.
     """
 
     source: ChainComplex
@@ -491,10 +453,6 @@ class ChainMap:
             _columns(columns, self.target.dim(q), self.source.dim(q),
                      f"matrix shape mismatch at degree {q}")
             for q, columns in enumerate(self.matrices)))
-
-    def matrix(self, q: int) -> IntMatrix:
-        columns = self.matrices[q] if 0 <= q <= self.source.top_dim else ()
-        return _dense(columns, self.target.dim(q), self.source.dim(q))
 
     def commutes(self) -> bool:
         """d f == f d, composed column by column on the sparse forms."""
@@ -555,8 +513,15 @@ def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[Gr
     if not f.commutes():
         raise ValueError("chain map does not commute with boundaries")
     # f commutes and hd is the target's, so every image is a cycle of hd.
-    return tuple(_cycle_hom(hc.degree(q), hd.degree(q), f.matrix(q).apply)
+    return tuple(_cycle_hom(hc.degree(q), hd.degree(q),
+                            _mapped(f.matrices[q], f.target.dim(q)))
                  for q in range(f.source.top_dim + 1))
+
+
+def _mapped(columns: Sequence[Column], rows: int):
+    """z -> columns @ z on dense vectors, composed on the sparse columns."""
+    return lambda z: _vector(
+        _compose(columns, [(j, x) for j, x in enumerate(z) if x]), rows)
 
 
 def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
@@ -602,11 +567,3 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
 
         homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), lifted_boundary))
     return tuple(homs)
-
-
-def point_complex(label: str = "pt") -> ChainComplex:
-    return ChainComplex([[label]], [])
-
-
-def circle_complex(vertex: str = "v", edge: str = "t") -> ChainComplex:
-    return ChainComplex([[vertex], [edge]], [[()]])

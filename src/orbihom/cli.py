@@ -14,9 +14,7 @@ single JSON object replaces the plain-text output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import io
 import json
 import os
 import re
@@ -149,30 +147,6 @@ def parse_descriptor(text: str) -> OrbifoldDesc:
             desc = ProductTorus(desc.base, desc.torus_factors + k)
         else:
             desc = ProductTorus(desc, k)
-
-
-_GROUP_TERM = re.compile(r"^(Z(\^(\d+))?|Z/(\d+))$")
-
-
-def parse_group(text: str) -> FgAbGroup:
-    """Parse the textual rendering of a finitely generated abelian
-    group: `0`, or ` + `-joined terms `Z`, `Z^r`, `Z/d`."""
-    text = text.strip()
-    if text == "0":
-        return FgAbGroup.trivial()
-    rank = 0
-    torsion: list[int] = []
-    for term in text.split(" + "):
-        m = _GROUP_TERM.match(term.strip())
-        if not m:
-            raise ValueError(f"cannot parse group term {term!r}")
-        if m.group(4):
-            torsion.append(int(m.group(4)))
-        elif m.group(3):
-            rank += int(m.group(3))
-        else:
-            rank += 1
-    return FgAbGroup(rank, tuple(torsion))
 
 
 def _use_color() -> bool:
@@ -365,14 +339,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-def run(argv) -> tuple[int, str]:
-    """Run the CLI with captured output; returns (exit_code, text)."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code if isinstance(e.code, int) else 2
-    return code, buf.getvalue()

@@ -45,10 +45,6 @@ def power(gen: str, n: int) -> Word:
     return tuple((gen, sign) for _ in range(abs(n)))
 
 
-def inverse(word) -> Word:
-    return tuple((gen, -exp) for gen, exp in reversed(word))
-
-
 def concat(*words) -> Word:
     return free_reduce(letter for word in words for letter in word)
 

@@ -1,12 +1,14 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
-Provides Hermite and Smith normal forms, integer linear solving, column
-lattice arithmetic, and finitely generated abelian groups in canonical
-form (free rank plus a divisor chain).  Both normal forms come from one
-row echelon elimination, _echelon: the Smith form alternates row and
-column Hermite forms until the matrix is diagonal.  Divisor chains are
-built by gcd/lcm insertion, with no matrix.  Everything is exact:
-entries are Python ints, so no overflow is possible.
+Provides the kernels the chain layer runs: Smith diagonals, integer
+kernels, column lattices, unimodular inverses and back-substitution on
+echelon rows, and finitely generated abelian groups in canonical form
+(free rank plus a divisor chain).  The Hermite and Smith forms come
+from one row echelon elimination, _echelon, carrying a transform only
+when asked: _hermite gives the row Hermite form, and _smith alternates
+row and column Hermite forms until the matrix is diagonal.  Divisor
+chains are built by gcd/lcm insertion, with no matrix.  Everything is
+exact: entries are Python ints, so no overflow is possible.
 """
 
 from __future__ import annotations
@@ -211,17 +213,6 @@ def _hermite(a: IntMatrix, left: bool):
     return h, u if left else None
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular and U @ a == H, where H is in row
-    echelon form with positive pivots and every entry above a pivot
-    reduced into [0, pivot).
-    """
-    h, u = _hermite(a, left=True)
-    return IntMatrix._of(h, a.cols), IntMatrix._of(u, a.rows)
-
-
 def _smith(a: IntMatrix, left: bool = False, right: bool = False):
     """Rows of the Smith form S of a, of U only if left and of V only
     if right (else None).
@@ -258,18 +249,6 @@ def _smith(a: IntMatrix, left: bool = False, right: bool = False):
     return s, u if left else None, _transpose(vt, n) if right else None
 
 
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.
-
-    Returns (S, U, V) with U, V unimodular and U @ a @ V == S diagonal,
-    non-negative, each diagonal entry dividing the next.  S is unique;
-    U and V depend on the elimination (see _smith).
-    """
-    s, u, v = _smith(a, left=True, right=True)
-    return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
-            IntMatrix._of(v, a.cols))
-
-
 def smith_diagonal(a: IntMatrix) -> list[int]:
     """Diagonal of the Smith form, carrying no transform."""
     s, _, _ = _smith(a)
@@ -279,7 +258,7 @@ def smith_diagonal(a: IntMatrix) -> list[int]:
 def rational_rank(a: IntMatrix) -> int:
     """Rank over the rationals, by integer cross-multiplication elimination.
 
-    Deliberately independent of snf so it can serve as an oracle for it.
+    Deliberately independent of the Smith form, so each checks the other.
     """
     m = a.to_rows()
     rank = 0
@@ -324,19 +303,6 @@ def _echelon_solver(rows: Sequence[Sequence[int]]):
         return None if any(residual) else y
 
     return solve
-
-
-def solve_linear(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Deterministic integer solution of a @ x == b, or None.
-
-    The solution is the unique one supported on the pivot columns of the
-    column Hermite form of a (HNF back-substitution).
-    """
-    if len(b) != a.rows:
-        raise ValueError("right hand side length does not match row count")
-    h, u = _hermite(a.transpose(), left=True)
-    y = _echelon_solver(h)(b)
-    return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
 
 
 def lattice_hnf(a: IntMatrix) -> IntMatrix:

@@ -506,7 +506,8 @@ _FAMILIES = {
                   _adapted_ball3cyclic, lambda d: (7, 11)),
 }
 
-# The most cells _build makes from a descriptor.  The largest product
+# The most cells _build makes from a descriptor, and the most cell lines
+# and largest dim that parse_owc takes from a file.  The largest product
 # measured, surface(4,3;2,3,5,7) x torus(11) with 55,296 cells, takes
 # 190 MB and 10 s for its groups over Z; one more torus factor, which
 # doubles both, is refused.
@@ -661,7 +662,8 @@ def parse_owc(text: str) -> WeightedCellComplex:
       sub <name> = <id>,...
 
     Structural faults found by WeightedCellComplex are reported at the
-    line of the offending cell or sub member.
+    line of the offending cell or sub member.  A dim above MAX_CELLS,
+    or more than MAX_CELLS cell lines, is refused at its line.
     """
     name = None
     dim = None
@@ -682,10 +684,18 @@ def parse_owc(text: str) -> WeightedCellComplex:
         elif verb == "dim":
             if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                 raise OwcError(lineno, "dim needs one integer")
-            dim = int(parts[1])
+            try:
+                dim = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise OwcError(lineno, "dim has too many digits") from None
             if dim < 0:
                 raise OwcError(lineno, "dim must be non-negative")
+            if dim > MAX_CELLS:
+                raise OwcError(lineno, f"dim {dim} is more than the limit "
+                                       f"of {MAX_CELLS}")
         elif verb == "cell":
+            if len(cells) >= MAX_CELLS:
+                raise OwcError(lineno, f"more than the limit of {MAX_CELLS} cells")
             if len(parts) < 2:
                 raise OwcError(lineno, "cell needs an id")
             cell_id = parts[1]

@@ -12,11 +12,172 @@ references multiply dense matrices and lift cycles by an HNF solve, as
 sparse columns.  The product and chain-complex references build every
 cell, model and complex through the public, checking constructors, as
 the product models were built before they used trusted cells.
+
+The rest are references that no code of the package runs: the full
+Hermite and Smith forms with their transforms and an integer solver,
+built on the private eliminations of intlin; the tensor product of
+chain complexes and the point and circle complexes; dense views of
+chain maps and sparse columns of dense matrices; the parser of group
+text, a captured CLI run, and the inverse of a group word.
 """
 
+import contextlib
+import io
+import re
+from operator import mul
+
 from orbihom.chains import ChainComplex, homology, inclusion_map, subcomplex
-from orbihom.intlin import GroupHom, IntMatrix, hstack, solve_linear
+from orbihom.cli import main
+from orbihom.intlin import (
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    _echelon_solver,
+    _hermite,
+    _smith,
+    hstack,
+)
 from orbihom.orbmodel import Cell, WeightedCellComplex
+
+
+def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form.
+
+    Returns (H, U) with U unimodular and U @ a == H, where H is in row
+    echelon form with positive pivots and every entry above a pivot
+    reduced into [0, pivot).
+    """
+    h, u = _hermite(a, left=True)
+    return IntMatrix._of(h, a.cols), IntMatrix._of(u, a.rows)
+
+
+def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form.
+
+    Returns (S, U, V) with U, V unimodular and U @ a @ V == S diagonal,
+    non-negative, each diagonal entry dividing the next.  S is unique;
+    U and V depend on the elimination (see intlin._smith).
+    """
+    s, u, v = _smith(a, left=True, right=True)
+    return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
+            IntMatrix._of(v, a.cols))
+
+
+def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
+    """Deterministic integer solution of a @ x == b, or None.
+
+    The solution is the unique one supported on the pivot columns of the
+    column Hermite form of a (HNF back-substitution).
+    """
+    if len(b) != a.rows:
+        raise ValueError("right hand side length does not match row count")
+    h, u = _hermite(a.transpose(), left=True)
+    y = _echelon_solver(h)(b)
+    return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
+
+
+def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
+    """Tensor product complex, with the usual alternating sign.
+
+    The boundary of a product cell is (boundary x) * y plus
+    (-1)^(deg x) * x * (boundary y); labels are joined with '_x_'.
+    """
+    top = c.top_dim + d.top_dim
+    layout: list[list[tuple[int, int, int, int]]] = []
+    labels: list[list[str]] = []
+    position: list[dict[tuple[int, int, int, int], int]] = []
+    for k in range(top + 1):
+        cells = []
+        names = []
+        for qc in range(min(k, c.top_dim) + 1):
+            qd = k - qc
+            if qd > d.top_dim:
+                continue
+            for i, la in enumerate(c.basis[qc]):
+                for j, lb in enumerate(d.basis[qd]):
+                    cells.append((qc, i, qd, j))
+                    names.append(f"{la}_x_{lb}")
+        layout.append(cells)
+        labels.append(names)
+        position.append({cell: n for n, cell in enumerate(cells)})
+
+    boundaries = []
+    for k in range(1, top + 1):
+        below = position[k - 1]
+        columns = []
+        for qc, i, qd, j in layout[k]:
+            sign = -1 if qc % 2 else 1
+            col = [(below[qc - 1, r, qd, j], value)
+                   for r, value in (c.boundaries[qc - 1][i] if qc else ())]
+            col += [(below[qc, i, qd - 1, r], sign * value)
+                    for r, value in (d.boundaries[qd - 1][j] if qd else ())]
+            columns.append(col)
+        boundaries.append(columns)
+    return ChainComplex(labels, boundaries)
+
+
+def point_complex(label: str = "pt") -> ChainComplex:
+    return ChainComplex([[label]], [])
+
+
+def circle_complex(vertex: str = "v", edge: str = "t") -> ChainComplex:
+    return ChainComplex([[vertex], [edge]], [[()]])
+
+
+def sparse_columns(mat: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The (row, coefficient) columns of a dense matrix."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in mat.columns()]
+
+
+def dense_map(f, q: int) -> IntMatrix:
+    """Dense matrix of the chain map f in degree q, zero outside the
+    source's degrees."""
+    rows, cols = f.target.dim(q), f.source.dim(q)
+    mat = [[0] * cols for _ in range(rows)]
+    for j, col in enumerate(f.matrices[q] if 0 <= q <= f.source.top_dim else ()):
+        for i, value in col:
+            mat[i][j] = value
+    return IntMatrix(mat, cols=cols)
+
+
+_GROUP_TERM = re.compile(r"^(Z(\^(\d+))?|Z/(\d+))$")
+
+
+def parse_group(text: str) -> FgAbGroup:
+    """Parse the textual rendering of a finitely generated abelian
+    group: `0`, or ` + `-joined terms `Z`, `Z^r`, `Z/d`."""
+    text = text.strip()
+    if text == "0":
+        return FgAbGroup.trivial()
+    rank = 0
+    torsion: list[int] = []
+    for term in text.split(" + "):
+        m = _GROUP_TERM.match(term.strip())
+        if not m:
+            raise ValueError(f"cannot parse group term {term!r}")
+        if m.group(4):
+            torsion.append(int(m.group(4)))
+        elif m.group(3):
+            rank += int(m.group(3))
+        else:
+            rank += 1
+    return FgAbGroup(rank, tuple(torsion))
+
+
+def run(argv) -> tuple[int, str]:
+    """Run the CLI with captured output; returns (exit_code, text)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code if isinstance(e.code, int) else 2
+    return code, buf.getvalue()
+
+
+def inverse(word) -> tuple:
+    """Inverse of a group word: letters reversed, exponents negated."""
+    return tuple((gen, -exp) for gen, exp in reversed(word))
 
 
 def det(a: IntMatrix) -> int:
@@ -105,7 +266,7 @@ def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
 
 def dense_commutes(f) -> bool:
     """d f == f d, checked by dense matrix products in every degree."""
-    return all(f.target.d(q) @ f.matrix(q) == f.matrix(q - 1) @ f.source.d(q)
+    return all(f.target.d(q) @ dense_map(f, q) == dense_map(f, q - 1) @ f.source.d(q)
                for q in range(1, f.source.top_dim + 1))
 
 
@@ -121,7 +282,7 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
     matrices = []
     for q in range(1, m.top_dim + 1):
         src, dst = h_m.degree(q), h_inter.degree(q - 1)
-        stacked = hstack(incl_a.matrix(q), incl_b.matrix(q))
+        stacked = hstack(dense_map(incl_a, q), dense_map(incl_b, q))
         columns = []
         for i in range(src.kernel.cols):
             sol = solve_linear(stacked, src.kernel.column(i))

@@ -8,10 +8,9 @@ of the criteria and asserted here.
 import random
 import time
 
-from orbihom.chains import homology, tensor, validate
-from orbihom.cli import run
+from orbihom.chains import homology, validate
 from orbihom.groups import abelianization, pi1_presentation
-from orbihom.intlin import FgAbGroup, rational_rank, snf
+from orbihom.intlin import FgAbGroup, rational_rank
 from orbihom.orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -34,7 +33,7 @@ from orbihom.verify import (
 )
 
 from conftest import REPORT_DIR
-from oracles import det
+from oracles import det, run, snf, tensor
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()

@@ -118,6 +118,28 @@ def test_operators_build_no_public_simplices(monkeypatch):
             boundary(c)] == expected
 
 
+def test_operators_place_the_marked_point_once(monkeypatch):
+    """sd_operator and prism_operator check the barycentric coordinates
+    and compute the marked point once per call, not once more for each
+    simplex that contains phi."""
+    s = simplex((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
+    c = boundary(s)
+    assert sum(find_face(t, phi) is not None for t in c.terms()) == 2
+    expected = [sd_operator(phi, a, c), prism_operator(phi, a, c)]
+    checks, check = [], affops._check_interior
+    monkeypatch.setattr(affops, "_check_interior",
+                        lambda a, p: checks.append(p) or check(a, p))
+    assert sd_operator(phi, a, c) == expected[0]
+    assert checks == [1]
+    assert prism_operator(phi, a, c) == expected[1]
+    assert checks == [1, 1]
+    # a vertex is still refused as the marked face where it occurs
+    for operator in (sd_operator, prism_operator):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            operator(s.restrict((0,)), (F(1),), c)
+
+
 def test_selftest_hashes_each_vertex_once(monkeypatch):
     """A count, not a timing: 20 trials used to hash 108,631 Fractions
     when every dict lookup rehashed every coordinate."""

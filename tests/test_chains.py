@@ -10,15 +10,12 @@ from orbihom import chains, intlin
 from orbihom.chains import (
     ChainComplex,
     ChainMap,
-    circle_complex,
     connecting_hom,
     homology,
     inclusion_map,
     induced_map,
-    point_complex,
     relative,
     subcomplex,
-    tensor,
     validate,
 )
 from orbihom.intlin import (
@@ -28,7 +25,6 @@ from orbihom.intlin import (
     lattice_hnf,
     rational_rank,
     smith_diagonal,
-    snf,
 )
 from orbihom.orbmodel import (
     Ball3,
@@ -41,10 +37,17 @@ from orbihom.orbmodel import (
 
 from orbihom.verify import random_two_cover
 from oracles import (
+    circle_complex,
     dense_commutes,
+    dense_map,
     hnf_connecting_matrices,
+    point_complex,
     presentation_groups,
+    snf,
+    solve_linear,
+    sparse_columns,
     subgroup_contains,
+    tensor,
 )
 from test_acceptance import GRID_1_TO_3
 
@@ -62,8 +65,8 @@ def half_disk():
     return ChainComplex(
         basis=(("p", "q"), ("t", "m", "b"), ("U", "L")),
         boundaries=(
-            IntMatrix([[-1, -1, -1], [1, 1, 1]]),
-            IntMatrix([[1, 0], [-1, 1], [0, -1]]),
+            sparse_columns(IntMatrix([[-1, -1, -1], [1, 1, 1]])),
+            sparse_columns(IntMatrix([[1, 0], [-1, 1], [0, -1]])),
         ),
     )
 
@@ -85,7 +88,8 @@ def test_half_disk_contractible():
 def test_validate_reports_broken_boundary():
     broken = ChainComplex(
         basis=(("v", "w"), ("e",), ("f",)),
-        boundaries=(IntMatrix([[-1], [1]]), IntMatrix([[1]])),
+        boundaries=(sparse_columns(IntMatrix([[-1], [1]])),
+                    sparse_columns(IntMatrix([[1]]))),
     )
     problems = validate(broken)
     assert len(problems) == 2
@@ -100,8 +104,7 @@ def test_constructor_errors():
     with pytest.raises(ValueError):
         ChainComplex(basis=(("v", "v"),), boundaries=())
     with pytest.raises(ValueError):
-        ChainComplex(basis=(("v",), ("e",)),
-                     boundaries=(IntMatrix.zeros(2, 1),))
+        ChainComplex(basis=(("v",), ("e",)), boundaries=([[(1, 1)]],))
 
 
 def test_sparse_columns_match_the_matrix_form():
@@ -131,7 +134,7 @@ def test_d_gives_back_the_matrix_built_from():
                            for _ in range(dims[q - 1])], cols=dims[q])
                 for q in range(1, len(dims))]
         basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
-        c = ChainComplex(basis, mats)
+        c = ChainComplex(basis, [sparse_columns(mat) for mat in mats])
         for q, mat in enumerate(mats, start=1):
             assert c.d(q) == mat
             assert ChainComplex(basis, c.boundaries).d(q) == mat
@@ -146,8 +149,9 @@ def test_sparse_constructor_rejects_bad_shapes():
         with pytest.raises(ValueError,
                            match="boundary shape mismatch at degree 1"):
             ChainComplex(basis, [columns])
-    with pytest.raises(ValueError, match="boundary shape mismatch at degree 1"):
-        ChainComplex(basis, [IntMatrix.zeros(3, 1)])
+    # a dense matrix is refused, even of the right shape
+    with pytest.raises(TypeError, match="sparse columns, not an IntMatrix"):
+        ChainComplex(basis, [IntMatrix.zeros(2, 1)])
 
 
 def test_homology_bad_coeff():
@@ -235,7 +239,7 @@ def _shuffled_copy(c, rng):
         mat = [[c.d(q)[perms[q - 1][i], perms[q][j]]
                 for j in range(c.dim(q))]
                for i in range(c.dim(q - 1))]
-        boundaries.append(IntMatrix(mat, cols=c.dim(q)))
+        boundaries.append(sparse_columns(IntMatrix(mat, cols=c.dim(q))))
     return ChainComplex(basis, boundaries)
 
 
@@ -381,7 +385,7 @@ def _random_complex(rng):
         cycles = kernel_basis(lower)
         boundaries.append(cycles @ _random_matrix(rng, cycles.cols, dims[2]))
     basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
-    return ChainComplex(basis, boundaries)
+    return ChainComplex(basis, [sparse_columns(mat) for mat in boundaries])
 
 
 def test_elimination_groups_match_presentation_groups_on_random_complexes():
@@ -406,7 +410,7 @@ def test_elimination_matches_sympy_invariant_factors():
         expect = FgAbGroup(rows - len(nonzero),
                            tuple(x for x in nonzero if x > 1))
         c = ChainComplex([[f"v{i}" for i in range(rows)],
-                          [f"e{j}" for j in range(cols)]], [a])
+                          [f"e{j}" for j in range(cols)]], [sparse_columns(a)])
         assert homology(c).group(0) == expect, a
         assert homology(c).group(1) == FgAbGroup.free(cols - len(nonzero))
         diagonal = smith_diagonal(a)
@@ -467,7 +471,8 @@ def test_chain_map_commutes_and_induced():
     circle = circle_complex()
     double = ChainMap(
         source=circle, target=circle,
-        matrices=(IntMatrix.identity(1), IntMatrix([[2]])),
+        matrices=(sparse_columns(IntMatrix.identity(1)),
+                  sparse_columns(IntMatrix([[2]]))),
     )
     assert double.commutes()
     h = homology(circle)
@@ -479,11 +484,12 @@ def test_chain_map_commutes_and_induced():
 def test_non_commuting_map_rejected():
     interval = ChainComplex(
         basis=(("v", "w"), ("e",)),
-        boundaries=(IntMatrix([[-1], [1]]),),
+        boundaries=(sparse_columns(IntMatrix([[-1], [1]])),),
     )
     skew = ChainMap(
         source=interval, target=interval,
-        matrices=(IntMatrix.diagonal([2, 2]), IntMatrix([[1]])),
+        matrices=(sparse_columns(IntMatrix.diagonal([2, 2])),
+                  sparse_columns(IntMatrix([[1]]))),
     )
     assert not skew.commutes()
     h = homology(interval)
@@ -495,8 +501,8 @@ def test_inclusion_map_unit_columns():
     c = half_disk()
     inc = inclusion_map(c, subcomplex(c, {"p", "q", "m"}))
     assert inc.commutes()
-    assert inc.matrix(0).cols == 2
-    assert inc.matrix(1) == IntMatrix([[0], [1], [0]])
+    assert dense_map(inc, 0).cols == 2
+    assert dense_map(inc, 1) == IntMatrix([[0], [1], [0]])
 
 
 def test_inclusion_map_checks_the_subcomplex():
@@ -543,15 +549,10 @@ def test_chain_complex_coefficients_must_be_integers():
     assert ok.boundaries == (((((0, -1), (1, 1)),),))
 
 
-def _sparse(mat):
-    """The (row, coefficient) columns of a dense matrix."""
-    return [[(i, x) for i, x in enumerate(col) if x] for col in mat.columns()]
-
-
 def _random_chain_map(rng, source, target, kind):
     """A chain map d h + h d for a random h of degree +1 ("chain"), the
-    same with one entry changed ("perturbed"), or random matrices; every
-    other degree is handed over as sparse columns."""
+    same with one entry changed ("perturbed"), or random matrices, handed
+    over as sparse columns."""
     def h(q):
         return _random_matrix(rng, target.dim(q + 1), source.dim(q))
 
@@ -571,9 +572,9 @@ def _random_chain_map(rng, source, target, kind):
         if cells:
             q, i, j = rng.choice(cells)
             rows[q][i][j] += rng.choice((1, -1, 2))
-    matrices = [IntMatrix(mat, cols=source.dim(q)) for q, mat in enumerate(rows)]
     return ChainMap(source, target, tuple(
-        _sparse(mat) if q % 2 else mat for q, mat in enumerate(matrices)))
+        sparse_columns(IntMatrix(mat, cols=source.dim(q)))
+        for q, mat in enumerate(rows)))
 
 
 def test_sparse_commutes_matches_dense_reference():
@@ -591,15 +592,18 @@ def test_sparse_commutes_matches_dense_reference():
 
 def test_chain_map_sparse_and_dense_forms_agree():
     c = half_disk()
-    dense = ChainMap(c, c, tuple(IntMatrix.diagonal([3] * c.dim(q))
+    dense = ChainMap(c, c, tuple(sparse_columns(IntMatrix.diagonal([3] * c.dim(q)))
                                  for q in range(3)))
     sparse = ChainMap(c, c, tuple([[(j, 3)] for j in range(c.dim(q))]
                                   for q in range(3)))
     assert dense == sparse
     assert sparse.matrices[1] == (((0, 3),), ((1, 3),), ((2, 3),))
-    assert sparse.matrix(1) == IntMatrix.diagonal([3, 3, 3])
-    assert sparse.matrix(3) == IntMatrix.zeros(0, 0)
+    assert dense_map(sparse, 1) == IntMatrix.diagonal([3, 3, 3])
+    assert dense_map(sparse, 3) == IntMatrix.zeros(0, 0)
     assert sparse.commutes()
+    assert not hasattr(sparse, "matrix")
+    with pytest.raises(TypeError, match="sparse columns, not an IntMatrix"):
+        ChainMap(c, c, tuple(IntMatrix.diagonal([3] * c.dim(q)) for q in range(3)))
 
 
 def test_chain_map_rejects_bad_shapes():
@@ -620,7 +624,7 @@ def test_chain_map_rejects_bad_shapes():
     wrong_dense = [IntMatrix.identity(2), IntMatrix.identity(2),
                    IntMatrix.identity(2)]
     with pytest.raises(ValueError, match="matrix shape mismatch at degree 1"):
-        ChainMap(c, c, tuple(wrong_dense))
+        ChainMap(c, c, tuple(sparse_columns(mat) for mat in wrong_dense))
 
 
 def _disc_pieces():
@@ -694,28 +698,41 @@ def test_connecting_hom_rejects_unknown_and_open_pieces():
 
 
 def test_chain_map_layer_builds_no_dense_matrix(monkeypatch):
-    # commutes, inclusion_map and connecting_hom (on homology whose
-    # representatives are known) work on the sparse columns alone
+    # commutes, inclusion_map, induced_map, connecting_hom and the
+    # presentations (on homology whose cycle lattices are known) work on
+    # the sparse columns alone
     wcc = t_model(Surface(1, 1, (2, 3)))
     m = wcc.chain_complex()
     cells_a, cells_b = wcc.sub_cells("conedisks"), wcc.sub_cells("complement")
     a, b = subcomplex(m, cells_a), subcomplex(m, cells_b)
-    h_inter, h_m = homology(subcomplex(m, cells_a & cells_b)), homology(m)
-    for h in (h_inter, h_m):
+    inter = subcomplex(m, cells_a & cells_b)
+
+    def homologies():
+        return homology(a), homology(inter), homology(m)
+
+    def maps(h_a, h_inter, h_m):
+        return (induced_map(inclusion_map(m, a), h_a, h_m),
+                connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m),
+                [[h.degree(q).presentation for q in range(h.top_dim + 1)]
+                 for h in (h_a, h_inter, h_m)])
+
+    expected = maps(*homologies())
+    fresh = homologies()
+    for h in fresh:
         for q in range(h.top_dim + 1):
-            h.degree(q)
-    expected = connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m)
+            h.degree(q).kernel
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix algebra in the chain-map layer")
 
+    monkeypatch.setattr(chains, "_dense", forbidden)
+    monkeypatch.setattr(IntMatrix, "apply", forbidden)
     monkeypatch.setattr(IntMatrix, "__matmul__", forbidden)
-    monkeypatch.setattr(ChainComplex, "d", forbidden)
-    monkeypatch.setattr(ChainMap, "matrix", forbidden)
-    for name in ("hnf", "snf", "hstack", "solve_linear"):
-        monkeypatch.setattr(f"orbihom.intlin.{name}", forbidden)
+    for module in (chains, intlin):
+        monkeypatch.setattr(module, "_smith", forbidden)
+    monkeypatch.setattr(intlin, "_hermite", forbidden)
     assert inclusion_map(m, a).commutes()
-    assert connecting_hom(a, b, m, h_inter=h_inter, h_m=h_m) == expected
+    assert maps(*fresh) == expected
 
 
 def test_connecting_hom_matches_hnf_lift_on_random_covers():
@@ -818,13 +835,13 @@ def test_connecting_hom_class_ignores_preimage_choice():
     inter = subcomplex(m, torus.sub_cells("left") & torus.sub_cells("right"))
     h_i = homology(inter)
 
-    from orbihom.intlin import hstack, solve_linear
+    from orbihom.intlin import hstack
 
     q = 1
     incl_a, incl_b = inclusion_map(m, a), inclusion_map(m, b)
     h_m = homology(m)
     z = h_m.degree(q).kernel.column(0)
-    stacked = hstack(incl_a.matrix(q), incl_b.matrix(q))
+    stacked = hstack(dense_map(incl_a, q), dense_map(incl_b, q))
     sol = solve_linear(stacked, z)
     assert sol is not None
     xa = list(sol[: a.dim(q)])

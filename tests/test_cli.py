@@ -6,7 +6,7 @@ import re
 import pytest
 
 from orbihom import orbmodel
-from orbihom.cli import build_parser, main, parse_descriptor, parse_group, run
+from orbihom.cli import build_parser, main, parse_descriptor
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     MAX_CELLS,
@@ -18,6 +18,8 @@ from orbihom.orbmodel import (
     serialize_owc,
     t_model,
 )
+
+from oracles import parse_group, run
 
 GROUP_LINE = re.compile(r"^H[_^]\d+ = (0|(Z(\^\d+)?|Z/\d+)( \+ (Z(\^\d+)?|Z/\d+))*)$")
 
@@ -191,6 +193,14 @@ def test_malformed_file_reports_line(tmp_path):
     code, text = run(["homology", "--file", str(path)])
     assert code == 2
     assert "line 3" in text
+
+
+def test_oversized_file_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr(orbmodel, "MAX_CELLS", 3)
+    path = tmp_path / "big.owc"
+    path.write_text("orbifold big\ndim 4\n")
+    assert run(["homology", "--file", str(path)]) == (
+        2, "error: line 2: dim 4 is more than the limit of 3\n")
 
 
 def test_argparse_errors_exit_two():

@@ -11,7 +11,6 @@ from orbihom.groups import (
     commutator,
     concat,
     free_reduce,
-    inverse,
     pi1_presentation,
     power,
 )
@@ -25,6 +24,8 @@ from orbihom.orbmodel import (
     Surface,
     t_model,
 )
+
+from oracles import inverse
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()

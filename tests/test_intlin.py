@@ -17,21 +17,18 @@ from orbihom.intlin import (
     IntMatrix,
     block_diag,
     cokernel_group,
-    hnf,
     hstack,
     invariant_factors,
     kernel_basis,
     lattice_hnf,
     rational_rank,
     smith_diagonal,
-    snf,
-    solve_linear,
     unimodular_inverse,
     vstack,
 )
 from orbihom.orbmodel import Ball3, Ball3Cyclic, ProductTorus, Surface, t_model
 
-from oracles import det, is_well_defined, subgroup_contains
+from oracles import det, hnf, is_well_defined, snf, solve_linear, subgroup_contains
 
 
 def random_matrix(rng, max_dim=5, max_entry=9):

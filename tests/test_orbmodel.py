@@ -508,6 +508,25 @@ def test_owc_parse_errors_cite_lines():
         assert str(err.value) == message
 
 
+def test_owc_size_is_capped_at_its_line(monkeypatch):
+    """A dim above MAX_CELLS, or more than MAX_CELLS cell lines, is
+    refused at its line; the limit is lowered so nothing large is built."""
+    monkeypatch.setattr(orbmodel, "MAX_CELLS", 3)
+    with pytest.raises(OwcError) as err:
+        parse_owc("orbifold big\ndim 4\n")
+    assert str(err.value) == "line 2: dim 4 is more than the limit of 3"
+    with pytest.raises(OwcError) as err:  # more digits than int() converts
+        parse_owc("orbifold big\ndim 1" + "0" * 5000 + "\n")
+    assert err.value.line == 2
+    cells = [f"cell v{i} dim=0 weight=1\n" for i in range(4)]
+    with pytest.raises(OwcError) as err:
+        parse_owc("orbifold big\ndim 0\n" + "".join(cells))
+    assert str(err.value) == "line 6: more than the limit of 3 cells"
+    # at the limit both are taken
+    wcc = parse_owc("orbifold big\ndim 3\n" + "".join(cells[:3]))
+    assert (wcc.dim, len(wcc.cells)) == (3, 3)
+
+
 def test_custom_file_loading(tmp_path: pathlib.Path):
     wcc = t_model(Disc2(5))
     path = tmp_path / "model.owc"
