@@ -23,6 +23,7 @@ from .intlin import (
     IntMatrix,
     _echelon_solver,
     _smith,
+    invariant_factors,
     kernel_basis,
     rational_rank,
     smith_diagonal,
@@ -327,7 +328,7 @@ def _boundary_factors(columns: Sequence[Column],
     (column count - 1), the most fill-in it can make, is the pivot:
     column operations clear its row, after which its row and column
     split off a unit invariant factor and are dropped.  No transform is
-    kept.  The small residual with no unit entry goes to smith_diagonal.
+    kept.  The residual with no unit entry is split into components.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     in_row: list[set[int]] = [set() for _ in range(rows)]
@@ -375,14 +376,29 @@ def _boundary_factors(columns: Sequence[Column],
         in_row[r].clear()
         rank += 1
 
-    if not cols:
-        return rank, ()
-    left = [cols[j] for j in sorted(cols)]
-    residual = IntMatrix._of([[col.get(i, 0) for col in left] for i in
-                              sorted({i for col in left for i in col})],
-                             len(left))
-    diagonal = [x for x in smith_diagonal(residual) if x]
-    return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
+    # The residual, with no unit entry, splits into the connected
+    # components of its row/column graph: a component of one entry is a
+    # diagonal entry as it stands, any other a small dense Smith form.
+    diagonal, seen = [], set()
+    for start in cols:
+        if start in seen:
+            continue
+        seen.add(start)
+        part, part_rows = [start], {}
+        for j in part:
+            for i in cols[j]:
+                if i not in part_rows:
+                    part_rows[i] = len(part_rows)
+                    fresh = in_row[i] - seen
+                    seen |= fresh
+                    part += fresh
+        if len(part_rows) == len(part) == 1:
+            diagonal += map(abs, cols[start].values())
+            continue
+        block = IntMatrix._of([[cols[j].get(i, 0) for j in part]
+                               for i in part_rows], len(part))
+        diagonal += filter(None, smith_diagonal(block))
+    return rank + len(diagonal), invariant_factors(diagonal)
 
 
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:

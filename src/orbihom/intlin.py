@@ -160,13 +160,6 @@ def _addmul_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
         m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
 
 
-def _least(values: Iterable[int]) -> int | None:
-    """Index of the first nonzero value of least absolute value, or None."""
-    sizes = list(map(abs, values))
-    low = min(filter(None, sizes), default=0)
-    return sizes.index(low) if low else None
-
-
 def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
     """Rows of the transpose of rows, which have cols entries each."""
     return [list(c) for c in zip(*rows)] or [[] for _ in range(cols)]
@@ -174,22 +167,25 @@ def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
 
 def _echelon(rows: list[list[int]], n: int) -> None:
     """Row Hermite form of the first n columns of rows, in place; the
-    rest of each row is carried along by the same row operations."""
+    rest of each row is carried along by the same row operations.
+    Each pivot column is scanned once, for the rows live in it: the
+    first of least absolute value is the pivot, and only live rows are
+    reduced by it."""
     m, r = len(rows), 0
     for c in range(n):
-        if all(rows[i][c] == 0 for i in range(r, m)):
+        live = [i for i in range(r, m) if rows[i][c]]
+        if not live:
             continue
         while True:
-            i0 = r + _least(rows[i][c] for i in range(r, m))
+            i0 = min(live, key=lambda i: abs(rows[i][c]))
             if i0 != r:
                 rows[r], rows[i0] = rows[i0], rows[r]
-            clean = True
-            for i in range(r + 1, m):
-                if rows[i][c]:
-                    _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
-                    if rows[i][c]:
-                        clean = False
-            if clean:
+                if live[0] != r:
+                    live = [r] + [i for i in live if i != i0]
+            for i in live[1:]:
+                _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+            live = [r] + [i for i in live[1:] if rows[i][c]]
+            if len(live) == 1:
                 break
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]

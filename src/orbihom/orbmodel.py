@@ -327,9 +327,6 @@ def tensor_weighted(a: WeightedCellComplex, b: WeightedCellComplex,
                                a.dim + b.dim, cells, subs)
 
 
-_CIRCLE = (Cell("z", 0, 1), Cell("t", 1, 1))
-
-
 def cone_point_index(m1: int, m2: int, m3: int) -> int:
     """Order of the local group at the cone point of a ballic model.
 
@@ -545,12 +542,38 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
     return WeightedCellComplex(describe(d), *_parts(d, adapted))
 
 
+def _torus_parts(cells: Sequence[Cell], subs: Mapping[str, Iterable[str]],
+                 k: int) -> tuple[list[Cell], dict]:
+    """Cells and subcomplexes of cells x torus(k), built in one pass.
+
+    A product cell is a base cell with a suffix of k parts, '_x_z' (dim
+    0) or '_x_t' (dim 1), on its id and on each boundary ref, and the
+    base weight: the circle has no boundary, so no sign enters.  Cells
+    come in the order of k iterated tensor_weighted products with the
+    circle: by dimension, then by the factors k down to 2 with t before
+    z (the order of tails), then by base position.
+    """
+    heads = (("_x_z", 0), ("_x_t", 1))
+    tails = [("", 0)]
+    for _ in range(k - 1):
+        tails = [(tail + part, dim + bit) for part, bit in reversed(heads)
+                 for tail, dim in tails]
+    rounds = [[(head + tail, bit + dim) for head, bit in heads]
+              for tail, dim in tails]
+    out = [Cell._of(cell.id + suffix, cell.dim + dim, cell.weight,
+                    tuple((ref + suffix, x) for ref, x in cell.boundary))
+           for pair in rounds for cell in cells for suffix, dim in pair]
+    out.sort(key=lambda cell: cell.dim)
+    suffixes = [suffix for pair in rounds for suffix, _ in pair]
+    return out, {sub_name: {x + suffix for x in members for suffix in suffixes}
+                 for sub_name, members in subs.items()}
+
+
 def _parts(d: OrbifoldDesc, adapted: bool):
     if isinstance(d, ProductTorus):
         dim, cells, subs = _parts(d.base, adapted)
-        for _ in range(d.torus_factors):
-            cells, subs = _tensor_parts(cells, subs, _CIRCLE)
-        return dim + d.torus_factors, cells, subs
+        k = d.torus_factors
+        return dim + k, *_torus_parts(cells, subs, k)
     if isinstance(d, Custom):
         wcc = _build(d, adapted)
         return wcc.dim, wcc.cells, wcc.subs

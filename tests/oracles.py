@@ -15,7 +15,8 @@ the product models were built before they used trusted cells.
 
 The rest are references that no code of the package runs: the full
 Hermite and Smith forms with their transforms and an integer solver,
-built on the private eliminations of intlin; the tensor product of
+built on the private eliminations of intlin; the row echelon step as
+it was before each pivot column was scanned once; the tensor product of
 chain complexes and the point and circle complexes; dense views of
 chain maps and sparse columns of dense matrices; the parser of group
 text, a captured CLI run, and the inverse of a group word.
@@ -33,6 +34,7 @@ from orbihom.intlin import (
     GroupHom,
     IntMatrix,
     _echelon_solver,
+    _addmul_row,
     _hermite,
     _smith,
     hstack,
@@ -61,6 +63,34 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     s, u, v = _smith(a, left=True, right=True)
     return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
             IntMatrix._of(v, a.cols))
+
+
+def echelon(rows: list[list[int]], n: int) -> None:
+    """Reference for intlin._echelon: every pass rescans all the rows
+    below the pivot for the first entry of least absolute value, and
+    reduces every one of them that is nonzero in the pivot column."""
+    m, r = len(rows), 0
+    for c in range(n):
+        if all(rows[i][c] == 0 for i in range(r, m)):
+            continue
+        while True:
+            sizes = [abs(rows[i][c]) for i in range(r, m)]
+            i0 = r + sizes.index(min(filter(None, sizes)))
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+            clean = True
+            for i in range(r + 1, m):
+                if rows[i][c]:
+                    _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+                    if rows[i][c]:
+                        clean = False
+            if clean:
+                break
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+        r += 1
 
 
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
@@ -35,7 +36,7 @@ from orbihom.orbmodel import (
     t_model,
 )
 
-from orbihom.verify import random_two_cover
+from orbihom.verify import _torus_kunneth, random_two_cover
 from oracles import (
     circle_complex,
     dense_commutes,
@@ -415,6 +416,53 @@ def test_elimination_matches_sympy_invariant_factors():
         assert homology(c).group(1) == FgAbGroup.free(cols - len(nonzero))
         diagonal = smith_diagonal(a)
         assert diagonal == factors + [0] * (len(diagonal) - len(factors)), a
+
+
+@st.composite
+def shuffled_block_diagonals(draw):
+    """Block-diagonal matrices of up to four blocks up to 4 x 4, entries
+    from (0, 2, 3, 4, 6, 9), with rows and columns shuffled."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           min_size=1, max_size=4))
+    rows, cols = sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+    entries = [[0] * cols for _ in range(rows)]
+    top = left = 0
+    for height, width in blocks:
+        for i in range(top, top + height):
+            for j in range(left, left + width):
+                entries[i][j] = draw(st.sampled_from((0, 2, 3, 4, 6, 9)))
+        top, left = top + height, left + width
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return IntMatrix([[entries[i][j] for j in col_order] for i in row_order],
+                     cols=cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(shuffled_block_diagonals())
+def test_residual_components_match_the_smith_form(a):
+    """No entry is a unit, so the whole matrix is residual: its
+    components give the rank and the factors of the full Smith form."""
+    s, _, _ = snf(a)
+    diagonal = [s[i, i] for i in range(min(a.rows, a.cols)) if s[i, i]]
+    assert chains._boundary_factors(sparse_columns(a), a.rows) == \
+        (len(diagonal), tuple(x for x in diagonal if x > 1))
+
+
+def test_monomial_residuals_build_no_dense_block(monkeypatch):
+    """The residuals of surface products have one entry per row and
+    column, so each component is a single entry and no dense Smith
+    form is taken."""
+    base = groups_of(t_model(Surface(4, 3, (2, 3, 5, 7))).chain_complex())
+
+    def refuse(_):
+        raise AssertionError("a dense residual was built")
+
+    monkeypatch.setattr(chains, "smith_diagonal", refuse)
+    for k in range(2, 7):
+        d = ProductTorus(Surface(4, 3, (2, 3, 5, 7)), k)
+        assert groups_of(t_model(d).chain_complex()) == \
+            _torus_kunneth(base, k), k
 
 
 def test_groups_never_build_transforms(monkeypatch):

@@ -28,7 +28,15 @@ from orbihom.intlin import (
 )
 from orbihom.orbmodel import Ball3, Ball3Cyclic, ProductTorus, Surface, t_model
 
-from oracles import det, hnf, is_well_defined, snf, solve_linear, subgroup_contains
+from oracles import (
+    det,
+    echelon,
+    hnf,
+    is_well_defined,
+    snf,
+    solve_linear,
+    subgroup_contains,
+)
 
 
 def random_matrix(rng, max_dim=5, max_entry=9):
@@ -292,6 +300,22 @@ def test_snf_property_against_sympy(a):
     assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
     reference = smith_normal_form(sympy_matrix(a), domain=ZZ)
     assert smith_diagonal(a) == [abs(int(reference[i, i])) for i in range(k)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pooled_matrices())
+def test_echelon_matches_the_rescanning_reference(a):
+    """Scanning each pivot column once does the same row operations in
+    the same order: Hermite and Smith forms and both transforms agree
+    row for row with the reference that rescans every row each pass."""
+    got = intlin._hermite(a, left=True), intlin._smith(a, left=True, right=True)
+    scanned = intlin._echelon
+    intlin._echelon = echelon
+    try:
+        want = intlin._hermite(a, left=True), intlin._smith(a, left=True, right=True)
+    finally:
+        intlin._echelon = scanned
+    assert got == want
 
 
 def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):

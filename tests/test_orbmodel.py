@@ -46,7 +46,8 @@ ZERO = FgAbGroup.trivial()
 CIRCLE = WeightedCellComplex("circle", 1, (Cell("z", 0, 1), Cell("t", 1, 1)))
 PRODUCTS = (ProductTorus(Disc2(3), 1), ProductTorus(Ball3((2, 3, 5)), 2),
             ProductTorus(Surface(1, 2, (2, 3)), 2),
-            ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
+            ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3),
+            ProductTorus(Ball3Cyclic(4), 4), ProductTorus(Surface(1, 2, (2, 3)), 5))
 
 
 def t_groups(d):
@@ -179,6 +180,28 @@ def test_product_models_match_iterated_tensor():
                 assert validate(model.chain_complex()) == []
             assert serialize_owc(build(d)) == serialize_owc(model), \
                 (d, build.__name__)
+
+
+def test_product_of_an_unordered_file_base_matches_iterated_tensor(tmp_path):
+    """parse_owc keeps file order, so a 2-cell listed before its edges
+    and vertices makes base position, not dimension, order the cells
+    of each product dimension."""
+    path = tmp_path / "unordered.owc"
+    path.write_text("orbifold unordered\ndim 2\n"
+                    "cell sighat dim=2 weight=3 boundary=c_in:3\n"
+                    "cell A dim=2 weight=1 boundary=c_out:1,c_in:-1\n"
+                    "cell c_out dim=1 weight=1\n"
+                    "cell r dim=1 weight=1 boundary=v0:1,u:-1\n"
+                    "cell v0 dim=0 weight=1\n"
+                    "cell c_in dim=1 weight=1\n"
+                    "cell u dim=0 weight=1\n"
+                    "sub boundary = v0,c_out\n")
+    d = ProductTorus(Custom(str(path)), 3)
+    model = parse_owc(path.read_text())
+    assert [cell.dim for cell in model.cells] == [2, 2, 1, 1, 0, 1, 0]
+    for _ in range(3):
+        model = tensor_weighted(model, CIRCLE, name=describe(d))
+    assert serialize_owc(t_model(d)) == serialize_owc(model)
 
 
 def _same_complex(c: ChainComplex, other: ChainComplex) -> bool:
