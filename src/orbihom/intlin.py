@@ -311,13 +311,18 @@ def lattice_hnf(a: IntMatrix) -> IntMatrix:
     return IntMatrix._of([row for row in h if any(row)], a.rows)
 
 
+def _kernel_rows(a: IntMatrix) -> list[list[int]]:
+    """A basis of the integer kernel of a, as rows: the rows of U, in
+    U @ a.transpose() == H, whose rows of H are zero.  It depends on
+    the elimination, not only on the kernel."""
+    h, u = _hermite(a.transpose(), left=True)
+    return [row for row, form in zip(u, h) if not any(form)]
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the integer kernel of a, as columns: the row
-    Hermite form of the rows of U, in U @ a.transpose() == H, whose
-    rows of H are zero.  Equal kernels give equal bases."""
-    h, u = _hermite(a.transpose(), left=True)
-    null = [row for row, form in zip(u, h) if not any(form)]
-    basis, _ = _hermite(IntMatrix._of(null, a.cols), left=False)
+    Hermite form of _kernel_rows(a).  Equal kernels give equal bases."""
+    basis, _ = _hermite(IntMatrix._of(_kernel_rows(a), a.cols), left=False)
     return IntMatrix._of(basis, a.cols).transpose()
 
 

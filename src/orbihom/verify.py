@@ -30,9 +30,9 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _kernel_rows,
     block_diag,
     hstack,
-    kernel_basis,
     lattice_hnf,
     vstack,
 )
@@ -76,10 +76,6 @@ def _render_rows(m: IntMatrix) -> str:
     return str([list(row) for row in m.to_rows()])
 
 
-def _top_rows(m: IntMatrix, k: int) -> IntMatrix:
-    return IntMatrix._of([m.row(i) for i in range(k)], m.cols)
-
-
 def _image_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
     """Columns spanning the image subgroup inside the free cover of
     the presentation `at`; a None hom means the zero map."""
@@ -93,15 +89,16 @@ def _image_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
 def _kernel_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
     """Columns spanning the kernel subgroup inside the free cover of
     the presentation `at`; a None hom means the map to the zero group,
-    whose kernel is everything."""
+    whose kernel is everything.  The kernel of [matrix | target rels]
+    is taken in any basis (intlin._kernel_rows), not the canonical one:
+    only the span of its source coordinates counts."""
     if hom is None:
         return IntMatrix.identity(at.gens)
     if hom.source != at:
         raise ValueError("kernel map does not start at the given presentation")
-    stacked = hstack(hom.matrix, hom.target.rels)
-    ker = kernel_basis(stacked)
-    proj = _top_rows(ker, at.gens)
-    return hstack(proj, at.rels)
+    rows = _kernel_rows(hstack(hom.matrix, hom.target.rels))
+    proj = IntMatrix._of([row[:at.gens] for row in rows], at.gens)
+    return hstack(proj.transpose(), at.rels)
 
 
 def exactness_assertion(statement: str, image_of: GroupHom | None,
@@ -109,7 +106,8 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
                         at: AbPresentation) -> Assertion:
     """Compare the image of one map with the kernel of the next as
     subgroups of the group presented by `at`, via canonical lattice
-    forms in its free cover."""
+    forms in its free cover.  Each side may be spanned by any
+    generating columns: lattice_hnf depends only on their span."""
     im = lattice_hnf(_image_lattice(image_of, at))
     ker = lattice_hnf(_kernel_lattice(kernel_of, at))
     return Assertion(
@@ -140,6 +138,12 @@ def random_two_cover(wcc: WeightedCellComplex,
         if roll in ("right", "both"):
             b.add(cell.id)
     return _close_down(wcc, a), _close_down(wcc, b)
+
+
+def _reduced(p: AbPresentation) -> AbPresentation:
+    """p on the same generators, with a basis of its relator lattice as
+    relators: at most p.gens columns, and the same group."""
+    return AbPresentation(p.gens, lattice_hnf(p.rels).transpose())
 
 
 def _sum_presentation(pa: AbPresentation,
@@ -190,11 +194,15 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
             f"H_{q}: intersection {h_i.group(q)}, A {h_a.group(q)}, "
             f"B {h_b.group(q)}, whole {h_m.group(q)}"
         )
+    # The generators do not change, so the maps keep their matrices.
+    red_i, red_a, red_b, red_m = (
+        [_reduced(h.degree(q).presentation) for q in range(n + 1)]
+        for h in (h_i, h_a, h_b, h_m))
+    k_red = [GroupHom(red_m[q], red_i[q - 1] if q else k_star[0].target,
+                      k_star[q].matrix) for q in range(n + 1)]
     for q in range(n + 1):
-        pres_i = h_i.degree(q).presentation
-        pres_sum = _sum_presentation(h_a.degree(q).presentation,
-                                     h_b.degree(q).presentation)
-        pres_m = h_m.degree(q).presentation
+        pres_i, pres_m = red_i[q], red_m[q]
+        pres_sum = _sum_presentation(red_a[q], red_b[q])
 
         i_comb = GroupHom(
             pres_i, pres_sum,
@@ -204,14 +212,14 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
             pres_sum, pres_m,
             hstack(j_star_a[q].matrix, j_star_b[q].matrix),
         )
-        k_next = k_star[q + 1] if q + 1 <= n else None
+        k_next = k_red[q + 1] if q + 1 <= n else None
 
         report.assertions.append(exactness_assertion(
             f"exactness at H_{q}(intersection)", k_next, i_comb, pres_i))
         report.assertions.append(exactness_assertion(
             f"exactness at H_{q}(A)+H_{q}(B)", i_comb, j_comb, pres_sum))
         report.assertions.append(exactness_assertion(
-            f"exactness at H_{q}(whole)", j_comb, k_star[q], pres_m))
+            f"exactness at H_{q}(whole)", j_comb, k_red[q], pres_m))
     return report
 
 

@@ -11,7 +11,10 @@ references multiply dense matrices and lift cycles by an HNF solve, as
 `ChainMap.commutes` and `connecting_hom` did before they worked on
 sparse columns.  The product and chain-complex references build every
 cell, model and complex through the public, checking constructors, as
-the product models were built before they used trusted cells.
+the product models were built before they used trusted cells.  The
+unreduced exactness route takes every Mayer-Vietoris lattice over the
+full relators of the homology presentations and the canonical kernel,
+as `check_mv` did before it reduced each presentation's relators.
 
 The rest are references that no code of the package runs: the full
 Hermite and Smith forms with their transforms and an integer solver,
@@ -27,9 +30,17 @@ import io
 import re
 from operator import mul
 
-from orbihom.chains import ChainComplex, homology, inclusion_map, subcomplex
+from orbihom.chains import (
+    ChainComplex,
+    connecting_hom,
+    homology,
+    inclusion_map,
+    induced_map,
+    subcomplex,
+)
 from orbihom.cli import main
 from orbihom.intlin import (
+    AbPresentation,
     FgAbGroup,
     GroupHom,
     IntMatrix,
@@ -37,7 +48,11 @@ from orbihom.intlin import (
     _addmul_row,
     _hermite,
     _smith,
+    block_diag,
     hstack,
+    kernel_basis,
+    lattice_hnf,
+    vstack,
 )
 from orbihom.orbmodel import Cell, WeightedCellComplex
 
@@ -353,3 +368,54 @@ def public_chain_complex(wcc, kept=None) -> ChainComplex:
         [[cell.id for cell in cells] for cells in by_dim],
         [[[(position[ref], k) for ref, k in cell.boundary if ref in position]
           for cell in cells] for cells in by_dim[1:]])
+
+
+def _top_rows(m: IntMatrix, k: int) -> IntMatrix:
+    return IntMatrix._of([m.row(i) for i in range(k)], m.cols)
+
+
+def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
+    """(statement, left, right, passed) of each check_mv assertion on
+    the cover of wcc by the closed cell sets cells_a and cells_b.  Each
+    image lattice is [matrix | rels] and each kernel lattice the top
+    rows of kernel_basis([matrix | target rels]) beside rels, where rels
+    are the full relators of the homology presentations."""
+    m = wcc.chain_complex()
+    comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
+    comp_i = subcomplex(m, cells_a & cells_b)
+    h_i, h_a, h_b, h_m = map(homology, (comp_i, comp_a, comp_b, m))
+    i_a = induced_map(inclusion_map(comp_a, comp_i), h_i, h_a)
+    i_b = induced_map(inclusion_map(comp_b, comp_i), h_i, h_b)
+    j_a = induced_map(inclusion_map(m, comp_a), h_a, h_m)
+    j_b = induced_map(inclusion_map(m, comp_b), h_b, h_m)
+    k = connecting_hom(comp_a, comp_b, m, h_inter=h_i, h_m=h_m)
+
+    def image(hom, at):
+        return at.rels if hom is None else hstack(hom.matrix, at.rels)
+
+    def kernel(hom, at):
+        if hom is None:
+            return IntMatrix.identity(at.gens)
+        ker = kernel_basis(hstack(hom.matrix, hom.target.rels))
+        return hstack(_top_rows(ker, at.gens), at.rels)
+
+    def text(lattice):
+        return "{0}" if lattice.rows == 0 else str(lattice.to_rows())
+
+    out = []
+    for q in range(m.top_dim + 1):
+        pres_i, pres_m = h_i.degree(q).presentation, h_m.degree(q).presentation
+        pa, pb = h_a.degree(q).presentation, h_b.degree(q).presentation
+        pres_sum = AbPresentation(pa.gens + pb.gens, block_diag(pa.rels, pb.rels))
+        i_comb = GroupHom(pres_i, pres_sum, vstack(i_a[q].matrix, -i_b[q].matrix))
+        j_comb = GroupHom(pres_sum, pres_m, hstack(j_a[q].matrix, j_b[q].matrix))
+        k_next = k[q + 1] if q < m.top_dim else None
+        for where, into, out_of, at in (
+                (f"H_{q}(intersection)", k_next, i_comb, pres_i),
+                (f"H_{q}(A)+H_{q}(B)", i_comb, j_comb, pres_sum),
+                (f"H_{q}(whole)", j_comb, k[q], pres_m)):
+            im = lattice_hnf(image(into, at))
+            ker = lattice_hnf(kernel(out_of, at))
+            out.append((f"exactness at {where}", f"image {text(im)}",
+                        f"kernel {text(ker)}", im == ker))
+    return out

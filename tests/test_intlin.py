@@ -318,6 +318,26 @@ def test_echelon_matches_the_rescanning_reference(a):
     assert got == want
 
 
+@st.composite
+def small_matrices(draw):
+    """Matrices up to 6 x 8 (empty shapes included), entries in -6..6."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    entries = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols,
+                                     max_size=cols),
+                            min_size=rows, max_size=rows))
+    return IntMatrix(entries, cols=cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_matrices())
+def test_kernel_rows_span_the_canonical_kernel(a):
+    rows = intlin._kernel_rows(a)
+    assert all(not any(a.apply(row)) for row in rows)
+    assert len(rows) == a.cols - rational_rank(a)
+    span = IntMatrix._of(rows, a.cols).transpose()
+    assert lattice_hnf(span).transpose() == kernel_basis(a)
+
+
 def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):
     """Z groups of two ballic products against sympy's invariant factors
     of every dense boundary; some residuals left after unit-pivot

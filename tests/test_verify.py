@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from orbihom.intlin import AbPresentation, FgAbGroup, GroupHom, IntMatrix
+from orbihom import verify
+from orbihom.intlin import (
+    AbPresentation,
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    lattice_hnf,
+)
 from orbihom.orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -29,6 +36,9 @@ from orbihom.verify import (
     exactness_assertion,
     random_two_cover,
 )
+
+from oracles import unreduced_mv_assertions
+from test_acceptance import GRID_1_TO_3
 
 GRID = [
     Disc2(2), Disc2(3), Disc2(5), Disc2(12),
@@ -115,6 +125,53 @@ def test_mv_random_covers():
             a, b = random_two_cover(wcc, rng)
             report = check_mv(wcc, a, b)
             assert report.passed, report.render()
+
+
+def test_mv_matches_the_unreduced_route():
+    """Reduced relators give every assertion, lattice text included,
+    exactly as the full relators and canonical kernels do."""
+    models = [t_model(d) for d in GRID_1_TO_3] + [
+        t_model(ProductTorus(d, 1))
+        for d in (Disc2(3), Ball3((2, 3, 5)), Surface(1, 1, (2, 5)))]
+    for wcc in models:
+        for seed in range(4):
+            a, b = random_two_cover(wcc, random.Random(seed))
+            got = [(row.statement, row.left, row.right, row.passed)
+                   for row in check_mv(wcc, a, b).assertions]
+            assert got == unreduced_mv_assertions(wcc, a, b), (wcc.name, seed)
+
+
+def test_mv_lattices_carry_a_relator_basis(monkeypatch):
+    seen = []
+    original = verify.exactness_assertion
+
+    def spy(statement, image_of, kernel_of, at):
+        seen.append(at)
+        return original(statement, image_of, kernel_of, at)
+
+    monkeypatch.setattr(verify, "exactness_assertion", spy)
+    wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
+    a, b = random_two_cover(wcc, random.Random(9))
+    assert check_mv(wcc, a, b).passed
+    assert len(seen) == 3 * (wcc.dim + 1)
+    for at in seen:
+        assert lattice_hnf(at.rels).rows == at.rels.cols <= at.gens
+
+
+def test_mv_catches_a_zero_connecting_map(monkeypatch):
+    homs = []
+    original = verify.connecting_hom
+
+    def zeroed(*args, **kwargs):
+        homs.extend(original(*args, **kwargs))
+        return tuple(GroupHom(h.source, h.target,
+                              IntMatrix.zeros(h.matrix.rows, h.matrix.cols))
+                     for h in homs)
+
+    monkeypatch.setattr(verify, "connecting_hom", zeroed)
+    report = check_mv(torus_of_two_annuli(), "left", "right")
+    assert any(not h.matrix.is_zero() for h in homs)
+    assert not report.passed
 
 
 def test_mv_builds_each_subcomplex_once(monkeypatch):
