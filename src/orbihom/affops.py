@@ -257,42 +257,23 @@ def _simplices(s: AffineSimplex, point, layouts) -> list:
     return [(_pick(verts, hashes, ix), m) for ix, m in layouts]
 
 
-def refine(s: AffineSimplex, face, a) -> AffineChain:
-    """Fan of s through the interior point of the marked face.
-
-    face is a strictly increasing tuple of vertex indices of s of
-    length at least 2, and a gives barycentric coordinates of a
-    strictly interior point of that face.  The result has one term per
-    face vertex.
-    """
-    idx = _check_face(s, face)
-    return _refine(s, idx, _interior_point([s.vertices[i] for i in idx], a))
-
-
 def _refine(s: AffineSimplex, idx, point: Point) -> AffineChain:
-    """refine on checked face indices idx and their marked point."""
+    """Fan of s through point, interior to the face of s with checked
+    vertex indices idx: one term per face vertex."""
     q = s.dim
     return AffineChain(_simplices(s, point,
                                   _fan(tuple(range(q + 1)), idx, q + 1)))
 
 
-def prism(s: AffineSimplex, face, a) -> AffineChain:
-    """Degree +1 homotopy term for one simplex.
-
-    Term j doubles v_j: v_0..v_j followed by v_j..v_q.  With a marked
-    face, the terms with j up to the face's first index continue instead
-    with the fan through the interior point from v_j on; with face None
-    the result is the plain vertex-doubling prism.
-    """
-    if face is None:
-        return _prism(s, None, None)
-    idx = _check_face(s, face)
-    return _prism(s, idx, _interior_point([s.vertices[i] for i in idx], a))
-
-
 def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
-    """prism on checked face indices idx and their marked point, or on
-    no marked face when idx is None; the point is then not hashed."""
+    """Degree +1 homotopy term for one simplex, with the marked face
+    given by checked indices idx and its interior point.
+
+    Term j doubles v_j: v_0..v_j followed by v_j..v_q.  The terms with
+    j up to the face's first index continue instead with the fan
+    through point from v_j on.  With idx None the result is the plain
+    vertex-doubling prism, and point is not hashed.
+    """
     q, i0 = s.dim, -1 if idx is None else idx[0]
     v = tuple(range(q + 1))
     layouts = []

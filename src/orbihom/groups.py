@@ -114,14 +114,9 @@ def pi1_presentation(d: OrbifoldDesc) -> Presentation:
         relators: list[Word] = [
             power(g, m) for g, m in zip(cone_gens, d.cone_orders)
         ]
-        long_word: Word = ()
-        for g in cone_gens:
-            long_word = concat(long_word, ((g, 1),))
-        for g in bd_gens:
-            long_word = concat(long_word, ((g, 1),))
-        for k in range(1, d.genus + 1):
-            long_word = concat(long_word, commutator(f"a{k}", f"b{k}"))
-        relators.append(long_word)
+        relators.append(concat([(g, 1) for g in cone_gens + bd_gens],
+                               *(commutator(f"a{k}", f"b{k}")
+                                 for k in range(1, d.genus + 1))))
         return Presentation(tuple(gens), tuple(relators))
     if isinstance(d, ProductTorus):
         base = pi1_presentation(d.base)

@@ -287,46 +287,6 @@ class WeightedCellComplex:
         return self._chain
 
 
-def _tensor_parts(a_cells: Iterable[Cell],
-                  a_subs: Mapping[str, Iterable[str]],
-                  b_cells: Sequence[Cell]) -> tuple[list[Cell], dict]:
-    """Cells, stably sorted by dimension, and subcomplexes of the
-    product of two cell lists, as described for tensor_weighted.
-
-    The cells are trusted builds from checked ones: '_x_' labels are
-    ids, and each boundary relabels two merged ones.  Two of its refs
-    can coincide only when factor ids contain '_x_', and then two
-    product cells share an id, which WeightedCellComplex rejects before
-    it reads a boundary.
-    """
-    cells = []
-    for ca in a_cells:
-        sign = -1 if ca.dim % 2 else 1
-        for cb in b_cells:
-            boundary = [(f"{ref}_x_{cb.id}", coefficient)
-                        for ref, coefficient in ca.boundary]
-            boundary += [(f"{ca.id}_x_{ref}", sign * coefficient)
-                         for ref, coefficient in cb.boundary]
-            cells.append(Cell._of(f"{ca.id}_x_{cb.id}", ca.dim + cb.dim,
-                                  ca.weight * cb.weight, tuple(boundary)))
-    cells.sort(key=lambda cell: cell.dim)
-    subs = {sub_name: {f"{x}_x_{cb.id}" for x in members for cb in b_cells}
-            for sub_name, members in a_subs.items()}
-    return cells, subs
-
-
-def tensor_weighted(a: WeightedCellComplex, b: WeightedCellComplex,
-                    name: str | None = None) -> WeightedCellComplex:
-    """Product complex: weights multiply, boundaries get the product sign.
-
-    Named subcomplexes of the first factor propagate as their product
-    with all of the second factor.
-    """
-    cells, subs = _tensor_parts(a.cells, a.subs, b.cells)
-    return WeightedCellComplex(name or f"{a.name}_x_{b.name}",
-                               a.dim + b.dim, cells, subs)
-
-
 def cone_point_index(m1: int, m2: int, m3: int) -> int:
     """Order of the local group at the cone point of a ballic model.
 
@@ -511,35 +471,35 @@ _FAMILIES = {
 MAX_CELLS = 100_000
 
 
-def _cell_count(d: OrbifoldDesc, adapted: bool) -> tuple[int, int]:
-    """(n, k) such that the model of d has n * 2**k cells, found without
-    building it; a file descriptor is read to count its cells."""
-    if isinstance(d, ProductTorus):
-        n, k = _cell_count(d.base, adapted)
-        return n, k + d.torus_factors
-    if isinstance(d, Custom):
-        return len(_build(d, adapted).cells), 0
-    if type(d) not in _FAMILIES:
-        raise TypeError(f"not a descriptor: {d!r}")
-    return _FAMILIES[type(d)][2](d)[adapted], 0
-
-
 def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
-    """The t model (adapted false) or adapted model of a descriptor.
+    """The t model (adapted false) or adapted model of a descriptor,
+    with nested ProductTorus layers taken as one torus(k).
 
     A file descriptor gives the parsed complex for both kinds.  A model
     of more than MAX_CELLS cells raises ValueError before it is built.
     """
-    if isinstance(d, Custom):
-        with open(d.path, encoding="utf-8") as handle:
-            return parse_owc(handle.read())
-    n, k = _cell_count(d, adapted)
+    base, k = d, 0
+    while isinstance(base, ProductTorus):
+        base, k = base.base, k + base.torus_factors
+    if isinstance(base, Custom):
+        with open(base.path, encoding="utf-8") as handle:
+            model = parse_owc(handle.read())
+        if not k:
+            return model
+        n, parts = len(model.cells), (model.dim, model.cells, model.subs)
+    elif type(base) in _FAMILIES:
+        n, parts = _FAMILIES[type(base)][2](base)[adapted], None
+    else:
+        raise TypeError(f"not a descriptor: {base!r}")
     # With n >= 1, k >= 17 is over the limit: n << k is not formed then.
     if k >= MAX_CELLS.bit_length() or n << k > MAX_CELLS:
         estimate = f"{n} x 2^{k}" if k else str(n)
         raise ValueError(f"{describe(d)} would have {estimate} cells, "
                          f"more than the limit of {MAX_CELLS}")
-    return WeightedCellComplex(describe(d), *_parts(d, adapted))
+    dim, cells, subs = parts or _FAMILIES[type(base)][adapted](base)
+    if k:
+        cells, subs = _torus_parts(cells, subs, k)
+    return WeightedCellComplex(describe(d), dim + k, cells, subs)
 
 
 def _torus_parts(cells: Sequence[Cell], subs: Mapping[str, Iterable[str]],
@@ -549,9 +509,9 @@ def _torus_parts(cells: Sequence[Cell], subs: Mapping[str, Iterable[str]],
     A product cell is a base cell with a suffix of k parts, '_x_z' (dim
     0) or '_x_t' (dim 1), on its id and on each boundary ref, and the
     base weight: the circle has no boundary, so no sign enters.  Cells
-    come in the order of k iterated tensor_weighted products with the
-    circle: by dimension, then by the factors k down to 2 with t before
-    z (the order of tails), then by base position.
+    come in the order of k iterated products with the circle
+    (`oracles.public_tensor`): by dimension, then by the factors k down
+    to 2 with t before z (the order of tails), then by base position.
     """
     heads = (("_x_z", 0), ("_x_t", 1))
     tails = [("", 0)]
@@ -567,17 +527,6 @@ def _torus_parts(cells: Sequence[Cell], subs: Mapping[str, Iterable[str]],
     suffixes = [suffix for pair in rounds for suffix, _ in pair]
     return out, {sub_name: {x + suffix for x in members for suffix in suffixes}
                  for sub_name, members in subs.items()}
-
-
-def _parts(d: OrbifoldDesc, adapted: bool):
-    if isinstance(d, ProductTorus):
-        dim, cells, subs = _parts(d.base, adapted)
-        k = d.torus_factors
-        return dim + k, *_torus_parts(cells, subs, k)
-    if isinstance(d, Custom):
-        wcc = _build(d, adapted)
-        return wcc.dim, wcc.cells, wcc.subs
-    return _FAMILIES[type(d)][adapted](d)
 
 
 def t_model(d: OrbifoldDesc) -> WeightedCellComplex:

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 
 from .chains import (
-    ChainComplex,
     connecting_hom,
     homology,
     inclusion_map,
@@ -116,28 +114,6 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
         f"kernel {_render_rows(ker)}",
         im == ker,
     )
-
-
-def _close_down(wcc: WeightedCellComplex, ids) -> frozenset:
-    out = set(ids)
-    for cell in sorted(wcc.cells, key=lambda c: -c.dim):
-        if cell.id in out:
-            out.update(ref for ref, _ in cell.boundary)
-    return frozenset(out)
-
-
-def random_two_cover(wcc: WeightedCellComplex,
-                     rng: random.Random) -> tuple[frozenset, frozenset]:
-    """Random pair of downward-closed cell sets covering the complex."""
-    a: set[str] = set()
-    b: set[str] = set()
-    for cell in wcc.cells:
-        roll = rng.choice(("left", "right", "both"))
-        if roll in ("left", "both"):
-            a.add(cell.id)
-        if roll in ("right", "both"):
-            b.add(cell.id)
-    return _close_down(wcc, a), _close_down(wcc, b)
 
 
 def _reduced(p: AbPresentation) -> AbPresentation:

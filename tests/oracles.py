@@ -22,14 +22,26 @@ built on the private eliminations of intlin; the row echelon step as
 it was before each pivot column was scanned once; the tensor product of
 chain complexes and the point and circle complexes; dense views of
 chain maps and sparse columns of dense matrices; the parser of group
-text, a captured CLI run, and the inverse of a group word.
+text, a captured CLI run, and the inverse of a group word; a seeded
+random two-cover of a model by downward-closed cell sets; and the
+refinement and prism of one simplex, built on the private checks and
+operators of affops.
 """
 
 import contextlib
 import io
+import random
 import re
 from operator import mul
 
+from orbihom.affops import (
+    AffineChain,
+    AffineSimplex,
+    _check_face,
+    _interior_point,
+    _prism,
+    _refine,
+)
 from orbihom.chains import (
     ChainComplex,
     connecting_hom,
@@ -223,6 +235,51 @@ def run(argv) -> tuple[int, str]:
 def inverse(word) -> tuple:
     """Inverse of a group word: letters reversed, exponents negated."""
     return tuple((gen, -exp) for gen, exp in reversed(word))
+
+
+def _close_down(wcc: WeightedCellComplex, ids) -> frozenset:
+    out = set(ids)
+    for cell in sorted(wcc.cells, key=lambda c: -c.dim):
+        if cell.id in out:
+            out.update(ref for ref, _ in cell.boundary)
+    return frozenset(out)
+
+
+def random_two_cover(wcc: WeightedCellComplex,
+                     rng: random.Random) -> tuple[frozenset, frozenset]:
+    """Random pair of downward-closed cell sets covering the complex."""
+    a: set[str] = set()
+    b: set[str] = set()
+    for cell in wcc.cells:
+        roll = rng.choice(("left", "right", "both"))
+        if roll in ("left", "both"):
+            a.add(cell.id)
+        if roll in ("right", "both"):
+            b.add(cell.id)
+    return _close_down(wcc, a), _close_down(wcc, b)
+
+
+def refine(s: AffineSimplex, face, a) -> AffineChain:
+    """Fan of s through the interior point of the marked face.
+
+    face is a strictly increasing tuple of vertex indices of s of
+    length at least 2, and a gives barycentric coordinates of a
+    strictly interior point of that face.  The result has one term per
+    face vertex.
+    """
+    idx = _check_face(s, face)
+    return _refine(s, idx, _interior_point([s.vertices[i] for i in idx], a))
+
+
+def prism(s: AffineSimplex, face, a) -> AffineChain:
+    """Degree +1 homotopy term for one simplex, with the marked face
+    given by checked vertex indices and barycentric coordinates a of
+    its interior point, or the plain vertex-doubling prism with face
+    None."""
+    if face is None:
+        return _prism(s, None, None)
+    idx = _check_face(s, face)
+    return _prism(s, idx, _interior_point([s.vertices[i] for i in idx], a))
 
 
 def det(a: IntMatrix) -> int:

@@ -29,11 +29,10 @@ from orbihom.verify import (
     check_mv,
     check_rational,
     check_underlying,
-    random_two_cover,
 )
 
 from conftest import REPORT_DIR
-from oracles import det, run, snf, tensor
+from oracles import det, random_two_cover, run, snf, tensor
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()

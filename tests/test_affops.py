@@ -12,12 +12,12 @@ from orbihom.affops import (
     AffineSimplex,
     boundary,
     find_face,
-    prism,
     prism_operator,
-    refine,
     sd_operator,
     selftest,
 )
+
+from oracles import prism, refine
 
 F = Fraction
 

@@ -36,7 +36,7 @@ from orbihom.orbmodel import (
     t_model,
 )
 
-from orbihom.verify import _torus_kunneth, random_two_cover
+from orbihom.verify import _torus_kunneth
 from oracles import (
     circle_complex,
     dense_commutes,
@@ -44,6 +44,8 @@ from oracles import (
     hnf_connecting_matrices,
     point_complex,
     presentation_groups,
+    public_tensor,
+    random_two_cover,
     snf,
     solve_linear,
     sparse_columns,
@@ -817,7 +819,7 @@ def test_connecting_hom_half_disk_all_zero():
 def test_connecting_hom_torus_from_two_annuli():
     # two-vertex circle (P,Q with arcs E1,E2) crossed with a circle;
     # the annuli over E1 and over E2 meet in two disjoint circles
-    from orbihom.orbmodel import Cell, WeightedCellComplex, tensor_weighted
+    from orbihom.orbmodel import Cell, WeightedCellComplex
 
     base = WeightedCellComplex(
         name="twocircle", dim=1,
@@ -832,7 +834,7 @@ def test_connecting_hom_torus_from_two_annuli():
         name="circle", dim=1,
         cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
     )
-    torus = tensor_weighted(base, fiber)
+    torus = public_tensor(base, fiber, "torus")
     m = torus.chain_complex()
     assert groups_of(m) == (Z, FgAbGroup.free(2), Z)
     cells_a = torus.sub_cells("left")
@@ -861,7 +863,7 @@ def test_connecting_hom_cone_cover_of_weighted_sphere():
 def test_connecting_hom_class_ignores_preimage_choice():
     # perturbing the solved preimage by a chain of the intersection
     # must not change the resulting class
-    from orbihom.orbmodel import Cell, WeightedCellComplex, tensor_weighted
+    from orbihom.orbmodel import Cell, WeightedCellComplex
 
     base = WeightedCellComplex(
         name="twocircle", dim=1,
@@ -876,7 +878,7 @@ def test_connecting_hom_class_ignores_preimage_choice():
         name="circle", dim=1,
         cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
     )
-    torus = tensor_weighted(base, fiber)
+    torus = public_tensor(base, fiber, "torus")
     m = torus.chain_complex()
     a = subcomplex(m, torus.sub_cells("left"))
     b = subcomplex(m, torus.sub_cells("right"))

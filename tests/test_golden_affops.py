@@ -21,11 +21,11 @@ from orbihom.affops import (
     AffineChain,
     AffineSimplex,
     boundary,
-    prism,
     prism_operator,
-    refine,
     sd_operator,
 )
+
+from oracles import prism, refine
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "affops_chains.json"
 INPUTS = 30

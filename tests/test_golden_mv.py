@@ -14,7 +14,9 @@ import random
 
 from orbihom.cli import parse_descriptor
 from orbihom.orbmodel import t_model
-from orbihom.verify import check_mv, random_two_cover
+from orbihom.verify import check_mv
+
+from oracles import random_two_cover
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "mv_reports.json"
 

@@ -1,6 +1,7 @@
 """Weighted cellular models: builders, file format, degenerations."""
 
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -27,7 +28,6 @@ from orbihom.orbmodel import (
     parse_owc,
     serialize_owc,
     t_model,
-    tensor_weighted,
     underlying_model,
     ws_complex,
 )
@@ -155,31 +155,18 @@ def test_sub_cells_all_and_unknown():
 
 
 def test_tensor_weighted_multiplies_weights():
+    """The product with the circle, built by the oracle and by t_model."""
     a = t_model(Disc2(3))
-    circle = WeightedCellComplex(
-        name="circle", dim=1,
-        cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
-    )
-    prod = tensor_weighted(a, circle)
-    assert prod.dim == 3
-    assert len(prod.cells) == len(a.cells) * 2
-    assert prod.cell("sighat_x_z").weight == 3
-    assert prod.cell("sighat_x_t").weight == 3
-    assert validate(prod.chain_complex()) == []
-    # subs of the first factor survive as products
-    bd = prod.sub_cells("boundary")
-    assert "v0_x_z" in bd and "v0_x_t" in bd and "c_out_x_t" in bd
-
-
-def test_product_models_match_iterated_tensor():
-    for d in PRODUCTS:
-        for build in (t_model, adapted_model):
-            model = build(d.base)
-            for _ in range(d.torus_factors):
-                model = tensor_weighted(model, CIRCLE, name=describe(d))
-                assert validate(model.chain_complex()) == []
-            assert serialize_owc(build(d)) == serialize_owc(model), \
-                (d, build.__name__)
+    for prod in (public_tensor(a, CIRCLE, "p"),
+                 t_model(ProductTorus(Disc2(3), 1))):
+        assert prod.dim == 3
+        assert len(prod.cells) == len(a.cells) * 2
+        assert prod.cell("sighat_x_z").weight == 3
+        assert prod.cell("sighat_x_t").weight == 3
+        assert validate(prod.chain_complex()) == []
+        # subs of the first factor survive as products
+        bd = prod.sub_cells("boundary")
+        assert "v0_x_z" in bd and "v0_x_t" in bd and "c_out_x_t" in bd
 
 
 def test_product_of_an_unordered_file_base_matches_iterated_tensor(tmp_path):
@@ -200,8 +187,25 @@ def test_product_of_an_unordered_file_base_matches_iterated_tensor(tmp_path):
     model = parse_owc(path.read_text())
     assert [cell.dim for cell in model.cells] == [2, 2, 1, 1, 0, 1, 0]
     for _ in range(3):
-        model = tensor_weighted(model, CIRCLE, name=describe(d))
+        model = public_tensor(model, CIRCLE, describe(d))
     assert serialize_owc(t_model(d)) == serialize_owc(model)
+
+
+def test_file_product_reads_the_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "disc.owc"
+    path.write_text(serialize_owc(t_model(Disc2(3))))
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_owc(text)
+
+    monkeypatch.setattr(orbmodel, "parse_owc", counted)
+    d = ProductTorus(Custom(str(path)), 2)
+    for build in (t_model, adapted_model, underlying_model):
+        calls.clear()
+        assert len(build(d).cells) == 28
+        assert len(calls) == 1, build.__name__
 
 
 def _same_complex(c: ChainComplex, other: ChainComplex) -> bool:
@@ -210,13 +214,16 @@ def _same_complex(c: ChainComplex, other: ChainComplex) -> bool:
 
 def test_product_models_match_public_builds():
     """Product models, their chain complexes, restrictions and scaled
-    duals equal rebuilds through the public, checking constructors."""
+    duals equal rebuilds through the public, checking constructors:
+    iterated products with the circle, each one a valid complex."""
     for d in PRODUCTS:
         for build in (t_model, adapted_model):
             model, ref = build(d), build(d.base)
             for _ in range(d.torus_factors):
                 ref = public_tensor(ref, CIRCLE, describe(d))
+                assert validate(ref.chain_complex()) == []
             assert model.cells == ref.cells, (d, build.__name__)
+            assert serialize_owc(model) == serialize_owc(ref)
             assert model.subs == ref.subs
             c = model.chain_complex()
             assert _same_complex(c, ref.chain_complex())
@@ -234,6 +241,18 @@ def test_product_models_match_public_builds():
             assert _same_complex(ws, ChainComplex(ws.basis, ws.boundaries))
             for k in range(am.dim + 2):
                 assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
+
+
+def test_nested_products_build_as_one_product():
+    """ProductTorus(ProductTorus(X, j), k) is X x torus(j + k) under
+    its own name."""
+    for d in PRODUCTS:
+        for j in (1, 2):
+            nested = ProductTorus(ProductTorus(d.base, j), d.torus_factors)
+            flat = ProductTorus(d.base, j + d.torus_factors)
+            for build in (t_model, adapted_model, underlying_model):
+                assert serialize_owc(build(nested)) == serialize_owc(
+                    build(flat)).replace(describe(flat), describe(nested), 1)
 
 
 def test_product_build_checks_only_the_base_cells(monkeypatch):
@@ -264,33 +283,45 @@ def test_product_build_checks_only_the_base_cells(monkeypatch):
 
 
 def test_tensor_weighted_rejects_colliding_product_ids():
-    """Factor ids with '_x_' can give two product cells one id; that is
-    refused before the boundaries, whose refs then collide, are read."""
+    """Factor ids with '_x_' can give two product cells one id, and the
+    product is refused by that id."""
     a = WeightedCellComplex("a", 1, (Cell("V", 0, 1),
                                      Cell("V_x_y", 1, 1, (("V", 1),))))
     b = WeightedCellComplex("b", 1, (Cell("Z", 0, 1),
                                      Cell("y_x_Z", 1, 1, (("Z", 1),))))
     with pytest.raises(ComplexError,
                        match="^duplicate cell id V_x_y_x_Z$") as info:
-        tensor_weighted(a, b)
+        public_tensor(a, b, "ab")
     assert info.value.cell == "V_x_y_x_Z"
 
 
-def test_cell_count_matches_built_models():
+def test_cell_count_matches_built_models(monkeypatch):
+    """The size guard's estimate, read off its message with the limit
+    at 0, is the cell count of the model built under the real limit."""
     for d in GRID_1_TO_3 + list(PRODUCTS):
-        for adapted, build in ((False, t_model), (True, adapted_model)):
-            n, k = orbmodel._cell_count(d, adapted)
-            assert n << k == len(build(d).cells), (d, adapted)
+        for build in (t_model, adapted_model):
+            cells = len(build(d).cells)
+            with monkeypatch.context() as patch:
+                patch.setattr(orbmodel, "MAX_CELLS", 0)
+                with pytest.raises(ValueError, match="limit of 0") as info:
+                    build(d)
+            n, k = re.search(r"would have (\d+)(?: x 2\^(\d+))? cells",
+                             str(info.value)).groups()
+            assert int(n) << int(k or 0) == cells, (d, build.__name__)
 
 
 def test_size_guard_refuses_before_building(monkeypatch):
     def build(*args):
         raise AssertionError("the model was built")
 
-    monkeypatch.setattr(orbmodel, "_parts", build)
+    for family, (_, _, count) in list(orbmodel._FAMILIES.items()):
+        monkeypatch.setitem(orbmodel._FAMILIES, family, (build, build, count))
+    monkeypatch.setattr(orbmodel, "_torus_parts", build)
     for d, estimate in ((ProductTorus(Disc2(3), 40), "7 x 2^40"),
                         (ProductTorus(Disc2(3), 10 ** 30), f"7 x 2^{10 ** 30}"),
-                        (Surface(60_000, 0), "120002")):
+                        (Surface(60_000, 0), "120002"),
+                        (ProductTorus(ProductTorus(Disc2(3), 9), 7),
+                         "7 x 2^16")):
         for model in (t_model, adapted_model, underlying_model):
             with pytest.raises(ValueError, match="limit of 100000") as info:
                 model(d)

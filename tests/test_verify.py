@@ -21,7 +21,6 @@ from orbihom.orbmodel import (
     Surface,
     WeightedCellComplex,
     t_model,
-    tensor_weighted,
 )
 from orbihom.verify import (
     check_bhomotopy_pair,
@@ -34,10 +33,9 @@ from orbihom.verify import (
     classical_reference,
     compare_graded,
     exactness_assertion,
-    random_two_cover,
 )
 
-from oracles import unreduced_mv_assertions
+from oracles import public_tensor, random_two_cover, unreduced_mv_assertions
 from test_acceptance import GRID_1_TO_3
 
 GRID = [
@@ -63,7 +61,7 @@ def torus_of_two_annuli():
         name="circle", dim=1,
         cells=(Cell("z", 0, 1), Cell("t", 1, 1)),
     )
-    return tensor_weighted(base, fiber, name="torus")
+    return public_tensor(base, fiber, "torus")
 
 
 # ------------------------------------------------------------- mv covers
