@@ -19,7 +19,8 @@ integers, and anything else raises TypeError.  A simplex hashes each
 vertex once, when the public constructor builds it; faces,
 restrictions and the fan and prism terms are trusted builds that reuse
 the parent's points and vertex hashes, so only a new interior point is
-ever hashed again.
+ever hashed again.  Likewise the chains that affops sums itself skip the
+public constructor's conversion and checks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ Point = tuple[Fraction, ...]
 
 
 def _exact(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, Rational):
         raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
     return Fraction(x)
@@ -141,17 +144,17 @@ class AffineChain:
 
     def __init__(self, terms=None):
         """Sum (simplex, coefficient) pairs in order of first appearance."""
-        data: dict[AffineSimplex, int] = {}
         pairs = terms.items() if isinstance(terms, dict) else terms or ()
-        for simplex, coeff in pairs:
-            if not isinstance(simplex, AffineSimplex):
-                simplex = AffineSimplex(simplex)
-            coeff = operator.index(coeff)
-            if coeff:
-                data[simplex] = data.get(simplex, 0) + coeff
-        for simplex in [s for s, c in data.items() if not c]:
-            del data[simplex]
-        self._terms = data
+        self._terms = _summed(
+            (s if isinstance(s, AffineSimplex) else AffineSimplex(s),
+             operator.index(c)) for s, c in pairs)
+
+    @classmethod
+    def _of(cls, pairs) -> "AffineChain":
+        """Trusted sum of (AffineSimplex, int) pairs: nothing is checked."""
+        self = object.__new__(cls)
+        self._terms = _summed(pairs)
+        return self
 
     @classmethod
     def zero(cls) -> "AffineChain":
@@ -175,17 +178,18 @@ class AffineChain:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "AffineChain") -> "AffineChain":
-        return AffineChain([*self._terms.items(), *other._terms.items()])
+        return AffineChain._of([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "AffineChain":
         return self.scale(-1)
 
     def __sub__(self, other: "AffineChain") -> "AffineChain":
-        return AffineChain([*self._terms.items(),
-                            *((s, -c) for s, c in other._terms.items())])
+        return AffineChain._of([*self._terms.items(),
+                                *((s, -c) for s, c in other._terms.items())])
 
     def scale(self, n: int) -> "AffineChain":
-        return AffineChain((s, n * c) for s, c in self._terms.items())
+        n = operator.index(n)
+        return AffineChain._of((s, n * c) for s, c in self._terms.items())
 
     def degree(self) -> int:
         """Common dimension of all terms (error if mixed or zero)."""
@@ -199,11 +203,22 @@ class AffineChain:
         return " ".join(f"{c:+d}*{s!r}" for s, c in terms) or "0"
 
 
+def _summed(pairs) -> dict[AffineSimplex, int]:
+    """The nonzero sums of (simplex, coefficient) pairs, in order of first
+    appearance with a nonzero coefficient."""
+    data: dict[AffineSimplex, int] = {}
+    get = data.get
+    for simplex, coeff in pairs:
+        if coeff:
+            data[simplex] = get(simplex, 0) + coeff
+    return {s: c for s, c in data.items() if c}
+
+
 def boundary(c) -> AffineChain:
     """Alternating-sign sum of vertex deletions, extended linearly."""
     if isinstance(c, AffineSimplex):
-        c = AffineChain.of(c)
-    return AffineChain((s.face(i), n * (-1) ** i)
+        c = AffineChain._of([(c, 1)])
+    return AffineChain._of((s.face(i), -n if i & 1 else n)
                        for s, n in c._terms.items() if s.dim
                        for i in range(s.dim + 1))
 
@@ -215,9 +230,10 @@ def _check_interior(a, p: int) -> tuple[Fraction, ...]:
             f"interior point needs {p + 1} barycentric coordinates, "
             f"got {len(weights)}"
         )
-    if any(w <= 0 for w in weights):
+    if any(w.numerator <= 0 for w in weights):
         raise ValueError("interior point needs strictly positive coordinates")
-    if sum(weights) != 1:
+    num, den = _dot(weights, itertools.repeat(1))
+    if num != den:
         raise ValueError("barycentric coordinates must sum to 1")
     return weights
 
@@ -225,8 +241,17 @@ def _check_interior(a, p: int) -> tuple[Fraction, ...]:
 def _interior_point(verts, a) -> Point:
     """Point with the checked barycentric coordinates a on the points verts."""
     weights = _check_interior(a, len(verts) - 1)
-    return tuple(sum((w * x for w, x in zip(weights, coords)), Fraction(0))
-                 for coords in zip(*verts))
+    return tuple(Fraction(*_dot(weights, coords)) for coords in zip(*verts))
+
+
+def _dot(ws, xs) -> tuple[int, int]:
+    """Numerator and denominator of the sum of w * x over paired exact
+    rationals, kept on one running integer denominator."""
+    num, den = 0, 1
+    for w, x in zip(ws, xs):
+        d = w.denominator * x.denominator
+        num, den = num * d + w.numerator * x.numerator * den, den * d
+    return num, den
 
 
 def _check_face(s: AffineSimplex, face) -> tuple[int, ...]:
@@ -261,8 +286,8 @@ def _refine(s: AffineSimplex, idx, point: Point) -> AffineChain:
     """Fan of s through point, interior to the face of s with checked
     vertex indices idx: one term per face vertex."""
     q = s.dim
-    return AffineChain(_simplices(s, point,
-                                  _fan(tuple(range(q + 1)), idx, q + 1)))
+    return AffineChain._of(_simplices(s, point,
+                                      _fan(tuple(range(q + 1)), idx, q + 1)))
 
 
 def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
@@ -281,7 +306,8 @@ def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
         tails = [(v[j:], 1)] if j > i0 else _fan(v, idx, q + 1, j)
         layouts += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
                     for tail, m in tails]
-    return AffineChain(_simplices(s, None if idx is None else point, layouts))
+    return AffineChain._of(_simplices(s, None if idx is None else point,
+                                      layouts))
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):
@@ -289,8 +315,10 @@ def find_face(s: AffineSimplex, phi: AffineSimplex):
     or None when phi does not occur as a face of s."""
     if phi.dim > s.dim or phi.ambient != s.ambient:
         return None
+    verts, hashes = s.vertices, s._vertex_hashes
     for idx in itertools.combinations(range(s.dim + 1), phi.dim + 1):
-        if tuple(s.vertices[i] for i in idx) == phi.vertices:
+        if (tuple(map(hashes.__getitem__, idx)) == phi._vertex_hashes
+                and tuple(map(verts.__getitem__, idx)) == phi.vertices):
             return idx
     return None
 
@@ -305,14 +333,14 @@ def _operator(op, phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
         idx = find_face(s, phi)
         chain = op(s, idx if idx is None else _check_face(s, idx), point)
         terms += [(t, n * m) for t, m in chain._terms.items()]
-    return AffineChain(terms)
+    return AffineChain._of(terms)
 
 
 def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
-    return _operator(lambda s, idx, point: AffineChain.of(s) if idx is None
-                     else _refine(s, idx, point), phi, a, c)
+    return _operator(lambda s, idx, point: AffineChain._of([(s, 1)])
+                     if idx is None else _refine(s, idx, point), phi, a, c)
 
 
 def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:

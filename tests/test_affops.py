@@ -142,7 +142,7 @@ def test_operators_place_the_marked_point_once(monkeypatch):
 
 def test_selftest_hashes_each_vertex_once(monkeypatch):
     """A count, not a timing: 20 trials used to hash 108,631 Fractions
-    when every dict lookup rehashed every coordinate."""
+    when every dict lookup rehashed every coordinate, and hash 838 now."""
     calls = [0]
     exact = Fraction.__hash__
 
@@ -152,7 +152,86 @@ def test_selftest_hashes_each_vertex_once(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", counting)
     assert selftest(20, 0).passed
-    assert 0 < calls[0] < 20_000
+    assert 0 < calls[0] < 1_000
+
+
+def test_selftest_builds_few_fractions(monkeypatch):
+    """A count, not a timing: 20 trials used to construct 3,422
+    Fractions when the marked point and the sum-to-1 check ran on
+    Fraction arithmetic, and construct 644 now."""
+    calls = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert selftest(20, 0).passed
+    assert 0 < calls[0] < 1_000
+
+
+def test_trusted_sums_match_public_chains():
+    """AffineChain._of sums like the public constructor: same terms,
+    same order of first nonzero appearance, same repr."""
+    rng = random.Random(21)
+    pool = [rand_simplex(rng, 1, 1) for _ in range(5)]
+    for _ in range(200):
+        pairs = [(rng.choice(pool), rng.randint(-2, 2))
+                 for _ in range(rng.randint(0, 12))]
+        public, trusted = AffineChain(pairs), AffineChain._of(pairs)
+        assert trusted == public
+        assert list(trusted.terms().items()) == list(public.terms().items())
+        assert repr(trusted) == repr(public)
+    s, t = simplex((0,), (1,)), simplex((1,), (2,))
+    assert list(AffineChain([(t, 0), (s, 1), (t, 1)]).terms()) == [s, t]
+    assert list(AffineChain._of([(t, 0), (s, 1), (t, 1)]).terms()) == [s, t]
+
+
+def test_operators_build_no_public_chains(monkeypatch):
+    """Once the inputs exist, boundary, both operators, + and - sum
+    their terms through the trusted build, not AffineChain(...)."""
+    s = simplex((0, 0), (1, 0), (0, 1))
+    other = simplex((5, 5), (6, 5), (5, 6))
+    phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
+    c = AffineChain([(s, 2), (other, -1)])
+    d = AffineChain.of(s.face(0))
+
+    def runs():
+        return [boundary(c), boundary(s), sd_operator(phi, a, c),
+                prism_operator(phi, a, c), c + d, c - d, -c]
+
+    expected = runs()
+
+    def refuse(self, terms=None):
+        raise AssertionError("public AffineChain built internally")
+
+    monkeypatch.setattr(AffineChain, "__init__", refuse)
+    assert runs() == expected
+
+
+def test_check_interior_accepts_exact_weights():
+    """The integer sum-to-1 path accepts what Fraction arithmetic did:
+    Fraction subclasses, ints and bools, and refuses in the same order."""
+
+    class Sub(Fraction):
+        pass
+
+    weights = affops._check_interior((F(1, 2), Sub(1, 4), Sub(1, 4)), 2)
+    assert weights == (F(1, 2), F(1, 4), F(1, 4))
+    assert affops._check_interior((1,), 0) == (F(1),)
+    assert affops._check_interior((True,), 0) == (F(1),)
+    assert affops._check_interior((F(1, 3), 1 - F(1, 3)), 1) == \
+        (F(1, 3), F(2, 3))
+    for bad in [(0, 1), (0, 2), (-1, 2)]:
+        with pytest.raises(ValueError, match="strictly positive"):
+            affops._check_interior(bad, 1)
+    with pytest.raises(ValueError, match="sum to 1"):
+        affops._check_interior((1, 1), 1)
+    with pytest.raises(TypeError):
+        affops._check_interior((0.5, 0.5), 1)
+    with pytest.raises(TypeError):
+        affops._check_interior((F(1, 2), 0.5), 1)
 
 
 def test_chain_algebra():
@@ -169,6 +248,8 @@ def test_chain_algebra():
         mixed.degree()
     with pytest.raises(TypeError):
         AffineChain.of(s, 1.5)
+    with pytest.raises(TypeError):
+        AffineChain.zero().scale(1.5)
     with pytest.raises(TypeError):
         AffineChain([(s, 1), (t, 0.0)])
     assert repr(AffineChain([(t, 2), (s, 1), (t, -2)])) == "+1*<(0), (1)>"
