@@ -178,12 +178,16 @@ class AffineChain:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "AffineChain") -> "AffineChain":
+        if not isinstance(other, AffineChain):
+            return NotImplemented
         return AffineChain._of([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "AffineChain":
         return self.scale(-1)
 
     def __sub__(self, other: "AffineChain") -> "AffineChain":
+        if not isinstance(other, AffineChain):
+            return NotImplemented
         return AffineChain._of([*self._terms.items(),
                                 *((s, -c) for s, c in other._terms.items())])
 

@@ -6,14 +6,18 @@ echelon rows, and finitely generated abelian groups in canonical form
 (free rank plus a divisor chain).  The Hermite and Smith forms come
 from one row echelon elimination, _echelon, carrying a transform only
 when asked: _hermite gives the row Hermite form, and _smith alternates
-row and column Hermite forms until the matrix is diagonal.  Divisor
-chains are built by gcd/lcm insertion, with no matrix.  Everything is
-exact: entries are Python ints, so no overflow is possible.
+row and column Hermite forms until the matrix is diagonal.  A canonical
+kernel basis, and the image and kernel lattices of a homomorphism of
+presented groups, each come from one _echelon over all the columns of
+a block matrix, split by _split_echelon.  Divisor chains are built by
+gcd/lcm insertion, with no matrix.  Everything is exact: entries are
+Python ints, so no overflow is possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -311,18 +315,22 @@ def lattice_hnf(a: IntMatrix) -> IntMatrix:
     return IntMatrix._of([row for row in h if any(row)], a.rows)
 
 
-def _kernel_rows(a: IntMatrix) -> list[list[int]]:
-    """A basis of the integer kernel of a, as rows: the rows of U, in
-    U @ a.transpose() == H, whose rows of H are zero.  It depends on
-    the elimination, not only on the kernel."""
-    h, u = _hermite(a.transpose(), left=True)
-    return [row for row, form in zip(u, h) if not any(form)]
+def _split_echelon(rows: list[list[int]], t: int):
+    """Row Hermite form of rows over all their columns, split at column
+    t: the canonical bases of the row lattice L projected to its first
+    t coordinates, and of L meet (0 + Z^rest), without those t zeros.
+    Pivots past column t never change the first t entries of a row."""
+    _echelon(rows, len(rows[0]) if rows else 0)
+    r = next((i for i, row in enumerate(rows) if not any(row[:t])), len(rows))
+    return [row[:t] for row in rows[:r]], [row[t:] for row in rows[r:] if any(row)]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of the integer kernel of a, as columns: the row
-    Hermite form of _kernel_rows(a).  Equal kernels give equal bases."""
-    basis, _ = _hermite(IntMatrix._of(_kernel_rows(a), a.cols), left=False)
+    """Canonical basis of the integer kernel of a, as columns, from one
+    elimination of the rows [a^T | I]: those whose first block is zero.
+    Equal kernels give equal bases."""
+    _, basis = _split_echelon(
+        [list(col) + e for col, e in zip(a.columns(), _eye(a.cols))], a.rows)
     return IntMatrix._of(basis, a.cols).transpose()
 
 
@@ -457,3 +465,16 @@ class GroupHom:
     def __post_init__(self):
         if self.matrix.rows != self.target.gens or self.matrix.cols != self.source.gens:
             raise ValueError("matrix shape does not match presentations")
+
+    @cached_property
+    def lattices(self) -> tuple[IntMatrix, IntMatrix]:
+        """lattice_hnf rows of the preimages of the image and of the
+        kernel in the free covers of target and source, from one
+        elimination of [matrix^T | I], [target rels^T | 0] and
+        [0 | source rels^T]; computed on first read."""
+        t, s = self.matrix.rows, self.matrix.cols
+        image, kernel = _split_echelon(
+            [list(col) + e for col, e in zip(self.matrix.columns(), _eye(s))]
+            + [list(col) + [0] * s for col in self.target.rels.columns()]
+            + [[0] * t + list(col) for col in self.source.rels.columns()], t)
+        return IntMatrix._of(image, t), IntMatrix._of(kernel, s)

@@ -28,7 +28,6 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _kernel_rows,
     block_diag,
     hstack,
     lattice_hnf,
@@ -74,57 +73,28 @@ def _render_rows(m: IntMatrix) -> str:
     return str([list(row) for row in m.to_rows()])
 
 
-def _image_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
-    """Columns spanning the image subgroup inside the free cover of
-    the presentation `at`; a None hom means the zero map."""
-    if hom is None:
-        return at.rels
-    if hom.target != at:
-        raise ValueError("image map does not land in the given presentation")
-    return hstack(hom.matrix, at.rels)
-
-
-def _kernel_lattice(hom: GroupHom | None, at: AbPresentation) -> IntMatrix:
-    """Columns spanning the kernel subgroup inside the free cover of
-    the presentation `at`; a None hom means the map to the zero group,
-    whose kernel is everything.  The kernel of [matrix | target rels]
-    is taken in any basis (intlin._kernel_rows), not the canonical one:
-    only the span of its source coordinates counts."""
-    if hom is None:
-        return IntMatrix.identity(at.gens)
-    if hom.source != at:
-        raise ValueError("kernel map does not start at the given presentation")
-    rows = _kernel_rows(hstack(hom.matrix, hom.target.rels))
-    proj = IntMatrix._of([row[:at.gens] for row in rows], at.gens)
-    return hstack(proj.transpose(), at.rels)
-
-
 def exactness_assertion(statement: str, image_of: GroupHom | None,
                         kernel_of: GroupHom | None,
                         at: AbPresentation) -> Assertion:
     """Compare the image of one map with the kernel of the next as
-    subgroups of the group presented by `at`, via canonical lattice
-    forms in its free cover.  Each side may be spanned by any
-    generating columns: lattice_hnf depends only on their span."""
-    im = lattice_hnf(_image_lattice(image_of, at))
-    ker = lattice_hnf(_kernel_lattice(kernel_of, at))
-    return Assertion(
-        statement,
-        f"image {_render_rows(im)}",
-        f"kernel {_render_rows(ker)}",
-        im == ker,
-    )
+    subgroups of the group presented by `at`, via canonical forms of
+    their preimages in its free cover, kept on each map
+    (GroupHom.lattices).  A None image_of is the zero map, whose image
+    is the relators; a None kernel_of is the map to the zero group."""
+    if image_of is not None and image_of.target != at:
+        raise ValueError("image map does not land in the given presentation")
+    if kernel_of is not None and kernel_of.source != at:
+        raise ValueError("kernel map does not start at the given presentation")
+    im = lattice_hnf(at.rels) if image_of is None else image_of.lattices[0]
+    ker = IntMatrix.identity(at.gens) if kernel_of is None else kernel_of.lattices[1]
+    return Assertion(statement, f"image {_render_rows(im)}",
+                     f"kernel {_render_rows(ker)}", im == ker)
 
 
 def _reduced(p: AbPresentation) -> AbPresentation:
     """p on the same generators, with a basis of its relator lattice as
     relators: at most p.gens columns, and the same group."""
     return AbPresentation(p.gens, lattice_hnf(p.rels).transpose())
-
-
-def _sum_presentation(pa: AbPresentation,
-                      pb: AbPresentation) -> AbPresentation:
-    return AbPresentation(pa.gens + pb.gens, block_diag(pa.rels, pb.rels))
 
 
 def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
@@ -178,7 +148,8 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
                       k_star[q].matrix) for q in range(n + 1)]
     for q in range(n + 1):
         pres_i, pres_m = red_i[q], red_m[q]
-        pres_sum = _sum_presentation(red_a[q], red_b[q])
+        pa, pb = red_a[q], red_b[q]
+        pres_sum = AbPresentation(pa.gens + pb.gens, block_diag(pa.rels, pb.rels))
 
         i_comb = GroupHom(
             pres_i, pres_sum,

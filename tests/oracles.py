@@ -14,7 +14,11 @@ cell, model and complex through the public, checking constructors, as
 the product models were built before they used trusted cells.  The
 unreduced exactness route takes every Mayer-Vietoris lattice over the
 full relators of the homology presentations and the canonical kernel,
-as `check_mv` did before it reduced each presentation's relators.
+as `check_mv` did before it reduced each presentation's relators.  The
+two-step lattice route takes a kernel in any basis and then a Hermite
+pass over it, for the image and kernel lattices of a map and for the
+cycle basis, as `exactness_assertion` and `kernel_basis` did before
+each came from one elimination.
 
 The rest are references that no code of the package runs: the full
 Hermite and Smith forms with their transforms and an integer solver,
@@ -131,6 +135,32 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     h, u = _hermite(a.transpose(), left=True)
     y = _echelon_solver(h)(b)
     return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
+
+
+def kernel_rows(a: IntMatrix) -> list[list[int]]:
+    """A basis of the integer kernel of a, as rows: the rows of U, in
+    U @ a.transpose() == H, whose rows of H are zero.  It depends on
+    the elimination, not only on the kernel."""
+    h, u = _hermite(a.transpose(), left=True)
+    return [row for row, form in zip(u, h) if not any(form)]
+
+
+def two_pass_kernel_basis(a: IntMatrix) -> IntMatrix:
+    """kernel_basis(a) in two eliminations: kernel_rows(a), then the
+    Hermite form of those rows."""
+    span = IntMatrix._of(kernel_rows(a), a.cols).transpose()
+    return lattice_hnf(span).transpose()
+
+
+def two_step_lattices(hom: GroupHom) -> tuple[IntMatrix, IntMatrix]:
+    """hom.lattices in three eliminations: lattice_hnf of [matrix |
+    target rels], and lattice_hnf of the source coordinates of
+    kernel_rows([matrix | target rels]) beside the source rels."""
+    stacked = hstack(hom.matrix, hom.target.rels)
+    gens = hom.source.gens
+    proj = IntMatrix._of([row[:gens] for row in kernel_rows(stacked)], gens)
+    return (lattice_hnf(stacked),
+            lattice_hnf(hstack(proj.transpose(), hom.source.rels)))
 
 
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:

@@ -257,6 +257,16 @@ def test_chain_algebra():
         == [t, s]
 
 
+def test_chain_operators_refuse_foreign_operands():
+    c = AffineChain.of(simplex((0,), (1,)))
+    with pytest.raises(TypeError):
+        c + 1
+    with pytest.raises(TypeError):
+        c - simplex((1,), (2,))
+    with pytest.raises(TypeError):
+        1 + c
+
+
 def test_boundary_of_boundary_vanishes():
     rng = random.Random(11)
     for _ in range(40):

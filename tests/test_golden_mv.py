@@ -1,9 +1,9 @@
 """verify mv reports pinned byte for byte.
 
 tests/golden/mv_reports.json holds check_mv(...).to_json() for seeded
-two-covers of the benchmark's cover-verify families and two named-sub
-covers.  A change that is meant to alter these reports (a new cycle
-basis, say) rewrites the fixture on purpose:
+two-covers of the benchmark's cover-verify families, one of a 432-cell
+product, and two named-sub covers.  A change that is meant to alter
+these reports (a new cycle basis, say) rewrites the fixture on purpose:
 
     PYTHONPATH=src python tests/test_golden_mv.py
 """
@@ -31,6 +31,7 @@ RANDOM_COVERS = (
     "surface(1,1;3,3) x torus(2)",
     "surface(2,2;2,2,3) x torus(2)",
     "surface(1,2;3,5) x torus(3)",
+    "surface(4,3;2,3,5,7) x torus(4)",
 )
 NAMED_COVERS = (
     ("disc2(3)", "cone", "annulus"),

@@ -33,9 +33,12 @@ from oracles import (
     echelon,
     hnf,
     is_well_defined,
+    kernel_rows,
     snf,
     solve_linear,
     subgroup_contains,
+    two_pass_kernel_basis,
+    two_step_lattices,
 )
 
 
@@ -331,11 +334,41 @@ def small_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(small_matrices())
 def test_kernel_rows_span_the_canonical_kernel(a):
-    rows = intlin._kernel_rows(a)
+    rows = kernel_rows(a)
     assert all(not any(a.apply(row)) for row in rows)
     assert len(rows) == a.cols - rational_rank(a)
     span = IntMatrix._of(rows, a.cols).transpose()
     assert lattice_hnf(span).transpose() == kernel_basis(a)
+
+
+@st.composite
+def presented_maps(draw):
+    """Maps of presentations up to 5 generators and 4 relators each,
+    well defined or not, entries from one pool of ENTRY_POOLS."""
+    pool = st.sampled_from(draw(st.sampled_from(ENTRY_POOLS)))
+
+    def matrix(rows, cols):
+        return IntMatrix(draw(st.lists(st.lists(pool, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)), cols=cols)
+
+    s, t = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    source = AbPresentation(s, matrix(s, draw(st.integers(0, 4))))
+    target = AbPresentation(t, matrix(t, draw(st.integers(0, 4))))
+    return GroupHom(source, target, matrix(t, s))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(presented_maps())
+def test_one_elimination_matches_the_two_step_lattices(hom):
+    """The image and kernel lattices of one elimination equal those of
+    a kernel in any basis followed by a Hermite pass, and the one-pass
+    cycle basis equals the two-pass one, for the map and for
+    [matrix | target rels]."""
+    assert hom.lattices == two_step_lattices(hom)
+    assert hom.lattices is hom.lattices
+    stacked = hstack(hom.matrix, hom.target.rels)
+    for a in (hom.matrix, stacked):
+        assert kernel_basis(a) == two_pass_kernel_basis(a)
 
 
 def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orbihom import verify
+from orbihom import intlin, verify
 from orbihom.intlin import (
     AbPresentation,
     FgAbGroup,
@@ -154,6 +154,24 @@ def test_mv_lattices_carry_a_relator_basis(monkeypatch):
     assert len(seen) == 3 * (wcc.dim + 1)
     for at in seen:
         assert lattice_hnf(at.rels).rows == at.rels.cols <= at.gens
+
+
+def test_mv_takes_each_lattice_from_one_elimination(monkeypatch):
+    """Each map's image and kernel lattices come from one elimination,
+    kept on the map for both positions that read it, and each cycle
+    basis from one; the two-step route took 126 on this cover."""
+    calls = []
+    original = intlin._echelon
+
+    def counted(rows, n):
+        calls.append(n)
+        return original(rows, n)
+
+    monkeypatch.setattr(intlin, "_echelon", counted)
+    wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
+    a, b = random_two_cover(wcc, random.Random(9))
+    assert check_mv(wcc, a, b).passed
+    assert len(calls) <= 72
 
 
 def test_mv_catches_a_zero_connecting_map(monkeypatch):
