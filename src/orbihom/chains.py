@@ -2,10 +2,13 @@
 
 The homology groups come from each sparse boundary's rank and invariant
 factors, found by unit-pivot elimination without transforms.  The
-representatives of a degree are computed on first request: the
-canonical (Hermite) basis of the cycles, with the coordinates of the
-boundaries in it as relators.  A Smith form of the relators is taken
-only when generators or reduced classes are read.
+representatives are computed on first request, from one unit-pivot
+reduction of the whole complex C to a smaller complex D with the same
+homology, kept with its projection f: C -> D and lift g: D -> C: each
+degree's cycle lattice is g of the canonical (Hermite) basis of the
+cycles of D, with the coordinates of D's boundaries in it as relators.
+A Smith form of the relators is taken only when generators or reduced
+classes are read.
 """
 
 from __future__ import annotations
@@ -152,6 +155,11 @@ def _vector(col: Column, rows: int) -> list[int]:
     return vec
 
 
+def _sparse(vec: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero (row, coefficient) pairs of a dense vector."""
+    return [(i, value) for i, value in enumerate(vec) if value]
+
+
 def _compose(outer: Sequence[Column], col: Column) -> Column:
     """outer @ col, as a merged, sorted Column."""
     composite: dict[int, int] = {}
@@ -186,28 +194,45 @@ def validate(c: ChainComplex) -> list[str]:
 class DegreeHomology:
     """Homology of one degree, with cycle lattice and coordinates.
 
-    kernel holds the Hermite basis of the cycles as columns (see
-    intlin.kernel_basis), the generators of presentation, whose
-    relators, solved on first read, are the coordinates in that basis
-    of boundaries, the sparse columns out of degree q + 1.  Over Q only
-    the group is set.
+    Over Z, the data come from the reduction of the complex (see
+    _Reduction), read on first use: presentation has as generators the
+    Hermite basis of the degree-q cycles of D (intlin.kernel_basis),
+    and as relators the coordinates in that basis of D's boundaries out
+    of degree q + 1; kernel holds the lifts by g of that basis, cycles
+    of C, as columns.  Over Q only the group is set.
     """
 
     group: FgAbGroup
-    kernel: IntMatrix | None = None
-    boundaries: Sequence[Column] = field(default=(), repr=False)
+    _reduction: "_Reduction | None" = field(default=None, compare=False,
+                                            repr=False)
+    _q: int = 0
+
+    @cached_property
+    def _basis(self) -> list[tuple[int, ...]]:
+        """Rows of the Hermite basis of the degree-q cycles of D."""
+        return kernel_basis(self._reduction.d.d(self._q)).columns()
 
     @cached_property
     def _solve(self):
-        return _echelon_solver(self.kernel.columns())
+        return _echelon_solver(self._basis)
+
+    @cached_property
+    def kernel(self) -> IntMatrix | None:
+        r = self._reduction
+        if r is None:
+            return None
+        rows, lifts = r.source.dim(self._q), r.lifts[self._q]
+        return IntMatrix._of([_vector(_compose(lifts, _sparse(y)), rows)
+                              for y in self._basis], rows).transpose()
 
     @cached_property
     def presentation(self) -> AbPresentation | None:
-        if self.kernel is None:
+        if self._reduction is None:
             return None
-        k = self.kernel
-        relators = [self._solve(_vector(b, k.rows)) for b in self.boundaries]
-        return AbPresentation(k.cols, IntMatrix._of(relators, k.cols).transpose())
+        d, q, gens = self._reduction.d, self._q, len(self._basis)
+        relators = [self._solve(_vector(b, d.dim(q)))
+                    for b in (d.boundaries[q] if q < d.top_dim else ())]
+        return AbPresentation(gens, IntMatrix._of(relators, gens).transpose())
 
     @cached_property
     def _summands(self):
@@ -231,15 +256,16 @@ class DegreeHomology:
         return tuple(basis.column(i) for i, _ in summands)
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a cycle in the kernel lattice basis."""
-        if self.kernel is None:
+        """Coordinates in the kernel lattice basis of the class of a
+        cycle: those of its projection f(cycle), a cycle of D."""
+        r, q = self._reduction, self._q
+        if r is None:
             raise ValueError("no integral cycle data (rational coefficients)")
-        if len(cycle) != self.kernel.rows:
+        if len(cycle) != r.source.dim(q):
             raise ValueError("vector length does not match the cell count")
-        coords = self._solve(cycle)
-        if coords is None:
+        if q and _compose(r.source.boundaries[q - 1], _sparse(cycle)):
             raise ValueError("vector is not a cycle")
-        return tuple(coords)
+        return tuple(self._solve(r.project(q, cycle)))
 
     def express(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle class.
@@ -258,8 +284,9 @@ class HomologyResult:
     """Per-degree homology of a chain complex.
 
     The groups are known from the start.  degree(q) computes that
-    degree's representatives from the complex on first use and keeps
-    them.
+    degree's representatives on first use and keeps them; over Z the
+    first call reduces the whole complex once (_Reduction), and groups()
+    never does.
     """
 
     coeff: str
@@ -277,12 +304,14 @@ class HomologyResult:
             raise IndexError(f"no degree {q} in a complex of top degree "
                              f"{self.top_dim}")
         if q not in self._degrees:
-            c, group = self._complex, self._groups[q]
-            self._degrees[q] = (
-                DegreeHomology(group) if self.coeff == "Q" else
-                DegreeHomology(group, kernel_basis(c.d(q)),
-                               c.boundaries[q] if q < c.top_dim else ()))
+            group = self._groups[q]
+            self._degrees[q] = (DegreeHomology(group) if self.coeff == "Q"
+                                else DegreeHomology(group, self._reduction, q))
         return self._degrees[q]
+
+    @cached_property
+    def _reduction(self) -> "_Reduction":
+        return _Reduction(self._complex)
 
     def group(self, q: int) -> FgAbGroup:
         if 0 <= q <= self.top_dim:
@@ -320,17 +349,19 @@ def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
     return HomologyResult(coeff, c, groups)
 
 
-def _boundary_factors(columns: Sequence[Column],
-                      rows: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors above 1 of a sparse boundary.
+def _eliminate(cols: dict[int, dict[int, int]], rows: int,
+               trans: dict[int, dict[int, int]] | None = None):
+    """Unit-pivot elimination, in place, of the sparse columns cols of a
+    map with the given number of rows.
 
     While a +-1 entry is left, one with the fewest (row count - 1) x
     (column count - 1), the most fill-in it can make, is the pivot:
-    column operations clear its row, after which its row and column
-    split off a unit invariant factor and are dropped.  No transform is
-    kept.  The residual with no unit entry is split into components.
+    column operations clear its row, after which its column is dropped.
+    Returns the pivots (column, row, unit, rest of the column) in order,
+    and the live columns of each row.  With trans, the transform of
+    each column ({cell: coefficient}; a column missing from it is its
+    own cell) follows its column operations.
     """
-    cols = {j: dict(col) for j, col in enumerate(columns) if col}
     in_row: list[set[int]] = [set() for _ in range(rows)]
     for j, col in cols.items():
         for i in col:
@@ -344,7 +375,7 @@ def _boundary_factors(columns: Sequence[Column],
     heap = [(cost(i, j), j, i) for j, col in cols.items()
             for i, value in col.items() if value in (1, -1)]
     heapq.heapify(heap)
-    rank = 0
+    pivots = []
     while heap:
         stale, c, r = heapq.heappop(heap)
         if cols.get(c, {}).get(r) not in (1, -1):
@@ -357,6 +388,8 @@ def _boundary_factors(columns: Sequence[Column],
         unit = pivot.pop(r)
         for i in pivot:
             in_row[i].discard(c)
+        if trans is not None:
+            lift = trans.pop(c, {c: 1})
         for j in in_row[r] - {c}:
             col = cols[j]
             factor = col.pop(r) * unit
@@ -373,8 +406,30 @@ def _boundary_factors(columns: Sequence[Column],
                     in_row[i].discard(j)
             if not col:
                 del cols[j]
+            if trans is not None:
+                t = trans.setdefault(j, {j: 1})
+                for k, value in lift.items():
+                    new = t.get(k, 0) - factor * value
+                    if new:
+                        t[k] = new
+                    else:
+                        del t[k]
         in_row[r].clear()
-        rank += 1
+        pivots.append((c, r, unit, pivot))
+    return pivots, in_row
+
+
+def _boundary_factors(columns: Sequence[Column],
+                      rows: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of a sparse boundary.
+
+    Each unit pivot of _eliminate splits off a unit invariant factor;
+    no transform is kept.  The residual with no unit entry is split
+    into components.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    pivots, in_row = _eliminate(cols, rows)
+    rank = len(pivots)
 
     # The residual, with no unit entry, splits into the connected
     # components of its row/column graph: a component of one entry is a
@@ -399,6 +454,61 @@ def _boundary_factors(columns: Sequence[Column],
                                for i in part_rows], len(part))
         diagonal += filter(None, smith_diagonal(block))
     return rank + len(diagonal), invariant_factors(diagonal)
+
+
+class _Reduction:
+    """A reduction of a complex C to a smaller complex d with the same
+    homology, by unit pivots (Kaczynski, Mischaikow and Mrozek,
+    Computational Homology, 2004, elementary reductions).
+
+    The boundaries are eliminated from the top degree down by
+    _eliminate: a cell b paired as a row of d_(q+1) leaves the columns
+    of d_q, and each pivot pairs a cell a with the row b of its unit.
+    d keeps the unpaired cells (cells[q], positions in C), each with its
+    column as the elimination left it, read on d's rows.  The lift g:
+    d -> C sends a cell to its column transform, lifts[q]; the
+    projection f: C -> d (project) replaces each paired b by -unit times
+    the rest of a's column, in pairing order (pairs[q]), and then keeps
+    the unpaired cells.  f and g are chain maps, and f g is the identity.
+    """
+
+    __slots__ = ("source", "d", "cells", "lifts", "pairs")
+
+    def __init__(self, c: ChainComplex):
+        top = c.top_dim
+        paired: list[set[int]] = [set() for _ in range(top + 1)]
+        pairs: list[list] = [[] for _ in range(top + 1)]
+        left = [{} for _ in range(top + 1)]
+        trans = [{} for _ in range(top + 1)]
+        for q in range(top, 0, -1):
+            left[q] = {j: dict(col) for j, col in enumerate(c.boundaries[q - 1])
+                       if col and j not in paired[q]}
+            for a, b, unit, rest in _eliminate(left[q], c.dim(q - 1), trans[q])[0]:
+                paired[q].add(a)
+                paired[q - 1].add(b)
+                pairs[q - 1].append((b, unit, tuple(rest.items())))
+        cells = [[j for j in range(c.dim(q)) if j not in paired[q]]
+                 for q in range(top + 1)]
+        position = [dict(zip(kept, range(len(kept)))) for kept in cells]
+        self.source, self.cells, self.pairs = c, cells, pairs
+        self.d = ChainComplex._of(
+            [[c.basis[q][j] for j in kept] for q, kept in enumerate(cells)],
+            [[tuple(sorted((position[q - 1][i], value)
+                           for i, value in left[q].get(j, {}).items()
+                           if i in position[q - 1])) for j in cells[q]]
+             for q in range(1, top + 1)])
+        self.lifts = [[tuple(sorted(trans[q].get(j, {j: 1}).items()))
+                       for j in kept] for q, kept in enumerate(cells)]
+
+    def project(self, q: int, z: Sequence[int]) -> list[int]:
+        """f(z) for a degree-q chain z of C, on d's cells."""
+        z = list(z)
+        for b, unit, rest in self.pairs[q]:
+            if z[b]:
+                x = unit * z[b]
+                for i, value in rest:
+                    z[i] -= x * value
+        return [z[j] for j in self.cells[q]]
 
 
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
@@ -539,8 +649,7 @@ def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[Gr
 
 def _mapped(columns: Sequence[Column], rows: int):
     """z -> columns @ z on dense vectors, composed on the sparse columns."""
-    return lambda z: _vector(
-        _compose(columns, [(j, x) for j, x in enumerate(z) if x]), rows)
+    return lambda z: _vector(_compose(columns, _sparse(z)), rows)
 
 
 def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,

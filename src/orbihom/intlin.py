@@ -174,7 +174,7 @@ def _echelon(rows: list[list[int]], n: int) -> None:
     rest of each row is carried along by the same row operations.
     Each pivot column is scanned once, for the rows live in it: the
     first of least absolute value is the pivot, and only live rows are
-    reduced by it."""
+    reduced by it, below it and above it."""
     m, r = len(rows), 0
     for c in range(n):
         live = [i for i in range(r, m) if rows[i][c]]
@@ -193,8 +193,10 @@ def _echelon(rows: list[list[int]], n: int) -> None:
                 break
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
+        pivot = rows[r][c]
         for i in range(r):
-            _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+            if rows[i][c]:
+                _addmul_row(rows, i, r, -(rows[i][c] // pivot))
         r += 1
 
 
@@ -305,13 +307,31 @@ def _echelon_solver(rows: Sequence[Sequence[int]]):
     return solve
 
 
+def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether rows are a row Hermite form with no zero row: pivots
+    positive and moving right, the entries above each in [0, pivot)."""
+    p = -1
+    for k, row in enumerate(rows):
+        j = next((j for j, x in enumerate(row) if x), None)
+        if (j is None or j <= p or row[j] < 0
+                or any(not 0 <= above[j] < row[j] for above in rows[:k])):
+            return False
+        p = j
+    return True
+
+
 def lattice_hnf(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the column lattice of a.
 
     Rows of the result are an echelon basis; two matrices span the same
-    column lattice iff their lattice_hnf values are equal.
+    column lattice iff their lattice_hnf values are equal.  Columns
+    already in that form, as a reduced presentation's relators are, are
+    returned as rows with no elimination.
     """
-    h, _ = _hermite(a.transpose(), left=False)
+    t = a.transpose()
+    if _is_hermite(t._e):
+        return t
+    h, _ = _hermite(t, left=False)
     return IntMatrix._of([row for row in h if any(row)], a.rows)
 
 

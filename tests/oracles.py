@@ -18,7 +18,11 @@ as `check_mv` did before it reduced each presentation's relators.  The
 two-step lattice route takes a kernel in any basis and then a Hermite
 pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
-each came from one elimination.
+each came from one elimination.  The cell-level homology takes each
+degree's cycle lattice as the Hermite basis of the cycles of the
+complex itself, `kernel_basis(c.d(q))`, with the boundaries solved in
+it as relators, as `degree(q)` did before it read them off the reduced
+complex.
 
 The rest are references that no code of the package runs: the full
 Hermite and Smith forms with their transforms and an integer solver,
@@ -36,6 +40,8 @@ import contextlib
 import io
 import random
 import re
+from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from orbihom.affops import (
@@ -48,6 +54,7 @@ from orbihom.affops import (
 )
 from orbihom.chains import (
     ChainComplex,
+    HomologyResult,
     connecting_hom,
     homology,
     inclusion_map,
@@ -455,6 +462,57 @@ def public_chain_complex(wcc, kept=None) -> ChainComplex:
         [[cell.id for cell in cells] for cells in by_dim],
         [[[(position[ref], k) for ref, k in cell.boundary if ref in position]
           for cell in cells] for cells in by_dim[1:]])
+
+
+@dataclass(frozen=True)
+class CellLevelDegree:
+    """One degree's representatives on the cells of the complex: kernel
+    is kernel_basis(c.d(q)), and the relators are the coordinates in it
+    of boundaries, the sparse columns out of degree q + 1."""
+
+    group: FgAbGroup
+    kernel: IntMatrix
+    boundaries: tuple
+
+    @cached_property
+    def _solve(self):
+        return _echelon_solver(self.kernel.columns())
+
+    @cached_property
+    def presentation(self) -> AbPresentation:
+        k = self.kernel
+        relators = []
+        for col in self.boundaries:
+            vec = [0] * k.rows
+            for i, value in col:
+                vec[i] = value
+            relators.append(self._solve(vec))
+        return AbPresentation(k.cols, IntMatrix._of(relators, k.cols).transpose())
+
+    def kernel_coords(self, cycle) -> tuple[int, ...]:
+        if len(cycle) != self.kernel.rows:
+            raise ValueError("vector length does not match the cell count")
+        coords = self._solve(cycle)
+        if coords is None:
+            raise ValueError("vector is not a cycle")
+        return tuple(coords)
+
+
+class CellLevelHomology(HomologyResult):
+    """homology(c) whose degree(q) is a CellLevelDegree, so that
+    induced_map and connecting_hom run on the cell-level route."""
+
+    def degree(self, q: int) -> CellLevelDegree:
+        if q not in self._degrees:
+            c = self._complex
+            self._degrees[q] = CellLevelDegree(
+                self._groups[q], kernel_basis(c.d(q)),
+                c.boundaries[q] if q < c.top_dim else ())
+        return self._degrees[q]
+
+
+def cell_level_homology(c: ChainComplex) -> CellLevelHomology:
+    return CellLevelHomology("Z", c, homology(c).groups())
 
 
 def _top_rows(m: IntMatrix, k: int) -> IntMatrix:

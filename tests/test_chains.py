@@ -38,6 +38,7 @@ from orbihom.orbmodel import (
 
 from orbihom.verify import _torus_kunneth
 from oracles import (
+    cell_level_homology,
     circle_complex,
     dense_commutes,
     dense_map,
@@ -288,8 +289,10 @@ def test_kernel_coords_rejects_non_cycles():
 
 
 def test_kernel_coords_round_trip_on_random_cycles():
-    """Cycles built from the V columns of snf, an independent route to
-    the kernel, come back from kernel_coords; non-cycles do not."""
+    """Coordinates come back from the cycles they give (f g is the
+    identity on D), and cycles built from the V columns of snf, an
+    independent route to the kernel, come back from kernel_coords up to
+    a boundary of C; non-cycles and wrong lengths are refused."""
     rng = random.Random(77)
     models = [t_model(d) for d in GRID_1_TO_3]
     models.append(t_model(ProductTorus(Ball3((2, 3, 5)), 2)))
@@ -298,17 +301,20 @@ def test_kernel_coords_round_trip_on_random_cycles():
         c = wcc.chain_complex()
         h = homology(c)
         for q in range(c.top_dim + 1):
-            deg, dq = h.degree(q), c.d(q)
+            deg, dq, up = h.degree(q), c.d(q), c.d(q + 1)
             s, _, v = snf(dq)
             free = [j for j in range(dq.cols)
                     if j >= min(dq.rows, dq.cols) or s[j, j] == 0]
-            assert len(free) == deg.kernel.cols
             for _ in range(3):
+                y = tuple(rng.randint(-3, 3) for _ in range(deg.kernel.cols))
+                assert deg.kernel_coords(deg.kernel.apply(y)) == y
                 z = [0] * c.dim(q)
                 for j in free:
                     t = rng.randint(-3, 3)
                     z = [x + t * y for x, y in zip(z, v.column(j))]
-                assert deg.kernel.apply(deg.kernel_coords(z)) == tuple(z)
+                back = deg.kernel.apply(deg.kernel_coords(z))
+                assert solve_linear(up, [x - y for x, y in zip(z, back)]) \
+                    is not None
                 cell = rng.randrange(c.dim(q))
                 if any(dq.column(cell)):
                     z[cell] += 1
@@ -505,6 +511,55 @@ def test_degree_representatives_are_kept():
     assert h.degree(1) is h.degree(1)
     with pytest.raises(IndexError):
         h.degree(3)
+
+
+def test_groups_build_no_reduction(monkeypatch):
+    """homology() and its groups take the transform-free elimination
+    alone; the reduction is built on the first degree(q), once."""
+    built = []
+    reduction = chains._Reduction
+    monkeypatch.setattr(chains, "_Reduction",
+                        lambda c: built.append(c) or reduction(c))
+    c = t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex()
+    h = homology(c)
+    assert h.groups() == tuple(h.group(q) for q in range(c.top_dim + 1))
+    assert built == []
+    for q in range(c.top_dim + 1):
+        h.degree(q).presentation
+    assert built == [c]
+
+
+def _reduction_complexes():
+    rng = random.Random(31)
+    descs = list(GRID_1_TO_3) + [ProductTorus(d, k) for d in GRID_1_TO_3
+                                 for k in (1, 2)]
+    return ([t_model(d).chain_complex() for d in descs]
+            + [_random_complex(rng) for _ in range(200)])
+
+
+def test_reduction_is_a_chain_equivalence_onto_a_smaller_complex():
+    """D satisfies d∘d = 0, the projection f and the lift g are chain
+    maps, f g is the identity of D, and D keeps the groups."""
+    dropped = 0
+    for c in _reduction_complexes():
+        r = chains._Reduction(c)
+        d = r.d
+        assert validate(d) == []
+        f = ChainMap(c, d, [
+            [chains._sparse(r.project(q, [int(i == j) for i in range(c.dim(q))]))
+             for j in range(c.dim(q))] for q in range(c.top_dim + 1)])
+        g = ChainMap(d, c, r.lifts)
+        assert f.commutes() and g.commutes()
+        for q in range(c.top_dim + 1):
+            for k, lift in enumerate(r.lifts[q]):
+                z = [0] * c.dim(q)
+                for i, value in lift:
+                    z[i] = value
+                assert r.project(q, z) == [int(i == k) for i in range(d.dim(q))]
+            assert d.basis[q] == tuple(c.basis[q][j] for j in r.cells[q])
+        assert homology(d).groups() == homology(c).groups()
+        dropped += sum(c.dim(q) - d.dim(q) for q in range(c.top_dim + 1))
+    assert dropped > 1000
 
 
 def test_rational_homology_ranks():
@@ -799,6 +854,47 @@ def test_connecting_hom_matches_hnf_lift_on_random_covers():
             cycles += sum(mat.cols for mat in got)
     assert cycles > 200
 
+
+
+def _coords(into, out_of, q):
+    """Matrix of into's kernel coordinates of out_of's degree-q kernel
+    columns: the change of cycle basis between two routes."""
+    src, dst = out_of.degree(q), into.degree(q)
+    return IntMatrix.from_columns([dst.kernel_coords(z)
+                                   for z in src.kernel.columns()],
+                                  rows=dst.presentation.gens)
+
+
+def test_reduced_maps_match_the_cell_level_route():
+    """On seeded covers, each induced and connecting map read through
+    the reduction equals the map on the cycles of the complex itself,
+    after the change of basis between the two cycle lattices."""
+    maps = 0
+    for seed, desc in enumerate(GRID_1_TO_3):
+        wcc = t_model(desc)
+        m = wcc.chain_complex()
+        cells_a, cells_b = random_two_cover(wcc, random.Random(seed))
+        a, b = subcomplex(m, cells_a), subcomplex(m, cells_b)
+        inter = subcomplex(m, cells_a & cells_b)
+        new = {id(x): homology(x) for x in (a, b, inter, m)}
+        old = {id(x): cell_level_homology(x) for x in (a, b, inter, m)}
+        for s, t in ((inter, a), (inter, b), (a, m), (b, m)):
+            f = inclusion_map(t, s)
+            got = induced_map(f, new[id(s)], new[id(t)])
+            want = induced_map(f, old[id(s)], old[id(t)])
+            for q in range(s.top_dim + 1):
+                assert got[q].matrix == (
+                    _coords(new[id(t)], old[id(t)], q) @ want[q].matrix
+                    @ _coords(old[id(s)], new[id(s)], q)), (desc, q)
+                maps += 1
+        got = connecting_hom(a, b, m, h_inter=new[id(inter)], h_m=new[id(m)])
+        want = connecting_hom(a, b, m, h_inter=old[id(inter)], h_m=old[id(m)])
+        for q in range(1, m.top_dim + 1):
+            assert got[q].matrix == (
+                _coords(new[id(inter)], old[id(inter)], q - 1) @ want[q].matrix
+                @ _coords(old[id(m)], new[id(m)], q)), (desc, q)
+            maps += 1
+    assert maps > 300
 
 
 def _is_zero_hom(hom):

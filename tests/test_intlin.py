@@ -494,6 +494,29 @@ def test_lattice_hnf_invariance():
         assert lattice_hnf(a) == lattice_hnf(a @ u)
 
 
+def test_lattice_hnf_takes_a_hermite_input_as_it_stands(monkeypatch):
+    """Columns already in the canonical form come back as rows with no
+    elimination; columns that only look like it (a zero column, a
+    negative pivot, an entry above a pivot out of range) do not."""
+    rng = random.Random(12)
+    forms = [lattice_hnf(random_matrix(rng, max_dim=4)) for _ in range(80)]
+    near = [IntMatrix(rows).transpose() for rows in (
+        [[1, 0], [0, 0]], [[-2]], [[2, 5], [0, 3]], [[2, -1], [0, 3]])]
+    expected = [lattice_hnf(a) for a in near]
+
+    def refuse(rows, n):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(intlin, "_echelon", refuse)
+    for h in forms:
+        assert lattice_hnf(h.transpose()) == h
+    for a in near:
+        with pytest.raises(AssertionError, match="an elimination ran"):
+            lattice_hnf(a)
+    assert expected == [IntMatrix([[1, 0]]), IntMatrix([[2]]),
+                        IntMatrix([[2, 2], [0, 3]]), IntMatrix([[2, 2], [0, 3]])]
+
+
 def test_subgroup_contains():
     eye = IntMatrix.identity(2)
     two = IntMatrix.diagonal([2, 2])

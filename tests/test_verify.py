@@ -158,8 +158,9 @@ def test_mv_lattices_carry_a_relator_basis(monkeypatch):
 
 def test_mv_takes_each_lattice_from_one_elimination(monkeypatch):
     """Each map's image and kernel lattices come from one elimination,
-    kept on the map for both positions that read it, and each cycle
-    basis from one; the two-step route took 126 on this cover."""
+    kept on the map for both positions that read it, each cycle basis
+    of the reduced complex from one, and relators already in Hermite
+    form from none; the two-step route took 126 on this cover."""
     calls = []
     original = intlin._echelon
 
@@ -171,7 +172,7 @@ def test_mv_takes_each_lattice_from_one_elimination(monkeypatch):
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
     a, b = random_two_cover(wcc, random.Random(9))
     assert check_mv(wcc, a, b).passed
-    assert len(calls) <= 72
+    assert len(calls) <= 58
 
 
 def test_mv_catches_a_zero_connecting_map(monkeypatch):
