@@ -8,7 +8,8 @@ sequences, products, degenerations, duality).
 """
 
 from .intlin import FgAbGroup, IntMatrix
-from .chains import ChainComplex, ChainMap, HomologyResult, homology
+from .chains import (ChainComplex, ChainMap, HomologyResult, connecting_hom,
+                     homology, induced_map)
 from .orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -45,6 +46,8 @@ __all__ = [
     "ChainMap",
     "HomologyResult",
     "homology",
+    "induced_map",
+    "connecting_hom",
     "Disc2",
     "Ball3",
     "Ball3Cyclic",

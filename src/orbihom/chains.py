@@ -106,13 +106,6 @@ class ChainComplex:
     def labels(self) -> set[str]:
         return {label for labels in self.basis for label in labels}
 
-    def vector(self, q: int, coefficients: dict[str, int]) -> tuple[int, ...]:
-        """Coordinate vector of a formal sum of degree-q cells."""
-        vec = [0] * self.dim(q)
-        for label, coefficient in coefficients.items():
-            vec[self.position(q, label)] += coefficient
-        return tuple(vec)
-
 
 def _label_index(basis: tuple[tuple[str, ...], ...]) -> tuple[dict[str, int], ...]:
     return tuple(dict(zip(labels, range(len(labels)))) for labels in basis)
@@ -217,13 +210,17 @@ class DegreeHomology:
         return _echelon_solver(self._basis)
 
     @cached_property
+    def _lifts(self) -> list[Column]:
+        """g of each Hermite basis vector, a cycle of C, as a sparse column."""
+        lifts = self._reduction.lifts[self._q]
+        return [_compose(lifts, _sparse(y)) for y in self._basis]
+
+    @cached_property
     def kernel(self) -> IntMatrix | None:
         r = self._reduction
         if r is None:
             return None
-        rows, lifts = r.source.dim(self._q), r.lifts[self._q]
-        return IntMatrix._of([_vector(_compose(lifts, _sparse(y)), rows)
-                              for y in self._basis], rows).transpose()
+        return _dense(self._lifts, r.source.dim(self._q), len(self._basis))
 
     @cached_property
     def presentation(self) -> AbPresentation | None:
@@ -263,9 +260,14 @@ class DegreeHomology:
             raise ValueError("no integral cycle data (rational coefficients)")
         if len(cycle) != r.source.dim(q):
             raise ValueError("vector length does not match the cell count")
-        if q and _compose(r.source.boundaries[q - 1], _sparse(cycle)):
+        z = _sparse(cycle)
+        if q and _compose(r.source.boundaries[q - 1], z):
             raise ValueError("vector is not a cycle")
-        return tuple(self._solve(r.project(q, cycle)))
+        return self._coords(z)
+
+    def _coords(self, z: Column) -> tuple[int, ...]:
+        """kernel_coords of a cycle z of C given as a sparse column, unchecked."""
+        return tuple(self._solve(self._reduction.project(self._q, z)))
 
     def express(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle class.
@@ -500,15 +502,15 @@ class _Reduction:
         self.lifts = [[tuple(sorted(trans[q].get(j, {j: 1}).items()))
                        for j in kept] for q, kept in enumerate(cells)]
 
-    def project(self, q: int, z: Sequence[int]) -> list[int]:
-        """f(z) for a degree-q chain z of C, on d's cells."""
-        z = list(z)
+    def project(self, q: int, z: Column) -> list[int]:
+        """f(z) on d's cells, dense, for a degree-q chain z of C."""
+        z = dict(z)
         for b, unit, rest in self.pairs[q]:
-            if z[b]:
+            if z.get(b):
                 x = unit * z[b]
                 for i, value in rest:
-                    z[i] -= x * value
-        return [z[j] for j in self.cells[q]]
+                    z[i] = z.get(i, 0) - x * value
+        return [z.get(j, 0) for j in self.cells[q]]
 
 
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
@@ -580,6 +582,13 @@ class ChainMap:
                      f"matrix shape mismatch at degree {q}")
             for q, columns in enumerate(self.matrices)))
 
+    @classmethod
+    def _of(cls, source, target, matrices) -> "ChainMap":
+        """Trusted build from merged, sorted, in-range columns; unchecked."""
+        f = object.__new__(cls)
+        f.__dict__.update(source=source, target=target, matrices=matrices)
+        return f
+
     def commutes(self) -> bool:
         """d f == f d, composed column by column on the sparse forms."""
         s, t = self.source, self.target
@@ -611,7 +620,7 @@ def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
 def inclusion_map(c: ChainComplex, sub: ChainComplex) -> ChainMap:
     """Inclusion into c of sub, a subcomplex built by subcomplex(c, cells)."""
     _check_subcomplex(c, sub, "subcomplex")
-    return ChainMap(sub, c, tuple(
+    return ChainMap._of(sub, c, tuple(
         tuple(((c.position(q, label), 1),) for label in labels)
         for q, labels in enumerate(sub.basis)))
 
@@ -624,12 +633,12 @@ def _check_homology(h: HomologyResult, c: ChainComplex, role: str) -> None:
         raise ValueError(f"{role} homology is not that of the {role} complex")
 
 
-def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, image) -> GroupHom:
-    """Map of presentations sending each cycle-lattice generator z of src
-    to the kernel coordinates of image(z) in dst."""
-    columns = [dst.kernel_coords(image(z)) for z in src.kernel.columns()]
+def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, columns) -> GroupHom:
+    """Map of presentations sending each cycle-lattice generator of src, as
+    its sparse lift z, to dst's kernel coordinates of columns @ z; unchecked."""
+    coords = [dst._coords(_compose(columns, z)) for z in src._lifts]
     return GroupHom(src.presentation, dst.presentation,
-                    IntMatrix._of(columns, dst.presentation.gens).transpose())
+                    IntMatrix._of(coords, dst.presentation.gens).transpose())
 
 
 def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
@@ -641,15 +650,13 @@ def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[Gr
     _check_homology(hd, f.target, "target")
     if not f.commutes():
         raise ValueError("chain map does not commute with boundaries")
-    # f commutes and hd is the target's, so every image is a cycle of hd.
-    return tuple(_cycle_hom(hc.degree(q), hd.degree(q),
-                            _mapped(f.matrices[q], f.target.dim(q)))
+    return _induced(f, hc, hd)
+
+
+def _induced(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
+    """induced_map, unchecked."""
+    return tuple(_cycle_hom(hc.degree(q), hd.degree(q), f.matrices[q])
                  for q in range(f.source.top_dim + 1))
-
-
-def _mapped(columns: Sequence[Column], rows: int):
-    """z -> columns @ z on dense vectors, composed on the sparse columns."""
-    return lambda z: _vector(_compose(columns, _sparse(z)), rows)
 
 
 def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
@@ -680,18 +687,21 @@ def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
     h_m = homology(m) if h_m is None else h_m
     _check_homology(h_inter, inter, "intersection")
     _check_homology(h_m, m, "whole")
+    return _connecting(a, m, h_inter, h_m)
 
+
+def _connecting(a: ChainComplex, m: ChainComplex, h_inter: HomologyResult,
+                h_m: HomologyResult) -> tuple[GroupHom, ...]:
+    """connecting_hom, unchecked: a cell of a maps to its boundary read on
+    the intersection's rows, where that of a cycle's part on a lies."""
+    inter = h_inter._complex
     pres_0 = h_m.degree(0).presentation
     homs = [GroupHom(pres_0, AbPresentation.free(0), IntMatrix.zeros(0, pres_0.gens))]
     for q in range(1, m.top_dim + 1):
-        cells_a, d_a = (a.basis[q], a.boundaries[q - 1]) if q <= a.top_dim else ((), ())
-        in_m = [m.position(q, label) for label in cells_a]
-
-        def lifted_boundary(z: Sequence[int]) -> tuple[int, ...]:
-            lift = _column((j, z[pos]) for j, pos in enumerate(in_m))
-            # z - lift lies on b's cells, so d(lift) = -d(z - lift) is in a ∩ b
-            return inter.vector(q - 1, {a.basis[q - 1][row]: value
-                                        for row, value in _compose(d_a, lift)})
-
-        homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), lifted_boundary))
+        in_a = a._index[q] if q <= a.top_dim else {}
+        row = [inter._index[q - 1].get(label) for label in m.basis[q - 1]]
+        columns = [[(row[i], value) for i, value in col if row[i] is not None]
+                   if label in in_a else ()
+                   for label, col in zip(m.basis[q], m.boundaries[q - 1])]
+        homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), columns))
     return tuple(homs)

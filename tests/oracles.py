@@ -18,11 +18,13 @@ as `check_mv` did before it reduced each presentation's relators.  The
 two-step lattice route takes a kernel in any basis and then a Hermite
 pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
-each came from one elimination.  The cell-level homology takes each
+each came from one elimination.  The cell-level maps take each
 degree's cycle lattice as the Hermite basis of the cycles of the
-complex itself, `kernel_basis(c.d(q))`, with the boundaries solved in
-it as relators, as `degree(q)` did before it read them off the reduced
-complex.
+complex itself, `kernel_basis(c.d(q))`, push its vectors through dense
+matrices and solve the images there, as `induced_map` and
+`connecting_hom` did before they read the cycles off the reduced
+complex and ran on sparse lifts; `cell_vector` writes a formal sum of
+cells as a dense vector, as `ChainComplex.vector` did.
 
 The rest are references that no code of the package runs: the full
 Hermite and Smith forms with their transforms and an integer solver,
@@ -54,7 +56,6 @@ from orbihom.affops import (
 )
 from orbihom.chains import (
     ChainComplex,
-    HomologyResult,
     connecting_hom,
     homology,
     inclusion_map,
@@ -428,7 +429,7 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
             boundary = a.d(q).apply(sol[:a.dim(q)])
             coeffs = {a.basis[q - 1][r]: value
                       for r, value in enumerate(boundary) if value}
-            columns.append(dst.kernel_coords(inter.vector(q - 1, coeffs)))
+            columns.append(dst.kernel_coords(cell_vector(inter, q - 1, coeffs)))
         matrices.append(IntMatrix.from_columns(
             columns, rows=dst.presentation.gens))
     return matrices
@@ -464,30 +465,26 @@ def public_chain_complex(wcc, kept=None) -> ChainComplex:
           for cell in cells] for cells in by_dim[1:]])
 
 
+def cell_vector(c: ChainComplex, q: int, coefficients: dict) -> tuple:
+    """Coordinate vector on c's degree-q cells of a formal sum of them,
+    given as {label: coefficient}."""
+    vec = [0] * c.dim(q)
+    for label, coefficient in coefficients.items():
+        vec[c.position(q, label)] += coefficient
+    return tuple(vec)
+
+
 @dataclass(frozen=True)
 class CellLevelDegree:
-    """One degree's representatives on the cells of the complex: kernel
-    is kernel_basis(c.d(q)), and the relators are the coordinates in it
-    of boundaries, the sparse columns out of degree q + 1."""
+    """One degree's cycle lattice on the cells of the complex itself:
+    kernel is kernel_basis(c.d(q)), and kernel_coords solves a cycle in
+    it exactly, with no boundary to spare."""
 
-    group: FgAbGroup
     kernel: IntMatrix
-    boundaries: tuple
 
     @cached_property
     def _solve(self):
         return _echelon_solver(self.kernel.columns())
-
-    @cached_property
-    def presentation(self) -> AbPresentation:
-        k = self.kernel
-        relators = []
-        for col in self.boundaries:
-            vec = [0] * k.rows
-            for i, value in col:
-                vec[i] = value
-            relators.append(self._solve(vec))
-        return AbPresentation(k.cols, IntMatrix._of(relators, k.cols).transpose())
 
     def kernel_coords(self, cycle) -> tuple[int, ...]:
         if len(cycle) != self.kernel.rows:
@@ -498,21 +495,36 @@ class CellLevelDegree:
         return tuple(coords)
 
 
-class CellLevelHomology(HomologyResult):
-    """homology(c) whose degree(q) is a CellLevelDegree, so that
-    induced_map and connecting_hom run on the cell-level route."""
-
-    def degree(self, q: int) -> CellLevelDegree:
-        if q not in self._degrees:
-            c = self._complex
-            self._degrees[q] = CellLevelDegree(
-                self._groups[q], kernel_basis(c.d(q)),
-                c.boundaries[q] if q < c.top_dim else ())
-        return self._degrees[q]
+def cell_level_degree(c: ChainComplex, q: int) -> CellLevelDegree:
+    return CellLevelDegree(kernel_basis(c.d(q)))
 
 
-def cell_level_homology(c: ChainComplex) -> CellLevelHomology:
-    return CellLevelHomology("Z", c, homology(c).groups())
+def cell_level_induced(f, q: int) -> IntMatrix:
+    """Matrix in degree q of the map that the chain map f induces, from
+    the cell-level cycle basis of f.source to that of f.target: each
+    basis cycle goes through the dense matrix of f and is solved in the
+    target's basis."""
+    src, dst = cell_level_degree(f.source, q), cell_level_degree(f.target, q)
+    mat = dense_map(f, q)
+    return IntMatrix.from_columns(
+        [dst.kernel_coords(mat.apply(z)) for z in src.kernel.columns()],
+        rows=dst.kernel.cols)
+
+
+def cell_level_connecting(a, m, inter, q: int) -> IntMatrix:
+    """Matrix of the connecting map, degree q to q-1, of a cover of m
+    by a and another piece meeting in inter, between cell-level cycle
+    bases: each basis cycle of m keeps its coefficients on a's cells,
+    its boundary by the dense a.d(q) is read on inter's cells, and that
+    is solved in inter's basis."""
+    src, dst = cell_level_degree(m, q), cell_level_degree(inter, q - 1)
+    columns = []
+    for z in src.kernel.columns():
+        boundary = a.d(q).apply([z[m.position(q, label)] for label in a.basis[q]])
+        columns.append(dst.kernel_coords(cell_vector(
+            inter, q - 1, {a.basis[q - 1][r]: value
+                           for r, value in enumerate(boundary) if value})))
+    return IntMatrix.from_columns(columns, rows=dst.kernel.cols)
 
 
 def _top_rows(m: IntMatrix, k: int) -> IntMatrix:

@@ -38,7 +38,10 @@ from orbihom.orbmodel import (
 
 from orbihom.verify import _torus_kunneth
 from oracles import (
-    cell_level_homology,
+    cell_level_connecting,
+    cell_level_degree,
+    cell_level_induced,
+    cell_vector,
     circle_complex,
     dense_commutes,
     dense_map,
@@ -283,7 +286,7 @@ def test_euler_characteristic_matches_ranks():
 def test_kernel_coords_rejects_non_cycles():
     c = t_model(Disc2(2)).chain_complex()
     h = homology(c)
-    non_cycle = c.vector(1, {"r": 1})
+    non_cycle = cell_vector(c, 1, {"r": 1})
     with pytest.raises(ValueError):
         h.degree(1).kernel_coords(non_cycle)
 
@@ -546,16 +549,13 @@ def test_reduction_is_a_chain_equivalence_onto_a_smaller_complex():
         d = r.d
         assert validate(d) == []
         f = ChainMap(c, d, [
-            [chains._sparse(r.project(q, [int(i == j) for i in range(c.dim(q))]))
-             for j in range(c.dim(q))] for q in range(c.top_dim + 1)])
+            [chains._sparse(r.project(q, ((j, 1),))) for j in range(c.dim(q))]
+            for q in range(c.top_dim + 1)])
         g = ChainMap(d, c, r.lifts)
         assert f.commutes() and g.commutes()
         for q in range(c.top_dim + 1):
             for k, lift in enumerate(r.lifts[q]):
-                z = [0] * c.dim(q)
-                for i, value in lift:
-                    z[i] = value
-                assert r.project(q, z) == [int(i == k) for i in range(d.dim(q))]
+                assert r.project(q, lift) == [int(i == k) for i in range(d.dim(q))]
             assert d.basis[q] == tuple(c.basis[q][j] for j in r.cells[q])
         assert homology(d).groups() == homology(c).groups()
         dropped += sum(c.dim(q) - d.dim(q) for q in range(c.top_dim + 1))
@@ -856,19 +856,20 @@ def test_connecting_hom_matches_hnf_lift_on_random_covers():
 
 
 
-def _coords(into, out_of, q):
-    """Matrix of into's kernel coordinates of out_of's degree-q kernel
-    columns: the change of cycle basis between two routes."""
-    src, dst = out_of.degree(q), into.degree(q)
-    return IntMatrix.from_columns([dst.kernel_coords(z)
-                                   for z in src.kernel.columns()],
-                                  rows=dst.presentation.gens)
+def _coords(into, out_of):
+    """Matrix of into's kernel coordinates of out_of's kernel columns,
+    for two cycle lattices of one degree: the change of basis between
+    two routes."""
+    return IntMatrix.from_columns([into.kernel_coords(z)
+                                   for z in out_of.kernel.columns()],
+                                  rows=into.kernel.cols)
 
 
 def test_reduced_maps_match_the_cell_level_route():
     """On seeded covers, each induced and connecting map read through
-    the reduction equals the map on the cycles of the complex itself,
-    after the change of basis between the two cycle lattices."""
+    the reduction equals the map the cell-level oracle finds on the
+    cycles of the complex itself by dense matrices, after the change of
+    basis between the two cycle lattices."""
     maps = 0
     for seed, desc in enumerate(GRID_1_TO_3):
         wcc = t_model(desc)
@@ -877,24 +878,55 @@ def test_reduced_maps_match_the_cell_level_route():
         a, b = subcomplex(m, cells_a), subcomplex(m, cells_b)
         inter = subcomplex(m, cells_a & cells_b)
         new = {id(x): homology(x) for x in (a, b, inter, m)}
-        old = {id(x): cell_level_homology(x) for x in (a, b, inter, m)}
+
+        def change(x, q):
+            """(cell level -> reduced, reduced -> cell level) bases of x."""
+            reduced, cell = new[id(x)].degree(q), cell_level_degree(x, q)
+            return _coords(reduced, cell), _coords(cell, reduced)
+
         for s, t in ((inter, a), (inter, b), (a, m), (b, m)):
             f = inclusion_map(t, s)
             got = induced_map(f, new[id(s)], new[id(t)])
-            want = induced_map(f, old[id(s)], old[id(t)])
             for q in range(s.top_dim + 1):
-                assert got[q].matrix == (
-                    _coords(new[id(t)], old[id(t)], q) @ want[q].matrix
-                    @ _coords(old[id(s)], new[id(s)], q)), (desc, q)
+                assert got[q].matrix == (change(t, q)[0] @ cell_level_induced(f, q)
+                                         @ change(s, q)[1]), (desc, q)
                 maps += 1
         got = connecting_hom(a, b, m, h_inter=new[id(inter)], h_m=new[id(m)])
-        want = connecting_hom(a, b, m, h_inter=old[id(inter)], h_m=old[id(m)])
         for q in range(1, m.top_dim + 1):
             assert got[q].matrix == (
-                _coords(new[id(inter)], old[id(inter)], q - 1) @ want[q].matrix
-                @ _coords(old[id(m)], new[id(m)], q)), (desc, q)
+                change(inter, q - 1)[0] @ cell_level_connecting(a, m, inter, q)
+                @ change(m, q)[1]), (desc, q)
             maps += 1
     assert maps > 300
+
+
+def test_trusted_cycle_reads_match_the_public_ones():
+    """On the grid models, their torus(1-2) products and seeded random
+    complexes, the sparse lifts each degree keeps, densified, are the
+    columns of kernel and g of the Hermite basis of Z_q(D) by dense
+    products; and the unchecked coordinates of random cycles, read from
+    their sparse columns, are what kernel_coords reads from their dense
+    vectors, and give them back up to a boundary."""
+    rng = random.Random(5)
+    cycles = 0
+    for c in _reduction_complexes():
+        h = homology(c)
+        r = h._reduction
+        g = ChainMap(r.d, c, r.lifts)
+        for q in range(c.top_dim + 1):
+            deg, up = h.degree(q), c.d(q + 1)
+            lifts = chains._dense(deg._lifts, c.dim(q), len(deg._lifts))
+            assert lifts == deg.kernel == dense_map(g, q) @ kernel_basis(r.d.d(q))
+            for _ in range(2):
+                y = [rng.randint(-3, 3) for _ in range(deg.kernel.cols)]
+                w = [rng.randint(-2, 2) for _ in range(up.cols)]
+                z = [s + t for s, t in zip(deg.kernel.apply(y), up.apply(w))]
+                coords = deg._coords(chains._sparse(z))
+                assert coords == deg.kernel_coords(z)
+                back = deg.kernel.apply(coords)
+                assert solve_linear(up, [s - t for s, t in zip(z, back)]) is not None
+                cycles += 1
+    assert cycles > 1000
 
 
 def _is_zero_hom(hom):
@@ -998,7 +1030,7 @@ def test_connecting_hom_class_ignores_preimage_choice():
         for i, lab in enumerate(a.basis[q - 1]):
             if bd[i]:
                 coeffs[lab] = bd[i]
-        vec = inter.vector(q - 1, coeffs)
+        vec = cell_vector(inter, q - 1, coeffs)
         return h_i.degree(q - 1).express(vec)
 
     first = push_class(tuple(xa))
