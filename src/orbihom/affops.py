@@ -157,16 +157,8 @@ class AffineChain:
         return self
 
     @classmethod
-    def zero(cls) -> "AffineChain":
-        return cls()
-
-    @classmethod
     def of(cls, simplex, coeff: int = 1) -> "AffineChain":
         return cls([(simplex, coeff)])
-
-    def terms(self):
-        """The nonzero terms as a simplex -> coefficient mapping."""
-        return dict(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

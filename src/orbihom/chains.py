@@ -7,8 +7,6 @@ reduction of the whole complex C to a smaller complex D with the same
 homology, kept with its projection f: C -> D and lift g: D -> C: each
 degree's cycle lattice is g of the canonical (Hermite) basis of the
 cycles of D, with the coordinates of D's boundaries in it as relators.
-A Smith form of the relators is taken only when generators or reduced
-classes are read.
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ from .intlin import (
     GroupHom,
     IntMatrix,
     _echelon_solver,
-    _smith,
     invariant_factors,
     kernel_basis,
     rational_rank,
     smith_diagonal,
-    unimodular_inverse,
 )
 
 # A sparse boundary column: (row, coefficient) pairs, rows ascending,
@@ -231,27 +227,6 @@ class DegreeHomology:
                     for b in (d.boundaries[q] if q < d.top_dim else ())]
         return AbPresentation(gens, IntMatrix._of(relators, gens).transpose())
 
-    @cached_property
-    def _summands(self):
-        """U of the Smith form U @ rels @ V of the relators, and the row
-        and divisor of each summand: free ones (divisor 0), then torsion."""
-        rels = self.presentation.rels
-        s, u, _ = _smith(rels, left=True)
-        diag = [s[i][i] if i < rels.cols else 0 for i in range(rels.rows)]
-        free = [(i, 0) for i, d in enumerate(diag) if d == 0]
-        return IntMatrix._of(u, rels.rows), free + [
-            (i, d) for i, d in enumerate(diag) if d > 1]
-
-    @cached_property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Cycles of the canonical summands, free ones first, then torsion
-        ones in divisor order; () over Q.  Computed on first read."""
-        if self.kernel is None:
-            return ()
-        u, summands = self._summands
-        basis = self.kernel @ unimodular_inverse(u)
-        return tuple(basis.column(i) for i, _ in summands)
-
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in the kernel lattice basis of the class of a
         cycle: those of its projection f(cycle), a cycle of D."""
@@ -268,17 +243,6 @@ class DegreeHomology:
     def _coords(self, z: Column) -> tuple[int, ...]:
         """kernel_coords of a cycle z of C given as a sparse column, unchecked."""
         return tuple(self._solve(self._reduction.project(self._q, z)))
-
-    def express(self, cycle: Sequence[int]) -> tuple[int, ...]:
-        """Canonical coordinates of a cycle class.
-
-        Free coordinates come first and are exact integers; torsion
-        coordinates follow, reduced modulo their divisors.
-        """
-        coords = self.kernel_coords(cycle)  # over Q this raises first
-        u, summands = self._summands
-        y = u.apply(coords)
-        return tuple(y[i] % d if d else y[i] for i, d in summands)
 
 
 @dataclass(frozen=True)
@@ -602,8 +566,11 @@ class ChainMap:
 
 def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
     """ValueError unless sub is subcomplex(c, its cells), up to the order
-    of the cells within each degree."""
-    _closed_cells(c, sub.labels(), role)
+    of the cells within each degree.
+
+    Equal columns make sub's cells cells of c, closed under faces, so
+    _closed_cells runs only once a column differs, to word the error.
+    """
     below: list[int] = []  # positions in c of sub's cells one degree down
     for q, labels in enumerate(sub.basis):  # lower degrees are checked first
         index = c._index[q] if q <= c.top_dim else {}
@@ -612,6 +579,7 @@ def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
             # sub's columns are merged and its rows distinct: just sort.
             if i is None or q and c.boundaries[q - 1][i] != tuple(sorted(
                     (below[r], value) for r, value in sub.boundaries[q - 1][j])):
+                _closed_cells(c, sub.labels(), role)
                 raise ValueError(f"{role} cell {label} in degree {q} is not "
                                  "that of the whole complex")
         below = here

@@ -1,17 +1,17 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
 Provides the kernels the chain layer runs: Smith diagonals, integer
-kernels, column lattices, unimodular inverses and back-substitution on
-echelon rows, and finitely generated abelian groups in canonical form
-(free rank plus a divisor chain).  The Hermite and Smith forms come
-from one row echelon elimination, _echelon, carrying a transform only
-when asked: _hermite gives the row Hermite form, and _smith alternates
-row and column Hermite forms until the matrix is diagonal.  A canonical
-kernel basis, and the image and kernel lattices of a homomorphism of
-presented groups, each come from one _echelon over all the columns of
-a block matrix, split by _split_echelon.  Divisor chains are built by
-gcd/lcm insertion, with no matrix.  Everything is exact: entries are
-Python ints, so no overflow is possible.
+kernels, column lattices and back-substitution on echelon rows, and
+finitely generated abelian groups in canonical form (free rank plus a
+divisor chain).  Every form comes from one row echelon elimination,
+_echelon, and none carries a unimodular transform: lattice_hnf is one
+row Hermite form, and smith_diagonal alternates row and column Hermite
+forms until the matrix is diagonal.  A canonical kernel basis, and the
+image and kernel lattices of a homomorphism of presented groups, each
+come from one _echelon over all the columns of a block matrix, split by
+_split_echelon.  Divisor chains are built by gcd/lcm insertion, with no
+matrix.  Everything is exact: entries are Python ints, so no overflow
+is possible.
 """
 
 from __future__ import annotations
@@ -63,23 +63,8 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(_eye(n), n)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls._of([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int], rows: int | None = None,
-                 cols: int | None = None) -> "IntMatrix":
-        values = list(values)
-        r = len(values) if rows is None else rows
-        c = len(values) if cols is None else cols
-        if len(values) > min(r, c):
-            raise ValueError("too many diagonal values")
-        return cls([[values[i] if i == j and i < len(values) else 0
-                     for j in range(c)] for i in range(r)], cols=c)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
@@ -123,21 +108,16 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self._e[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._e)
-
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self._e)) or [()] * self.cols
 
     def to_rows(self) -> list[list[int]]:
         return [list(r) for r in self._e]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._e for x in row)
-
 
 def _eye(n: int) -> list[list[int]]:
-    """Identity rows: the seed of every carried transform."""
+    """Identity rows, the block that kernel_basis and GroupHom.lattices
+    set beside a form and eliminate over with it."""
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -200,61 +180,28 @@ def _echelon(rows: list[list[int]], n: int) -> None:
         r += 1
 
 
-def _carried_echelon(form: list[list[int]], carried: list[list[int]], n: int):
-    """Rows of the row Hermite form of the n-column rows form, and the
-    rows of carried after the same row operations."""
-    rows = [f + t for f, t in zip(form, carried)]
-    _echelon(rows, n)
-    return [r[:n] for r in rows], [r[n:] for r in rows]
+def smith_diagonal(a: IntMatrix) -> list[int]:
+    """Diagonal of the Smith form of a, carrying no transform.
 
-
-def _hermite(a: IntMatrix, left: bool):
-    """Rows of the row Hermite form of a, and of U only if left (else None)."""
-    h, u = _carried_echelon(a.to_rows(), _eye(a.rows) if left else [[]] * a.rows,
-                            a.cols)
-    return h, u if left else None
-
-
-def _smith(a: IntMatrix, left: bool = False, right: bool = False):
-    """Rows of the Smith form S of a, of U only if left and of V only
-    if right (else None).
-
-    Row Hermite forms of the rows [S | U] alternate with row Hermite
-    forms of [S^T | V^T] until S is diagonal (Kannan and Bachem, SIAM
-    J. Comput. 8(4), 1979).  Without transforms the diagonal is then
-    written back as its divisor chain; with them, a diagonal entry that
-    does not divide the next gets the next column added to its column,
-    and the alternation goes on.  No operation on S reads U or V, so S
-    is the same whichever transforms are carried.
+    Row Hermite forms of S and of S^T alternate until S is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), positive entries
+    first, then zeros; the positive ones are then written back as their
+    divisor chain.
     """
     m, n = a.rows, a.cols
-    s, u = a.to_rows(), _eye(m) if left else [[]] * m
-    vt = _eye(n) if right else [[]] * n
+    s = a.to_rows()
     while True:
-        s, u = _carried_echelon(s, u, n)
-        st, vt = _carried_echelon(_transpose(s, n), vt, m)
+        _echelon(s, n)
+        st = _transpose(s, n)
+        _echelon(st, m)
         s = _transpose(st, m)
-        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
-            continue
-        # S is diagonal, positive entries first, then zeros.
-        d = [x for x in (s[i][i] for i in range(min(m, n))) if x]
-        if not (left or right):
-            chain = invariant_factors(d)
-            for i, x in enumerate((1,) * (len(d) - len(chain)) + chain):
-                s[i][i] = x
+        if not any(x for i, row in enumerate(s) for j, x in enumerate(row)
+                   if i != j):
             break
-        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
-        if i is None:
-            break
-        s[i + 1][i] = d[i + 1]
-        vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
-    return s, u if left else None, _transpose(vt, n) if right else None
-
-
-def smith_diagonal(a: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form, carrying no transform."""
-    s, _, _ = _smith(a)
-    return [s[i][i] for i in range(min(a.rows, a.cols))]
+    d = [x for x in (s[i][i] for i in range(min(m, n))) if x]
+    chain = invariant_factors(d)
+    return ([1] * (len(d) - len(chain)) + list(chain)
+            + [0] * (min(m, n) - len(d)))
 
 
 def rational_rank(a: IntMatrix) -> int:
@@ -307,7 +254,7 @@ def _echelon_solver(rows: Sequence[Sequence[int]]):
     return solve
 
 
-def _is_hermite(rows: Sequence[Sequence[int]]) -> bool:
+def _is_hnf(rows: Sequence[Sequence[int]]) -> bool:
     """Whether rows are a row Hermite form with no zero row: pivots
     positive and moving right, the entries above each in [0, pivot)."""
     p = -1
@@ -329,10 +276,11 @@ def lattice_hnf(a: IntMatrix) -> IntMatrix:
     returned as rows with no elimination.
     """
     t = a.transpose()
-    if _is_hermite(t._e):
+    if _is_hnf(t._e):
         return t
-    h, _ = _hermite(t, left=False)
-    return IntMatrix._of([row for row in h if any(row)], a.rows)
+    rows = t.to_rows()
+    _echelon(rows, a.rows)
+    return IntMatrix._of([row for row in rows if any(row)], a.rows)
 
 
 def _split_echelon(rows: list[list[int]], t: int):
@@ -352,14 +300,6 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     _, basis = _split_echelon(
         [list(col) + e for col, e in zip(a.columns(), _eye(a.cols))], a.rows)
     return IntMatrix._of(basis, a.cols).transpose()
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix."""
-    h, u = _hermite(a, left=True)
-    if h != _eye(a.rows) or a.rows != a.cols:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix._of(u, a.rows)
 
 
 @dataclass(frozen=True)
@@ -392,12 +332,6 @@ class FgAbGroup:
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
         return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FgAbGroup":
-        if n < 1:
-            raise ValueError("cyclic order must be positive")
-        return cls(0, ()) if n == 1 else cls(0, (n,))
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup(self.rank + other.rank,
@@ -464,9 +398,6 @@ class AbPresentation:
     @classmethod
     def free(cls, gens: int) -> "AbPresentation":
         return cls(gens, IntMatrix.zeros(gens, 0))
-
-    def group(self) -> FgAbGroup:
-        return cokernel_group(self.rels)
 
 
 @dataclass(frozen=True)

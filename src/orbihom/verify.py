@@ -74,19 +74,19 @@ def _render_rows(m: IntMatrix) -> str:
 
 
 def exactness_assertion(statement: str, image_of: GroupHom | None,
-                        kernel_of: GroupHom | None,
+                        kernel_of: GroupHom,
                         at: AbPresentation) -> Assertion:
     """Compare the image of one map with the kernel of the next as
     subgroups of the group presented by `at`, via canonical forms of
     their preimages in its free cover, kept on each map
     (GroupHom.lattices).  A None image_of is the zero map, whose image
-    is the relators; a None kernel_of is the map to the zero group."""
+    is the relators."""
     if image_of is not None and image_of.target != at:
         raise ValueError("image map does not land in the given presentation")
-    if kernel_of is not None and kernel_of.source != at:
+    if kernel_of.source != at:
         raise ValueError("kernel map does not start at the given presentation")
     im = lattice_hnf(at.rels) if image_of is None else image_of.lattices[0]
-    ker = IntMatrix.identity(at.gens) if kernel_of is None else kernel_of.lattices[1]
+    ker = kernel_of.lattices[1]
     return Assertion(statement, f"image {_render_rows(im)}",
                      f"kernel {_render_rows(ker)}", im == ker)
 

@@ -26,16 +26,23 @@ matrices and solve the images there, as `induced_map` and
 complex and ran on sparse lifts; `cell_vector` writes a formal sum of
 cells as a dense vector, as `ChainComplex.vector` did.
 
-The rest are references that no code of the package runs: the full
-Hermite and Smith forms with their transforms and an integer solver,
-built on the private eliminations of intlin; the row echelon step as
-it was before each pivot column was scanned once; the tensor product of
-chain complexes and the point and circle complexes; dense views of
-chain maps and sparse columns of dense matrices; the parser of group
-text, a captured CLI run, and the inverse of a group word; a seeded
-random two-cover of a model by downward-closed cell sets; and the
-refinement and prism of one simplex, built on the private checks and
-operators of affops.
+The rest are references that no code of the package runs.  The
+Hermite and Smith forms with their unimodular transforms, the inverse
+of a unimodular matrix and an integer solver carry the transforms that
+the package never does; they run intlin's private elimination, read
+through the module, so a test that swaps intlin._echelon swaps theirs.
+generators and express read a degree's cycles in the canonical
+summands of its group through the Smith form of its relators.  The
+matrix, group and affine-chain helpers (identity, diagonal, column,
+is_zero, cyclic, presented_group, zero_chain, terms) are the methods
+of those classes that no code of the package reads.  Then the row
+echelon step as it was before each pivot column was scanned once; the
+tensor product of chain complexes and the point and circle complexes;
+dense views of chain maps and sparse columns of dense matrices; the
+parser of group text, a captured CLI run, and the inverse of a group
+word; a seeded random two-cover of a model by downward-closed cell
+sets; and the refinement and prism of one simplex, built on the
+private checks and operators of affops.
 """
 
 import contextlib
@@ -46,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
+from orbihom import intlin
 from orbihom.affops import (
     AffineChain,
     AffineSimplex,
@@ -70,15 +78,75 @@ from orbihom.intlin import (
     IntMatrix,
     _echelon_solver,
     _addmul_row,
-    _hermite,
-    _smith,
     block_diag,
+    cokernel_group,
     hstack,
+    invariant_factors,
     kernel_basis,
     lattice_hnf,
     vstack,
 )
 from orbihom.orbmodel import Cell, WeightedCellComplex
+
+
+def _carried_echelon(form: list[list[int]], carried: list[list[int]], n: int):
+    """Rows of the row Hermite form of the n-column rows form, and the
+    rows of carried after the same row operations (intlin._echelon,
+    read through the module)."""
+    rows = [f + t for f, t in zip(form, carried)]
+    intlin._echelon(rows, n)
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def hermite(a: IntMatrix, left: bool):
+    """Rows of the row Hermite form of a, and of U only if left (else None)."""
+    h, u = _carried_echelon(a.to_rows(),
+                            intlin._eye(a.rows) if left else [[]] * a.rows, a.cols)
+    return h, u if left else None
+
+
+def smith(a: IntMatrix, left: bool = False, right: bool = False):
+    """Rows of the Smith form S of a, of U only if left and of V only
+    if right (else None).
+
+    Row Hermite forms of the rows [S | U] alternate with row Hermite
+    forms of [S^T | V^T] until S is diagonal (Kannan and Bachem, SIAM
+    J. Comput. 8(4), 1979).  Without transforms the diagonal is then
+    written back as its divisor chain; with them, a diagonal entry that
+    does not divide the next gets the next column added to its column,
+    and the alternation goes on.  No operation on S reads U or V, so S
+    is the same whichever transforms are carried.
+    """
+    m, n = a.rows, a.cols
+    s, u = a.to_rows(), intlin._eye(m) if left else [[]] * m
+    vt = intlin._eye(n) if right else [[]] * n
+    while True:
+        s, u = _carried_echelon(s, u, n)
+        st, vt = _carried_echelon(intlin._transpose(s, n), vt, m)
+        s = intlin._transpose(st, m)
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            continue
+        # S is diagonal, positive entries first, then zeros.
+        d = [x for x in (s[i][i] for i in range(min(m, n))) if x]
+        if not (left or right):
+            chain = invariant_factors(d)
+            for i, x in enumerate((1,) * (len(d) - len(chain)) + chain):
+                s[i][i] = x
+            break
+        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
+        if i is None:
+            break
+        s[i + 1][i] = d[i + 1]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
+    return s, u if left else None, intlin._transpose(vt, n) if right else None
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of a unimodular matrix."""
+    h, u = hermite(a, left=True)
+    if h != intlin._eye(a.rows) or a.rows != a.cols:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix._of(u, a.rows)
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -88,7 +156,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     echelon form with positive pivots and every entry above a pivot
     reduced into [0, pivot).
     """
-    h, u = _hermite(a, left=True)
+    h, u = hermite(a, left=True)
     return IntMatrix._of(h, a.cols), IntMatrix._of(u, a.rows)
 
 
@@ -97,11 +165,89 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Returns (S, U, V) with U, V unimodular and U @ a @ V == S diagonal,
     non-negative, each diagonal entry dividing the next.  S is unique;
-    U and V depend on the elimination (see intlin._smith).
+    U and V depend on the elimination (see smith).
     """
-    s, u, v = _smith(a, left=True, right=True)
+    s, u, v = smith(a, left=True, right=True)
     return (IntMatrix._of(s, a.cols), IntMatrix._of(u, a.rows),
             IntMatrix._of(v, a.cols))
+
+
+def _summands(deg):
+    """U of the Smith form U @ rels @ V of the relators of the degree
+    deg, and the row and divisor of each summand: free ones (divisor
+    0), then torsion."""
+    rels = deg.presentation.rels
+    s, u, _ = smith(rels, left=True)
+    diag = [s[i][i] if i < rels.cols else 0 for i in range(rels.rows)]
+    free = [(i, 0) for i, d in enumerate(diag) if d == 0]
+    return IntMatrix._of(u, rels.rows), free + [
+        (i, d) for i, d in enumerate(diag) if d > 1]
+
+
+def generators(deg) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the canonical summands of the degree deg, free ones
+    first, then torsion ones in divisor order; () over Q."""
+    if deg.kernel is None:
+        return ()
+    u, summands = _summands(deg)
+    basis = deg.kernel @ unimodular_inverse(u)
+    return tuple(column(basis, i) for i, _ in summands)
+
+
+def express(deg, cycle) -> tuple[int, ...]:
+    """Canonical coordinates of a cycle class of the degree deg.
+
+    Free coordinates come first and are exact integers; torsion
+    coordinates follow, reduced modulo their divisors.
+    """
+    coords = deg.kernel_coords(cycle)  # over Q this raises first
+    u, summands = _summands(deg)
+    y = u.apply(coords)
+    return tuple(y[i] % d if d else y[i] for i, d in summands)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix._of(intlin._eye(n), n)
+
+
+def diagonal(values, rows: int | None = None, cols: int | None = None) -> IntMatrix:
+    """rows x cols matrix (square by default) with values on its diagonal."""
+    values = list(values)
+    r = len(values) if rows is None else rows
+    c = len(values) if cols is None else cols
+    if len(values) > min(r, c):
+        raise ValueError("too many diagonal values")
+    return IntMatrix([[values[i] if i == j and i < len(values) else 0
+                       for j in range(c)] for i in range(r)], cols=c)
+
+
+def column(m: IntMatrix, j: int) -> tuple[int, ...]:
+    return tuple(m[i, j] for i in range(m.rows))
+
+
+def is_zero(m: IntMatrix) -> bool:
+    return not any(map(any, m.to_rows()))
+
+
+def cyclic(n: int) -> FgAbGroup:
+    """Z/n, trivial for n = 1."""
+    if n < 1:
+        raise ValueError("cyclic order must be positive")
+    return FgAbGroup(0, ()) if n == 1 else FgAbGroup(0, (n,))
+
+
+def presented_group(p: AbPresentation) -> FgAbGroup:
+    """The group that p presents, from the Smith diagonal of its relators."""
+    return cokernel_group(p.rels)
+
+
+def zero_chain() -> AffineChain:
+    return AffineChain()
+
+
+def terms(chain: AffineChain) -> dict:
+    """The nonzero terms of chain as a simplex -> coefficient mapping."""
+    return dict(chain._terms)
 
 
 def echelon(rows: list[list[int]], n: int) -> None:
@@ -140,7 +286,7 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
-    h, u = _hermite(a.transpose(), left=True)
+    h, u = hermite(a.transpose(), left=True)
     y = _echelon_solver(h)(b)
     return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
 
@@ -149,7 +295,7 @@ def kernel_rows(a: IntMatrix) -> list[list[int]]:
     """A basis of the integer kernel of a, as rows: the rows of U, in
     U @ a.transpose() == H, whose rows of H are zero.  It depends on
     the elimination, not only on the kernel."""
-    h, u = _hermite(a.transpose(), left=True)
+    h, u = hermite(a.transpose(), left=True)
     return [row for row, form in zip(u, h) if not any(form)]
 
 
@@ -349,8 +495,8 @@ def subgroup_contains(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
     """True iff the column lattice of gens_b lies inside that of gens_a."""
     if gens_a.rows != gens_b.rows:
         raise ValueError("ambient ranks differ")
-    return all(solve_linear(gens_a, gens_b.column(j)) is not None
-               for j in range(gens_b.cols))
+    return all(solve_linear(gens_a, col) is not None
+               for col in gens_b.columns())
 
 
 def is_well_defined(hom: GroupHom) -> bool:
@@ -360,7 +506,8 @@ def is_well_defined(hom: GroupHom) -> bool:
 
 def presentation_groups(h) -> tuple:
     """Each degree's group from the Smith form of its presentation."""
-    return tuple(h.degree(q).presentation.group() for q in range(h.top_dim + 1))
+    return tuple(presented_group(h.degree(q).presentation)
+                 for q in range(h.top_dim + 1))
 
 
 def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:
@@ -424,8 +571,8 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
         src, dst = h_m.degree(q), h_inter.degree(q - 1)
         stacked = hstack(dense_map(incl_a, q), dense_map(incl_b, q))
         columns = []
-        for i in range(src.kernel.cols):
-            sol = solve_linear(stacked, src.kernel.column(i))
+        for z in src.kernel.columns():
+            sol = solve_linear(stacked, z)
             boundary = a.d(q).apply(sol[:a.dim(q)])
             coeffs = {a.basis[q - 1][r]: value
                       for r, value in enumerate(boundary) if value}
@@ -552,7 +699,7 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
 
     def kernel(hom, at):
         if hom is None:
-            return IntMatrix.identity(at.gens)
+            return identity(at.gens)
         ker = kernel_basis(hstack(hom.matrix, hom.target.rels))
         return hstack(_top_rows(ker, at.gens), at.rels)
 

@@ -17,7 +17,7 @@ from orbihom.affops import (
     selftest,
 )
 
-from oracles import prism, refine
+from oracles import prism, refine, terms, zero_chain
 
 F = Fraction
 
@@ -87,16 +87,16 @@ def test_internal_builds_match_public_simplices():
     pairs = [
         (s.face(0), simplex((1, 0), (0, 1))),
         (s.restrict((0, 2)), simplex((0, 0), (0, 1))),
-        (list(refine(s, (1, 2), half).terms())[0],
+        (list(terms(refine(s, (1, 2), half)))[0],
          simplex((0, 0), (0, 1), (F(1, 2), F(1, 2)))),
-        (list(prism(s, (1, 2), half).terms())[0],
+        (list(terms(prism(s, (1, 2), half)))[0],
          simplex((0, 0), (0, 0), (0, 1), (F(1, 2), F(1, 2)))),
     ]
     for built, public in pairs:
         assert built == public and public == built
         assert hash(built) == hash(public)
         assert {built: 1}[public] == 1
-        assert AffineChain([(built, 2), (public, -2)]) == AffineChain.zero()
+        assert AffineChain([(built, 2), (public, -2)]) == zero_chain()
     assert s.face(0) != s.face(1)
     assert s != s.vertices
 
@@ -125,7 +125,7 @@ def test_operators_place_the_marked_point_once(monkeypatch):
     s = simplex((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
     phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
     c = boundary(s)
-    assert sum(find_face(t, phi) is not None for t in c.terms()) == 2
+    assert sum(find_face(t, phi) is not None for t in terms(c)) == 2
     expected = [sd_operator(phi, a, c), prism_operator(phi, a, c)]
     checks, check = [], affops._check_interior
     monkeypatch.setattr(affops, "_check_interior",
@@ -181,11 +181,11 @@ def test_trusted_sums_match_public_chains():
                  for _ in range(rng.randint(0, 12))]
         public, trusted = AffineChain(pairs), AffineChain._of(pairs)
         assert trusted == public
-        assert list(trusted.terms().items()) == list(public.terms().items())
+        assert list(terms(trusted).items()) == list(terms(public).items())
         assert repr(trusted) == repr(public)
     s, t = simplex((0,), (1,)), simplex((1,), (2,))
-    assert list(AffineChain([(t, 0), (s, 1), (t, 1)]).terms()) == [s, t]
-    assert list(AffineChain._of([(t, 0), (s, 1), (t, 1)]).terms()) == [s, t]
+    assert list(terms(AffineChain([(t, 0), (s, 1), (t, 1)]))) == [s, t]
+    assert list(terms(AffineChain._of([(t, 0), (s, 1), (t, 1)]))) == [s, t]
 
 
 def test_operators_build_no_public_chains(monkeypatch):
@@ -238,10 +238,10 @@ def test_chain_algebra():
     s = simplex((0,), (1,))
     t = simplex((1,), (2,))
     c = AffineChain.of(s) + AffineChain.of(t, 2)
-    assert c.terms() == {s: 1, t: 2}
-    assert (c - c) == AffineChain.zero()
-    assert not AffineChain.zero()
-    assert c.scale(3).terms()[t] == 6
+    assert terms(c) == {s: 1, t: 2}
+    assert (c - c) == zero_chain()
+    assert not zero_chain()
+    assert terms(c.scale(3))[t] == 6
     assert c.degree() == 1
     mixed = c + AffineChain.of(simplex((5,)))
     with pytest.raises(ValueError):
@@ -249,11 +249,11 @@ def test_chain_algebra():
     with pytest.raises(TypeError):
         AffineChain.of(s, 1.5)
     with pytest.raises(TypeError):
-        AffineChain.zero().scale(1.5)
+        zero_chain().scale(1.5)
     with pytest.raises(TypeError):
         AffineChain([(s, 1), (t, 0.0)])
     assert repr(AffineChain([(t, 2), (s, 1), (t, -2)])) == "+1*<(0), (1)>"
-    assert list(AffineChain([(t, 1), (s, 1), (t, -1), (t, 1)]).terms()) \
+    assert list(terms(AffineChain([(t, 1), (s, 1), (t, -1), (t, 1)]))) \
         == [t, s]
 
 
@@ -272,8 +272,8 @@ def test_boundary_of_boundary_vanishes():
     for _ in range(40):
         q = rng.randint(1, 4)
         s = rand_simplex(rng, q, q + 1)
-        assert boundary(boundary(s)) == AffineChain.zero()
-    assert boundary(simplex((0, 0))) == AffineChain.zero()
+        assert boundary(boundary(s)) == zero_chain()
+    assert boundary(simplex((0, 0))) == zero_chain()
 
 
 # --------------------------------------------------------------- refine
@@ -282,7 +282,7 @@ def test_boundary_of_boundary_vanishes():
 def test_refine_segment_at_midpoint():
     s = simplex((0,), (1,))
     out = refine(s, (0, 1), (F(1, 2), F(1, 2)))
-    assert out.terms() == {
+    assert terms(out) == {
         simplex((0,), (F(1, 2),)): 1,
         simplex((1,), (F(1, 2),)): -1,
     }
@@ -317,7 +317,7 @@ def test_refine_term_count():
         p = rng.randint(1, q)
         face = tuple(sorted(rng.sample(range(q + 1), p + 1)))
         out = refine(s, face, rand_interior(rng, p))
-        assert sum(abs(c) for c in out.terms().values()) == p + 1
+        assert sum(abs(c) for c in terms(out).values()) == p + 1
 
 
 # ----------------------------------------------------------------- prism
@@ -326,7 +326,7 @@ def test_refine_term_count():
 def test_prism_plain_doubling():
     s = simplex((0,), (1,))
     out = prism(s, None, None)
-    assert out.terms() == {
+    assert terms(out) == {
         AffineSimplex(((F(0),), (F(0),), (F(1),))): -1,
         AffineSimplex(((F(0),), (F(1),), (F(1),))): 1,
     }
@@ -411,7 +411,7 @@ def test_selftest_reports_failures(monkeypatch):
     identities: every failure is counted and the first six are quoted."""
     exact = affops.boundary
     monkeypatch.setattr(affops, "boundary", lambda c: AffineChain(
-        list(exact(c).terms().items())[1:]))
+        list(terms(exact(c)).items())[1:]))
     report = selftest(12, 5)
     assert not report.passed
     assert [a.left for a in report.assertions] == ["6 failures",

@@ -19,7 +19,7 @@ from orbihom.orbmodel import (
     t_model,
 )
 
-from oracles import parse_group, run
+from oracles import cyclic, parse_group, run
 
 GROUP_LINE = re.compile(r"^H[_^]\d+ = (0|(Z(\^\d+)?|Z/\d+)( \+ (Z(\^\d+)?|Z/\d+))*)$")
 
@@ -62,7 +62,7 @@ def test_parse_group_round_trip():
         FgAbGroup.trivial(),
         FgAbGroup.free(1),
         FgAbGroup.free(3),
-        FgAbGroup.cyclic(12),
+        cyclic(12),
         FgAbGroup(2, (2, 6)),
     ]
     for g in samples:

@@ -25,7 +25,7 @@ from orbihom.affops import (
     sd_operator,
 )
 
-from oracles import prism, refine
+from oracles import prism, refine, terms
 
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "affops_chains.json"
 INPUTS = 30
@@ -43,7 +43,7 @@ def _simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
 
 
 def _terms(c: AffineChain) -> list[str]:
-    return [f"{n:+d}*{s!r}" for s, n in c.terms().items()]
+    return [f"{n:+d}*{s!r}" for s, n in terms(c).items()]
 
 
 def chains() -> list[dict]:
