@@ -6,7 +6,9 @@ representatives are computed on first request, from one unit-pivot
 reduction of the whole complex C to a smaller complex D with the same
 homology, kept with its projection f: C -> D and lift g: D -> C: each
 degree's cycle lattice is g of the canonical (Hermite) basis of the
-cycles of D, with the coordinates of D's boundaries in it as relators.
+cycles of D, with the coordinates of D's boundaries in it as relators,
+all on sparse columns: most of that basis is unit vectors, as D is
+nearly always monomial.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _echelon_solver,
     invariant_factors,
     kernel_basis,
     rational_rank,
@@ -40,8 +41,9 @@ class ChainComplex:
     basis[q] lists the degree-q cell labels; boundaries[q-1][j] is the
     boundary of basis[q][j] as (row, coefficient) pairs, rows indexing
     basis[q-1], sorted by row with zeros dropped; columns are the only
-    form taken.  Labels must be unique within each degree.  validate(c)
-    is worked out once per complex and kept.
+    form taken.  Labels must be unique across all degrees, so that a
+    set of labels, as subcomplex and relative take, names a set of
+    cells.  validate(c) is worked out once per complex and kept.
     """
 
     __slots__ = ("top_dim", "basis", "boundaries", "_index", "_problems")
@@ -58,29 +60,32 @@ class ChainComplex:
             _columns(columns, len(basis[q - 1]), len(basis[q]),
                      f"boundary shape mismatch at degree {q}")
             for q, columns in enumerate(boundaries, start=1))
-        index = _label_index(basis)
-        for q, (labels, pos) in enumerate(zip(basis, index)):
-            if len(pos) != len(labels):
-                raise ValueError(f"duplicate label in degree {q}")
-        self._set(basis, sparse, index)
+        seen: dict[str, int] = {}
+        for q, labels in enumerate(basis):
+            for label in labels:
+                if label in seen:
+                    raise ValueError(f"label {label!r} is used twice: in degree "
+                                     f"{seen[label]} and in degree {q}")
+                seen[label] = q
+        self._set(basis, sparse)
 
     @classmethod
     def _of(cls, basis: Sequence[Sequence[str]],
             boundaries: Sequence[Sequence[Column]]) -> "ChainComplex":
-        """Trusted build from unique labels per degree and one Column
+        """Trusted build from labels unique across degrees and one Column
         per cell, each merged, sorted, nonzero and in range; nothing is
         checked."""
         c = object.__new__(cls)
         basis = tuple(map(tuple, basis))
-        c._set(basis, tuple(tuple(map(tuple, columns)) for columns in boundaries),
-               _label_index(basis))
+        c._set(basis, tuple(tuple(map(tuple, columns)) for columns in boundaries))
         return c
 
-    def _set(self, basis, boundaries, index) -> None:
+    def _set(self, basis, boundaries) -> None:
         object.__setattr__(self, "top_dim", len(basis) - 1)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", tuple(
+            dict(zip(labels, range(len(labels)))) for labels in basis))
         object.__setattr__(self, "_problems", None)
 
     def __setattr__(self, name, value):
@@ -101,10 +106,6 @@ class ChainComplex:
 
     def labels(self) -> set[str]:
         return {label for labels in self.basis for label in labels}
-
-
-def _label_index(basis: tuple[tuple[str, ...], ...]) -> tuple[dict[str, int], ...]:
-    return tuple(dict(zip(labels, range(len(labels)))) for labels in basis)
 
 
 def _column(pairs: Iterable[tuple[int, int]]) -> Column:
@@ -136,19 +137,6 @@ def _dense(columns: Sequence[Column], rows: int, cols: int) -> IntMatrix:
     return IntMatrix._of(mat, cols)
 
 
-def _vector(col: Column, rows: int) -> list[int]:
-    """Dense vector of length rows of a sparse column."""
-    vec = [0] * rows
-    for i, value in col:
-        vec[i] = value
-    return vec
-
-
-def _sparse(vec: Sequence[int]) -> list[tuple[int, int]]:
-    """The nonzero (row, coefficient) pairs of a dense vector."""
-    return [(i, value) for i, value in enumerate(vec) if value]
-
-
 def _compose(outer: Sequence[Column], col: Column) -> Column:
     """outer @ col, as a merged, sorted Column."""
     composite: dict[int, int] = {}
@@ -158,6 +146,31 @@ def _compose(outer: Sequence[Column], col: Column) -> Column:
     if not any(composite.values()):  # the common case: d∘d columns vanish
         return ()
     return tuple(sorted([(i, value) for i, value in composite.items() if value]))
+
+
+def _sparse_solver(rows: Sequence[Column]):
+    """solve(b): the y with sum(y[k] * rows[k]) == b, or None, for b as
+    (row, coefficient) pairs or a dict and rows in echelon form sorted by
+    pivot.  Only the rows whose pivots the residual reaches are read, in
+    pivot order."""
+    at = {row[0][0]: k for k, row in enumerate(rows)}
+
+    def solve(b) -> list[int] | None:
+        residual, y = dict(b), [0] * len(rows)
+        heap = sorted(i for i in residual if i in at)
+        while heap:
+            k = at[heapq.heappop(heap)]
+            (p, pivot), *rest = rows[k]
+            y[k], r = divmod(residual.pop(p), pivot)
+            if r:
+                return None
+            for i, value in rest:
+                if i not in residual and i in at:
+                    heapq.heappush(heap, i)
+                residual[i] = residual.get(i, 0) - y[k] * value
+        return None if any(residual.values()) else y
+
+    return solve
 
 
 def validate(c: ChainComplex) -> list[str]:
@@ -185,10 +198,13 @@ class DegreeHomology:
 
     Over Z, the data come from the reduction of the complex (see
     _Reduction), read on first use: presentation has as generators the
-    Hermite basis of the degree-q cycles of D (intlin.kernel_basis),
-    and as relators the coordinates in that basis of D's boundaries out
-    of degree q + 1; kernel holds the lifts by g of that basis, cycles
-    of C, as columns.  Over Q only the group is set.
+    Hermite basis of the degree-q cycles of D, and as relators the
+    coordinates in that basis of D's boundaries out of degree q + 1;
+    kernel holds the lifts by g of that basis, cycles of C, as columns.
+    The basis is the unit vectors of the zero columns of D's d_q beside
+    intlin.kernel_basis of its other columns: on disjoint supports, the
+    two are together in Hermite form, so they are kernel_basis(D.d(q)).
+    Over Q only the group is set.
     """
 
     group: FgAbGroup
@@ -197,19 +213,27 @@ class DegreeHomology:
     _q: int = 0
 
     @cached_property
-    def _basis(self) -> list[tuple[int, ...]]:
-        """Rows of the Hermite basis of the degree-q cycles of D."""
-        return kernel_basis(self._reduction.d.d(self._q)).columns()
+    def _basis(self) -> list[Column]:
+        """Hermite basis of the degree-q cycles of D, as sparse rows
+        sorted by pivot."""
+        d, q = self._reduction.d, self._q
+        columns = d.boundaries[q - 1] if q else ((),) * d.dim(0)
+        live = [j for j, col in enumerate(columns) if col]
+        basis = [((j, 1),) for j, col in enumerate(columns) if not col]
+        if live:
+            block = _dense([columns[j] for j in live], d.dim(q - 1), len(live))
+            basis += [tuple((live[k], x) for k, x in enumerate(y) if x)
+                      for y in kernel_basis(block).columns()]
+        return sorted(basis)
 
     @cached_property
     def _solve(self):
-        return _echelon_solver(self._basis)
+        return _sparse_solver(self._basis)
 
     @cached_property
     def _lifts(self) -> list[Column]:
         """g of each Hermite basis vector, a cycle of C, as a sparse column."""
-        lifts = self._reduction.lifts[self._q]
-        return [_compose(lifts, _sparse(y)) for y in self._basis]
+        return [_compose(self._reduction.lifts[self._q], y) for y in self._basis]
 
     @cached_property
     def kernel(self) -> IntMatrix | None:
@@ -223,8 +247,7 @@ class DegreeHomology:
         if self._reduction is None:
             return None
         d, q, gens = self._reduction.d, self._q, len(self._basis)
-        relators = [self._solve(_vector(b, d.dim(q)))
-                    for b in (d.boundaries[q] if q < d.top_dim else ())]
+        relators = [self._solve(b) for b in (d.boundaries[q] if q < d.top_dim else ())]
         return AbPresentation(gens, IntMatrix._of(relators, gens).transpose())
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
@@ -235,7 +258,7 @@ class DegreeHomology:
             raise ValueError("no integral cycle data (rational coefficients)")
         if len(cycle) != r.source.dim(q):
             raise ValueError("vector length does not match the cell count")
-        z = _sparse(cycle)
+        z = [(i, value) for i, value in enumerate(cycle) if value]
         if q and _compose(r.source.boundaries[q - 1], z):
             raise ValueError("vector is not a cycle")
         return self._coords(z)
@@ -430,15 +453,16 @@ class _Reduction:
     The boundaries are eliminated from the top degree down by
     _eliminate: a cell b paired as a row of d_(q+1) leaves the columns
     of d_q, and each pivot pairs a cell a with the row b of its unit.
-    d keeps the unpaired cells (cells[q], positions in C), each with its
-    column as the elimination left it, read on d's rows.  The lift g:
-    d -> C sends a cell to its column transform, lifts[q]; the
-    projection f: C -> d (project) replaces each paired b by -unit times
-    the rest of a's column, in pairing order (pairs[q]), and then keeps
-    the unpaired cells.  f and g are chain maps, and f g is the identity.
+    d keeps the unpaired cells (position[q] maps their positions in C to
+    those in d), each with its column as the elimination left it, read
+    on d's rows.  The lift g: d -> C sends a cell to its column
+    transform, lifts[q]; the projection f: C -> d (project, a sparse
+    dict on d's positions) replaces each paired b by -unit times the
+    rest of a's column, in pairing order (pairs[q]), and then keeps the
+    unpaired cells.  f and g are chain maps, and f g is the identity.
     """
 
-    __slots__ = ("source", "d", "cells", "lifts", "pairs")
+    __slots__ = ("source", "d", "position", "lifts", "pairs")
 
     def __init__(self, c: ChainComplex):
         top = c.top_dim
@@ -453,28 +477,29 @@ class _Reduction:
                 paired[q].add(a)
                 paired[q - 1].add(b)
                 pairs[q - 1].append((b, unit, tuple(rest.items())))
-        cells = [[j for j in range(c.dim(q)) if j not in paired[q]]
-                 for q in range(top + 1)]
-        position = [dict(zip(kept, range(len(kept)))) for kept in cells]
-        self.source, self.cells, self.pairs = c, cells, pairs
+        position = [{j: n for n, j in enumerate(
+            i for i in range(c.dim(q)) if i not in paired[q])}
+            for q in range(top + 1)]
+        self.source, self.position, self.pairs = c, position, pairs
         self.d = ChainComplex._of(
-            [[c.basis[q][j] for j in kept] for q, kept in enumerate(cells)],
+            [[c.basis[q][j] for j in kept] for q, kept in enumerate(position)],
             [[tuple(sorted((position[q - 1][i], value)
                            for i, value in left[q].get(j, {}).items()
-                           if i in position[q - 1])) for j in cells[q]]
+                           if i in position[q - 1])) for j in position[q]]
              for q in range(1, top + 1)])
         self.lifts = [[tuple(sorted(trans[q].get(j, {j: 1}).items()))
-                       for j in kept] for q, kept in enumerate(cells)]
+                       for j in kept] for q, kept in enumerate(position)]
 
-    def project(self, q: int, z: Column) -> list[int]:
-        """f(z) on d's cells, dense, for a degree-q chain z of C."""
+    def project(self, q: int, z: Column) -> dict[int, int]:
+        """f(z) on d's positions, for a degree-q chain z of C."""
         z = dict(z)
         for b, unit, rest in self.pairs[q]:
             if z.get(b):
                 x = unit * z[b]
                 for i, value in rest:
                     z[i] = z.get(i, 0) - x * value
-        return [z.get(j, 0) for j in self.cells[q]]
+        at = self.position[q]
+        return {at[j]: value for j, value in z.items() if value and j in at}
 
 
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:

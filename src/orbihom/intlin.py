@@ -1,17 +1,16 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
 Provides the kernels the chain layer runs: Smith diagonals, integer
-kernels, column lattices and back-substitution on echelon rows, and
-finitely generated abelian groups in canonical form (free rank plus a
-divisor chain).  Every form comes from one row echelon elimination,
-_echelon, and none carries a unimodular transform: lattice_hnf is one
-row Hermite form, and smith_diagonal alternates row and column Hermite
-forms until the matrix is diagonal.  A canonical kernel basis, and the
-image and kernel lattices of a homomorphism of presented groups, each
-come from one _echelon over all the columns of a block matrix, split by
-_split_echelon.  Divisor chains are built by gcd/lcm insertion, with no
-matrix.  Everything is exact: entries are Python ints, so no overflow
-is possible.
+kernels and column lattices, and finitely generated abelian groups in
+canonical form (free rank plus a divisor chain).  Every form comes from
+one row echelon elimination, _echelon, and none carries a unimodular
+transform: lattice_hnf is one row Hermite form, and smith_diagonal
+alternates row and column Hermite forms until the matrix is diagonal.
+A canonical kernel basis, and the image and kernel lattices of a
+homomorphism of presented groups, each come from one _echelon over all
+the columns of a block matrix, split by _split_echelon.  Divisor chains
+are built by gcd/lcm insertion, with no matrix.  Everything is exact:
+entries are Python ints, so no overflow is possible.
 """
 
 from __future__ import annotations
@@ -224,34 +223,6 @@ def rational_rank(a: IntMatrix) -> int:
         if rank == a.rows:
             break
     return rank
-
-
-def _echelon_solver(rows: Sequence[Sequence[int]]):
-    """solve(b): the y with sum(y[k] * rows[k]) == b, or None if there
-    is none, by back-substitution on the pivots of rows, which are in
-    row echelon form (zero rows last, where y is 0)."""
-    pivots = []
-    p = 0
-    for k, row in enumerate(rows):
-        p = next((j for j in range(p, len(row)) if row[j]), None)
-        if p is None:
-            break
-        pivots.append((k, p, row[p]))
-
-    def solve(b: Sequence[int]) -> list[int] | None:
-        residual = list(b)
-        y = [0] * len(rows)
-        for k, p, pivot in pivots:
-            if residual[p]:
-                q, r = divmod(residual[p], pivot)
-                if r:
-                    return None
-                y[k] = q
-                residual[p:] = [x - q * e
-                                for x, e in zip(residual[p:], rows[k][p:])]
-        return None if any(residual) else y
-
-    return solve
 
 
 def _is_hnf(rows: Sequence[Sequence[int]]) -> bool:

@@ -464,11 +464,14 @@ _FAMILIES = {
 }
 
 # The most cells _build makes from a descriptor, and the most cell lines
-# and largest dim that parse_owc takes from a file.  The largest product
-# measured, surface(4,3;2,3,5,7) x torus(11) with 55,296 cells, takes
-# 190 MB and 10 s for its groups over Z; one more torus factor, which
-# doubles both, is refused.
+# that parse_owc takes from a file.  The largest product measured,
+# surface(4,3;2,3,5,7) x torus(11) with 55,296 cells, takes 190 MB and
+# 10 s for its groups over Z; one more torus factor, which doubles both,
+# is refused.
 MAX_CELLS = 100_000
+# The largest dim that parse_owc takes: per-degree work does not shrink
+# with the cell count.  No built-in model under MAX_CELLS passes dim 16.
+MAX_DIM = 64
 
 
 def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
@@ -634,8 +637,8 @@ def parse_owc(text: str) -> WeightedCellComplex:
       sub <name> = <id>,...
 
     Structural faults found by WeightedCellComplex are reported at the
-    line of the offending cell or sub member.  A dim above MAX_CELLS,
-    or more than MAX_CELLS cell lines, is refused at its line.
+    line of the offending cell or sub member.  A dim above MAX_DIM, or
+    more than MAX_CELLS cell lines, is refused at its line.
     """
     name = None
     dim = None
@@ -662,9 +665,9 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 raise OwcError(lineno, "dim has too many digits") from None
             if dim < 0:
                 raise OwcError(lineno, "dim must be non-negative")
-            if dim > MAX_CELLS:
+            if dim > MAX_DIM:
                 raise OwcError(lineno, f"dim {dim} is more than the limit "
-                                       f"of {MAX_CELLS}")
+                                       f"of {MAX_DIM}")
         elif verb == "cell":
             if len(cells) >= MAX_CELLS:
                 raise OwcError(lineno, f"more than the limit of {MAX_CELLS} cells")

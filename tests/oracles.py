@@ -31,6 +31,8 @@ Hermite and Smith forms with their unimodular transforms, the inverse
 of a unimodular matrix and an integer solver carry the transforms that
 the package never does; they run intlin's private elimination, read
 through the module, so a test that swaps intlin._echelon swaps theirs.
+echelon_solver back-substitutes on dense echelon rows, as a degree's
+coordinates were solved before they were read on sparse rows.
 generators and express read a degree's cycles in the canonical
 summands of its group through the Smith form of its relators.  The
 matrix, group and affine-chain helpers (identity, diagonal, column,
@@ -52,6 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import Sequence
 
 from orbihom import intlin
 from orbihom.affops import (
@@ -76,7 +79,6 @@ from orbihom.intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _echelon_solver,
     _addmul_row,
     block_diag,
     cokernel_group,
@@ -278,6 +280,34 @@ def echelon(rows: list[list[int]], n: int) -> None:
         r += 1
 
 
+def echelon_solver(rows: Sequence[Sequence[int]]):
+    """solve(b): the y with sum(y[k] * rows[k]) == b, or None if there
+    is none, by back-substitution on the pivots of rows, which are in
+    row echelon form (zero rows last, where y is 0)."""
+    pivots = []
+    p = 0
+    for k, row in enumerate(rows):
+        p = next((j for j in range(p, len(row)) if row[j]), None)
+        if p is None:
+            break
+        pivots.append((k, p, row[p]))
+
+    def solve(b: Sequence[int]) -> list[int] | None:
+        residual = list(b)
+        y = [0] * len(rows)
+        for k, p, pivot in pivots:
+            if residual[p]:
+                q, r = divmod(residual[p], pivot)
+                if r:
+                    return None
+                y[k] = q
+                residual[p:] = [x - q * e
+                                for x, e in zip(residual[p:], rows[k][p:])]
+        return None if any(residual) else y
+
+    return solve
+
+
 def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     """Deterministic integer solution of a @ x == b, or None.
 
@@ -287,7 +317,7 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
     h, u = hermite(a.transpose(), left=True)
-    y = _echelon_solver(h)(b)
+    y = echelon_solver(h)(b)
     return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
 
 
@@ -631,7 +661,7 @@ class CellLevelDegree:
 
     @cached_property
     def _solve(self):
-        return _echelon_solver(self.kernel.columns())
+        return echelon_solver(self.kernel.columns())
 
     def kernel_coords(self, cycle) -> tuple[int, ...]:
         if len(cycle) != self.kernel.rows:

@@ -33,10 +33,12 @@ from orbihom.orbmodel import (
     Disc2,
     ProductTorus,
     Surface,
+    adapted_model,
     t_model,
+    ws_complex,
 )
 
-from orbihom.verify import _torus_kunneth
+from orbihom.verify import _torus_kunneth, check_mv
 from oracles import (
     cell_level_connecting,
     cell_level_degree,
@@ -48,6 +50,7 @@ from oracles import (
     dense_commutes,
     dense_map,
     diagonal,
+    echelon_solver,
     express,
     generators,
     hnf_connecting_matrices,
@@ -166,6 +169,23 @@ def test_sparse_constructor_rejects_bad_shapes():
     # a dense matrix is refused, even of the right shape
     with pytest.raises(TypeError, match="sparse columns, not an IntMatrix"):
         ChainComplex(basis, [IntMatrix.zeros(2, 1)])
+
+
+def test_labels_are_unique_across_degrees():
+    """A label used twice is refused, in two degrees or in one, so the
+    label sets that subcomplex, relative and inclusion_map read each
+    name one set of cells."""
+    with pytest.raises(ValueError, match="label 'x' is used twice: "
+                                         "in degree 0 and in degree 1"):
+        ChainComplex([["x", "y"], ["x"]], [[[(0, -1), (1, 1)]]])
+    with pytest.raises(ValueError, match="label 'v' is used twice: "
+                                         "in degree 0 and in degree 0"):
+        ChainComplex([["v", "v"]], [])
+    c = ChainComplex([["x", "y"], ["e"]], [[[(0, -1), (1, 1)]]])
+    sub = subcomplex(c, {"x"})
+    assert sub.basis == (("x",), ())
+    assert inclusion_map(c, sub).matrices == ((((0, 1),),), ())
+    assert relative(c, {"x"}).basis == (("y",), ("e",))
 
 
 def test_homology_bad_coeff():
@@ -340,8 +360,8 @@ def test_one_degree_builds_one_cycle_solver(monkeypatch):
     """kernel_coords and the relators of presentation share one
     back-substitution solver per degree, however often they are read."""
     built = []
-    solver = chains._echelon_solver
-    monkeypatch.setattr(chains, "_echelon_solver",
+    solver = chains._sparse_solver
+    monkeypatch.setattr(chains, "_sparse_solver",
                         lambda rows: built.append(rows) or solver(rows))
     c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
     deg = homology(c).degree(1)
@@ -527,17 +547,100 @@ def test_reduction_is_a_chain_equivalence_onto_a_smaller_complex():
         d = r.d
         assert validate(d) == []
         f = ChainMap(c, d, [
-            [chains._sparse(r.project(q, ((j, 1),))) for j in range(c.dim(q))]
+            [r.project(q, ((j, 1),)).items() for j in range(c.dim(q))]
             for q in range(c.top_dim + 1)])
         g = ChainMap(d, c, r.lifts)
         assert f.commutes() and g.commutes()
         for q in range(c.top_dim + 1):
             for k, lift in enumerate(r.lifts[q]):
-                assert r.project(q, lift) == [int(i == k) for i in range(d.dim(q))]
-            assert d.basis[q] == tuple(c.basis[q][j] for j in r.cells[q])
+                assert r.project(q, lift) == {k: 1}
+            assert d.basis[q] == tuple(c.basis[q][j] for j in r.position[q])
         assert homology(d).groups() == homology(c).groups()
         dropped += sum(c.dim(q) - d.dim(q) for q in range(c.top_dim + 1))
     assert dropped > 1000
+
+
+def _cycle_basis_complexes():
+    """The t and adapted models of the grid and of its torus(1-2)
+    products, their scaled duals (absolute and rel boundary), the two
+    pieces and the intersection of a seeded cover of each t model, and
+    200 seeded random complexes."""
+    rng = random.Random(43)
+    complexes = []
+    for base in GRID_1_TO_3:
+        for d in (base, ProductTorus(base, 1), ProductTorus(base, 2)):
+            tm, am = t_model(d), adapted_model(d)
+            m = tm.chain_complex()
+            a, b = random_two_cover(tm, rng)
+            complexes += [m, am.chain_complex(), ws_complex(am)]
+            if "boundary" in am.subs:
+                complexes.append(ws_complex(am, rel="boundary"))
+            complexes += [subcomplex(m, cells) for cells in (a, b, a & b)]
+    return complexes + [_random_complex(rng) for _ in range(200)]
+
+
+def test_sparse_cycle_basis_is_the_dense_kernel_basis():
+    """Each degree's sparse cycle basis of D (unit vectors of D's zero
+    columns beside the kernel of its other columns), densified, is the
+    Hermite basis kernel_basis of D's whole dense boundary."""
+    blocks = 0
+    for c in _cycle_basis_complexes():
+        h = homology(c)
+        d = h._reduction.d
+        for q in range(c.top_dim + 1):
+            basis = h.degree(q)._basis
+            assert chains._dense(basis, d.dim(q), len(basis)) == kernel_basis(d.d(q))
+            blocks += any(len(row) > 1 or row[0][1] != 1 for row in basis)
+    assert blocks > 200
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_solver_matches_the_dense_oracle(data):
+    """On random Hermite bases, the sparse back-substitution finds what
+    the dense one finds, a solution or None, for members of the lattice
+    and for arbitrary vectors."""
+    n = data.draw(st.integers(1, 7))
+    vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n,
+                                          max_size=n), max_size=5))
+    rows = lattice_hnf(IntMatrix(vectors, n).transpose()).to_rows()
+    if data.draw(st.booleans()):
+        y = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                               max_size=len(rows)))
+        b = [sum(x * row[j] for x, row in zip(y, rows)) for j in range(n)]
+    else:
+        b = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    sparse = [tuple((j, x) for j, x in enumerate(row) if x) for row in rows]
+    residual = {j: x for j, x in enumerate(b) if x}
+    assert chains._sparse_solver(sparse)(residual) == echelon_solver(rows)(b)
+
+
+def test_degree_reads_no_dense_boundary(monkeypatch):
+    """presentation, kernel and kernel_coords, and so check_mv, read no
+    dense boundary: ChainComplex.d raises.  kernel_basis runs once per
+    degree, on no more columns than D has nonzero ones there, and not
+    at all when it has none."""
+    def dense(self, q):
+        raise AssertionError("a dense boundary was read")
+
+    widths = []
+    monkeypatch.setattr(ChainComplex, "d", dense)
+    monkeypatch.setattr(chains, "kernel_basis",
+                        lambda a: widths.append(a.cols) or kernel_basis(a))
+    rng = random.Random(8)
+    for c in _reduction_complexes()[::4]:
+        h = homology(c)
+        d = h._reduction.d
+        for q in range(c.top_dim + 1):
+            live = sum(map(bool, d.boundaries[q - 1])) if q else 0
+            widths.clear()
+            deg = h.degree(q)
+            deg.presentation
+            for z in deg.kernel.columns():
+                assert deg.kernel.apply(deg.kernel_coords(z)) == z
+            assert widths == ([live] if live else [])
+    wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 2))
+    assert check_mv(wcc, *random_two_cover(wcc, rng)).passed
 
 
 def test_rational_homology_ranks():
@@ -916,7 +1019,7 @@ def test_trusted_cycle_reads_match_the_public_ones():
                 y = [rng.randint(-3, 3) for _ in range(deg.kernel.cols)]
                 w = [rng.randint(-2, 2) for _ in range(up.cols)]
                 z = [s + t for s, t in zip(deg.kernel.apply(y), up.apply(w))]
-                coords = deg._coords(chains._sparse(z))
+                coords = deg._coords([(i, x) for i, x in enumerate(z) if x])
                 assert coords == deg.kernel_coords(z)
                 back = deg.kernel.apply(coords)
                 assert solve_linear(up, [s - t for s, t in zip(z, back)]) is not None

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from orbihom.cli import build_parser, main, parse_descriptor
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     MAX_CELLS,
+    MAX_DIM,
     Ball3,
     Ball3Cyclic,
     Disc2,
@@ -196,12 +198,23 @@ def test_malformed_file_reports_line(tmp_path):
     assert "line 3" in text
 
 
-def test_oversized_file_exits_two(tmp_path, monkeypatch):
-    monkeypatch.setattr(orbmodel, "MAX_CELLS", 3)
+def test_oversized_file_exits_two(tmp_path):
     path = tmp_path / "big.owc"
-    path.write_text("orbifold big\ndim 4\n")
+    path.write_text(f"orbifold big\ndim {MAX_DIM + 1}\n")
     assert run(["homology", "--file", str(path)]) == (
-        2, "error: line 2: dim 4 is more than the limit of 3\n")
+        2, f"error: line 2: dim {MAX_DIM + 1} is more than the limit of {MAX_DIM}\n")
+
+
+def test_file_at_the_dim_limit_verifies_quickly(tmp_path):
+    """A short file declaring the largest dim taken makes no long run:
+    per-degree work is bounded by MAX_DIM, not by the cell limit."""
+    path = tmp_path / "tall.owc"
+    path.write_text(f"orbifold tall\ndim {MAX_DIM}\ncell v dim=0 weight=1\n")
+    start = time.perf_counter()
+    code, text = run(["verify", "mv", "--file", str(path),
+                      "--sub", "all", "--sub", "all"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and f"H_{MAX_DIM}:" in text
 
 
 def test_argparse_errors_exit_two():

@@ -11,6 +11,7 @@ from orbihom.chains import ChainComplex, homology, relative, subcomplex, validat
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     MAX_CELLS,
+    MAX_DIM,
     Ball3,
     Ball3Cyclic,
     Cell,
@@ -565,12 +566,14 @@ def test_owc_parse_errors_cite_lines():
 
 
 def test_owc_size_is_capped_at_its_line(monkeypatch):
-    """A dim above MAX_CELLS, or more than MAX_CELLS cell lines, is
-    refused at its line; the limit is lowered so nothing large is built."""
+    """A dim above MAX_DIM, or more than MAX_CELLS cell lines, is
+    refused at its line; the cell limit is lowered so nothing large is
+    built."""
     monkeypatch.setattr(orbmodel, "MAX_CELLS", 3)
     with pytest.raises(OwcError) as err:
-        parse_owc("orbifold big\ndim 4\n")
-    assert str(err.value) == "line 2: dim 4 is more than the limit of 3"
+        parse_owc(f"orbifold big\ndim {MAX_DIM + 1}\n")
+    assert str(err.value) == (f"line 2: dim {MAX_DIM + 1} is more than the "
+                              f"limit of {MAX_DIM}")
     with pytest.raises(OwcError) as err:  # more digits than int() converts
         parse_owc("orbifold big\ndim 1" + "0" * 5000 + "\n")
     assert err.value.line == 2
@@ -579,8 +582,8 @@ def test_owc_size_is_capped_at_its_line(monkeypatch):
         parse_owc("orbifold big\ndim 0\n" + "".join(cells))
     assert str(err.value) == "line 6: more than the limit of 3 cells"
     # at the limit both are taken
-    wcc = parse_owc("orbifold big\ndim 3\n" + "".join(cells[:3]))
-    assert (wcc.dim, len(wcc.cells)) == (3, 3)
+    wcc = parse_owc(f"orbifold big\ndim {MAX_DIM}\n" + "".join(cells[:3]))
+    assert (wcc.dim, len(wcc.cells)) == (MAX_DIM, 3)
 
 
 def test_custom_file_loading(tmp_path: pathlib.Path):
