@@ -6,9 +6,9 @@ representatives are computed on first request, from one unit-pivot
 reduction of the whole complex C to a smaller complex D with the same
 homology, kept with its projection f: C -> D and lift g: D -> C: each
 degree's cycle lattice is g of the canonical (Hermite) basis of the
-cycles of D, with the coordinates of D's boundaries in it as relators,
-all on sparse columns: most of that basis is unit vectors, as D is
-nearly always monomial.
+cycles of D, mostly unit vectors as D is nearly always monomial, with
+the coordinates of D's boundaries in it as relators.  Presentations
+and maps are sparse columns (intlin's Column), as the solver emits them.
 """
 
 from __future__ import annotations
@@ -16,23 +16,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index
 from typing import Iterable, Sequence
 
 from .intlin import (
     AbPresentation,
+    Column,
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _columns,
+    _trusted,
     invariant_factors,
     kernel_basis,
     rational_rank,
     smith_diagonal,
 )
-
-# A sparse boundary column: (row, coefficient) pairs, rows ascending,
-# no zero coefficients.
-Column = tuple[tuple[int, int], ...]
 
 
 class ChainComplex:
@@ -108,26 +106,6 @@ class ChainComplex:
         return {label for labels in self.basis for label in labels}
 
 
-def _column(pairs: Iterable[tuple[int, int]]) -> Column:
-    """(row, coefficient) pairs merged by row, sorted, zeros dropped."""
-    merged: dict[int, int] = {}
-    for i, value in pairs:
-        merged[i] = merged.get(i, 0) + index(value)
-    return tuple(sorted((i, value) for i, value in merged.items() if value))
-
-
-def _columns(columns: Sequence[Iterable[tuple[int, int]]],
-             rows: int, cols: int, error: str) -> tuple[Column, ...]:
-    """Sparse columns of a rows x cols map; ValueError(error) if misshapen."""
-    if isinstance(columns, IntMatrix):
-        raise TypeError("maps are given as sparse columns, not an IntMatrix")
-    columns = tuple(_column(col) for col in columns)
-    if (len(columns) != cols
-            or any(not 0 <= i < rows for col in columns for i, _ in col)):
-        raise ValueError(error)
-    return columns
-
-
 def _dense(columns: Sequence[Column], rows: int, cols: int) -> IntMatrix:
     """Dense rows x cols view of sparse columns; missing columns are zero."""
     mat = [[0] * cols for _ in range(rows)]
@@ -149,26 +127,28 @@ def _compose(outer: Sequence[Column], col: Column) -> Column:
 
 
 def _sparse_solver(rows: Sequence[Column]):
-    """solve(b): the y with sum(y[k] * rows[k]) == b, or None, for b as
-    (row, coefficient) pairs or a dict and rows in echelon form sorted by
-    pivot.  Only the rows whose pivots the residual reaches are read, in
-    pivot order."""
+    """solve(b): the y with sum(y[k] * rows[k]) == b as a sparse Column,
+    or None, for b as (row, coefficient) pairs or a dict and rows in
+    echelon form sorted by pivot.  Only the rows whose pivots the
+    residual reaches are read, in pivot order, so y comes out sorted."""
     at = {row[0][0]: k for k, row in enumerate(rows)}
 
-    def solve(b) -> list[int] | None:
-        residual, y = dict(b), [0] * len(rows)
+    def solve(b) -> Column | None:
+        residual, y = dict(b), []
         heap = sorted(i for i in residual if i in at)
         while heap:
             k = at[heapq.heappop(heap)]
             (p, pivot), *rest = rows[k]
-            y[k], r = divmod(residual.pop(p), pivot)
+            x, r = divmod(residual.pop(p), pivot)
             if r:
                 return None
+            if x:
+                y.append((k, x))
             for i, value in rest:
                 if i not in residual and i in at:
                     heapq.heappush(heap, i)
-                residual[i] = residual.get(i, 0) - y[k] * value
-        return None if any(residual.values()) else y
+                residual[i] = residual.get(i, 0) - x * value
+        return None if any(residual.values()) else tuple(y)
 
     return solve
 
@@ -221,9 +201,8 @@ class DegreeHomology:
         live = [j for j, col in enumerate(columns) if col]
         basis = [((j, 1),) for j, col in enumerate(columns) if not col]
         if live:
-            block = _dense([columns[j] for j in live], d.dim(q - 1), len(live))
-            basis += [tuple((live[k], x) for k, x in enumerate(y) if x)
-                      for y in kernel_basis(block).columns()]
+            basis += [tuple((live[k], x) for k, x in y) for y in kernel_basis(
+                [columns[j] for j in live], d.dim(q - 1))]
         return sorted(basis)
 
     @cached_property
@@ -247,8 +226,8 @@ class DegreeHomology:
         if self._reduction is None:
             return None
         d, q, gens = self._reduction.d, self._q, len(self._basis)
-        relators = [self._solve(b) for b in (d.boundaries[q] if q < d.top_dim else ())]
-        return AbPresentation(gens, IntMatrix._of(relators, gens).transpose())
+        return _trusted(AbPresentation, gens=gens, rels=tuple(
+            self._solve(b) for b in (d.boundaries[q] if q < d.top_dim else ())))
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in the kernel lattice basis of the class of a
@@ -261,11 +240,12 @@ class DegreeHomology:
         z = [(i, value) for i, value in enumerate(cycle) if value]
         if q and _compose(r.source.boundaries[q - 1], z):
             raise ValueError("vector is not a cycle")
-        return self._coords(z)
+        coords = dict(self._coords(z))
+        return tuple(coords.get(k, 0) for k in range(len(self._basis)))
 
-    def _coords(self, z: Column) -> tuple[int, ...]:
-        """kernel_coords of a cycle z of C given as a sparse column, unchecked."""
-        return tuple(self._solve(self._reduction.project(self._q, z)))
+    def _coords(self, z: Column) -> Column:
+        """kernel_coords, sparse and unchecked, of a sparse cycle z of C."""
+        return self._solve(self._reduction.project(self._q, z))
 
 
 @dataclass(frozen=True)
@@ -439,9 +419,9 @@ def _boundary_factors(columns: Sequence[Column],
         if len(part_rows) == len(part) == 1:
             diagonal += map(abs, cols[start].values())
             continue
-        block = IntMatrix._of([[cols[j].get(i, 0) for j in part]
-                               for i in part_rows], len(part))
-        diagonal += filter(None, smith_diagonal(block))
+        diagonal += filter(None, smith_diagonal(
+            [[(part_rows[i], x) for i, x in cols[j].items()] for j in part],
+            len(part_rows)))
     return rank + len(diagonal), invariant_factors(diagonal)
 
 
@@ -458,8 +438,8 @@ class _Reduction:
     on d's rows.  The lift g: d -> C sends a cell to its column
     transform, lifts[q]; the projection f: C -> d (project, a sparse
     dict on d's positions) replaces each paired b by -unit times the
-    rest of a's column, in pairing order (pairs[q]), and then keeps the
-    unpaired cells.  f and g are chain maps, and f g is the identity.
+    rest of a's column, in pairing order (pairs[q] maps b to its place
+    in that order, unit and rest), and then keeps the unpaired cells.  f and g are chain maps, and f g is the identity.
     """
 
     __slots__ = ("source", "d", "position", "lifts", "pairs")
@@ -467,7 +447,7 @@ class _Reduction:
     def __init__(self, c: ChainComplex):
         top = c.top_dim
         paired: list[set[int]] = [set() for _ in range(top + 1)]
-        pairs: list[list] = [[] for _ in range(top + 1)]
+        pairs: list[dict] = [{} for _ in range(top + 1)]
         left = [{} for _ in range(top + 1)]
         trans = [{} for _ in range(top + 1)]
         for q in range(top, 0, -1):
@@ -476,7 +456,7 @@ class _Reduction:
             for a, b, unit, rest in _eliminate(left[q], c.dim(q - 1), trans[q])[0]:
                 paired[q].add(a)
                 paired[q - 1].add(b)
-                pairs[q - 1].append((b, unit, tuple(rest.items())))
+                pairs[q - 1][b] = (len(pairs[q - 1]), unit, tuple(rest.items()))
         position = [{j: n for n, j in enumerate(
             i for i in range(c.dim(q)) if i not in paired[q])}
             for q in range(top + 1)]
@@ -491,13 +471,19 @@ class _Reduction:
                        for j in kept] for q, kept in enumerate(position)]
 
     def project(self, q: int, z: Column) -> dict[int, int]:
-        """f(z) on d's positions, for a degree-q chain z of C."""
-        z = dict(z)
-        for b, unit, rest in self.pairs[q]:
-            if z.get(b):
-                x = unit * z[b]
-                for i, value in rest:
-                    z[i] = z.get(i, 0) - x * value
+        """f(z) on d's positions, for a degree-q chain z of C.  Only the
+        pairs whose b the chain reaches are read, in pairing order with a
+        heap: a pair's rest names only cells paired after it."""
+        z, pairs = dict(z), self.pairs[q]
+        heap = [(pairs[b][0], b) for b in z if b in pairs]
+        heapq.heapify(heap)
+        while heap:
+            b = heapq.heappop(heap)[1]
+            x = pairs[b][1] * z[b]
+            for i, value in pairs[b][2] if x else ():
+                if i not in z and i in pairs:
+                    heapq.heappush(heap, (pairs[i][0], i))
+                z[i] = z.get(i, 0) - x * value
         at = self.position[q]
         return {at[j]: value for j, value in z.items() if value and j in at}
 
@@ -571,13 +557,6 @@ class ChainMap:
                      f"matrix shape mismatch at degree {q}")
             for q, columns in enumerate(self.matrices)))
 
-    @classmethod
-    def _of(cls, source, target, matrices) -> "ChainMap":
-        """Trusted build from merged, sorted, in-range columns; unchecked."""
-        f = object.__new__(cls)
-        f.__dict__.update(source=source, target=target, matrices=matrices)
-        return f
-
     def commutes(self) -> bool:
         """d f == f d, composed column by column on the sparse forms."""
         s, t = self.source, self.target
@@ -613,7 +592,7 @@ def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
 def inclusion_map(c: ChainComplex, sub: ChainComplex) -> ChainMap:
     """Inclusion into c of sub, a subcomplex built by subcomplex(c, cells)."""
     _check_subcomplex(c, sub, "subcomplex")
-    return ChainMap._of(sub, c, tuple(
+    return _trusted(ChainMap, source=sub, target=c, matrices=tuple(
         tuple(((c.position(q, label), 1),) for label in labels)
         for q, labels in enumerate(sub.basis)))
 
@@ -629,9 +608,9 @@ def _check_homology(h: HomologyResult, c: ChainComplex, role: str) -> None:
 def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, columns) -> GroupHom:
     """Map of presentations sending each cycle-lattice generator of src, as
     its sparse lift z, to dst's kernel coordinates of columns @ z; unchecked."""
-    coords = [dst._coords(_compose(columns, z)) for z in src._lifts]
-    return GroupHom(src.presentation, dst.presentation,
-                    IntMatrix._of(coords, dst.presentation.gens).transpose())
+    return _trusted(GroupHom, source=src.presentation, target=dst.presentation,
+                    matrix=tuple(dst._coords(_compose(columns, z))
+                                 for z in src._lifts))
 
 
 def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
@@ -689,7 +668,8 @@ def _connecting(a: ChainComplex, m: ChainComplex, h_inter: HomologyResult,
     the intersection's rows, where that of a cycle's part on a lies."""
     inter = h_inter._complex
     pres_0 = h_m.degree(0).presentation
-    homs = [GroupHom(pres_0, AbPresentation.free(0), IntMatrix.zeros(0, pres_0.gens))]
+    homs = [_trusted(GroupHom, source=pres_0, target=AbPresentation.free(0),
+                     matrix=((),) * pres_0.gens)]
     for q in range(1, m.top_dim + 1):
         in_a = a._index[q] if q <= a.top_dim else {}
         row = [inter._index[q - 1].get(label) for label in m.basis[q - 1]]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlin import FgAbGroup, IntMatrix, cokernel_group
+from .intlin import Column, FgAbGroup, _column, cokernel_group
 from .orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -74,22 +74,17 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(reduced))
 
-    def exponent_matrix(self) -> IntMatrix:
-        """Generators-by-relators matrix of exponent sums."""
+    def exponent_matrix(self) -> tuple[Column, ...]:
+        """Generators-by-relators matrix of exponent sums, as sparse columns."""
         index = {g: i for i, g in enumerate(self.generators)}
-        cols = []
-        for word in self.relators:
-            col = [0] * len(self.generators)
-            for gen, exp in word:
-                col[index[gen]] += exp
-            cols.append(tuple(col))
-        return IntMatrix.from_columns(cols, rows=len(self.generators))
+        return tuple(_column((index[gen], exp) for gen, exp in word)
+                     for word in self.relators)
 
 
 def abelianization(p: Presentation) -> FgAbGroup:
     """Quotient of the free abelian group on the generators by the
     exponent-sum images of the relators."""
-    return cokernel_group(p.exponent_matrix())
+    return cokernel_group(p.exponent_matrix(), len(p.generators))
 
 
 def pi1_presentation(d: OrbifoldDesc) -> Presentation:

@@ -1,16 +1,16 @@
-"""Exact integer linear algebra on arbitrary-precision matrices.
+"""Exact integer linear algebra on sparse columns.
 
 Provides the kernels the chain layer runs: Smith diagonals, integer
-kernels and column lattices, and finitely generated abelian groups in
-canonical form (free rank plus a divisor chain).  Every form comes from
-one row echelon elimination, _echelon, and none carries a unimodular
-transform: lattice_hnf is one row Hermite form, and smith_diagonal
-alternates row and column Hermite forms until the matrix is diagonal.
-A canonical kernel basis, and the image and kernel lattices of a
-homomorphism of presented groups, each come from one _echelon over all
-the columns of a block matrix, split by _split_echelon.  Divisor chains
-are built by gcd/lcm insertion, with no matrix.  Everything is exact:
-entries are Python ints, so no overflow is possible.
+kernels and column lattices of maps given as sparse columns (Column),
+and finitely generated abelian groups in canonical form (free rank plus
+a divisor chain).  Every form comes from one sparse row echelon
+elimination, _echelon, with no unimodular transform: lattice_hnf is one
+row Hermite form, smith_diagonal alternates row and column Hermite
+forms until the matrix is diagonal, and a kernel basis, or the image
+and kernel lattices of a map of presented groups, is one _echelon of a
+block of sparse rows split by _split_echelon.  The dense IntMatrix
+serves the dense reads: the rational rank and the boundary and cycle
+views.  Everything is exact: entries are Python ints.
 """
 
 from __future__ import annotations
@@ -61,18 +61,6 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        """Matrix with the given columns, entries checked like the constructor."""
-        for col in columns:
-            if len(col) != rows:
-                raise ValueError("column length does not match row count")
-        return cls._of([tuple(map(index, col)) for col in columns], rows).transpose()
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._e[i][j]
@@ -101,9 +89,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(map(mul, row, vector)) for row in self._e)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(self.columns(), self.rows)
-
     def row(self, i: int) -> tuple[int, ...]:
         return self._e[i]
 
@@ -114,90 +99,130 @@ class IntMatrix:
         return [list(r) for r in self._e]
 
 
-def _eye(n: int) -> list[list[int]]:
-    """Identity rows, the block that kernel_basis and GroupHom.lattices
-    set beside a form and eliminate over with it."""
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+# A sparse column: (row, coefficient) pairs, rows ascending, no zero
+# coefficients.  A map is a tuple of them, a lattice basis a list.
+Column = tuple[tuple[int, int], ...]
 
 
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row counts differ")
-    return IntMatrix._of([ra + rb for ra, rb in zip(a._e, b._e)], a.cols + b.cols)
+def _column(pairs: Iterable[tuple[int, int]]) -> Column:
+    """(row, coefficient) pairs merged by row, sorted, zeros dropped."""
+    merged: dict[int, int] = {}
+    for i, value in pairs:
+        merged[index(i)] = merged.get(index(i), 0) + index(value)
+    return tuple(sorted((i, value) for i, value in merged.items() if value))
 
 
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column counts differ")
-    return IntMatrix._of(a._e + b._e, a.cols)
+def _columns(columns: Iterable[Iterable[tuple[int, int]]], rows: int,
+             cols: int | None, error: str) -> tuple[Column, ...]:
+    """Sparse columns of a rows x cols map, of any number of columns if
+    cols is None; ValueError(error) if misshapen."""
+    if isinstance(columns, IntMatrix):
+        raise TypeError("maps are given as sparse columns, not an IntMatrix")
+    columns = tuple(_column(col) for col in columns)
+    if ((cols is not None and len(columns) != cols)
+            or any(not 0 <= i < rows for col in columns for i, _ in col)):
+        raise ValueError(error)
+    return columns
 
 
-def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    top = [r + (0,) * b.cols for r in a._e]
-    bottom = [(0,) * a.cols + r for r in b._e]
-    return IntMatrix._of(top + bottom, a.cols + b.cols)
+def _trusted(cls, **fields):
+    """The dataclass cls with these fields, built with no check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
-def _addmul_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    if factor:
-        m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
+def _transposed(lines: Iterable[dict[int, int]], width: int) -> list[dict[int, int]]:
+    """The width {index: entry} lines of the transpose of such lines."""
+    out: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            out[j][i] = x
+    return out
 
 
-def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
-    """Rows of the transpose of rows, which have cols entries each."""
-    return [list(c) for c in zip(*rows)] or [[] for _ in range(cols)]
+def _echelon(rows: list[dict[int, int]], n: int) -> list[int]:
+    """Row Hermite form of the first n columns of the sparse rows
+    ({column: entry}), in place; the entries past column n are carried
+    along by the same row operations.  Returns the pivot columns.
 
+    A column-to-rows index gives the rows live in each pivot column:
+    the first of least absolute value is the pivot, and only live rows
+    are reduced by it, below it and above it.  Rows change places as
+    dense rows would, so the row operations are the dense ones."""
+    order = list(range(len(rows)))  # order[p]: the row at place p
+    at = order[:]  # at[k]: the place of row k
+    live: dict[int, set[int]] = {}
+    for k, row in enumerate(rows):
+        for j in row:
+            if j < n:
+                live.setdefault(j, set()).add(k)
 
-def _echelon(rows: list[list[int]], n: int) -> None:
-    """Row Hermite form of the first n columns of rows, in place; the
-    rest of each row is carried along by the same row operations.
-    Each pivot column is scanned once, for the rows live in it: the
-    first of least absolute value is the pivot, and only live rows are
-    reduced by it, below it and above it."""
-    m, r = len(rows), 0
-    for c in range(n):
-        live = [i for i in range(r, m) if rows[i][c]]
-        if not live:
+    def addmul(k: int, src: dict[int, int], factor: int) -> None:
+        dst = rows[k]
+        for j, x in src.items():
+            new = dst.get(j, 0) + factor * x
+            if new:
+                if j < n and j not in dst:
+                    live[j].add(k)
+                dst[j] = new
+            else:
+                del dst[j]
+                if j < n:
+                    live[j].discard(k)
+
+    pivots: list[int] = []
+    for c in sorted(live):
+        ids, r = live[c], len(pivots)
+        below = [k for k in ids if at[k] >= r]
+        if not below:
             continue
         while True:
-            i0 = min(live, key=lambda i: abs(rows[i][c]))
-            if i0 != r:
-                rows[r], rows[i0] = rows[i0], rows[r]
-                if live[0] != r:
-                    live = [r] + [i for i in live if i != i0]
-            for i in live[1:]:
-                _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
-            live = [r] + [i for i in live[1:] if rows[i][c]]
-            if len(live) == 1:
+            k0 = below[0] if len(below) == 1 else min(
+                below, key=lambda k: (abs(rows[k][c]), at[k]))
+            p0 = at[k0]
+            if p0 != r:
+                order[r], order[p0] = k0, order[r]
+                at[order[p0]], at[k0] = p0, r
+            if len(below) == 1:
                 break
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        pivot = rows[r][c]
-        for i in range(r):
-            if rows[i][c]:
-                _addmul_row(rows, i, r, -(rows[i][c] // pivot))
-        r += 1
+            src = rows[k0]
+            pivot = src[c]
+            for k in below:
+                if k != k0:
+                    addmul(k, src, -(rows[k][c] // pivot))
+            below = [k for k in ids if at[k] >= r]
+        row = rows[k0]
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        for k in [k for k in ids if at[k] < r]:
+            if rows[k][c] // row[c]:
+                addmul(k, row, -(rows[k][c] // row[c]))
+        pivots.append(c)
+    rows[:] = [rows[k] for k in order]
+    return pivots
 
 
-def smith_diagonal(a: IntMatrix) -> list[int]:
-    """Diagonal of the Smith form of a, carrying no transform.
+def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
+    """Diagonal of the Smith form of the rows x len(columns) map with
+    these sparse columns, carrying no transform.
 
     Row Hermite forms of S and of S^T alternate until S is diagonal
     (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), positive entries
     first, then zeros; the positive ones are then written back as their
     divisor chain.
     """
-    m, n = a.rows, a.cols
-    s = a.to_rows()
+    m, n = rows, len(columns)
+    s = _transposed(map(dict, columns), m)
     while True:
         _echelon(s, n)
-        st = _transpose(s, n)
-        _echelon(st, m)
-        s = _transpose(st, m)
-        if not any(x for i, row in enumerate(s) for j, x in enumerate(row)
-                   if i != j):
+        s = _transposed(s, n)
+        _echelon(s, m)
+        s = _transposed(s, m)
+        if not any(j != i for i, row in enumerate(s) for j in row):
             break
-    d = [x for x in (s[i][i] for i in range(min(m, n))) if x]
+    d = [x for x in (s[i].get(i, 0) for i in range(min(m, n))) if x]
     chain = invariant_factors(d)
     return ([1] * (len(d) - len(chain)) + list(chain)
             + [0] * (min(m, n) - len(d)))
@@ -225,52 +250,59 @@ def rational_rank(a: IntMatrix) -> int:
     return rank
 
 
-def _is_hnf(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether rows are a row Hermite form with no zero row: pivots
-    positive and moving right, the entries above each in [0, pivot)."""
+def _is_hnf(rows: Sequence[Column]) -> bool:
+    """Whether sparse rows are a row Hermite form with no zero row:
+    pivots positive and moving right, the entries above each in
+    [0, pivot)."""
+    above: dict[int, list[int]] = {}
     p = -1
-    for k, row in enumerate(rows):
-        j = next((j for j, x in enumerate(row) if x), None)
-        if (j is None or j <= p or row[j] < 0
-                or any(not 0 <= above[j] < row[j] for above in rows[:k])):
+    for row in rows:
+        if not row or row[0][0] <= p or row[0][1] < 0:
             return False
-        p = j
+        p, pivot = row[0]
+        if any(not 0 <= x < pivot for x in above.get(p, ())):
+            return False
+        for j, x in row:
+            above.setdefault(j, []).append(x)
     return True
 
 
-def lattice_hnf(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of the column lattice of a.
+def lattice_hnf(columns: Sequence[Column], rows: int) -> list[Column]:
+    """Canonical basis of the column lattice of the rows-row map with
+    these sparse columns, as sparse rows.
 
-    Rows of the result are an echelon basis; two matrices span the same
-    column lattice iff their lattice_hnf values are equal.  Columns
-    already in that form, as a reduced presentation's relators are, are
-    returned as rows with no elimination.
+    The rows are an echelon basis; two maps span the same column
+    lattice iff their lattice_hnf values are equal.  Columns already in
+    that form, as a reduced presentation's relators are, are returned
+    as rows with no elimination.
     """
-    t = a.transpose()
-    if _is_hnf(t._e):
-        return t
-    rows = t.to_rows()
-    _echelon(rows, a.rows)
-    return IntMatrix._of([row for row in rows if any(row)], a.rows)
+    if _is_hnf(columns):
+        return list(columns)
+    return _split_echelon([dict(col) for col in columns], rows, rows)[0]
 
 
-def _split_echelon(rows: list[list[int]], t: int):
-    """Row Hermite form of rows over all their columns, split at column
-    t: the canonical bases of the row lattice L projected to its first
-    t coordinates, and of L meet (0 + Z^rest), without those t zeros.
-    Pivots past column t never change the first t entries of a row."""
-    _echelon(rows, len(rows[0]) if rows else 0)
-    r = next((i for i, row in enumerate(rows) if not any(row[:t])), len(rows))
-    return [row[:t] for row in rows[:r]], [row[t:] for row in rows[r:] if any(row)]
+def _split_echelon(lines: list[dict[int, int]], t: int, n: int):
+    """Row Hermite form of the sparse rows lines over all their n
+    columns, split at column t: the canonical bases, as sparse rows, of
+    the row lattice L projected to its first t coordinates, and of L
+    meet (0 + Z^(n - t)), without those t zeros.  Pivots past column t
+    never change the first t entries of a row."""
+    pivots = _echelon(lines, n)
+    r = sum(p < t for p in pivots)
+    return ([tuple(sorted((j, x) for j, x in line.items() if j < t))
+             for line in lines[:r]],
+            [tuple(sorted((j - t, x) for j, x in line.items()))
+             for line in lines[r:len(pivots)]])
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of the integer kernel of a, as columns, from one
-    elimination of the rows [a^T | I]: those whose first block is zero.
-    Equal kernels give equal bases."""
-    _, basis = _split_echelon(
-        [list(col) + e for col, e in zip(a.columns(), _eye(a.cols))], a.rows)
-    return IntMatrix._of(basis, a.cols).transpose()
+def kernel_basis(columns: Sequence[Column], rows: int) -> list[Column]:
+    """Canonical basis of the integer kernel of the rows x len(columns)
+    map a with these sparse columns, as sparse vectors in Hermite order,
+    from one elimination of the rows [a^T | I]: those whose first block
+    is zero.  Equal kernels give equal bases."""
+    return _split_echelon([{**dict(col), rows + j: 1}
+                           for j, col in enumerate(columns)],
+                          rows, rows + len(columns))[1]
 
 
 @dataclass(frozen=True)
@@ -348,55 +380,55 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def cokernel_group(a: IntMatrix) -> FgAbGroup:
-    """Z^rows modulo the column span of a, in canonical form."""
-    nonzero = [d for d in smith_diagonal(a) if d]
-    return FgAbGroup(a.rows - len(nonzero),
-                     tuple(d for d in nonzero if d >= 2))
+def cokernel_group(columns: Sequence[Column], rows: int) -> FgAbGroup:
+    """Z^rows modulo the span of these sparse columns, in canonical form."""
+    nonzero = [d for d in smith_diagonal(columns, rows) if d]
+    return FgAbGroup(rows - len(nonzero), tuple(d for d in nonzero if d >= 2))
 
 
 @dataclass(frozen=True)
 class AbPresentation:
-    """Abelian group presented by generators and relator columns."""
+    """Abelian group presented by generators and relators, the relators
+    sparse columns on the generators."""
 
     gens: int
-    rels: IntMatrix
+    rels: tuple[Column, ...]
 
     def __post_init__(self):
-        if self.rels.rows != self.gens:
-            raise ValueError("relator rows must match generator count")
+        object.__setattr__(self, "rels", _columns(
+            self.rels, self.gens, None, "relator rows must match generator count"))
 
     @classmethod
     def free(cls, gens: int) -> "AbPresentation":
-        return cls(gens, IntMatrix.zeros(gens, 0))
+        return cls(gens, ())
 
 
 @dataclass(frozen=True)
 class GroupHom:
     """Homomorphism between presented abelian groups.
 
-    matrix sends source generator coordinates to target generator
-    coordinates; well-definedness means every source relator lands in
-    the target relator lattice.
+    matrix holds, as a sparse column, the target generator coordinates
+    of each source generator; well-definedness means every source
+    relator lands in the target relator lattice.
     """
 
     source: AbPresentation
     target: AbPresentation
-    matrix: IntMatrix
+    matrix: tuple[Column, ...]
 
     def __post_init__(self):
-        if self.matrix.rows != self.target.gens or self.matrix.cols != self.source.gens:
-            raise ValueError("matrix shape does not match presentations")
+        object.__setattr__(self, "matrix", _columns(
+            self.matrix, self.target.gens, self.source.gens,
+            "matrix shape does not match presentations"))
 
     @cached_property
-    def lattices(self) -> tuple[IntMatrix, IntMatrix]:
+    def lattices(self) -> tuple[list[Column], list[Column]]:
         """lattice_hnf rows of the preimages of the image and of the
         kernel in the free covers of target and source, from one
-        elimination of [matrix^T | I], [target rels^T | 0] and
-        [0 | source rels^T]; computed on first read."""
-        t, s = self.matrix.rows, self.matrix.cols
-        image, kernel = _split_echelon(
-            [list(col) + e for col, e in zip(self.matrix.columns(), _eye(s))]
-            + [list(col) + [0] * s for col in self.target.rels.columns()]
-            + [[0] * t + list(col) for col in self.source.rels.columns()], t)
-        return IntMatrix._of(image, t), IntMatrix._of(kernel, s)
+        elimination of the sparse rows [matrix^T | I], [target rels^T |
+        0] and [0 | source rels^T]; computed on first read."""
+        t, s = self.target.gens, self.source.gens
+        return _split_echelon(
+            [{**dict(col), t + j: 1} for j, col in enumerate(self.matrix)]
+            + [dict(col) for col in self.target.rels]
+            + [{t + i: x for i, x in col} for col in self.source.rels], t, t + s)

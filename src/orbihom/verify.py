@@ -23,16 +23,7 @@ from .chains import (
     subcomplex,
 )
 from .groups import abelianization, pi1_presentation
-from .intlin import (
-    AbPresentation,
-    FgAbGroup,
-    GroupHom,
-    IntMatrix,
-    block_diag,
-    hstack,
-    lattice_hnf,
-    vstack,
-)
+from .intlin import AbPresentation, FgAbGroup, GroupHom, _trusted, lattice_hnf
 from .orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -67,10 +58,11 @@ def compare_graded(prefix: str, left, right) -> list[Assertion]:
     ]
 
 
-def _render_rows(m: IntMatrix) -> str:
-    if m.rows == 0:
+def _render_rows(rows, width: int) -> str:
+    """Sparse rows of the given width, printed as the dense rows they are."""
+    if not rows:
         return "{0}"
-    return str([list(row) for row in m.to_rows()])
+    return str([[line.get(j, 0) for j in range(width)] for line in map(dict, rows)])
 
 
 def exactness_assertion(statement: str, image_of: GroupHom | None,
@@ -85,16 +77,18 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
         raise ValueError("image map does not land in the given presentation")
     if kernel_of.source != at:
         raise ValueError("kernel map does not start at the given presentation")
-    im = lattice_hnf(at.rels) if image_of is None else image_of.lattices[0]
+    im = (lattice_hnf(at.rels, at.gens) if image_of is None
+          else image_of.lattices[0])
     ker = kernel_of.lattices[1]
-    return Assertion(statement, f"image {_render_rows(im)}",
-                     f"kernel {_render_rows(ker)}", im == ker)
+    return Assertion(statement, f"image {_render_rows(im, at.gens)}",
+                     f"kernel {_render_rows(ker, at.gens)}", im == ker)
 
 
 def _reduced(p: AbPresentation) -> AbPresentation:
     """p on the same generators, with a basis of its relator lattice as
     relators: at most p.gens columns, and the same group."""
-    return AbPresentation(p.gens, lattice_hnf(p.rels).transpose())
+    return _trusted(AbPresentation, gens=p.gens,
+                    rels=tuple(lattice_hnf(p.rels, p.gens)))
 
 
 def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
@@ -146,21 +140,20 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
     red_i, red_a, red_b, red_m = (
         [_reduced(h.degree(q).presentation) for q in range(n + 1)]
         for h in (h_i, h_a, h_b, h_m))
-    k_red = [GroupHom(red_m[q], red_i[q - 1] if q else k_star[0].target,
-                      k_star[q].matrix) for q in range(n + 1)]
+    k_red = [_trusted(GroupHom, source=red_m[q], matrix=k_star[q].matrix,
+                      target=red_i[q - 1] if q else k_star[0].target)
+             for q in range(n + 1)]
     for q in range(n + 1):
         pres_i, pres_m = red_i[q], red_m[q]
         pa, pb = red_a[q], red_b[q]
-        pres_sum = AbPresentation(pa.gens + pb.gens, block_diag(pa.rels, pb.rels))
-
-        i_comb = GroupHom(
-            pres_i, pres_sum,
-            vstack(i_star_a[q].matrix, -i_star_b[q].matrix),
-        )
-        j_comb = GroupHom(
-            pres_sum, pres_m,
-            hstack(j_star_a[q].matrix, j_star_b[q].matrix),
-        )
+        # B's generators follow A's: its columns' rows move down by pa.gens.
+        pres_sum = _trusted(AbPresentation, gens=pa.gens + pb.gens, rels=pa.rels + tuple(
+            tuple((i + pa.gens, x) for i, x in col) for col in pb.rels))
+        i_comb = _trusted(GroupHom, source=pres_i, target=pres_sum, matrix=tuple(
+            col_a + tuple((i + pa.gens, -x) for i, x in col_b)
+            for col_a, col_b in zip(i_star_a[q].matrix, i_star_b[q].matrix)))
+        j_comb = _trusted(GroupHom, source=pres_sum, target=pres_m,
+                          matrix=j_star_a[q].matrix + j_star_b[q].matrix)
         k_next = k_red[q + 1] if q + 1 <= n else None
 
         report.assertions.append(exactness_assertion(

@@ -20,17 +20,26 @@ pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
 each came from one elimination.  The cell-level maps take each
 degree's cycle lattice as the Hermite basis of the cycles of the
-complex itself, `kernel_basis(c.d(q))`, push its vectors through dense
+complex itself, `ref_kernel_basis(c.d(q))`, push its vectors through dense
 matrices and solve the images there, as `induced_map` and
 `connecting_hom` did before they read the cycles off the reduced
 complex and ran on sparse lifts; `cell_vector` writes a formal sum of
-cells as a dense vector, as `ChainComplex.vector` did.
+cells as a dense vector, as `ChainComplex.vector` did.  dense_echelon
+is the row Hermite elimination on dense rows, as intlin._echelon was
+before it ran on sparse rows with a column-to-rows index, and the
+dense Smith diagonal, lattice form and kernel basis built on it
+(ref_smith_diagonal, ref_lattice_hnf, ref_kernel_basis) are the
+package's forms as they were on dense matrices; the dense matrix
+helpers (zeros, transpose, from_columns, hstack, vstack, block_diag)
+are those the package dropped with them.  project_by_walk walks every
+pair of a degree, as _Reduction.project did before it read only the
+pairs its chain reaches.
 
 The rest are references that no code of the package runs.  The
 Hermite and Smith forms with their unimodular transforms, the inverse
 of a unimodular matrix and an integer solver carry the transforms that
-the package never does; they run intlin's private elimination, read
-through the module, so a test that swaps intlin._echelon swaps theirs.
+the package never does; they run dense_echelon, read through this
+module, so a test that swaps oracles.dense_echelon swaps theirs.
 echelon_solver back-substitutes on dense echelon rows, as a degree's
 coordinates were solved before they were read on sparse rows.
 generators and express read a degree's cycles in the canonical
@@ -40,7 +49,9 @@ is_zero, cyclic, presented_group, zero_chain, terms) are the methods
 of those classes that no code of the package reads.  Then the row
 echelon step as it was before each pivot column was scanned once; the
 tensor product of chain complexes and the point and circle complexes;
-dense views of chain maps and sparse columns of dense matrices; the
+dense views of chain maps, group maps and sparse columns, sparse
+columns and rows of dense matrices, and the package's sparse forms read
+on dense matrices (smith_of, lattice_of, kernel_of, sparse_echelon); the
 parser of group text, a captured CLI run, and the inverse of a group
 word; a seeded random two-cover of a model by downward-closed cell
 sets; and the refinement and prism of one simplex, built on the
@@ -79,31 +90,158 @@ from orbihom.intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _addmul_row,
-    block_diag,
     cokernel_group,
-    hstack,
     invariant_factors,
     kernel_basis,
     lattice_hnf,
-    vstack,
+    smith_diagonal,
 )
 from orbihom.orbmodel import Cell, WeightedCellComplex
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix._of([[0] * cols for _ in range(rows)], cols)
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix._of(m.columns(), m.rows)
+
+
+def from_columns(columns, rows: int) -> IntMatrix:
+    """Matrix with the given columns, entries checked like the constructor."""
+    for col in columns:
+        if len(col) != rows:
+            raise ValueError("column length does not match row count")
+    return transpose(IntMatrix([tuple(col) for col in columns], cols=rows))
+
+
+def _eye(n: int) -> list[list[int]]:
+    """Identity rows, the transform that hermite and smith seed."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.rows != b.rows:
+        raise ValueError("row counts differ")
+    return IntMatrix._of([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())],
+                         a.cols + b.cols)
+
+
+def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.cols:
+        raise ValueError("column counts differ")
+    return IntMatrix._of(a.to_rows() + b.to_rows(), a.cols)
+
+
+def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    top = [r + [0] * b.cols for r in a.to_rows()]
+    bottom = [[0] * a.cols + r for r in b.to_rows()]
+    return IntMatrix._of(top + bottom, a.cols + b.cols)
+
+
+def _addmul_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
+    if factor:
+        m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
+
+
+def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Rows of the transpose of rows, which have cols entries each."""
+    return [list(c) for c in zip(*rows)] or [[] for _ in range(cols)]
+
+
+def dense_echelon(rows: list[list[int]], n: int) -> None:
+    """Dense reference for intlin._echelon: the row Hermite form of the
+    first n columns of rows, in place, the rest of each row carried
+    along.  Each pivot column is scanned once, for the rows live in it:
+    the first of least absolute value is the pivot, and only live rows
+    are reduced by it, below it and above it."""
+    m, r = len(rows), 0
+    for c in range(n):
+        live = [i for i in range(r, m) if rows[i][c]]
+        if not live:
+            continue
+        while True:
+            i0 = min(live, key=lambda i: abs(rows[i][c]))
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+                if live[0] != r:
+                    live = [r] + [i for i in live if i != i0]
+            for i in live[1:]:
+                _addmul_row(rows, i, r, -(rows[i][c] // rows[r][c]))
+            live = [r] + [i for i in live[1:] if rows[i][c]]
+            if len(live) == 1:
+                break
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        pivot = rows[r][c]
+        for i in range(r):
+            if rows[i][c]:
+                _addmul_row(rows, i, r, -(rows[i][c] // pivot))
+        r += 1
+
+
+def sparse_echelon(rows: list[list[int]], n: int) -> list[list[int]]:
+    """intlin._echelon run on the sparse rows of the dense rows, read
+    back densely."""
+    width = len(rows[0]) if rows else 0
+    lines = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    intlin._echelon(lines, n)
+    return [[line.get(j, 0) for j in range(width)] for line in lines]
+
+
+def ref_smith_diagonal(a: IntMatrix) -> list[int]:
+    """smith_diagonal of a by the dense reference (see smith)."""
+    s, _, _ = smith(a)
+    return [s[i][i] for i in range(min(a.rows, a.cols))]
+
+
+def ref_lattice_hnf(a: IntMatrix) -> IntMatrix:
+    """lattice_hnf of a by the dense reference: the nonzero rows of the
+    row Hermite form of a^T."""
+    h, _ = hermite(transpose(a), left=False)
+    return IntMatrix._of([row for row in h if any(row)], a.rows)
+
+
+def ref_kernel_basis(a: IntMatrix) -> IntMatrix:
+    """kernel_basis of a by the dense reference: the rows of the row
+    Hermite form of [a^T | I] whose first block is zero, as columns."""
+    h, _ = _carried_echelon([list(col) + e for col, e in
+                             zip(a.columns(), _eye(a.cols))], [[]] * a.cols,
+                            a.rows + a.cols)
+    return transpose(IntMatrix._of([row[a.rows:] for row in h
+                                    if any(row) and not any(row[:a.rows])], a.cols))
+
+
+def smith_of(a: IntMatrix) -> list[int]:
+    """The package's smith_diagonal of the sparse columns of a."""
+    return smith_diagonal(sparse_columns(a), a.rows)
+
+
+def lattice_of(a: IntMatrix) -> IntMatrix:
+    """The package's lattice_hnf of the sparse columns of a, as the
+    dense rows of a matrix."""
+    return transpose(dense(lattice_hnf(sparse_columns(a), a.rows), a.rows))
+
+
+def kernel_of(a: IntMatrix) -> IntMatrix:
+    """The package's kernel_basis of the sparse columns of a, as the
+    dense columns of a matrix."""
+    return dense(kernel_basis(sparse_columns(a), a.rows), a.cols)
+
+
 def _carried_echelon(form: list[list[int]], carried: list[list[int]], n: int):
     """Rows of the row Hermite form of the n-column rows form, and the
-    rows of carried after the same row operations (intlin._echelon,
-    read through the module)."""
+    rows of carried after the same row operations (dense_echelon, read
+    through this module)."""
     rows = [f + t for f, t in zip(form, carried)]
-    intlin._echelon(rows, n)
+    dense_echelon(rows, n)
     return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 def hermite(a: IntMatrix, left: bool):
     """Rows of the row Hermite form of a, and of U only if left (else None)."""
     h, u = _carried_echelon(a.to_rows(),
-                            intlin._eye(a.rows) if left else [[]] * a.rows, a.cols)
+                            _eye(a.rows) if left else [[]] * a.rows, a.cols)
     return h, u if left else None
 
 
@@ -120,12 +258,12 @@ def smith(a: IntMatrix, left: bool = False, right: bool = False):
     is the same whichever transforms are carried.
     """
     m, n = a.rows, a.cols
-    s, u = a.to_rows(), intlin._eye(m) if left else [[]] * m
-    vt = intlin._eye(n) if right else [[]] * n
+    s, u = a.to_rows(), _eye(m) if left else [[]] * m
+    vt = _eye(n) if right else [[]] * n
     while True:
         s, u = _carried_echelon(s, u, n)
-        st, vt = _carried_echelon(intlin._transpose(s, n), vt, m)
-        s = intlin._transpose(st, m)
+        st, vt = _carried_echelon(_transpose(s, n), vt, m)
+        s = _transpose(st, m)
         if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             continue
         # S is diagonal, positive entries first, then zeros.
@@ -140,13 +278,13 @@ def smith(a: IntMatrix, left: bool = False, right: bool = False):
             break
         s[i + 1][i] = d[i + 1]
         vt[i] = [x + y for x, y in zip(vt[i], vt[i + 1])]
-    return s, u if left else None, intlin._transpose(vt, n) if right else None
+    return s, u if left else None, _transpose(vt, n) if right else None
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix."""
     h, u = hermite(a, left=True)
-    if h != intlin._eye(a.rows) or a.rows != a.cols:
+    if h != _eye(a.rows) or a.rows != a.cols:
         raise ValueError("matrix is not unimodular")
     return IntMatrix._of(u, a.rows)
 
@@ -178,7 +316,7 @@ def _summands(deg):
     """U of the Smith form U @ rels @ V of the relators of the degree
     deg, and the row and divisor of each summand: free ones (divisor
     0), then torsion."""
-    rels = deg.presentation.rels
+    rels = dense(deg.presentation.rels, deg.presentation.gens)
     s, u, _ = smith(rels, left=True)
     diag = [s[i][i] if i < rels.cols else 0 for i in range(rels.rows)]
     free = [(i, 0) for i, d in enumerate(diag) if d == 0]
@@ -209,7 +347,7 @@ def express(deg, cycle) -> tuple[int, ...]:
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix._of(intlin._eye(n), n)
+    return IntMatrix._of(_eye(n), n)
 
 
 def diagonal(values, rows: int | None = None, cols: int | None = None) -> IntMatrix:
@@ -240,7 +378,7 @@ def cyclic(n: int) -> FgAbGroup:
 
 def presented_group(p: AbPresentation) -> FgAbGroup:
     """The group that p presents, from the Smith diagonal of its relators."""
-    return cokernel_group(p.rels)
+    return cokernel_group(p.rels, p.gens)
 
 
 def zero_chain() -> AffineChain:
@@ -316,35 +454,36 @@ def solve_linear(a: IntMatrix, b) -> tuple[int, ...] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length does not match row count")
-    h, u = hermite(a.transpose(), left=True)
+    h, u = hermite(transpose(a), left=True)
     y = echelon_solver(h)(b)
     return None if y is None else tuple(sum(map(mul, col, y)) for col in zip(*u))
 
 
 def kernel_rows(a: IntMatrix) -> list[list[int]]:
     """A basis of the integer kernel of a, as rows: the rows of U, in
-    U @ a.transpose() == H, whose rows of H are zero.  It depends on
+    U @ transpose(a) == H, whose rows of H are zero.  It depends on
     the elimination, not only on the kernel."""
-    h, u = hermite(a.transpose(), left=True)
+    h, u = hermite(transpose(a), left=True)
     return [row for row, form in zip(u, h) if not any(form)]
 
 
 def two_pass_kernel_basis(a: IntMatrix) -> IntMatrix:
     """kernel_basis(a) in two eliminations: kernel_rows(a), then the
     Hermite form of those rows."""
-    span = IntMatrix._of(kernel_rows(a), a.cols).transpose()
-    return lattice_hnf(span).transpose()
+    span = transpose(IntMatrix._of(kernel_rows(a), a.cols))
+    return transpose(ref_lattice_hnf(span))
 
 
-def two_step_lattices(hom: GroupHom) -> tuple[IntMatrix, IntMatrix]:
-    """hom.lattices in three eliminations: lattice_hnf of [matrix |
-    target rels], and lattice_hnf of the source coordinates of
-    kernel_rows([matrix | target rels]) beside the source rels."""
-    stacked = hstack(hom.matrix, hom.target.rels)
+def two_step_lattices(hom: GroupHom) -> tuple[list, list]:
+    """hom.lattices in three dense eliminations: the lattice_hnf of
+    [matrix | target rels], and that of the source coordinates of
+    kernel_rows([matrix | target rels]) beside the source rels, as
+    sparse rows."""
+    stacked = hstack(dense_map(hom), dense(hom.target.rels, hom.target.gens))
     gens = hom.source.gens
     proj = IntMatrix._of([row[:gens] for row in kernel_rows(stacked)], gens)
-    return (lattice_hnf(stacked),
-            lattice_hnf(hstack(proj.transpose(), hom.source.rels)))
+    return (sparse_rows(ref_lattice_hnf(stacked)), sparse_rows(ref_lattice_hnf(
+        hstack(transpose(proj), dense(hom.source.rels, gens)))))
 
 
 def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
@@ -395,20 +534,41 @@ def circle_complex(vertex: str = "v", edge: str = "t") -> ChainComplex:
     return ChainComplex([[vertex], [edge]], [[()]])
 
 
-def sparse_columns(mat: IntMatrix) -> list[list[tuple[int, int]]]:
-    """The (row, coefficient) columns of a dense matrix."""
-    return [[(i, x) for i, x in enumerate(col) if x] for col in mat.columns()]
+def sparse_columns(mat: IntMatrix) -> list[tuple[tuple[int, int], ...]]:
+    """The (row, coefficient) columns of a dense matrix, in the Column
+    form of the package."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in mat.columns()]
 
 
-def dense_map(f, q: int) -> IntMatrix:
-    """Dense matrix of the chain map f in degree q, zero outside the
-    source's degrees."""
-    rows, cols = f.target.dim(q), f.source.dim(q)
-    mat = [[0] * cols for _ in range(rows)]
-    for j, col in enumerate(f.matrices[q] if 0 <= q <= f.source.top_dim else ()):
+def sparse_rows(mat: IntMatrix) -> list[tuple[tuple[int, int], ...]]:
+    """The (column, entry) rows of a dense matrix."""
+    return sparse_columns(transpose(mat))
+
+
+def vector(column, n: int) -> tuple[int, ...]:
+    """The dense vector of length n of a sparse column."""
+    out = [0] * n
+    for i, value in column:
+        out[i] = value
+    return tuple(out)
+
+
+def dense(columns, rows: int) -> IntMatrix:
+    """The dense matrix of sparse columns on the given number of rows."""
+    mat = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
         for i, value in col:
             mat[i][j] = value
-    return IntMatrix(mat, cols=cols)
+    return IntMatrix(mat, cols=len(columns))
+
+
+def dense_map(f, q: int | None = None) -> IntMatrix:
+    """Dense matrix of the group map f, with q None, or of the chain
+    map f in degree q, zero outside the source's degrees."""
+    if q is None:
+        return dense(f.matrix, f.target.gens)
+    return dense(f.matrices[q] if 0 <= q <= f.source.top_dim else (),
+                 f.target.dim(q))
 
 
 _GROUP_TERM = re.compile(r"^(Z(\^(\d+))?|Z/(\d+))$")
@@ -531,7 +691,8 @@ def subgroup_contains(gens_a: IntMatrix, gens_b: IntMatrix) -> bool:
 
 def is_well_defined(hom: GroupHom) -> bool:
     """True iff every source relator lands in the target relator lattice."""
-    return subgroup_contains(hom.target.rels, hom.matrix @ hom.source.rels)
+    return subgroup_contains(dense(hom.target.rels, hom.target.gens),
+                             dense_map(hom) @ dense(hom.source.rels, hom.source.gens))
 
 
 def presentation_groups(h) -> tuple:
@@ -558,7 +719,7 @@ def dense_boundary(wcc, q: int) -> IntMatrix:
     """Boundary matrix of wcc from degree q to q-1."""
     faces, cofaces = wcc.cells_of_dim(q - 1), wcc.cells_of_dim(q)
     rows = _incidence_rows(faces, cofaces, lambda coface, ref, k: k)
-    return IntMatrix.from_columns(rows, rows=len(faces))
+    return from_columns(rows, rows=len(faces))
 
 
 def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
@@ -607,7 +768,7 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
             coeffs = {a.basis[q - 1][r]: value
                       for r, value in enumerate(boundary) if value}
             columns.append(dst.kernel_coords(cell_vector(inter, q - 1, coeffs)))
-        matrices.append(IntMatrix.from_columns(
+        matrices.append(from_columns(
             columns, rows=dst.presentation.gens))
     return matrices
 
@@ -673,7 +834,7 @@ class CellLevelDegree:
 
 
 def cell_level_degree(c: ChainComplex, q: int) -> CellLevelDegree:
-    return CellLevelDegree(kernel_basis(c.d(q)))
+    return CellLevelDegree(ref_kernel_basis(c.d(q)))
 
 
 def cell_level_induced(f, q: int) -> IntMatrix:
@@ -683,7 +844,7 @@ def cell_level_induced(f, q: int) -> IntMatrix:
     target's basis."""
     src, dst = cell_level_degree(f.source, q), cell_level_degree(f.target, q)
     mat = dense_map(f, q)
-    return IntMatrix.from_columns(
+    return from_columns(
         [dst.kernel_coords(mat.apply(z)) for z in src.kernel.columns()],
         rows=dst.kernel.cols)
 
@@ -701,7 +862,7 @@ def cell_level_connecting(a, m, inter, q: int) -> IntMatrix:
         columns.append(dst.kernel_coords(cell_vector(
             inter, q - 1, {a.basis[q - 1][r]: value
                            for r, value in enumerate(boundary) if value})))
-    return IntMatrix.from_columns(columns, rows=dst.kernel.cols)
+    return from_columns(columns, rows=dst.kernel.cols)
 
 
 def _top_rows(m: IntMatrix, k: int) -> IntMatrix:
@@ -710,10 +871,11 @@ def _top_rows(m: IntMatrix, k: int) -> IntMatrix:
 
 def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
     """(statement, left, right, passed) of each check_mv assertion on
-    the cover of wcc by the closed cell sets cells_a and cells_b.  Each
-    image lattice is [matrix | rels] and each kernel lattice the top
-    rows of kernel_basis([matrix | target rels]) beside rels, where rels
-    are the full relators of the homology presentations."""
+    the cover of wcc by the closed cell sets cells_a and cells_b, on
+    dense matrices.  Each image lattice is [matrix | rels] and each
+    kernel lattice the top rows of the kernel basis of [matrix | target
+    rels] beside rels, where rels are the full relators of the homology
+    presentations."""
     m = wcc.chain_complex()
     comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
     comp_i = subcomplex(m, cells_a & cells_b)
@@ -724,14 +886,16 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
     j_b = induced_map(inclusion_map(m, comp_b), h_b, h_m)
     k = connecting_hom(comp_a, comp_b, m, h_inter=h_i, h_m=h_m)
 
-    def image(hom, at):
-        return at.rels if hom is None else hstack(hom.matrix, at.rels)
+    def rels(p):
+        return dense(p.rels, p.gens)
 
-    def kernel(hom, at):
-        if hom is None:
-            return identity(at.gens)
-        ker = kernel_basis(hstack(hom.matrix, hom.target.rels))
-        return hstack(_top_rows(ker, at.gens), at.rels)
+    def image(into, at):
+        return at if into is None else hstack(into[0], at)
+
+    def kernel(out_of, at):
+        matrix, target = out_of
+        ker = ref_kernel_basis(hstack(matrix, target))
+        return hstack(_top_rows(ker, at.rows), at)
 
     def text(lattice):
         return "{0}" if lattice.rows == 0 else str(lattice.to_rows())
@@ -740,16 +904,31 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
     for q in range(m.top_dim + 1):
         pres_i, pres_m = h_i.degree(q).presentation, h_m.degree(q).presentation
         pa, pb = h_a.degree(q).presentation, h_b.degree(q).presentation
-        pres_sum = AbPresentation(pa.gens + pb.gens, block_diag(pa.rels, pb.rels))
-        i_comb = GroupHom(pres_i, pres_sum, vstack(i_a[q].matrix, -i_b[q].matrix))
-        j_comb = GroupHom(pres_sum, pres_m, hstack(j_a[q].matrix, j_b[q].matrix))
-        k_next = k[q + 1] if q < m.top_dim else None
+        rels_sum = block_diag(rels(pa), rels(pb))
+        i_comb = (vstack(dense_map(i_a[q]), -dense_map(i_b[q])), rels_sum)
+        j_comb = (hstack(dense_map(j_a[q]), dense_map(j_b[q])), rels(pres_m))
+        k_next = ((dense_map(k[q + 1]), rels(pres_i)) if q < m.top_dim
+                  else None)
+        k_q = (dense_map(k[q]), rels(k[q].target))
         for where, into, out_of, at in (
-                (f"H_{q}(intersection)", k_next, i_comb, pres_i),
-                (f"H_{q}(A)+H_{q}(B)", i_comb, j_comb, pres_sum),
-                (f"H_{q}(whole)", j_comb, k[q], pres_m)):
-            im = lattice_hnf(image(into, at))
-            ker = lattice_hnf(kernel(out_of, at))
+                (f"H_{q}(intersection)", k_next, i_comb, rels(pres_i)),
+                (f"H_{q}(A)+H_{q}(B)", i_comb, j_comb, rels_sum),
+                (f"H_{q}(whole)", j_comb, k_q, rels(pres_m))):
+            im = ref_lattice_hnf(image(into, at))
+            ker = ref_lattice_hnf(kernel(out_of, at))
             out.append((f"exactness at {where}", f"image {text(im)}",
                         f"kernel {text(ker)}", im == ker))
     return out
+
+
+def project_by_walk(r, q: int, z) -> dict[int, int]:
+    """_Reduction.project by a walk over every pair of degree q in
+    pairing order, as it was before the pairs were read by cell."""
+    z = dict(z)
+    for b, (_, unit, rest) in r.pairs[q].items():
+        if z.get(b):
+            x = unit * z[b]
+            for i, value in rest:
+                z[i] = z.get(i, 0) - x * value
+    at = r.position[q]
+    return {at[j]: value for j, value in z.items() if value and j in at}

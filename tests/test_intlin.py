@@ -8,6 +8,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_factors
 from sympy.matrices.normalforms import smith_normal_form
 
+import oracles
 from orbihom import chains, intlin
 from orbihom.chains import homology
 from orbihom.intlin import (
@@ -15,38 +16,51 @@ from orbihom.intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    block_diag,
     cokernel_group,
-    hstack,
     invariant_factors,
-    kernel_basis,
     lattice_hnf,
     rational_rank,
     smith_diagonal,
-    vstack,
 )
 from orbihom.orbmodel import Ball3, Ball3Cyclic, ProductTorus, Surface, t_model
 
 from oracles import (
+    block_diag,
     column,
     cyclic,
+    dense,
+    dense_echelon,
+    dense_map,
     det,
     diagonal,
     echelon,
+    from_columns,
     hermite,
     hnf,
+    hstack,
     identity,
     is_well_defined,
     is_zero,
+    kernel_of,
     kernel_rows,
+    lattice_of,
     presented_group,
+    ref_kernel_basis,
+    ref_lattice_hnf,
+    ref_smith_diagonal,
     smith,
+    smith_of,
     snf,
     solve_linear,
+    sparse_columns,
+    sparse_echelon,
     subgroup_contains,
+    transpose,
     two_pass_kernel_basis,
     two_step_lattices,
     unimodular_inverse,
+    vstack,
+    zeros,
 )
 
 
@@ -82,13 +96,13 @@ def test_matrix_basics():
     assert m[0, 1] == 2
     assert m.row(1) == (3, 4)
     assert column(m, 0) == (1, 3)
-    assert m.transpose() == IntMatrix([[1, 3], [2, 4]])
+    assert transpose(m) == IntMatrix([[1, 3], [2, 4]])
     assert m.apply((1, 1)) == (3, 7)
     assert (m @ identity(2)) == m
     assert (-m)[1, 1] == -4
-    assert is_zero(IntMatrix.zeros(2, 3))
+    assert is_zero(zeros(2, 3))
     assert diagonal([2, 3]) == IntMatrix([[2, 0], [0, 3]])
-    assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2) == \
+    assert from_columns([(1, 2), (3, 4)], rows=2) == \
         IntMatrix([[1, 3], [2, 4]])
 
 
@@ -97,10 +111,10 @@ def test_matrix_zero_dimensional_shapes():
     assert (empty.rows, empty.cols) == (0, 3)
     tall = IntMatrix([[], []], cols=0)
     assert (tall.rows, tall.cols) == (2, 0)
-    assert (empty @ IntMatrix.zeros(3, 2)) == IntMatrix([], cols=2)
-    assert hstack(tall, IntMatrix.zeros(2, 1)).cols == 1
+    assert (empty @ zeros(3, 2)) == IntMatrix([], cols=2)
+    assert hstack(tall, zeros(2, 1)).cols == 1
     assert vstack(empty, empty).rows == 0
-    assert block_diag(empty, tall) == IntMatrix.zeros(2, 3)
+    assert block_diag(empty, tall) == zeros(2, 3)
 
 
 def test_matrix_immutable():
@@ -117,9 +131,9 @@ def test_matrix_entries_must_be_integers():
     with pytest.raises(TypeError):
         IntMatrix([["3"]])
     with pytest.raises(TypeError):
-        IntMatrix.from_columns([[1.5]], rows=1)
+        from_columns([[1.5]], rows=1)
     with pytest.raises(TypeError):
-        IntMatrix.from_columns([[1], ["2"]], rows=1)
+        from_columns([[1], ["2"]], rows=1)
     assert IntMatrix([[True, -2]]) == IntMatrix([[1, -2]])
 
 
@@ -211,15 +225,14 @@ def test_snf_properties_random():
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
         assert len(nonzero) == rational_rank(a)
-        assert smith_diagonal(a) == [s[i, i]
-                                     for i in range(min(s.rows, s.cols))]
+        assert smith_of(a) == [s[i, i] for i in range(min(s.rows, s.cols))]
 
 
 def transform_cases(rng, count=300):
     """Seeded matrices, with every degenerate shape and entry kind:
     0 x n, n x 0, all zero, no unit entry, sparse with units."""
     fixed = [IntMatrix([], cols=3), IntMatrix([[], []], cols=0),
-             IntMatrix([], cols=0), IntMatrix.zeros(3, 4),
+             IntMatrix([], cols=0), zeros(3, 4),
              IntMatrix([[2, 4], [6, 8]]), IntMatrix([[0, 6], [4, 0], [0, 0]])]
     kinds = [range(-9, 10), [0] * 6 + [1, -1, 2, -2],
              [0, 0, 2, -2, 3, 4, 6, -9], [0]]
@@ -249,14 +262,14 @@ def test_transform_skipping_eliminations_match_full_forms():
         assert hermite(a, left=True) == (h.to_rows(), w.to_rows())
         assert hermite(a, left=False) == (h.to_rows(), None)
         k = min(a.rows, a.cols)
-        assert smith_diagonal(a) == [s[i, i] for i in range(k)]
+        assert smith_of(a) == [s[i, i] for i in range(k)]
         free = [j for j in range(a.cols) if j >= k or s[j, j] == 0]
-        kernel = kernel_basis(a)
-        assert kernel == lattice_hnf(IntMatrix.from_columns(
-            [column(v, j) for j in free], rows=a.cols)).transpose()
+        kernel = kernel_of(a)
+        assert kernel == transpose(lattice_of(from_columns(
+            [column(v, j) for j in free], rows=a.cols)))
         assert is_zero(a @ kernel)
-        ht, _ = hnf(a.transpose())
-        assert lattice_hnf(a) == IntMatrix(
+        ht, _ = hnf(transpose(a))
+        assert lattice_of(a) == IntMatrix(
             [r for r in ht.to_rows() if any(r)], cols=a.rows)
 
 
@@ -265,14 +278,16 @@ def test_no_transform_where_none_is_read(monkeypatch):
     cases = transform_cases(rng, 60)
     complexes = [t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex(),
                  t_model(ProductTorus(Ball3((2, 3, 5)), 1)).chain_complex()]
-    expect = ([smith_diagonal(a) for a in cases], [lattice_hnf(a) for a in cases],
+    expect = ([smith_of(a) for a in cases], [lattice_of(a) for a in cases],
               [homology(c).groups() for c in complexes])
 
     def refuse(_):
         raise AssertionError("a transform was seeded")
 
-    monkeypatch.setattr(intlin, "_eye", refuse)
-    assert ([smith_diagonal(a) for a in cases], [lattice_hnf(a) for a in cases],
+    # The package seeds no transform: only the oracle's forms can.
+    assert not hasattr(intlin, "_eye")
+    monkeypatch.setattr(oracles, "_eye", refuse)
+    assert ([smith_of(a) for a in cases], [lattice_of(a) for a in cases],
             [homology(c).groups() for c in complexes]) == expect
     with pytest.raises(AssertionError):
         snf(IntMatrix([[2]]))
@@ -314,8 +329,8 @@ def test_snf_property_against_sympy(a):
     assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:])
     assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
     reference = smith_normal_form(sympy_matrix(a), domain=ZZ)
-    assert smith_diagonal(a) == diag
-    assert smith_diagonal(a) == [abs(int(reference[i, i])) for i in range(k)]
+    assert smith_of(a) == diag
+    assert smith_of(a) == [abs(int(reference[i, i])) for i in range(k)]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -324,20 +339,45 @@ def test_echelon_matches_the_rescanning_reference(a):
     """Scanning each pivot column once does the same row operations in
     the same order: Hermite and Smith forms and both transforms agree
     row for row with the reference that rescans every row each pass,
-    and so do the package's transform-free forms."""
+    and so do the transform-free forms of the package's sparse
+    elimination."""
 
     def forms():
         return (hermite(a, left=True), smith(a, left=True, right=True),
-                smith_diagonal(a), lattice_hnf(a), kernel_basis(a))
+                ref_smith_diagonal(a), ref_lattice_hnf(a), ref_kernel_basis(a))
 
     got = forms()
-    scanned = intlin._echelon
-    intlin._echelon = echelon
+    scanned = oracles.dense_echelon
+    oracles.dense_echelon = echelon
     try:
         want = forms()
     finally:
-        intlin._echelon = scanned
+        oracles.dense_echelon = scanned
     assert got == want
+    assert (smith_of(a), lattice_of(a), kernel_of(a)) == want[2:]
+
+
+EDGE_MATRICES = (IntMatrix([], cols=0), IntMatrix([], cols=4),
+                 IntMatrix([[], [], []], cols=0), zeros(3, 5), zeros(1, 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from(EDGE_MATRICES), pooled_matrices()), st.data())
+def test_sparse_echelon_matches_the_dense_reference(a, data):
+    """On 0 x n, n x 0, all-zero, unit-free and sparse matrices, the
+    sparse elimination does the dense reference's row operations: its
+    rows, read back densely, are the reference's row for row, over the
+    first n columns with the rest carried and over the full width; and
+    so the package's Smith diagonal, lattice form and kernel basis are
+    the dense reference's."""
+    n = data.draw(st.integers(0, a.cols))
+    for width in (n, a.cols):
+        want = a.to_rows()
+        dense_echelon(want, width)
+        assert sparse_echelon(a.to_rows(), width) == want
+    assert smith_of(a) == ref_smith_diagonal(a)
+    assert lattice_of(a) == ref_lattice_hnf(a)
+    assert kernel_of(a) == ref_kernel_basis(a)
 
 
 @st.composite
@@ -356,8 +396,8 @@ def test_kernel_rows_span_the_canonical_kernel(a):
     rows = kernel_rows(a)
     assert all(not any(a.apply(row)) for row in rows)
     assert len(rows) == a.cols - rational_rank(a)
-    span = IntMatrix._of(rows, a.cols).transpose()
-    assert lattice_hnf(span).transpose() == kernel_basis(a)
+    span = transpose(IntMatrix._of(rows, a.cols))
+    assert transpose(lattice_of(span)) == kernel_of(a)
 
 
 @st.composite
@@ -371,9 +411,9 @@ def presented_maps(draw):
                                        min_size=rows, max_size=rows)), cols=cols)
 
     s, t = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    source = AbPresentation(s, matrix(s, draw(st.integers(0, 4))))
-    target = AbPresentation(t, matrix(t, draw(st.integers(0, 4))))
-    return GroupHom(source, target, matrix(t, s))
+    source = AbPresentation(s, sparse_columns(matrix(s, draw(st.integers(0, 4)))))
+    target = AbPresentation(t, sparse_columns(matrix(t, draw(st.integers(0, 4)))))
+    return GroupHom(source, target, sparse_columns(matrix(t, s)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -385,9 +425,9 @@ def test_one_elimination_matches_the_two_step_lattices(hom):
     [matrix | target rels]."""
     assert hom.lattices == two_step_lattices(hom)
     assert hom.lattices is hom.lattices
-    stacked = hstack(hom.matrix, hom.target.rels)
-    for a in (hom.matrix, stacked):
-        assert kernel_basis(a) == two_pass_kernel_basis(a)
+    stacked = hstack(dense_map(hom), dense(hom.target.rels, hom.target.gens))
+    for a in (dense_map(hom), stacked):
+        assert kernel_of(a) == two_pass_kernel_basis(a)
 
 
 def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):
@@ -396,8 +436,8 @@ def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):
     elimination are not diagonal, so the Smith alternation is exercised."""
     residuals = []
     diagonal = chains.smith_diagonal
-    monkeypatch.setattr(chains, "smith_diagonal",
-                        lambda a: residuals.append(a) or diagonal(a))
+    monkeypatch.setattr(chains, "smith_diagonal", lambda columns, rows:
+                        residuals.append(columns) or diagonal(columns, rows))
     for d in (Ball3((2, 3, 5)), Ball3Cyclic(4)):
         c = t_model(ProductTorus(d, 3)).chain_complex()
         factors = [()] + [
@@ -409,8 +449,8 @@ def test_ballic_products_match_sympy_factors_of_each_boundary(monkeypatch):
             tuple(x for x in factors[q + 1] if x > 1))
             for q in range(c.top_dim + 1))
         assert homology(c).groups() == expect
-    assert any(a[i, j] for a in residuals for i in range(a.rows)
-               for j in range(a.cols) if i != j)
+    assert any(i != j for columns in residuals
+               for j, col in enumerate(columns) for i, _ in col)
 
 
 # ---------------------------------------------------------------- det, rank
@@ -439,7 +479,7 @@ def test_det_multiplicative():
 def test_rational_rank_frozen():
     assert rational_rank(IntMatrix([[1, 2], [2, 4]])) == 1
     assert rational_rank(IntMatrix([[1, 2], [2, 5]])) == 2
-    assert rational_rank(IntMatrix.zeros(3, 2)) == 0
+    assert rational_rank(zeros(3, 2)) == 0
     assert rational_rank(IntMatrix([], cols=4)) == 0
 
 
@@ -450,8 +490,8 @@ def test_solve_linear_frozen():
     assert solve_linear(IntMatrix([[2, 3]]), (1,)) == (-1, 1)
     assert solve_linear(IntMatrix([[2]]), (1,)) is None
     assert solve_linear(IntMatrix([[2, 0], [0, 3]]), (4, 9)) == (2, 3)
-    assert solve_linear(IntMatrix.zeros(2, 3), (0, 0)) == (0, 0, 0)
-    assert solve_linear(IntMatrix.zeros(2, 3), (1, 0)) is None
+    assert solve_linear(zeros(2, 3), (0, 0)) == (0, 0, 0)
+    assert solve_linear(zeros(2, 3), (1, 0)) is None
 
 
 def test_solve_linear_random():
@@ -478,19 +518,19 @@ def test_solve_linear_unsolvable():
 
 
 def test_kernel_basis_frozen():
-    k = kernel_basis(IntMatrix([[2, -1]]))
+    k = kernel_of(IntMatrix([[2, -1]]))
     assert k.cols == 1
     col = column(k, 0)
     assert col in ((1, 2), (-1, -2))
-    assert kernel_basis(identity(3)).cols == 0
-    assert kernel_basis(IntMatrix.zeros(2, 3)).cols == 3
+    assert kernel_of(identity(3)).cols == 0
+    assert kernel_of(zeros(2, 3)).cols == 3
 
 
 def test_kernel_basis_random():
     rng = random.Random(13)
     for _ in range(120):
         a = random_matrix(rng)
-        k = kernel_basis(a)
+        k = kernel_of(a)
         assert k.rows == a.cols
         assert k.cols == a.cols - rational_rank(a)
         if k.cols:
@@ -510,7 +550,7 @@ def test_lattice_hnf_invariance():
         if a.cols < 2:
             continue
         u = random_unimodular(rng, a.cols)
-        assert lattice_hnf(a) == lattice_hnf(a @ u)
+        assert lattice_of(a) == lattice_of(a @ u)
 
 
 def test_lattice_hnf_takes_a_hermite_input_as_it_stands(monkeypatch):
@@ -518,20 +558,21 @@ def test_lattice_hnf_takes_a_hermite_input_as_it_stands(monkeypatch):
     elimination; columns that only look like it (a zero column, a
     negative pivot, an entry above a pivot out of range) do not."""
     rng = random.Random(12)
-    forms = [lattice_hnf(random_matrix(rng, max_dim=4)) for _ in range(80)]
-    near = [IntMatrix(rows).transpose() for rows in (
+    forms = [(lattice_hnf(sparse_columns(a), a.rows), a.rows)
+             for a in (random_matrix(rng, max_dim=4) for _ in range(80))]
+    near = [transpose(IntMatrix(rows)) for rows in (
         [[1, 0], [0, 0]], [[-2]], [[2, 5], [0, 3]], [[2, -1], [0, 3]])]
-    expected = [lattice_hnf(a) for a in near]
+    expected = [lattice_of(a) for a in near]
 
     def refuse(rows, n):
         raise AssertionError("an elimination ran")
 
     monkeypatch.setattr(intlin, "_echelon", refuse)
-    for h in forms:
-        assert lattice_hnf(h.transpose()) == h
+    for h, n in forms:
+        assert lattice_hnf(h, n) == h
     for a in near:
         with pytest.raises(AssertionError, match="an elimination ran"):
-            lattice_hnf(a)
+            lattice_of(a)
     assert expected == [IntMatrix([[1, 0]]), IntMatrix([[2]]),
                         IntMatrix([[2, 2], [0, 3]]), IntMatrix([[2, 2], [0, 3]])]
 
@@ -559,7 +600,7 @@ def test_mutual_containment_iff_same_canonical_form():
         if a.rows != b.rows:
             continue
         same = subgroup_contains(a, b) and subgroup_contains(b, a)
-        assert same == (lattice_hnf(a) == lattice_hnf(b))
+        assert same == (lattice_of(a) == lattice_of(b))
 
 
 def test_unimodular_inverse():
@@ -662,11 +703,14 @@ def test_groups_take_integers_only():
 
 
 def test_cokernel_group():
-    assert cokernel_group(diagonal([2, 3])) == cyclic(6)
-    assert cokernel_group(IntMatrix([[2, 4], [6, 8]])) == \
+    def cokernel_group_of(a):
+        return cokernel_group(sparse_columns(a), a.rows)
+
+    assert cokernel_group_of(diagonal([2, 3])) == cyclic(6)
+    assert cokernel_group_of(IntMatrix([[2, 4], [6, 8]])) == \
         FgAbGroup(0, (2, 4))
-    assert cokernel_group(IntMatrix.zeros(2, 0)) == FgAbGroup.free(2)
-    assert cokernel_group(IntMatrix([[2, 0, 0, 1],
+    assert cokernel_group_of(zeros(2, 0)) == FgAbGroup.free(2)
+    assert cokernel_group_of(IntMatrix([[2, 0, 0, 1],
                                      [0, 3, 0, 1],
                                      [0, 0, 3, 1]])) == cyclic(3)
 
@@ -674,11 +718,40 @@ def test_cokernel_group():
 def test_presentation_and_hom():
     free2 = AbPresentation.free(2)
     assert presented_group(free2) == FgAbGroup.free(2)
-    p = AbPresentation(1, IntMatrix([[2]]))
-    q = AbPresentation(1, IntMatrix([[4]]))
-    doubling = GroupHom(p, q, IntMatrix([[2]]))
+    p = AbPresentation(1, sparse_columns(IntMatrix([[2]])))
+    q = AbPresentation(1, sparse_columns(IntMatrix([[4]])))
+    doubling = GroupHom(p, q, sparse_columns(IntMatrix([[2]])))
     assert is_well_defined(doubling)
-    bad = GroupHom(p, q, IntMatrix([[1]]))
+    bad = GroupHom(p, q, sparse_columns(IntMatrix([[1]])))
     assert not is_well_defined(bad)
     with pytest.raises(ValueError):
-        GroupHom(p, q, IntMatrix([[1, 2]]))
+        GroupHom(p, q, sparse_columns(IntMatrix([[1, 2]])))
+
+
+def test_presentations_and_maps_take_checked_sparse_columns():
+    """AbPresentation and GroupHom take sparse columns, merged, sorted
+    and with zeros dropped; a row out of range, a column count that
+    does not match, a float or string entry or index, or a dense
+    IntMatrix is refused."""
+    p = AbPresentation(2, [[(1, 2), (0, 3), (1, -2)], iter([(1, True)])])
+    assert p.rels == (((0, 3),), ((1, 1),))
+    for rels in ([[(2, 1)]], [[(-1, 1)]], [[(0, 1)], [(5, 1)]]):
+        with pytest.raises(ValueError, match="relator rows must match "
+                                             "generator count"):
+            AbPresentation(2, rels)
+    f = GroupHom(p, AbPresentation.free(1), [[(0, 1), (0, -1)], [(0, 4)]])
+    assert f.matrix == ((), ((0, 4),))
+    for matrix in ([[(0, 1)]], [[(1, 1)], []], [[], [], []]):
+        with pytest.raises(ValueError, match="matrix shape does not match "
+                                             "presentations"):
+            GroupHom(p, AbPresentation.free(1), matrix)
+    for build in (lambda: AbPresentation(1, [[(0, 2.0)]]),
+                  lambda: AbPresentation(1, [[(0.0, 2)]]),
+                  lambda: AbPresentation(1, [[(0, "2")]]),
+                  lambda: GroupHom(p, p, [[(0, 1.5)], []])):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError, match="sparse columns, not an IntMatrix"):
+        AbPresentation(1, IntMatrix([[2]]))
+    with pytest.raises(TypeError, match="sparse columns, not an IntMatrix"):
+        GroupHom(p, p, identity(2))

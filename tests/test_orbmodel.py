@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from orbihom import chains, orbmodel
+from orbihom import chains, intlin, orbmodel
 from orbihom.chains import ChainComplex, homology, relative, subcomplex, validate
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
@@ -271,7 +271,7 @@ def test_product_build_checks_only_the_base_cells(monkeypatch):
 
     monkeypatch.setattr(Cell, "__post_init__",
                         counted("cell", Cell.__post_init__))
-    monkeypatch.setattr(chains, "_column", counted("column", chains._column))
+    monkeypatch.setattr(intlin, "_column", counted("column", intlin._column))
     monkeypatch.setattr(chains, "_compose", counted("compose", chains._compose))
     model = t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
     assert len(model.cells) == 216
