@@ -72,18 +72,22 @@ class ChainComplex:
             boundaries: Sequence[Sequence[Column]]) -> "ChainComplex":
         """Trusted build from labels unique across degrees and one Column
         per cell, each merged, sorted, nonzero and in range; nothing is
-        checked."""
+        checked.  Every tuple is built from a list of its exact length:
+        CPython keeps freed tuples of up to 20 items for reuse, and one
+        built from an iterator is resized, so it would leave one more
+        there each time, pinning memory until a full collection."""
         c = object.__new__(cls)
-        basis = tuple(map(tuple, basis))
-        c._set(basis, tuple(tuple(map(tuple, columns)) for columns in boundaries))
+        basis = tuple([tuple(labels) for labels in basis])
+        c._set(basis, tuple([tuple([tuple(col) for col in columns])
+                             for columns in boundaries]))
         return c
 
     def _set(self, basis, boundaries) -> None:
         object.__setattr__(self, "top_dim", len(basis) - 1)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "_index", tuple(
-            dict(zip(labels, range(len(labels)))) for labels in basis))
+        object.__setattr__(self, "_index", tuple([
+            dict(zip(labels, range(len(labels)))) for labels in basis]))
         object.__setattr__(self, "_problems", None)
 
     def __setattr__(self, name, value):

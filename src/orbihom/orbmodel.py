@@ -188,16 +188,19 @@ class ComplexError(ValueError):
 
 
 class WeightedCellComplex:
-    """Immutable weighted cell complex with named subcomplexes.
+    """Immutable weighted cell complex with named subcomplexes: a sparse
+    chain complex, one weight tuple per degree, and subs of cell ids.
 
     Construction checks that boundary references exist one dimension
     down, that subcomplex members exist, that the induced chain complex
     satisfies boundary-of-boundary equals zero, and that subcomplexes
     are closed under boundaries.  A failure raises ComplexError.  No
     subcomplex may be named all: sub_cells reserves it for every cell.
+    The given cells, in their order, are the cells view.
     """
 
-    __slots__ = ("name", "dim", "cells", "subs", "_by_id", "_chain")
+    __slots__ = ("name", "dim", "subs", "_chain", "_weights", "_view",
+                 "_cells", "_by_id")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -228,12 +231,6 @@ class WeightedCellComplex:
                 if member not in by_id:
                     raise ComplexError(f"subcomplex {sub_name}: unknown cell "
                                        f"{member}", member, sub_name)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "subs", {
-            sub_name: frozenset(members) for sub_name, members in listed.items()})
-        object.__setattr__(self, "_by_id", by_id)
         if dim < 0:
             raise ValueError("a complex needs at least degree 0")
         by_dim: list[list[Cell]] = [[] for _ in range(dim + 1)]
@@ -243,47 +240,71 @@ class WeightedCellComplex:
                     for j, cell in enumerate(cells)}
         # Each boundary is merged, nonzero and checked above to lie one
         # dimension down, so its positions only need sorting.
-        object.__setattr__(self, "_chain", ChainComplex._of(
+        chain = ChainComplex._of(
             [[cell.id for cell in cells] for cells in by_dim],
             [[sorted((position[ref], coefficient)
                      for ref, coefficient in cell.boundary)
-              for cell in cells] for cells in by_dim[1:]]))
-        problems = chains.validate(self._chain)
+              for cell in cells] for cells in by_dim[1:]])
+        problems = chains.validate(chain)
         if problems:
             culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
             raise ComplexError("boundary of boundary is nonzero: "
                                + problems[0], culprit.group(1))
+        closed = {sub_name: frozenset(members)
+                  for sub_name, members in listed.items()}
         for sub_name, members in listed.items():
             for member in members:
                 for ref, _ in by_id[member].boundary:
-                    if ref not in self.subs[sub_name]:
+                    if ref not in closed[sub_name]:
                         raise ComplexError(
                             f"subcomplex {sub_name}: cell {member} has face "
                             f"{ref} outside it", member, sub_name)
+        self._set(name, dim, closed, chain,
+                  [[cell.weight for cell in cells] for cells in by_dim], None, cells)
+
+    @classmethod
+    def _of(cls, name: str, dim: int, subs: dict, chain: ChainComplex,
+            weights, view: tuple) -> "WeightedCellComplex":
+        """Trusted build of a complex derived from a checked one; nothing
+        is checked.  view is (function, *args), and function(complex,
+        *args) gives the cells on first read."""
+        wcc = object.__new__(cls)
+        wcc._set(name, dim, subs, chain, weights, view)
+        return wcc
+
+    def _set(self, name, dim, subs, chain, weights, view, cells=None) -> None:
+        for slot, value in zip(self.__slots__, (
+                name, dim, subs, chain, tuple([tuple(ws) for ws in weights]), view,
+                cells, None)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedCellComplex is immutable")
 
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        if self._cells is None:
+            view, *args = self._view
+            object.__setattr__(self, "_cells", view(self, *args))
+        return self._cells
+
     def cell(self, cell_id: str) -> Cell:
+        if self._by_id is None:
+            object.__setattr__(self, "_by_id",
+                               {cell.id: cell for cell in self.cells})
         return self._by_id[cell_id]
-
-    def ids(self) -> list[str]:
-        return [cell.id for cell in self.cells]
-
-    def cells_of_dim(self, q: int) -> list[Cell]:
-        return [cell for cell in self.cells if cell.dim == q]
 
     def sub_cells(self, name: str) -> frozenset[str]:
         if name == "all":
-            return frozenset(self._by_id)
+            return frozenset(self._chain.labels())
         if name not in self.subs:
             raise ValueError(f"no subcomplex named {name!r}")
         return self.subs[name]
 
     def chain_complex(self) -> ChainComplex:
-        """The cellular chain complex, built once from the checked cells
-        with no second check of its columns.  Its d∘d is composed once,
-        at construction, and homology() reads that result."""
+        """The cellular chain complex, built once.  The public
+        constructor composes its d∘d; a derived complex leaves that to
+        the first homology(), and each later call reads the result."""
         return self._chain
 
 
@@ -452,8 +473,8 @@ def _surface_cells(d: Surface) -> tuple[int, int]:
 
 # Per descriptor family: (t model builder, adapted model builder), each
 # giving (dim, cells, subs), then the cell counts of the two models.
-# _build makes the complex once, after any torus product, so each model
-# is validated once.
+# _build checks the base complex once; its torus product is not checked
+# again.
 _FAMILIES = {
     Disc2: (_t_disc2, _adapted_disc2, lambda d: (7, 5)),
     Surface: (_t_surface, _adapted_surface, _surface_cells),
@@ -489,9 +510,9 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
             model = parse_owc(handle.read())
         if not k:
             return model
-        n, parts = len(model.cells), (model.dim, model.cells, model.subs)
+        n = len(model.cells)
     elif type(base) in _FAMILIES:
-        n, parts = _FAMILIES[type(base)][2](base)[adapted], None
+        model, n = None, _FAMILIES[type(base)][2](base)[adapted]
     else:
         raise TypeError(f"not a descriptor: {base!r}")
     # With n >= 1, k >= 17 is over the limit: n << k is not formed then.
@@ -499,37 +520,75 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
         estimate = f"{n} x 2^{k}" if k else str(n)
         raise ValueError(f"{describe(d)} would have {estimate} cells, "
                          f"more than the limit of {MAX_CELLS}")
-    dim, cells, subs = parts or _FAMILIES[type(base)][adapted](base)
-    if k:
-        cells, subs = _torus_parts(cells, subs, k)
-    return WeightedCellComplex(describe(d), dim + k, cells, subs)
+    if model is None:
+        model = WeightedCellComplex(describe(base),
+                                    *_FAMILIES[type(base)][adapted](base))
+    return _torus(model, k, describe(d)) if k else model
 
 
-def _torus_parts(cells: Sequence[Cell], subs: Mapping[str, Iterable[str]],
-                 k: int) -> tuple[list[Cell], dict]:
-    """Cells and subcomplexes of cells x torus(k), built in one pass.
+def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
+    """base x torus(k), built by index arithmetic on the base columns.
 
     A product cell is a base cell with a suffix of k parts, '_x_z' (dim
-    0) or '_x_t' (dim 1), on its id and on each boundary ref, and the
-    base weight: the circle has no boundary, so no sign enters.  Cells
-    come in the order of k iterated products with the circle
-    (`oracles.public_tensor`): by dimension, then by the factors k down
-    to 2 with t before z (the order of tails), then by base position.
+    0) or '_x_t' (dim 1), on its id, and the base weight.  The circle
+    has no boundary, so a product column is the base column on the
+    faces with the same suffix, with no sign: the chain complex is 2^k
+    shifted copies of the base's (Hatcher, Algebraic Topology, §3.B).
+    Cells come in the order of k iterated products with the circle
+    (`oracles.public_tensor`).
     """
-    heads = (("_x_z", 0), ("_x_t", 1))
-    tails = [("", 0)]
+    c = base._chain
+    # The first product's dim p lists, in base order, the cells of dim p
+    # with '_x_z' (h = 0) and those of dim p - 1 with '_x_t' (h = 1); a
+    # column's faces share its part, so they lie in dim p - 1.
+    blocks = [[(cell.dim, c.position(cell.dim, cell.id), p - cell.dim)
+               for cell in base.cells if 0 <= p - cell.dim <= 1]
+              for p in range(base.dim + 2)]
+    rank = {key: i for block in blocks for i, key in enumerate(block)}
+    labels = [[c.basis[q][j] + ("_x_z", "_x_t")[h] for q, j, h in block]
+              for block in blocks]
+    weights = [[base._weights[q][j] for q, j, _ in block] for block in blocks]
+    columns = [[tuple([(rank[q - 1, i, h], x) for i, x in c.boundaries[q - 1][j]])
+                if q else () for q, j, h in block] for block in blocks]
+    subs = {sub_name: [[i for i, (q, j, _) in enumerate(block)
+                        if c.basis[q][j] in members] for block in blocks]
+            for sub_name, members in base.subs.items()}
+    # Each further circle makes dim p the cells of dim p - 1 with '_x_t',
+    # then those of dim p with '_x_z': these come after sizes[p] cells,
+    # and their faces after sizes[p - 1].
     for _ in range(k - 1):
-        tails = [(tail + part, dim + bit) for part, bit in reversed(heads)
-                 for tail, dim in tails]
-    rounds = [[(head + tail, bit + dim) for head, bit in heads]
-              for tail, dim in tails]
-    out = [Cell._of(cell.id + suffix, cell.dim + dim, cell.weight,
-                    tuple((ref + suffix, x) for ref, x in cell.boundary))
-           for pair in rounds for cell in cells for suffix, dim in pair]
-    out.sort(key=lambda cell: cell.dim)
-    suffixes = [suffix for pair in rounds for suffix, _ in pair]
-    return out, {sub_name: {x + suffix for x in members for suffix in suffixes}
-                 for sub_name, members in subs.items()}
+        sizes = [0] + [len(cells) for cells in labels]
+        labels = [[label + "_x_t" for label in low] + [label + "_x_z" for label in high]
+                  for low, high in _pairs(labels)]
+        weights = [low + high for low, high in _pairs(weights)]
+        columns = [low + [tuple([(i + shift, x) for i, x in col]) for col in high]
+                   for (low, high), shift in zip(_pairs(columns), [0] + sizes)]
+        subs = {sub_name: [low + [i + shift for i in high] for (low, high), shift
+                           in zip(_pairs(members), sizes)]
+                for sub_name, members in subs.items()}
+    return WeightedCellComplex._of(
+        name, base.dim + k, {sub_name: frozenset().union(*(
+            map(cells.__getitem__, picks) for cells, picks in zip(labels, members)))
+            for sub_name, members in subs.items()},
+        ChainComplex._of(labels, columns[1:]), weights, (_product_cells, base, k))
+
+
+def _pairs(lists: list[list]) -> zip:
+    """(lists[p - 1], lists[p]) for each p up to len(lists), empty out of range."""
+    return zip([[]] + lists, lists + [[]])
+
+
+def _product_cells(wcc: WeightedCellComplex, base: WeightedCellComplex,
+                   k: int) -> tuple[Cell, ...]:
+    """Cells of a product, each its base cell with the id's suffix on
+    every boundary ref, so each keeps the base cell's boundary order."""
+    cut, cells = -4 * k, []
+    for q, labels in enumerate(wcc._chain.basis):
+        for label in labels:
+            cell, suffix = base.cell(label[:cut]), label[cut:]
+            cells.append(Cell._of(label, q, cell.weight, tuple([
+                (ref + suffix, x) for ref, x in cell.boundary])))
+    return tuple(cells)
 
 
 def t_model(d: OrbifoldDesc) -> WeightedCellComplex:
@@ -550,22 +609,42 @@ def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
     their weights; this is the weights-to-1 degeneration whose homology
     is that of the underlying space.
     """
-    cells = []
+    c, w = wcc._chain, wcc._weights
+    for q, columns in enumerate(c.boundaries, start=1):
+        for j, col in enumerate(columns):
+            for i, x in col:
+                ratio, remainder = divmod(w[q][j], w[q - 1][i])
+                if remainder or x % ratio:
+                    _unit_fault(wcc)
+    return WeightedCellComplex._of(
+        f"{wcc.name}_underlying", wcc.dim, wcc.subs, ChainComplex._of(c.basis, [
+            [[(i, x * w[q - 1][i] // w[q][j]) for i, x in col]
+             for j, col in enumerate(columns)]
+            for q, columns in enumerate(c.boundaries, start=1)]),
+        [[1] * len(ws) for ws in w], (_unit_cells, wcc))
+
+
+def _unit_fault(wcc: WeightedCellComplex) -> None:
+    """Raise the error of the first incidence, in cell order and each
+    cell's boundary order, that degenerate_weights cannot scale."""
     for cell in wcc.cells:
-        boundary = []
         for ref, coefficient in cell.boundary:
             ratio, remainder = divmod(cell.weight, wcc.cell(ref).weight)
             if remainder:
                 raise ValueError(f"cell {cell.id}: weight does not divide "
                                  f"the weight of its face {ref}")
-            scaled, remainder = divmod(coefficient, ratio)
-            if remainder:
+            if coefficient % ratio:
                 raise ValueError(f"cell {cell.id}: incidence on {ref} is "
                                  "not divisible by the weight ratio")
-            boundary.append((ref, scaled))
-        cells.append(Cell(cell.id, cell.dim, 1, tuple(boundary)))
-    return WeightedCellComplex(f"{wcc.name}_underlying", wcc.dim, cells,
-                               wcc.subs)
+
+
+def _unit_cells(wcc: WeightedCellComplex,
+                source: WeightedCellComplex) -> tuple[Cell, ...]:
+    """Cells of the weight degeneration of source, in its cell and
+    boundary order."""
+    return tuple([Cell._of(cell.id, cell.dim, 1, tuple([
+        (ref, x * source.cell(ref).weight // cell.weight)
+        for ref, x in cell.boundary])) for cell in source.cells])
 
 
 def underlying_model(d: OrbifoldDesc) -> WeightedCellComplex:
@@ -588,31 +667,37 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
 
     Degree k of the result holds the duals of the (n-k)-cells, scaled by
     their weights, so that homology in degree k is the weighted
-    cohomology in degree n-k.  With rel set, duals of cells in that
-    named subcomplex are dropped (cochains vanishing on it).
+    cohomology in degree n-k: its boundaries are the transposed columns
+    of wcc, each entry times w(face) / w(coface).  With rel set, duals
+    of cells in that named subcomplex are dropped (cochains vanishing
+    on it).
     """
     dropped = wcc.sub_cells(rel) if rel is not None else frozenset()
-    n = wcc.dim
-    kept = [[cell for cell in wcc.cells_of_dim(q) if cell.id not in dropped]
-            for q in range(n + 1)]
-    position = {cell.id: j for cells in kept for j, cell in enumerate(cells)}
+    c, w, n = wcc._chain, wcc._weights, wcc.dim
+    kept = [[j for j, label in enumerate(labels) if label not in dropped]
+            for labels in c.basis]
     boundaries = []
     for q in range(n - 1, -1, -1):
-        # Transpose: the dual of each q-cell gets one entry per coface.
+        # Transpose: the dual of each q-cell gets one entry per coface,
+        # in ascending rows.
+        row = {i: r for r, i in enumerate(kept[q])}
         columns = [[] for _ in kept[q]]
-        for row, coface in enumerate(kept[q + 1]):
-            for ref, coefficient in coface.boundary:
-                if ref not in position:
+        for r, j in enumerate(kept[q + 1]):
+            for i, x in c.boundaries[q][j]:
+                if i not in row:
                     continue
-                value, remainder = divmod(
-                    coefficient * wcc.cell(ref).weight, coface.weight)
+                value, remainder = divmod(x * w[q][i], w[q + 1][j])
                 if remainder:
+                    # Name the first such face in the coface's own order.
+                    coface = wcc.cell(c.basis[q + 1][j])
+                    ref = next(ref for ref, x in coface.boundary
+                               if ref not in dropped and x * wcc.cell(ref).weight
+                               % coface.weight)
                     raise ValueError(f"weights are not adapted: entry from "
                                      f"{coface.id} to {ref} is not integral")
-                columns[position[ref]].append((row, value))
+                columns[row[i]].append((r, value))
         boundaries.append(columns)
-    # Rows go in ascending order, one nonzero entry per coface.
-    return ChainComplex._of([[cell.id for cell in kept[n - k]]
+    return ChainComplex._of([[c.basis[n - k][j] for j in kept[n - k]]
                              for k in range(n + 1)], boundaries)
 
 

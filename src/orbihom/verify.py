@@ -104,12 +104,15 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
     """
     cells_a, name_a = _resolve_piece(wcc, piece_a)
     cells_b, name_b = _resolve_piece(wcc, piece_b)
-    missing = set(wcc.ids()) - (cells_a | cells_b)
+    missing = wcc.sub_cells("all") - (cells_a | cells_b)
     if missing:
         raise ValueError(
             f"pieces do not cover the complex: missing {sorted(missing)}"
         )
     m = wcc.chain_complex()
+    # homology(m) first composes m's d∘d, if no one has yet, so that the
+    # three subcomplexes inherit the check.
+    h_m = homology(m)
     comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
     comp_i = subcomplex(m, cells_a & cells_b)
     n = m.top_dim
@@ -117,7 +120,6 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
     h_i = homology(comp_i)
     h_a = homology(comp_a)
     h_b = homology(comp_b)
-    h_m = homology(m)
 
     # Each inclusion is checked once, which shows d∘i = i∘d; with the
     # coverage above, that is all induced_map and connecting_hom check.
@@ -169,7 +171,7 @@ def _resolve_piece(wcc: WeightedCellComplex, piece):
     if isinstance(piece, str):
         return frozenset(wcc.sub_cells(piece)), piece
     ids = frozenset(piece)
-    unknown = ids - set(wcc.ids())
+    unknown = ids - wcc.sub_cells("all")
     if unknown:
         raise ValueError(f"unknown cells in piece: {sorted(unknown)}")
     return ids, f"{len(ids)} cells"

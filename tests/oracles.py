@@ -14,7 +14,9 @@ cell, model and complex through the public, checking constructors, as
 the product models were built before they used trusted cells.  The
 unreduced exactness route takes every Mayer-Vietoris lattice over the
 full relators of the homology presentations and the canonical kernel,
-as `check_mv` did before it reduced each presentation's relators.  The
+as `check_mv` did before it reduced each presentation's relators.
+`ids` and `cells_of_dim` read a model's cells view, as the methods of
+that name did before a model held its chain complex and weights.  The
 two-step lattice route takes a kernel in any basis and then a Hermite
 pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
@@ -701,6 +703,16 @@ def presentation_groups(h) -> tuple:
                  for q in range(h.top_dim + 1))
 
 
+def ids(wcc) -> list[str]:
+    """The cell ids of wcc, in cell order."""
+    return [cell.id for cell in wcc.cells]
+
+
+def cells_of_dim(wcc, q: int) -> list[Cell]:
+    """The q-cells of wcc, in cell order."""
+    return [cell for cell in wcc.cells if cell.dim == q]
+
+
 def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:
     """One dense row per coface: entry(coface, face id, coefficient)
     summed over its boundary list; faces missing from faces are skipped."""
@@ -717,7 +729,7 @@ def _incidence_rows(faces, cofaces, entry) -> list[list[int]]:
 
 def dense_boundary(wcc, q: int) -> IntMatrix:
     """Boundary matrix of wcc from degree q to q-1."""
-    faces, cofaces = wcc.cells_of_dim(q - 1), wcc.cells_of_dim(q)
+    faces, cofaces = cells_of_dim(wcc, q - 1), cells_of_dim(wcc, q)
     rows = _incidence_rows(faces, cofaces, lambda coface, ref, k: k)
     return from_columns(rows, rows=len(faces))
 
@@ -729,7 +741,7 @@ def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
     dropped = wcc.sub_cells(rel) if rel is not None else frozenset()
 
     def kept(q):
-        return [cell for cell in wcc.cells_of_dim(q) if cell.id not in dropped]
+        return [cell for cell in cells_of_dim(wcc, q) if cell.id not in dropped]
 
     def scaled(coface, ref, coefficient):
         value, remainder = divmod(coefficient * wcc.cell(ref).weight,
@@ -794,7 +806,7 @@ def public_chain_complex(wcc, kept=None) -> ChainComplex:
     kept, from their incidence lists in cell order; faces outside kept
     are dropped, so a closed kept set gives the subcomplex and the
     complement of one the relative complex."""
-    by_dim = [[cell for cell in wcc.cells_of_dim(q)
+    by_dim = [[cell for cell in cells_of_dim(wcc, q)
                if kept is None or cell.id in kept] for q in range(wcc.dim + 1)]
     position = {cell.id: j for cells in by_dim for j, cell in enumerate(cells)}
     return ChainComplex(

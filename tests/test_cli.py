@@ -175,7 +175,7 @@ def test_oversized_product_exits_two_before_building(monkeypatch):
     def build(*args):
         raise AssertionError("the product was built")
 
-    monkeypatch.setattr(orbmodel, "_torus_parts", build)
+    monkeypatch.setattr(orbmodel, "_torus", build)
     monkeypatch.setattr(orbmodel.Cell, "_of", build)
     for argv in (["homology", "--desc", "disc2(3) x torus(40)"],
                  ["verify", "kunneth", "--desc", "disc2(3)", "--torus", "40"]):

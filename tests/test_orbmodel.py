@@ -1,10 +1,12 @@
 """Weighted cellular models: builders, file format, degenerations."""
 
+import gc
 import pathlib
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbihom import chains, intlin, orbmodel
 from orbihom.chains import ChainComplex, homology, relative, subcomplex, validate
@@ -38,9 +40,11 @@ from oracles import (
     dense_boundary,
     dense_ws_boundary,
     generators,
+    ids,
     presentation_groups,
     public_chain_complex,
     public_tensor,
+    run,
 )
 from test_acceptance import GRID_1_TO_3
 
@@ -151,7 +155,7 @@ def test_weighted_complex_validation():
 
 def test_sub_cells_all_and_unknown():
     wcc = t_model(Disc2(2))
-    assert wcc.sub_cells("all") == frozenset(wcc.ids())
+    assert wcc.sub_cells("all") == frozenset(ids(wcc))
     assert wcc.sub_cells("boundary") == {"v0", "c_out"}
     with pytest.raises(ValueError):
         wcc.sub_cells("nope")
@@ -172,20 +176,24 @@ def test_tensor_weighted_multiplies_weights():
         assert "v0_x_z" in bd and "v0_x_t" in bd and "c_out_x_t" in bd
 
 
+# A disc2(3) file whose cells are not sorted by dimension.
+UNORDERED_OWC = ("orbifold unordered\ndim 2\n"
+                 "cell sighat dim=2 weight=3 boundary=c_in:3\n"
+                 "cell A dim=2 weight=1 boundary=c_out:1,c_in:-1\n"
+                 "cell c_out dim=1 weight=1\n"
+                 "cell r dim=1 weight=1 boundary=v0:1,u:-1\n"
+                 "cell v0 dim=0 weight=1\n"
+                 "cell c_in dim=1 weight=1\n"
+                 "cell u dim=0 weight=1\n"
+                 "sub boundary = v0,c_out\n")
+
+
 def test_product_of_an_unordered_file_base_matches_iterated_tensor(tmp_path):
     """parse_owc keeps file order, so a 2-cell listed before its edges
     and vertices makes base position, not dimension, order the cells
     of each product dimension."""
     path = tmp_path / "unordered.owc"
-    path.write_text("orbifold unordered\ndim 2\n"
-                    "cell sighat dim=2 weight=3 boundary=c_in:3\n"
-                    "cell A dim=2 weight=1 boundary=c_out:1,c_in:-1\n"
-                    "cell c_out dim=1 weight=1\n"
-                    "cell r dim=1 weight=1 boundary=v0:1,u:-1\n"
-                    "cell v0 dim=0 weight=1\n"
-                    "cell c_in dim=1 weight=1\n"
-                    "cell u dim=0 weight=1\n"
-                    "sub boundary = v0,c_out\n")
+    path.write_text(UNORDERED_OWC)
     d = ProductTorus(Custom(str(path)), 3)
     model = parse_owc(path.read_text())
     assert [cell.dim for cell in model.cells] == [2, 2, 1, 1, 0, 1, 0]
@@ -215,11 +223,15 @@ def _same_complex(c: ChainComplex, other: ChainComplex) -> bool:
     return (c.basis, c.boundaries) == (other.basis, other.boundaries)
 
 
-def test_product_models_match_public_builds():
+def test_product_models_match_public_builds(tmp_path):
     """Product models, their chain complexes, restrictions and scaled
     duals equal rebuilds through the public, checking constructors:
-    iterated products with the circle, each one a valid complex."""
-    for d in PRODUCTS:
+    iterated products with the circle, each one a valid complex.  The
+    file base lists its cells out of dimension order, so its products
+    interleave the cells of each dimension by file position."""
+    path = tmp_path / "unordered.owc"
+    path.write_text(UNORDERED_OWC)
+    for d in PRODUCTS + (ProductTorus(Custom(str(path)), 3),):
         for build in (t_model, adapted_model):
             model, ref = build(d), build(d.base)
             for _ in range(d.torus_factors):
@@ -234,7 +246,7 @@ def test_product_models_match_public_builds():
             for sub in model.subs:
                 cells = model.sub_cells(sub)
                 for got, kept in ((subcomplex(c, cells), cells),
-                                  (relative(c, cells), set(model.ids()) - cells)):
+                                  (relative(c, cells), set(ids(model)) - cells)):
                     want = public_chain_complex(model, kept)
                     assert _same_complex(got, want), (d, sub)
                     assert validate(got) == validate(want) == []
@@ -259,8 +271,11 @@ def test_nested_products_build_as_one_product():
 
 
 def test_product_build_checks_only_the_base_cells(monkeypatch):
-    """Product cells and the model's chain complex are trusted builds,
-    and homology reads the d∘d composed when the model was built."""
+    """A product is built from its checked base by index arithmetic: the
+    build makes only the 27 base cells and composes only the base's
+    d∘d.  The product's d∘d is composed once, on its first homology(),
+    and its cells view is built once, on first read."""
+    base = t_model(Surface(4, 3, (2, 3, 5, 7))).chain_complex()
     calls = Counter()
 
     def counted(name, fn):
@@ -271,18 +286,52 @@ def test_product_build_checks_only_the_base_cells(monkeypatch):
 
     monkeypatch.setattr(Cell, "__post_init__",
                         counted("cell", Cell.__post_init__))
+    monkeypatch.setattr(Cell, "_of", staticmethod(counted("view", Cell._of)))
     monkeypatch.setattr(intlin, "_column", counted("column", intlin._column))
     monkeypatch.setattr(chains, "_compose", counted("compose", chains._compose))
     model = t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
-    assert len(model.cells) == 216
-    assert calls["cell"] == 27 and calls["column"] == 0
-    assert calls["compose"] > 0
+    assert (calls["cell"], calls["view"], calls["column"]) == (27, 0, 0)
+    assert calls["compose"] == sum(map(len, base.boundaries[1:])) == 5
     calls.clear()
-    homology(model.chain_complex())
     c = model.chain_complex()
+    homology(c)
+    assert calls["compose"] == sum(map(len, c.boundaries[1:])) > 0
+    calls.clear()
+    homology(c)
     homology(subcomplex(c, model.sub_cells("boundary")))
     homology(relative(c, model.sub_cells("boundary")))
     assert calls["compose"] == 0
+    assert len(model.cells) == 216 and calls["view"] == 216
+    assert model.cells is model.cells
+    # The base cell's boundary order, not the order of positions.
+    assert model.cell("r1_x_t_x_z_x_t").boundary == (
+        ("w1_x_t_x_z_x_t", 1), ("v_x_t_x_z_x_t", -1))
+    assert (calls["cell"], calls["view"]) == (0, 216)
+
+
+def test_product_ops_leave_no_cyclic_garbage():
+    """Models, their cells views and their homology are freed by
+    reference counting: a view refers to the complex it is derived
+    from, never back to its own, so a product-homology op leaves
+    nothing for the cycle collector, which is off while the ops run."""
+    desc = "surface(4,3;2,3,5,7) x torus(3)"
+    argvs = (["homology", "--desc", desc],
+             ["homology", "--desc", desc, "--coeff", "q"],
+             ["ws-cohomology", "--desc", desc, "--rel", "boundary"])
+
+    def ops():
+        for argv in argvs:
+            assert run(argv)[0] == 0, argv
+        assert len(t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3)).cells) == 216
+
+    ops()  # first calls fill module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        ops()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tensor_weighted_rejects_colliding_product_ids():
@@ -319,7 +368,7 @@ def test_size_guard_refuses_before_building(monkeypatch):
 
     for family, (_, _, count) in list(orbmodel._FAMILIES.items()):
         monkeypatch.setitem(orbmodel._FAMILIES, family, (build, build, count))
-    monkeypatch.setattr(orbmodel, "_torus_parts", build)
+    monkeypatch.setattr(orbmodel, "_torus", build)
     for d, estimate in ((ProductTorus(Disc2(3), 40), "7 x 2^40"),
                         (ProductTorus(Disc2(3), 10 ** 30), f"7 x 2^{10 ** 30}"),
                         (Surface(60_000, 0), "120002"),
@@ -586,6 +635,69 @@ def test_owc_size_is_capped_at_its_line(monkeypatch):
     assert (wcc.dim, len(wcc.cells)) == (MAX_DIM, 3)
 
 
+# Texts of a few grid models and products, and of a file out of
+# dimension order, for the parse_owc fuzzer.
+FUZZ_TEXTS = [serialize_owc(build(d)) for d, build in (
+    (Disc2(3), t_model), (Ball3((2, 3, 5)), adapted_model),
+    (Surface(1, 1, (2, 3)), t_model), (Ball3Cyclic(4), underlying_model),
+    (ProductTorus(Disc2(2), 2), t_model),
+    (ProductTorus(Surface(0, 1, (3,)), 1), adapted_model))] + [UNORDERED_OWC]
+FUZZ_LINES = sorted({line for text in FUZZ_TEXTS for line in text.splitlines()})
+FUZZ_WORDS = ("", "0", "-1", "2", "65", "1.5", "x", "a-b", "v:", "v:1:2", ",", "=",
+              "1" * 5000)
+
+
+@st.composite
+def mutated_owc(draw) -> str:
+    """An .owc text with one or two lines inserted (from any text),
+    deleted, truncated, spliced from the heads and tails of two, with
+    one boundary coefficient changed, or with one word, or the value
+    after its '=', replaced by one of FUZZ_WORDS.  The choices are
+    uniform, from a drawn Random."""
+    rng = draw(st.randoms(use_true_random=False))
+    lines = rng.choice(FUZZ_TEXTS).splitlines()
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(lines) + 1)
+        kind = rng.choice(("word", "word", "coefficient", "splice", "insert",
+                           "delete", "truncate"))
+        if kind == "insert":
+            lines.insert(at, rng.choice(FUZZ_LINES))
+        elif lines and at < len(lines):
+            line = lines[at]
+            cut = rng.randint(0, len(line))
+            if kind == "delete":
+                del lines[at]
+            elif kind == "truncate":
+                lines[at] = line[:cut]
+            elif kind == "coefficient" and ":" in line:
+                parts = line.split(":")
+                i = rng.randrange(1, len(parts))
+                kept = parts[i][re.match(r"-?\d*", parts[i]).end():]
+                parts[i] = rng.choice(("0", "2", "-2", "3")) + kept
+                lines[at] = ":".join(parts)
+            elif kind == "splice":
+                other = rng.choice(FUZZ_LINES)
+                lines[at] = line[:cut] + other[rng.randint(0, len(other)):]
+            else:
+                words = line.split(" ")
+                word = rng.randrange(len(words))
+                key, eq, _ = words[word].rpartition("=")
+                words[word] = key + eq + rng.choice(FUZZ_WORDS)
+                lines[at] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(mutated_owc())
+def test_parse_owc_raises_only_owc_errors(text):
+    """Whatever the damage to a file, parse_owc gives a complex or an
+    OwcError (exit code 2), never another exception."""
+    try:
+        parse_owc(text)
+    except OwcError:
+        pass
+
+
 def test_custom_file_loading(tmp_path: pathlib.Path):
     wcc = t_model(Disc2(5))
     path = tmp_path / "model.owc"
@@ -597,7 +709,7 @@ def test_custom_file_loading(tmp_path: pathlib.Path):
         (Z, cyclic(5), ZERO)
     # a raw complex file is taken as already adapted for ws purposes
     again = adapted_model(desc)
-    assert again.ids() == loaded.ids()
+    assert ids(again) == ids(loaded)
 
 
 def test_sparse_boundaries_match_dense_oracle():

@@ -33,6 +33,7 @@ from orbihom.verify import (
 from oracles import (
     cyclic,
     identity,
+    ids,
     public_tensor,
     random_two_cover,
     sparse_columns,
@@ -285,7 +286,7 @@ def test_random_two_cover_is_closed_and_covering():
     wcc = t_model(Ball3((2, 3, 4)))
     for _ in range(10):
         a, b = random_two_cover(wcc, rng)
-        assert a | b == set(wcc.ids())
+        assert a | b == set(ids(wcc))
         for cells in (a, b):
             for cid in cells:
                 for ref, _ in wcc.cell(cid).boundary:
