@@ -1,7 +1,8 @@
 """Chain complexes of free abelian groups, with exact homology.
 
 The homology groups come from each sparse boundary's rank and invariant
-factors, found by unit-pivot elimination without transforms.  The
+factors, found by unit-pivot elimination without transforms; over Q,
+from its rank alone, by the same elimination on any nonzero pivot.  The
 representatives are computed on first request, from one unit-pivot
 reduction of the whole complex C to a smaller complex D with the same
 homology, kept with its projection f: C -> D and lift g: D -> C: each
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .intlin import (
@@ -28,7 +30,6 @@ from .intlin import (
     _trusted,
     invariant_factors,
     kernel_basis,
-    rational_rank,
     smith_diagonal,
 )
 
@@ -97,11 +98,6 @@ class ChainComplex:
         if 0 <= q <= self.top_dim:
             return len(self.basis[q])
         return 0
-
-    def d(self, q: int) -> IntMatrix:
-        """Dense boundary matrix from degree q to q-1, zero outside the range."""
-        columns = self.boundaries[q - 1] if 1 <= q <= self.top_dim else ()
-        return _dense(columns, self.dim(q - 1), self.dim(q))
 
     def position(self, q: int, label: str) -> int:
         return self._index[q][label]
@@ -298,87 +294,113 @@ class HomologyResult:
 def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
     """Homology of a valid complex, over Z (default) or Q.
 
-    Each boundary is ranked once.  Over Z, H_q is free of rank
-    dim C_q - rank d_q - rank d_(q+1), plus the invariant factors
-    above 1 of d_(q+1).
+    Each boundary is ranked once, on its sparse columns.  Over Z, H_q
+    is free of rank dim C_q - rank d_q - rank d_(q+1), plus the
+    invariant factors above 1 of d_(q+1).  Over Q, H_q has that
+    dimension, and the ranks come from _eliminate on any nonzero pivot:
+    no Smith form is taken and no dense matrix is built.
     """
     problems = validate(c)
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
     if coeff not in ("Z", "Q"):
         raise ValueError("coefficients must be 'Z' or 'Q'")
-    if coeff == "Q":
-        factored = [(rational_rank(c.d(q)), ())
-                    for q in range(1, c.top_dim + 1)]
-    else:
-        factored = [_boundary_factors(columns, c.dim(q - 1))
-                    for q, columns in enumerate(c.boundaries, start=1)]
+    factored = [_boundary_factors(columns, c.dim(q - 1)) if coeff == "Z" else
+                (len(_eliminate({j: dict(col) for j, col in enumerate(columns) if col},
+                                c.dim(q - 1), rational=True)[0]), ())
+                for q, columns in enumerate(c.boundaries, start=1)]
     # Boundaries out of degree 0 and into the top degree are zero.
     factored = [(0, ())] + factored + [(0, ())]
-    groups = tuple(
+    groups = tuple([
         FgAbGroup(c.dim(q) - factored[q][0] - factored[q + 1][0],
                   factored[q + 1][1])
-        for q in range(c.top_dim + 1))
+        for q in range(c.top_dim + 1)])
     return HomologyResult(coeff, c, groups)
 
 
 def _eliminate(cols: dict[int, dict[int, int]], rows: int,
-               trans: dict[int, dict[int, int]] | None = None):
-    """Unit-pivot elimination, in place, of the sparse columns cols of a
-    map with the given number of rows.
+               trans: dict[int, dict[int, int]] | None = None,
+               rational: bool = False):
+    """Pivot elimination, in place, of the sparse columns cols of a map
+    with the given number of rows.
 
-    While a +-1 entry is left, one with the fewest (row count - 1) x
-    (column count - 1), the most fill-in it can make, is the pivot:
-    column operations clear its row, after which its column is dropped.
-    Returns the pivots (column, row, unit, rest of the column) in order,
-    and the live columns of each row.  With trans, the transform of
-    each column ({cell: coefficient}; a column missing from it is its
-    own cell) follows its column operations.
+    The candidate pivots are the +-1 entries, or with rational (over Q)
+    every nonzero entry, units first.  While one is left, one with the
+    fewest (row count - 1) x (column count - 1), the most fill-in it can
+    make (Markowitz, Management Science 3, 1957), is the pivot: column
+    operations clear its row, after which its column is dropped.  A
+    pivot p that is no unit turns a column col with x in its row into
+    p col - x pivot, with p and x over their gcd.  With rational, each
+    column a pivot changes is then divided by the gcd of its entries:
+    it is primitive and, by Cramer's rule, proportional to a vector of
+    minors of the input, so its entries stay within Hadamard's bound.
+    Returns the pivots (column, row, entry, rest of the column) in
+    order, and the live columns of each row.  With trans, which needs
+    unit pivots, the transform of each column ({cell: coefficient}; a
+    column missing from it is its own cell) follows its column
+    operations.
     """
     in_row: list[set[int]] = [set() for _ in range(rows)]
     for j, col in cols.items():
         for i in col:
             in_row[i].add(j)
+    penalty = rows * len(cols) + 1  # above any fill-in: units go first
 
     def cost(i: int, j: int) -> int:
-        return (len(in_row[i]) - 1) * (len(cols[j]) - 1)
+        fill = (len(in_row[i]) - 1) * (len(cols[j]) - 1)
+        return fill if not rational or cols[j][i] in (1, -1) else fill + penalty
 
     # Candidate pivots (cost, column, row), possibly stale: each is
     # checked and its cost refreshed when it is popped.
     heap = [(cost(i, j), j, i) for j, col in cols.items()
-            for i, value in col.items() if value in (1, -1)]
+            for i, value in col.items() if rational or value in (1, -1)]
     heapq.heapify(heap)
     pivots = []
     while heap:
         stale, c, r = heapq.heappop(heap)
-        if cols.get(c, {}).get(r) not in (1, -1):
+        p = cols.get(c, {}).get(r)
+        if p is None or not rational and p not in (1, -1):
             continue
         now = cost(r, c)
         if now > stale:
             heapq.heappush(heap, (now, c, r))
             continue
         pivot = cols.pop(c)
-        unit = pivot.pop(r)
+        del pivot[r]
+        unit = p in (1, -1)
         for i in pivot:
             in_row[i].discard(c)
         if trans is not None:
             lift = trans.pop(c, {c: 1})
         for j in in_row[r] - {c}:
             col = cols[j]
-            factor = col.pop(r) * unit
+            x = col.pop(r)
+            if unit:
+                factor = x * p
+            else:
+                g = gcd(p, x)
+                factor = x // g
+                for i in col:
+                    col[i] *= p // g
             for i, value in pivot.items():
                 new = col.get(i, 0) - factor * value
                 if new:
-                    if i not in col:
+                    fresh = i not in col
+                    if fresh:
                         in_row[i].add(j)
                     col[i] = new
-                    if new in (1, -1):
+                    if new in (1, -1) or rational and fresh:
                         heapq.heappush(heap, (cost(i, j), j, i))
                 elif i in col:
                     del col[i]
                     in_row[i].discard(j)
             if not col:
                 del cols[j]
+            elif rational and (g := gcd(*col.values())) > 1:
+                for i in col:
+                    col[i] //= g
+                    if col[i] in (1, -1):
+                        heapq.heappush(heap, (cost(i, j), j, i))
             if trans is not None:
                 t = trans.setdefault(j, {j: 1})
                 for k, value in lift.items():
@@ -388,7 +410,7 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
                     else:
                         del t[k]
         in_row[r].clear()
-        pivots.append((c, r, unit, pivot))
+        pivots.append((c, r, p, pivot))
     return pivots, in_row
 
 

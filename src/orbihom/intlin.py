@@ -9,8 +9,8 @@ row Hermite form, smith_diagonal alternates row and column Hermite
 forms until the matrix is diagonal, and a kernel basis, or the image
 and kernel lattices of a map of presented groups, is one _echelon of a
 block of sparse rows split by _split_echelon.  The dense IntMatrix
-serves the dense reads: the rational rank and the boundary and cycle
-views.  Everything is exact: entries are Python ints.
+serves one dense read, a degree's cycle basis (DegreeHomology.kernel).
+Everything is exact: entries are Python ints.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self._e)) or [()] * self.cols
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(r) for r in self._e]
 
 
 # A sparse column: (row, coefficient) pairs, rows ascending, no zero
@@ -228,28 +225,6 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
             + [0] * (min(m, n) - len(d)))
 
 
-def rational_rank(a: IntMatrix) -> int:
-    """Rank over the rationals, by integer cross-multiplication elimination.
-
-    Deliberately independent of the Smith form, so each checks the other.
-    """
-    m = a.to_rows()
-    rank = 0
-    for c in range(a.cols):
-        piv = next((i for i in range(rank, a.rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, a.rows):
-            if m[i][c]:
-                f_r, f_i = m[rank][c], m[i][c]
-                m[i] = [f_r * m[i][j] - f_i * m[rank][j] for j in range(a.cols)]
-        rank += 1
-        if rank == a.rows:
-            break
-    return rank
-
-
 def _is_hnf(rows: Sequence[Column]) -> bool:
     """Whether sparse rows are a row Hermite form with no zero row:
     pivots positive and moving right, the entries above each in
@@ -321,7 +296,7 @@ class FgAbGroup:
         object.__setattr__(self, "rank", index(self.rank))
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(map(index, self.torsion)))
+        object.__setattr__(self, "torsion", tuple([index(d) for d in self.torsion]))
         for i, d in enumerate(self.torsion):
             if d < 2:
                 raise ValueError("torsion divisors must be at least 2")

@@ -163,7 +163,7 @@ class Cell:
                 order.append(ref)
             merged[ref] += operator.index(coefficient)
         object.__setattr__(self, "boundary",
-                           tuple((ref, merged[ref]) for ref in order if merged[ref]))
+                           tuple([(ref, merged[ref]) for ref in order if merged[ref]]))
 
     @classmethod
     def _of(cls, id: str, dim: int, weight: int,

@@ -6,7 +6,11 @@ presentation groups read each degree's group off its representatives,
 a second route to the groups that homology() finds by elimination.  The dense
 boundary builds walk each cell's incidence list into full matrix rows,
 as the chain complexes did before they stored sparse columns, and serve
-as the reference for `ChainComplex.d` and `ws_complex`.  The chain-map
+as the reference for `boundary_matrix` and `ws_complex`;
+`boundary_matrix` is the dense boundary that `ChainComplex.d` gave, and
+`rational_rank` the dense rank over Q that homology() took before it
+eliminated sparse columns on any nonzero pivot; `to_rows` lists a dense
+matrix's rows, as `IntMatrix.to_rows` did.  The chain-map
 references multiply dense matrices and lift cycles by an HNF solve, as
 `ChainMap.commutes` and `connecting_hom` did before they worked on
 sparse columns.  The product and chain-complex references build every
@@ -22,8 +26,8 @@ pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
 each came from one elimination.  The cell-level maps take each
 degree's cycle lattice as the Hermite basis of the cycles of the
-complex itself, `ref_kernel_basis(c.d(q))`, push its vectors through dense
-matrices and solve the images there, as `induced_map` and
+complex itself, `ref_kernel_basis(boundary_matrix(c, q))`, push its
+vectors through dense matrices and solve the images there, as `induced_map` and
 `connecting_hom` did before they read the cycles off the reduced
 complex and ran on sparse lifts; `cell_vector` writes a formal sum of
 cells as a dense vector, as `ChainComplex.vector` did.  dense_echelon
@@ -125,19 +129,19 @@ def _eye(n: int) -> list[list[int]]:
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row counts differ")
-    return IntMatrix._of([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())],
+    return IntMatrix._of([ra + rb for ra, rb in zip(to_rows(a), to_rows(b))],
                          a.cols + b.cols)
 
 
 def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.cols:
         raise ValueError("column counts differ")
-    return IntMatrix._of(a.to_rows() + b.to_rows(), a.cols)
+    return IntMatrix._of(to_rows(a) + to_rows(b), a.cols)
 
 
 def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    top = [r + [0] * b.cols for r in a.to_rows()]
-    bottom = [[0] * a.cols + r for r in b.to_rows()]
+    top = [r + [0] * b.cols for r in to_rows(a)]
+    bottom = [[0] * a.cols + r for r in to_rows(b)]
     return IntMatrix._of(top + bottom, a.cols + b.cols)
 
 
@@ -242,7 +246,7 @@ def _carried_echelon(form: list[list[int]], carried: list[list[int]], n: int):
 
 def hermite(a: IntMatrix, left: bool):
     """Rows of the row Hermite form of a, and of U only if left (else None)."""
-    h, u = _carried_echelon(a.to_rows(),
+    h, u = _carried_echelon(to_rows(a),
                             _eye(a.rows) if left else [[]] * a.rows, a.cols)
     return h, u if left else None
 
@@ -260,7 +264,7 @@ def smith(a: IntMatrix, left: bool = False, right: bool = False):
     is the same whichever transforms are carried.
     """
     m, n = a.rows, a.cols
-    s, u = a.to_rows(), _eye(m) if left else [[]] * m
+    s, u = to_rows(a), _eye(m) if left else [[]] * m
     vt = _eye(n) if right else [[]] * n
     while True:
         s, u = _carried_echelon(s, u, n)
@@ -368,7 +372,7 @@ def column(m: IntMatrix, j: int) -> tuple[int, ...]:
 
 
 def is_zero(m: IntMatrix) -> bool:
-    return not any(map(any, m.to_rows()))
+    return not any(map(any, to_rows(m)))
 
 
 def cyclic(n: int) -> FgAbGroup:
@@ -564,6 +568,39 @@ def dense(columns, rows: int) -> IntMatrix:
     return IntMatrix(mat, cols=len(columns))
 
 
+def to_rows(m: IntMatrix) -> list[list[int]]:
+    """The rows of m as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def boundary_matrix(c: ChainComplex, q: int) -> IntMatrix:
+    """Dense boundary matrix of c from degree q to q-1, zero outside the
+    range, as ChainComplex.d gave it."""
+    columns = c.boundaries[q - 1] if 1 <= q <= c.top_dim else ((),) * c.dim(q)
+    return dense(columns, c.dim(q - 1))
+
+
+def rational_rank(a: IntMatrix) -> int:
+    """Rank over the rationals, by dense integer cross-multiplication
+    elimination, as homology() found its ranks over Q before it ran the
+    sparse elimination on any nonzero pivot."""
+    m = to_rows(a)
+    rank = 0
+    for c in range(a.cols):
+        piv = next((i for i in range(rank, a.rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, a.rows):
+            if m[i][c]:
+                f_r, f_i = m[rank][c], m[i][c]
+                m[i] = [f_r * m[i][j] - f_i * m[rank][j] for j in range(a.cols)]
+        rank += 1
+        if rank == a.rows:
+            break
+    return rank
+
+
 def dense_map(f, q: int | None = None) -> IntMatrix:
     """Dense matrix of the group map f, with q None, or of the chain
     map f in degree q, zero outside the source's degrees."""
@@ -665,7 +702,7 @@ def det(a: IntMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    m = a.to_rows()
+    m = to_rows(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -756,7 +793,8 @@ def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
 
 def dense_commutes(f) -> bool:
     """d f == f d, checked by dense matrix products in every degree."""
-    return all(f.target.d(q) @ dense_map(f, q) == dense_map(f, q - 1) @ f.source.d(q)
+    return all(boundary_matrix(f.target, q) @ dense_map(f, q)
+               == dense_map(f, q - 1) @ boundary_matrix(f.source, q)
                for q in range(1, f.source.top_dim + 1))
 
 
@@ -776,7 +814,7 @@ def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
         columns = []
         for z in src.kernel.columns():
             sol = solve_linear(stacked, z)
-            boundary = a.d(q).apply(sol[:a.dim(q)])
+            boundary = boundary_matrix(a, q).apply(sol[:a.dim(q)])
             coeffs = {a.basis[q - 1][r]: value
                       for r, value in enumerate(boundary) if value}
             columns.append(dst.kernel_coords(cell_vector(inter, q - 1, coeffs)))
@@ -827,8 +865,8 @@ def cell_vector(c: ChainComplex, q: int, coefficients: dict) -> tuple:
 @dataclass(frozen=True)
 class CellLevelDegree:
     """One degree's cycle lattice on the cells of the complex itself:
-    kernel is kernel_basis(c.d(q)), and kernel_coords solves a cycle in
-    it exactly, with no boundary to spare."""
+    kernel is kernel_basis(boundary_matrix(c, q)), and kernel_coords
+    solves a cycle in it exactly, with no boundary to spare."""
 
     kernel: IntMatrix
 
@@ -846,7 +884,7 @@ class CellLevelDegree:
 
 
 def cell_level_degree(c: ChainComplex, q: int) -> CellLevelDegree:
-    return CellLevelDegree(ref_kernel_basis(c.d(q)))
+    return CellLevelDegree(ref_kernel_basis(boundary_matrix(c, q)))
 
 
 def cell_level_induced(f, q: int) -> IntMatrix:
@@ -865,12 +903,13 @@ def cell_level_connecting(a, m, inter, q: int) -> IntMatrix:
     """Matrix of the connecting map, degree q to q-1, of a cover of m
     by a and another piece meeting in inter, between cell-level cycle
     bases: each basis cycle of m keeps its coefficients on a's cells,
-    its boundary by the dense a.d(q) is read on inter's cells, and that
-    is solved in inter's basis."""
+    its boundary by the dense boundary_matrix(a, q) is read on inter's
+    cells, and that is solved in inter's basis."""
     src, dst = cell_level_degree(m, q), cell_level_degree(inter, q - 1)
     columns = []
     for z in src.kernel.columns():
-        boundary = a.d(q).apply([z[m.position(q, label)] for label in a.basis[q]])
+        boundary = boundary_matrix(a, q).apply(
+            [z[m.position(q, label)] for label in a.basis[q]])
         columns.append(dst.kernel_coords(cell_vector(
             inter, q - 1, {a.basis[q - 1][r]: value
                            for r, value in enumerate(boundary) if value})))
@@ -910,7 +949,7 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
         return hstack(_top_rows(ker, at.rows), at)
 
     def text(lattice):
-        return "{0}" if lattice.rows == 0 else str(lattice.to_rows())
+        return "{0}" if lattice.rows == 0 else str(to_rows(lattice))
 
     out = []
     for q in range(m.top_dim + 1):

@@ -10,7 +10,7 @@ import time
 
 from orbihom.chains import homology, validate
 from orbihom.groups import abelianization, pi1_presentation
-from orbihom.intlin import FgAbGroup, rational_rank
+from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -32,7 +32,7 @@ from orbihom.verify import (
 )
 
 from conftest import REPORT_DIR
-from oracles import cyclic, det, random_two_cover, run, snf, tensor
+from oracles import cyclic, det, random_two_cover, rational_rank, run, snf, tensor
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()

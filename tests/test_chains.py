@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
-from orbihom import chains, intlin
+from orbihom import chains, intlin, verify
 from orbihom.chains import (
     ChainComplex,
     ChainMap,
@@ -23,7 +23,6 @@ from orbihom.intlin import (
     FgAbGroup,
     IntMatrix,
     kernel_basis,
-    rational_rank,
 )
 from orbihom.orbmodel import (
     Ball3,
@@ -33,11 +32,13 @@ from orbihom.orbmodel import (
     Surface,
     adapted_model,
     t_model,
+    underlying_model,
     ws_complex,
 )
 
-from orbihom.verify import _torus_kunneth, check_mv
+from orbihom.verify import _torus_kunneth, check_mv, check_rational
 from oracles import (
+    boundary_matrix,
     cell_level_connecting,
     cell_level_degree,
     cell_level_induced,
@@ -64,6 +65,7 @@ from oracles import (
     project_by_walk,
     public_tensor,
     random_two_cover,
+    rational_rank,
     ref_kernel_basis,
     smith_of,
     snf,
@@ -71,6 +73,7 @@ from oracles import (
     sparse_columns,
     subgroup_contains,
     tensor,
+    to_rows,
     transpose,
     vector,
     zeros,
@@ -139,10 +142,10 @@ def test_sparse_columns_match_the_matrix_form():
         (((0, -1), (1, 1)),) * 3,
         (((0, 1), (1, -1)), ((1, 1), (2, -1))),
     )
-    assert c.d(1) == IntMatrix([[-1, -1, -1], [1, 1, 1]])
-    assert c.d(2) == IntMatrix([[1, 0], [-1, 1], [0, -1]])
-    assert c.d(0) == zeros(0, 2)
-    assert c.d(3) == zeros(2, 0)
+    assert boundary_matrix(c, 1) == IntMatrix([[-1, -1, -1], [1, 1, 1]])
+    assert boundary_matrix(c, 2) == IntMatrix([[1, 0], [-1, 1], [0, -1]])
+    assert boundary_matrix(c, 0) == zeros(0, 2)
+    assert boundary_matrix(c, 3) == zeros(2, 0)
     again = ChainComplex(c.basis, c.boundaries)
     assert again.boundaries == c.boundaries
     # columns are merged by row, sorted, and stripped of zeros
@@ -162,8 +165,8 @@ def test_d_gives_back_the_matrix_built_from():
         basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
         c = ChainComplex(basis, [sparse_columns(mat) for mat in mats])
         for q, mat in enumerate(mats, start=1):
-            assert c.d(q) == mat
-            assert ChainComplex(basis, c.boundaries).d(q) == mat
+            assert boundary_matrix(c, q) == mat
+            assert boundary_matrix(ChainComplex(basis, c.boundaries), q) == mat
 
 
 def test_sparse_constructor_rejects_bad_shapes():
@@ -279,7 +282,7 @@ def _shuffled_copy(c, rng):
     )
     boundaries = []
     for q in range(1, c.top_dim + 1):
-        mat = [[c.d(q)[perms[q - 1][i], perms[q][j]]
+        mat = [[boundary_matrix(c, q)[perms[q - 1][i], perms[q][j]]
                 for j in range(c.dim(q))]
                for i in range(c.dim(q - 1))]
         boundaries.append(sparse_columns(IntMatrix(mat, cols=c.dim(q))))
@@ -340,7 +343,8 @@ def test_kernel_coords_round_trip_on_random_cycles():
         c = wcc.chain_complex()
         h = homology(c)
         for q in range(c.top_dim + 1):
-            deg, dq, up = h.degree(q), c.d(q), c.d(q + 1)
+            deg = h.degree(q)
+            dq, up = boundary_matrix(c, q), boundary_matrix(c, q + 1)
             s, _, v = snf(dq)
             free = [j for j in range(dq.cols)
                     if j >= min(dq.rows, dq.cols) or s[j, j] == 0]
@@ -506,14 +510,42 @@ def test_monomial_residuals_build_no_dense_block(monkeypatch):
             _torus_kunneth(base, k), k
 
 
-def test_rational_route_builds_each_boundary_once(monkeypatch):
+def test_rational_route_builds_no_dense_matrix(monkeypatch):
+    """Over Q, homology() and check_rational rank each boundary by the
+    sparse elimination alone: no IntMatrix is built, and neither the Z
+    route's _boundary_factors nor a Smith diagonal runs.  check_rational
+    takes the groups over Z too, so those two are refused only while a
+    homology over Q runs, and they are seen to run outside it."""
+    def refuse(*_):
+        raise AssertionError("the Q route left the sparse elimination")
+
+    over_q, z_calls = [False], []
+
+    def gated(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: refuse() if over_q[0]
+                            else z_calls.append(name) or fn(*args))
+
+    def homology_over(c, coeff="Z"):
+        over_q[0] = coeff == "Q"
+        try:
+            return homology(c, coeff)
+        finally:
+            over_q[0] = False
+
+    monkeypatch.setattr(IntMatrix, "_of", refuse)
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    gated(chains, "_boundary_factors")
+    gated(chains, "smith_diagonal")
+    gated(intlin, "smith_diagonal")
+    monkeypatch.setattr(verify, "homology", homology_over)
+    descs = GRID_1_TO_3 + [ProductTorus(Ball3((2, 3, 5)), 1),
+                           ProductTorus(Surface(1, 1, (2,)), 1)]
+    for d in descs:
+        assert check_rational(d).passed, d
+    assert {"_boundary_factors", "smith_diagonal"} <= set(z_calls)
     c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
-    built = []
-    dense = ChainComplex.d
-    monkeypatch.setattr(ChainComplex, "d",
-                        lambda self, q: built.append(q) or dense(self, q))
-    assert [g.rank for g in groups_of(c, "Q")] == [1, 3, 2, 0]
-    assert sorted(built) == [1, 2, 3]
+    assert [g.rank for g in homology_over(c, "Q").groups()] == [1, 3, 2, 0]
 
 
 def test_degree_representatives_are_kept():
@@ -619,7 +651,7 @@ def test_sparse_cycle_basis_is_the_dense_kernel_basis():
         for q in range(c.top_dim + 1):
             basis = h.degree(q)._basis
             assert chains._dense(basis, d.dim(q), len(basis)) == \
-                ref_kernel_basis(d.d(q))
+                ref_kernel_basis(boundary_matrix(d, q))
             blocks += any(len(row) > 1 or row[0][1] != 1 for row in basis)
     assert blocks > 200
 
@@ -633,7 +665,7 @@ def test_sparse_solver_matches_the_dense_oracle(data):
     n = data.draw(st.integers(1, 7))
     vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n,
                                           max_size=n), max_size=5))
-    rows = lattice_of(transpose(IntMatrix(vectors, n))).to_rows()
+    rows = to_rows(lattice_of(transpose(IntMatrix(vectors, n))))
     if data.draw(st.booleans()):
         y = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                max_size=len(rows)))
@@ -649,14 +681,11 @@ def test_sparse_solver_matches_the_dense_oracle(data):
 
 def test_degree_reads_no_dense_boundary(monkeypatch):
     """presentation, kernel and kernel_coords, and so check_mv, read no
-    dense boundary: ChainComplex.d raises.  kernel_basis runs once per
-    degree, on no more columns than D has nonzero ones there, and not
-    at all when it has none."""
-    def dense(self, q):
-        raise AssertionError("a dense boundary was read")
-
+    dense boundary: a ChainComplex has none to give.  kernel_basis runs
+    once per degree, on no more columns than D has nonzero ones there,
+    and not at all when it has none."""
+    assert not hasattr(ChainComplex, "d")
     widths = []
-    monkeypatch.setattr(ChainComplex, "d", dense)
     monkeypatch.setattr(chains, "kernel_basis", lambda columns, rows:
                         widths.append(len(columns)) or kernel_basis(columns, rows))
     rng = random.Random(8)
@@ -680,6 +709,94 @@ def test_rational_homology_ranks():
     hq = homology(c, coeff="Q")
     assert [g.rank for g in hq.groups()] == [1, 3, 0]
     assert all(not g.torsion for g in hq.groups())
+
+
+def _rank_over_q(columns, rows):
+    """Rank of sparse columns by the elimination homology() runs over Q."""
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    return len(chains._eliminate(cols, rows, rational=True)[0])
+
+
+def _oracle_complexes():
+    """The t, adapted and underlying models of the grid and their
+    torus(1) and torus(2) products, each with its quotients by its subs
+    and its scaled duals, absolute and rel boundary."""
+    for d in GRID_1_TO_3:
+        for desc in (d, ProductTorus(d, 1), ProductTorus(d, 2)):
+            for wcc in (t_model(desc), adapted_model(desc), underlying_model(desc)):
+                c = wcc.chain_complex()
+                yield c
+                yield from (relative(c, wcc.sub_cells(sub)) for sub in wcc.subs)
+                yield ws_complex(wcc)
+                if "boundary" in wcc.subs:
+                    yield ws_complex(wcc, rel="boundary")
+
+
+def test_rational_ranks_match_the_dense_oracle():
+    """Every boundary's rank over Q, and so every group over Q, is the
+    dense rank of oracles.rational_rank."""
+    count = 0
+    for c in _oracle_complexes():
+        ranks = [rational_rank(boundary_matrix(c, q)) for q in range(c.top_dim + 2)]
+        for q, columns in enumerate(c.boundaries, start=1):
+            assert _rank_over_q(columns, c.dim(q - 1)) == ranks[q]
+        assert [g.rank for g in groups_of(c, "Q")] == [
+            c.dim(q) - ranks[q] - ranks[q + 1] for q in range(c.top_dim + 1)]
+        count += 1
+    assert count > 27 * 3 * 3 * 3
+
+
+@st.composite
+def _maps(draw, entries):
+    """Dense maps up to 7 x 7, either side possibly empty, drawn from
+    entries, so some are zero."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    return IntMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)],
+                     cols=cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_maps(st.integers(-9, 9)) | _maps(st.sampled_from((0, 0, 0, 1, -1, 2))))
+def test_rational_rank_of_sparse_columns_matches_the_oracle(a):
+    assert _rank_over_q(sparse_columns(a), a.rows) == rational_rank(a)
+
+
+def _within_hadamard(a):
+    """Eliminate a over Q, check its rank, and check that every entry of
+    every pivot column is within Hadamard's bound (k 9^2)^(k/2) on the
+    k x k minors of a, k = min(rows, cols), for entries up to 9: 32 bits
+    at 7 x 7."""
+    k = min(a.rows, a.cols)
+    cols = {j: dict(col) for j, col in enumerate(sparse_columns(a)) if col}
+    pivots, _ = chains._eliminate(cols, a.rows, rational=True)
+    assert len(pivots) == rational_rank(a)
+    assert cols == {}
+    entries = [x for _, _, p, rest in pivots for x in (p, *rest.values())]
+    assert all(x * x <= (k * 9 ** 2) ** k for x in entries)
+    assert all(abs(x).bit_length() <= 32 for x in entries)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_maps(st.sampled_from((0, 0, 2, 3, 4, 5, 6, 7, 8, 9))))
+def test_non_unit_pivots_keep_entries_within_hadamard(a):
+    """With no unit entry the first pivot is no unit.  Each column a
+    pivot changes is divided by its content, so every entry the
+    elimination reaches is a minor of a over a common factor."""
+    _within_hadamard(a)
+
+
+def test_non_unit_pivots_keep_dense_entries_within_hadamard():
+    """The same on full 7 x 7 maps, entries 2..9, where entries would
+    reach over 50 bits if columns kept their content."""
+    rng = random.Random(5)
+    for _ in range(100):
+        _within_hadamard(IntMatrix([[rng.randint(2, 9) for _ in range(7)]
+                                    for _ in range(7)]))
+
+
+def test_rational_rank_of_empty_and_zero_maps():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (4, 5)):
+        assert _rank_over_q([()] * cols, rows) == 0
 
 
 # ------------------------------------------------------------ chain maps
@@ -798,10 +915,10 @@ def _random_chain_map(rng, source, target, kind):
     rows = []
     for q in range(source.top_dim + 1):
         if kind == "random":
-            rows.append(_random_matrix(rng, target.dim(q), source.dim(q)).to_rows())
+            rows.append(to_rows(_random_matrix(rng, target.dim(q), source.dim(q))))
             continue
-        left = (target.d(q + 1) @ homotopy[q]).to_rows()
-        right = (homotopy[q - 1] @ source.d(q)).to_rows()
+        left = to_rows(boundary_matrix(target, q + 1) @ homotopy[q])
+        right = to_rows(homotopy[q - 1] @ boundary_matrix(source, q))
         rows.append([[x + y for x, y in zip(r1, r2)]
                      for r1, r2 in zip(left, right)])
     if kind == "perturbed":
@@ -1044,9 +1161,10 @@ def test_trusted_cycle_reads_match_the_public_ones():
         r = h._reduction
         g = ChainMap(r.d, c, r.lifts)
         for q in range(c.top_dim + 1):
-            deg, up = h.degree(q), c.d(q + 1)
+            deg, up = h.degree(q), boundary_matrix(c, q + 1)
             lifts = chains._dense(deg._lifts, c.dim(q), len(deg._lifts))
-            assert lifts == deg.kernel == dense_map(g, q) @ ref_kernel_basis(r.d.d(q))
+            assert lifts == deg.kernel == \
+                dense_map(g, q) @ ref_kernel_basis(boundary_matrix(r.d, q))
             for _ in range(2):
                 y = [rng.randint(-3, 3) for _ in range(deg.kernel.cols)]
                 w = [rng.randint(-2, 2) for _ in range(up.cols)]
@@ -1154,7 +1272,7 @@ def test_connecting_hom_class_ignores_preimage_choice():
     xa = list(sol[: a.dim(q)])
 
     def push_class(xa_vec):
-        bd = a.d(q).apply(xa_vec)
+        bd = boundary_matrix(a, q).apply(xa_vec)
         coeffs = {}
         for i, lab in enumerate(a.basis[q - 1]):
             if bd[i]:

@@ -36,6 +36,7 @@ from orbihom.orbmodel import (
 )
 
 from oracles import (
+    boundary_matrix,
     cyclic,
     dense_boundary,
     dense_ws_boundary,
@@ -255,7 +256,8 @@ def test_product_models_match_public_builds(tmp_path):
             ws = ws_complex(am, rel=rel)
             assert _same_complex(ws, ChainComplex(ws.basis, ws.boundaries))
             for k in range(am.dim + 2):
-                assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
+                assert boundary_matrix(ws, k) == \
+                    dense_ws_boundary(am, k, rel), (d, rel, k)
 
 
 def test_nested_products_build_as_one_product():
@@ -719,12 +721,13 @@ def test_sparse_boundaries_match_dense_oracle():
         for wcc in (t_model(d), adapted_model(d)):
             c = wcc.chain_complex()
             for q in range(wcc.dim + 2):
-                assert c.d(q) == dense_boundary(wcc, q), (d, q)
+                assert boundary_matrix(c, q) == dense_boundary(wcc, q), (d, q)
         am = adapted_model(d)
         for rel in (None, "boundary") if "boundary" in am.subs else (None,):
             ws = ws_complex(am, rel=rel)
             for k in range(am.dim + 2):
-                assert ws.d(k) == dense_ws_boundary(am, k, rel), (d, rel, k)
+                assert boundary_matrix(ws, k) == \
+                    dense_ws_boundary(am, k, rel), (d, rel, k)
 
 
 def test_chain_complex_is_built_once():
