@@ -27,6 +27,7 @@ from .orbmodel import (
 )
 from .groups import Presentation, abelianization, pi1_presentation
 from .report import Assertion, VerdictReport
+from .affops import prism_operator, sd_operator
 from .verify import (
     check_bhomotopy_pair,
     check_duality,
@@ -73,5 +74,7 @@ __all__ = [
     "check_hurewicz",
     "check_bhomotopy_pair",
     "check_duality",
+    "sd_operator",
+    "prism_operator",
     "__version__",
 ]

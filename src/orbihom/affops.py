@@ -18,9 +18,11 @@ coordinates and weights must be int or Fraction, coefficients must be
 integers, and anything else raises TypeError.  A simplex hashes each
 vertex once, when the public constructor builds it; faces,
 restrictions and the fan and prism terms are trusted builds that reuse
-the parent's points and vertex hashes, so only a new interior point is
-ever hashed again.  Likewise the chains that affops sums itself skip the
-public constructor's conversion and checks.
+the parent's points and vertex hashes.  The marked point is checked,
+placed and hashed once per operator call, and once per trial in the
+self-test, whose two identities share one boundary(c) and one Sd(c).
+Likewise the chains that affops sums itself skip the public
+constructor's conversion and checks.
 """
 
 from __future__ import annotations
@@ -70,16 +72,16 @@ class AffineSimplex:
     @classmethod
     def _of(cls, verts: tuple[Point, ...], vertex_hashes: tuple[int, ...]):
         """Trusted build from points of already-built simplices or from
-        _interior_point, with their hashes: no conversion, no checks and no
+        _marked, with their hashes: no conversion, no checks and no
         hashing of coordinates."""
         self = object.__new__(cls)
         self._set(verts, vertex_hashes)
         return self
 
     def _set(self, verts, vertex_hashes) -> None:
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_vertex_hashes", vertex_hashes)
-        object.__setattr__(self, "_hash", hash(vertex_hashes))
+        _set_vertices(self, verts)
+        _set_vertex_hashes(self, vertex_hashes)
+        _set_hash(self, hash(vertex_hashes))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AffineSimplex is immutable: cannot set {name}")
@@ -108,13 +110,6 @@ class AffineSimplex:
     def ambient(self) -> int:
         return len(self.vertices[0])
 
-    def face(self, i: int) -> "AffineSimplex":
-        """Delete vertex i."""
-        if not 0 <= i <= self.dim:
-            raise ValueError(f"no face index {i} on a {self.dim}-simplex")
-        v, h = self.vertices, self._vertex_hashes
-        return AffineSimplex._of(v[:i] + v[i + 1:], h[:i] + h[i + 1:])
-
     def restrict(self, indices) -> "AffineSimplex":
         """Sub-simplex on an increasing tuple of vertex indices."""
         idx = tuple(indices)
@@ -129,6 +124,11 @@ class AffineSimplex:
             "(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices
         )
         return f"<{pts}>"
+
+
+# Slot setters that pass by the refusing __setattr__.
+_set_vertices, _set_vertex_hashes, _set_hash = (
+    getattr(AffineSimplex, slot).__set__ for slot in AffineSimplex.__slots__)
 
 
 def _pick(verts, vertex_hashes, idx) -> AffineSimplex:
@@ -207,16 +207,18 @@ def _summed(pairs) -> dict[AffineSimplex, int]:
     for simplex, coeff in pairs:
         if coeff:
             data[simplex] = get(simplex, 0) + coeff
-    return {s: c for s, c in data.items() if c}
+    return data if all(data.values()) else {s: c for s, c in data.items() if c}
 
 
 def boundary(c) -> AffineChain:
     """Alternating-sign sum of vertex deletions, extended linearly."""
     if isinstance(c, AffineSimplex):
         c = AffineChain._of([(c, 1)])
-    return AffineChain._of((s.face(i), -n if i & 1 else n)
-                       for s, n in c._terms.items() if s.dim
-                       for i in range(s.dim + 1))
+    return AffineChain._of(
+        (AffineSimplex._of(v[:i] + v[i + 1:], h[:i] + h[i + 1:]),
+         -n if i & 1 else n) for s, n in c._terms.items()
+        for v, h in [(s.vertices, s._vertex_hashes)] if len(v) > 1
+        for i in range(len(v)))
 
 
 def _check_interior(a, p: int) -> tuple[Fraction, ...]:
@@ -234,10 +236,11 @@ def _check_interior(a, p: int) -> tuple[Fraction, ...]:
     return weights
 
 
-def _interior_point(verts, a) -> Point:
-    """Point with the checked barycentric coordinates a on the points verts."""
-    weights = _check_interior(a, len(verts) - 1)
-    return tuple(Fraction(*_dot(weights, coords)) for coords in zip(*verts))
+def _marked(phi: AffineSimplex, a) -> tuple[Point, int]:
+    """phi's point with the checked barycentric coordinates a, and its hash."""
+    weights = _check_interior(a, phi.dim)
+    point = tuple(Fraction(*_dot(weights, x)) for x in zip(*phi.vertices))
+    return point, hash(point)
 
 
 def _dot(ws, xs) -> tuple[int, int]:
@@ -250,18 +253,7 @@ def _dot(ws, xs) -> tuple[int, int]:
     return num, den
 
 
-def _check_face(s: AffineSimplex, face) -> tuple[int, ...]:
-    idx = tuple(face)
-    if list(idx) != sorted(set(idx)):
-        raise ValueError("face indices must be strictly increasing")
-    if len(idx) < 2:
-        raise ValueError("the marked face must have dimension at least 1")
-    if idx[0] < 0 or idx[-1] > s.dim:
-        raise ValueError(f"face indices {idx} out of range for dim {s.dim}")
-    return idx
-
-
-def _fan(v, idx, point, start: int = 0):
+def _fan(v, idx, point: int, start: int = 0):
     """(vertex indices, sign) of each fan term of the simplex with vertex
     indices v through the point interior to the face idx, whose index is
     point, keeping only the vertices from index start on."""
@@ -270,30 +262,31 @@ def _fan(v, idx, point, start: int = 0):
              (-1) ** (ik + ip)) for ik in idx]
 
 
-def _simplices(s: AffineSimplex, point, layouts) -> list:
+def _simplices(s: AffineSimplex, marked, layouts) -> list:
     """(simplex, sign) for each (vertex indices, sign) in layouts, where
-    index s.dim + 1 stands for point."""
-    verts = s.vertices + (point,)
-    hashes = s._vertex_hashes + (hash(point),)
+    index s.dim + 1 stands for the point of marked, a (point, hash) pair."""
+    verts = s.vertices + marked[:1]
+    hashes = s._vertex_hashes + marked[1:]
     return [(_pick(verts, hashes, ix), m) for ix, m in layouts]
 
 
-def _refine(s: AffineSimplex, idx, point: Point) -> AffineChain:
-    """Fan of s through point, interior to the face of s with checked
-    vertex indices idx: one term per face vertex."""
+def _refine(s: AffineSimplex, idx, marked) -> list:
+    """(simplex, sign) terms of the fan of s through the marked point of
+    its face with vertex indices idx, one per face vertex, or s itself."""
+    if idx is None:
+        return [(s, 1)]
     q = s.dim
-    return AffineChain._of(_simplices(s, point,
-                                      _fan(tuple(range(q + 1)), idx, q + 1)))
+    return _simplices(s, marked, _fan(tuple(range(q + 1)), idx, q + 1))
 
 
-def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
-    """Degree +1 homotopy term for one simplex, with the marked face
-    given by checked indices idx and its interior point.
+def _prism(s: AffineSimplex, idx, marked) -> list:
+    """(simplex, sign) terms of the degree +1 homotopy term for one
+    simplex, with the marked face given by vertex indices idx.
 
     Term j doubles v_j: v_0..v_j followed by v_j..v_q.  The terms with
     j up to the face's first index continue instead with the fan
-    through point from v_j on.  With idx None the result is the plain
-    vertex-doubling prism, and point is not hashed.
+    through the point from v_j on.  With idx None the result is the
+    plain vertex-doubling prism, and no term uses marked.
     """
     q, i0 = s.dim, -1 if idx is None else idx[0]
     v = tuple(range(q + 1))
@@ -302,8 +295,7 @@ def _prism(s: AffineSimplex, idx, point: Point | None) -> AffineChain:
         tails = [(v[j:], 1)] if j > i0 else _fan(v, idx, q + 1, j)
         layouts += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
                     for tail, m in tails]
-    return AffineChain._of(_simplices(s, None if idx is None else point,
-                                      layouts))
+    return _simplices(s, marked, layouts)
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):
@@ -319,29 +311,28 @@ def find_face(s: AffineSimplex, phi: AffineSimplex):
     return None
 
 
-def _operator(op, phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
-    """Sum of n * op(s, idx, point) over the terms n*s of c, where idx is
-    find_face(s, phi), checked, or None, and point, the marked point of
-    phi, is checked and computed once."""
-    point = _interior_point(phi.vertices, a)
+def _apply(op, phi: AffineSimplex, marked, c: AffineChain) -> list:
+    """(simplex, coefficient) terms of the sum of n * op(s, idx, marked)
+    over the terms n*s of c, where idx is find_face(s, phi) and marked is
+    phi's (point, hash); a vertex phi is refused where it occurs."""
     terms = []
     for s, n in c._terms.items():
         idx = find_face(s, phi)
-        chain = op(s, idx if idx is None else _check_face(s, idx), point)
-        terms += [(t, n * m) for t, m in chain._terms.items()]
-    return AffineChain._of(terms)
+        if idx is not None and len(idx) < 2:
+            raise ValueError("the marked face must have dimension at least 1")
+        terms += [(t, n * m) for t, m in op(s, idx, marked)]
+    return terms
 
 
 def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
-    return _operator(lambda s, idx, point: AffineChain._of([(s, 1)])
-                     if idx is None else _refine(s, idx, point), phi, a, c)
+    return AffineChain._of(_apply(_refine, phi, _marked(phi, a), c))
 
 
 def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
     """Chain homotopy between the identity and the refinement operator."""
-    return _operator(_prism, phi, a, c)
+    return AffineChain._of(_apply(_prism, phi, _marked(phi, a), c))
 
 
 def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
@@ -351,21 +342,24 @@ def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
                   for _ in range(ambient))
             for _ in range(q + 1)
         )
-        if len(set(verts)) == q + 1:
-            return AffineSimplex(verts)
+        s = AffineSimplex(verts)
+        # Distinct hashes are distinct points; only a tie hashes again.
+        if len(set(s._vertex_hashes)) == q + 1 or len(set(verts)) == q + 1:
+            return s
 
 
-# Label, statement and the two sides on (phi, a, c) of each identity.  The
-# sides look the operators up at call time, so patched ones are checked.
-_IDENTITIES = (
-    ("i", "boundary commutes with refinement",
-     lambda phi, a, c: (boundary(sd_operator(phi, a, c)),
-                        sd_operator(phi, a, boundary(c)))),
-    ("ii", "prism homotopy matches identity minus refinement",
-     lambda phi, a, c: (boundary(prism_operator(phi, a, c)),
-                        c - sd_operator(phi, a, c)
-                        - prism_operator(phi, a, boundary(c)))),
-)
+_IDENTITIES = (("i", "boundary commutes with refinement"),
+               ("ii", "prism homotopy matches identity minus refinement"))
+
+
+def _sides(phi: AffineSimplex, marked, c: AffineChain) -> tuple:
+    """Both sides of each identity on c, from one boundary(c) and one
+    Sd(c); boundary is looked up at call time, so a patched one is checked."""
+    of = AffineChain._of
+    bc, sd_c = boundary(c), of(_apply(_refine, phi, marked, c))
+    return ((boundary(sd_c), of(_apply(_refine, phi, marked, bc))),
+            (boundary(of(_apply(_prism, phi, marked, c))),
+             c - of([*sd_c._terms.items(), *_apply(_prism, phi, marked, bc)])))
 
 
 def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:
@@ -395,8 +389,8 @@ def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:
         total = sum(weights)
         a = tuple(Fraction(w, total) for w in weights)
         phi, c = s.restrict(face), AffineChain.of(s)
-        for k, (label, _, sides) in enumerate(_IDENTITIES):
-            lhs, rhs = sides(phi, a, c)
+        sides = _sides(phi, _marked(phi, a), c)
+        for k, ((label, _), (lhs, rhs)) in enumerate(zip(_IDENTITIES, sides)):
             if lhs != rhs:
                 failures[k] += 1
                 if len(notes) < 6:
@@ -410,7 +404,7 @@ def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:
             Assertion(statement=f"{statement} on {trials} random chains",
                       left=f"{n} failures", right="0 failures",
                       passed=n == 0)
-            for (_, statement, _), n in zip(_IDENTITIES, failures)
+            for (_, statement), n in zip(_IDENTITIES, failures)
         ],
         notes=notes,
     )

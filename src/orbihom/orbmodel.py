@@ -473,8 +473,8 @@ def _surface_cells(d: Surface) -> tuple[int, int]:
 
 # Per descriptor family: (t model builder, adapted model builder), each
 # giving (dim, cells, subs), then the cell counts of the two models.
-# _build checks the base complex once; its torus product is not checked
-# again.
+# _build checks the base complex once; its torus product's d∘d is
+# composed on its first homology(), as for any derived complex.
 _FAMILIES = {
     Disc2: (_t_disc2, _adapted_disc2, lambda d: (7, 5)),
     Surface: (_t_surface, _adapted_surface, _surface_cells),

@@ -60,9 +60,11 @@ def compare_graded(prefix: str, left, right) -> list[Assertion]:
 
 def _render_rows(rows, width: int) -> str:
     """Sparse rows of the given width, printed as the dense rows they are."""
-    if not rows:
-        return "{0}"
-    return str([[line.get(j, 0) for j in range(width)] for line in map(dict, rows)])
+    dense = [[0] * width for _ in rows]
+    for row, line in zip(dense, rows):
+        for j, x in line:
+            row[j] = x
+    return str(dense) if dense else "{0}"
 
 
 def exactness_assertion(statement: str, image_of: GroupHom | None,
@@ -80,8 +82,9 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
     im = (lattice_hnf(at.rels, at.gens) if image_of is None
           else image_of.lattices[0])
     ker = kernel_of.lattices[1]
-    return Assertion(statement, f"image {_render_rows(im, at.gens)}",
-                     f"kernel {_render_rows(ker, at.gens)}", im == ker)
+    image = _render_rows(im, at.gens)
+    kernel = image if im == ker else _render_rows(ker, at.gens)
+    return Assertion(statement, f"image {image}", f"kernel {kernel}", im == ker)
 
 
 def _reduced(p: AbPresentation) -> AbPresentation:

@@ -60,8 +60,10 @@ columns and rows of dense matrices, and the package's sparse forms read
 on dense matrices (smith_of, lattice_of, kernel_of, sparse_echelon); the
 parser of group text, a captured CLI run, and the inverse of a group
 word; a seeded random two-cover of a model by downward-closed cell
-sets; and the refinement and prism of one simplex, built on the
-private checks and operators of affops.
+sets; the check of a marked face, and the refinement and prism of one
+simplex built on it and on the private operators of affops; and the
+affops self-test as five public operator calls and two boundaries of c
+per trial.
 """
 
 import contextlib
@@ -69,18 +71,20 @@ import io
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from orbihom import intlin
+from orbihom import affops, intlin
 from orbihom.affops import (
     AffineChain,
     AffineSimplex,
-    _check_face,
-    _interior_point,
+    _marked,
     _prism,
     _refine,
+    prism_operator,
+    sd_operator,
 )
 from orbihom.chains import (
     ChainComplex,
@@ -103,6 +107,7 @@ from orbihom.intlin import (
     smith_diagonal,
 )
 from orbihom.orbmodel import Cell, WeightedCellComplex
+from orbihom.report import Assertion, VerdictReport
 
 
 def zeros(rows: int, cols: int) -> IntMatrix:
@@ -672,6 +677,19 @@ def random_two_cover(wcc: WeightedCellComplex,
     return _close_down(wcc, a), _close_down(wcc, b)
 
 
+def check_face(s: AffineSimplex, face) -> tuple[int, ...]:
+    """The vertex indices face of s of a marked face, checked: strictly
+    increasing, in range, and at least two of them."""
+    idx = tuple(face)
+    if list(idx) != sorted(set(idx)):
+        raise ValueError("face indices must be strictly increasing")
+    if len(idx) < 2:
+        raise ValueError("the marked face must have dimension at least 1")
+    if idx[0] < 0 or idx[-1] > s.dim:
+        raise ValueError(f"face indices {idx} out of range for dim {s.dim}")
+    return idx
+
+
 def refine(s: AffineSimplex, face, a) -> AffineChain:
     """Fan of s through the interior point of the marked face.
 
@@ -680,8 +698,8 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     strictly interior point of that face.  The result has one term per
     face vertex.
     """
-    idx = _check_face(s, face)
-    return _refine(s, idx, _interior_point([s.vertices[i] for i in idx], a))
+    idx = check_face(s, face)
+    return AffineChain._of(_refine(s, idx, _marked(s.restrict(idx), a)))
 
 
 def prism(s: AffineSimplex, face, a) -> AffineChain:
@@ -690,9 +708,68 @@ def prism(s: AffineSimplex, face, a) -> AffineChain:
     its interior point, or the plain vertex-doubling prism with face
     None."""
     if face is None:
-        return _prism(s, None, None)
-    idx = _check_face(s, face)
-    return _prism(s, idx, _interior_point([s.vertices[i] for i in idx], a))
+        return AffineChain._of(_prism(s, None, ()))
+    idx = check_face(s, face)
+    return AffineChain._of(_prism(s, idx, _marked(s.restrict(idx), a)))
+
+
+# Label, statement and the two sides on (phi, a, c) of each identity, on
+# the public operators.  boundary is read from affops at call time, so a
+# patched one is checked.
+PUBLIC_IDENTITIES = (
+    ("i", "boundary commutes with refinement",
+     lambda phi, a, c: (affops.boundary(sd_operator(phi, a, c)),
+                        sd_operator(phi, a, affops.boundary(c)))),
+    ("ii", "prism homotopy matches identity minus refinement",
+     lambda phi, a, c: (affops.boundary(prism_operator(phi, a, c)),
+                        c - sd_operator(phi, a, c)
+                        - prism_operator(phi, a, affops.boundary(c)))),
+)
+
+
+def public_selftest(trials: int, seed: int) -> VerdictReport:
+    """Reference for affops.selftest: the same seeded draws, with each
+    identity's sides from the public operators, so every trial places
+    the marked point five times and takes the boundary of c twice."""
+    rng = random.Random(seed)
+    failures = [0] * len(PUBLIC_IDENTITIES)
+    notes: list[str] = []
+    for trial in range(trials):
+        q = rng.randint(1, 4)
+        ambient = rng.randint(q, q + 2)
+        while True:
+            verts = tuple(
+                tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+                      for _ in range(ambient))
+                for _ in range(q + 1))
+            if len(set(verts)) == q + 1:
+                s = AffineSimplex(verts)
+                break
+        p = rng.randint(1, q)
+        face = tuple(sorted(rng.sample(range(q + 1), p + 1)))
+        weights = [rng.randint(1, 4) for _ in range(p + 1)]
+        total = sum(weights)
+        a = tuple(Fraction(w, total) for w in weights)
+        phi, c = s.restrict(face), AffineChain.of(s)
+        for k, (label, _, sides) in enumerate(PUBLIC_IDENTITIES):
+            lhs, rhs = sides(phi, a, c)
+            if lhs != rhs:
+                failures[k] += 1
+                if len(notes) < 6:
+                    notes.append(f"trial {trial} identity ({label}) failed "
+                                 f"on {s!r} face {face}: difference "
+                                 f"{(lhs - rhs)!r}")
+    return VerdictReport(
+        check="affops-selftest",
+        subject=f"trials={trials} seed={seed}",
+        assertions=[
+            Assertion(statement=f"{statement} on {trials} random chains",
+                      left=f"{n} failures", right="0 failures",
+                      passed=n == 0)
+            for (_, statement, _), n in zip(PUBLIC_IDENTITIES, failures)
+        ],
+        notes=notes,
+    )
 
 
 def det(a: IntMatrix) -> int:

@@ -17,7 +17,7 @@ from orbihom.affops import (
     selftest,
 )
 
-from oracles import prism, refine, terms, zero_chain
+from oracles import prism, public_selftest, refine, terms, zero_chain
 
 F = Fraction
 
@@ -54,10 +54,12 @@ def test_simplex_validation():
     s = simplex((0, 0), (1, 0), (0, 1))
     assert s.dim == 2
     assert s.ambient == 2
-    assert s.face(1) == simplex((0, 0), (0, 1))
+    assert terms(boundary(s)) == {simplex((1, 0), (0, 1)): 1,
+                                  simplex((0, 0), (0, 1)): -1,
+                                  simplex((0, 0), (1, 0)): 1}
     assert s.restrict((0, 2)) == simplex((0, 0), (0, 1))
     with pytest.raises(ValueError):
-        s.face(3)
+        s.restrict((0, 3))
     with pytest.raises(ValueError):
         s.restrict((2, 0))
     # Coordinates are exact: floats and strings are refused, not rounded
@@ -79,13 +81,14 @@ def test_simplex_is_immutable():
 
 
 def test_internal_builds_match_public_simplices():
-    """Faces, restrictions and fan terms are built without re-checking
-    or re-hashing their points; each equals, hashes like and looks up
-    as the same simplex built through the public constructor."""
+    """Boundary faces, restrictions and fan terms are built without
+    re-checking or re-hashing their points; each equals, hashes like and
+    looks up as the same simplex built through the public constructor."""
     s = simplex((0, 0), (1, 0), (0, 1))
     half = (F(1, 2), F(1, 2))
+    faces = list(terms(boundary(s)))
     pairs = [
-        (s.face(0), simplex((1, 0), (0, 1))),
+        (faces[0], simplex((1, 0), (0, 1))),
         (s.restrict((0, 2)), simplex((0, 0), (0, 1))),
         (list(terms(refine(s, (1, 2), half)))[0],
          simplex((0, 0), (0, 1), (F(1, 2), F(1, 2)))),
@@ -97,7 +100,7 @@ def test_internal_builds_match_public_simplices():
         assert hash(built) == hash(public)
         assert {built: 1}[public] == 1
         assert AffineChain([(built, 2), (public, -2)]) == zero_chain()
-    assert s.face(0) != s.face(1)
+    assert faces[0] != faces[1]
     assert s != s.vertices
 
 
@@ -142,7 +145,9 @@ def test_operators_place_the_marked_point_once(monkeypatch):
 
 def test_selftest_hashes_each_vertex_once(monkeypatch):
     """A count, not a timing: 20 trials used to hash 108,631 Fractions
-    when every dict lookup rehashed every coordinate, and hash 838 now."""
+    when every dict lookup rehashed every coordinate, then 838 when each
+    operator call hashed its own marked point and each random simplex
+    was hashed twice, and hash 324 now."""
     calls = [0]
     exact = Fraction.__hash__
 
@@ -152,13 +157,14 @@ def test_selftest_hashes_each_vertex_once(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", counting)
     assert selftest(20, 0).passed
-    assert 0 < calls[0] < 1_000
+    assert 0 < calls[0] < 400
 
 
 def test_selftest_builds_few_fractions(monkeypatch):
     """A count, not a timing: 20 trials used to construct 3,422
     Fractions when the marked point and the sum-to-1 check ran on
-    Fraction arithmetic, and construct 644 now."""
+    Fraction arithmetic, then 644 when each of five operator calls per
+    trial placed its own marked point, and construct 380 now."""
     calls = [0]
     new = Fraction.__new__
 
@@ -168,7 +174,19 @@ def test_selftest_builds_few_fractions(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     assert selftest(20, 0).passed
-    assert 0 < calls[0] < 1_000
+    assert 0 < calls[0] < 450
+
+
+def test_selftest_places_the_marked_point_once_per_trial(monkeypatch):
+    """Each trial checks its barycentric coordinates and places its
+    marked point once, for all four operator applications."""
+    checks, check = [], affops._check_interior
+    monkeypatch.setattr(affops, "_check_interior",
+                        lambda a, p: checks.append(p) or check(a, p))
+    for trials, seed in [(1, 0), (20, 0), (37, 5)]:
+        checks.clear()
+        assert selftest(trials, seed).passed
+        assert len(checks) == trials
 
 
 def test_trusted_sums_match_public_chains():
@@ -195,7 +213,7 @@ def test_operators_build_no_public_chains(monkeypatch):
     other = simplex((5, 5), (6, 5), (5, 6))
     phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
     c = AffineChain([(s, 2), (other, -1)])
-    d = AffineChain.of(s.face(0))
+    d = AffineChain.of(s.restrict((1, 2)))
 
     def runs():
         return [boundary(c), boundary(s), sd_operator(phi, a, c),
@@ -399,6 +417,22 @@ def test_selftest_passes_and_is_deterministic():
     assert first.render() == second.render()
     assert first.to_json() == second.to_json()
     assert elapsed < 10.0
+
+
+def test_selftest_matches_public_operator_loop(monkeypatch):
+    """Sharing each trial's marked point, boundary of c and Sd(c) changes
+    no report: the same JSON as five public operator calls per trial,
+    also under a boundary that drops the first term of its result."""
+    for seed in range(50):
+        assert selftest(12, seed).to_json() == \
+            public_selftest(12, seed).to_json()
+    exact = affops.boundary
+    monkeypatch.setattr(affops, "boundary", lambda c: AffineChain(
+        list(terms(exact(c)).items())[1:]))
+    for seed in range(50):
+        report = selftest(12, seed)
+        assert not report.passed
+        assert report.to_json() == public_selftest(12, seed).to_json()
 
 
 def test_selftest_validation():
