@@ -7,9 +7,9 @@ representatives are computed on first request, from one unit-pivot
 reduction of the whole complex C to a smaller complex D with the same
 homology, kept with its projection f: C -> D and lift g: D -> C: each
 degree's cycle lattice is g of the canonical (Hermite) basis of the
-cycles of D, mostly unit vectors as D is nearly always monomial, with
-the coordinates of D's boundaries in it as relators.  Presentations
-and maps are sparse columns (intlin's Column), as the solver emits them.
+cycles of D, with the coordinates of D's boundaries in it as relators.
+f and the coordinates in that basis run one sparse substitution
+(_substitute).  Presentations and maps are sparse columns (Column).
 """
 
 from __future__ import annotations
@@ -126,29 +126,38 @@ def _compose(outer: Sequence[Column], col: Column) -> Column:
     return tuple(sorted([(i, value) for i, value in composite.items() if value]))
 
 
+def _substitute(z: dict[int, int], rows: dict) -> list[tuple[int, int]] | None:
+    """Substitute away from the dict z, in place, each cell i that has a
+    row rows[i] = (rank, pivot, rest), rest naming cells of higher rank:
+    x = z.pop(i) / pivot, then z -= x rest.  Only the rows z reaches are
+    read, by rank, with a heap.  Returns the (rank, x) with x nonzero, in
+    rank order, or None if a pivot does not divide."""
+    heap = [(rows[i][0], i) for i in z if i in rows]
+    heapq.heapify(heap)
+    y = []
+    while heap:
+        i = heapq.heappop(heap)[1]
+        k, pivot, rest = rows[i]
+        x, r = divmod(z.pop(i), pivot)
+        if r:
+            return None
+        if x:
+            y.append((k, x))
+            for j, value in rest:
+                if j not in z and j in rows:
+                    heapq.heappush(heap, (rows[j][0], j))
+                z[j] = z.get(j, 0) - x * value
+    return y
+
+
 def _sparse_solver(rows: Sequence[Column]):
-    """solve(b): the y with sum(y[k] * rows[k]) == b as a sparse Column,
-    or None, for b as (row, coefficient) pairs or a dict and rows in
-    echelon form sorted by pivot.  Only the rows whose pivots the
-    residual reaches are read, in pivot order, so y comes out sorted."""
-    at = {row[0][0]: k for k, row in enumerate(rows)}
+    """solve(b): the sparse y with sum(y[k] * rows[k]) == b, or None, for b
+    as pairs or a dict, by _substitute on echelon rows sorted by pivot."""
+    at = {row[0][0]: (k, row[0][1], row[1:]) for k, row in enumerate(rows)}
 
     def solve(b) -> Column | None:
-        residual, y = dict(b), []
-        heap = sorted(i for i in residual if i in at)
-        while heap:
-            k = at[heapq.heappop(heap)]
-            (p, pivot), *rest = rows[k]
-            x, r = divmod(residual.pop(p), pivot)
-            if r:
-                return None
-            if x:
-                y.append((k, x))
-            for i, value in rest:
-                if i not in residual and i in at:
-                    heapq.heappush(heap, i)
-                residual[i] = residual.get(i, 0) - x * value
-        return None if any(residual.values()) else tuple(y)
+        y = _substitute(residual := dict(b), at)
+        return None if y is None or any(residual.values()) else tuple(y)
 
     return solve
 
@@ -462,10 +471,10 @@ class _Reduction:
     d keeps the unpaired cells (position[q] maps their positions in C to
     those in d), each with its column as the elimination left it, read
     on d's rows.  The lift g: d -> C sends a cell to its column
-    transform, lifts[q]; the projection f: C -> d (project, a sparse
-    dict on d's positions) replaces each paired b by -unit times the
-    rest of a's column, in pairing order (pairs[q] maps b to its place
-    in that order, unit and rest), and then keeps the unpaired cells.  f and g are chain maps, and f g is the identity.
+    transform, lifts[q].  pairs[q] maps each paired b to the row
+    (place in pairing order, unit, rest of a's column) that _substitute
+    reads; the projection f: C -> d (project) substitutes them and keeps
+    the unpaired cells.  f and g are chain maps, and f g is the identity.
     """
 
     __slots__ = ("source", "d", "position", "lifts", "pairs")
@@ -497,20 +506,11 @@ class _Reduction:
                        for j in kept] for q, kept in enumerate(position)]
 
     def project(self, q: int, z: Column) -> dict[int, int]:
-        """f(z) on d's positions, for a degree-q chain z of C.  Only the
-        pairs whose b the chain reaches are read, in pairing order with a
-        heap: a pair's rest names only cells paired after it."""
-        z, pairs = dict(z), self.pairs[q]
-        heap = [(pairs[b][0], b) for b in z if b in pairs]
-        heapq.heapify(heap)
-        while heap:
-            b = heapq.heappop(heap)[1]
-            x = pairs[b][1] * z[b]
-            for i, value in pairs[b][2] if x else ():
-                if i not in z and i in pairs:
-                    heapq.heappush(heap, (pairs[i][0], i))
-                z[i] = z.get(i, 0) - x * value
-        at = self.position[q]
+        """f(z) on d's positions, for a degree-q chain z of C: each paired
+        b is -unit times the rest of a's column, in pairing order, and each
+        paired a is zero."""
+        z, at = dict(z), self.position[q]
+        _substitute(z, self.pairs[q])
         return {at[j]: value for j, value in z.items() if value and j in at}
 
 

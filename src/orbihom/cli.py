@@ -57,7 +57,10 @@ def _parse_int(token: str, pos: int) -> int:
     token = token.strip()
     if not re.fullmatch(r"\d+", token):
         _fail(pos, f"expected an integer, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as e:  # more digits than int() converts
+        _fail(pos, str(e))
 
 
 def _int_list(argstr: str, pos: int) -> list[int]:
@@ -160,21 +163,15 @@ def _use_color() -> bool:
 
 def _render_group(g: FgAbGroup, coeff: str) -> str:
     if coeff == "Q":
-        if g.rank == 0:
-            return "0"
-        if g.rank == 1:
-            return "Q"
-        return f"Q^{g.rank}"
+        return "0" if g.rank == 0 else "Q" if g.rank == 1 else f"Q^{g.rank}"
     return str(g)
 
 
 def _load_model(args, build) -> tuple:
     """Model from --desc or --file, built by t_model or adapted_model,
     with its subject text."""
-    if getattr(args, "file", None):
-        desc = Custom(args.file)
-    else:
-        desc = parse_descriptor(args.desc)
+    desc = (Custom(args.file) if getattr(args, "file", None)
+            else parse_descriptor(args.desc))
     return build(desc), describe(desc)
 
 

@@ -8,7 +8,9 @@ elimination, _echelon, with no unimodular transform: lattice_hnf is one
 row Hermite form, smith_diagonal alternates row and column Hermite
 forms until the matrix is diagonal, and a kernel basis, or the image
 and kernel lattices of a map of presented groups, is one _echelon of a
-block of sparse rows split by _split_echelon.  The dense IntMatrix
+block of sparse rows split by _split_echelon.  A form reads only the
+lattice spanned: relators in any basis, with zero, repeated or
+reordered columns, give the same form.  The dense IntMatrix
 serves one dense read, a degree's cycle basis (DegreeHomology.kernel).
 Everything is exact: entries are Python ints.
 """
@@ -225,34 +227,13 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
             + [0] * (min(m, n) - len(d)))
 
 
-def _is_hnf(rows: Sequence[Column]) -> bool:
-    """Whether sparse rows are a row Hermite form with no zero row:
-    pivots positive and moving right, the entries above each in
-    [0, pivot)."""
-    above: dict[int, list[int]] = {}
-    p = -1
-    for row in rows:
-        if not row or row[0][0] <= p or row[0][1] < 0:
-            return False
-        p, pivot = row[0]
-        if any(not 0 <= x < pivot for x in above.get(p, ())):
-            return False
-        for j, x in row:
-            above.setdefault(j, []).append(x)
-    return True
-
-
 def lattice_hnf(columns: Sequence[Column], rows: int) -> list[Column]:
     """Canonical basis of the column lattice of the rows-row map with
     these sparse columns, as sparse rows.
 
     The rows are an echelon basis; two maps span the same column
-    lattice iff their lattice_hnf values are equal.  Columns already in
-    that form, as a reduced presentation's relators are, are returned
-    as rows with no elimination.
+    lattice iff their lattice_hnf values are equal.
     """
-    if _is_hnf(columns):
-        return list(columns)
     return _split_echelon([dict(col) for col in columns], rows, rows)[0]
 
 

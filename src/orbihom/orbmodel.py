@@ -485,10 +485,10 @@ _FAMILIES = {
 }
 
 # The most cells _build makes from a descriptor, and the most cell lines
-# that parse_owc takes from a file.  The largest product measured,
-# surface(4,3;2,3,5,7) x torus(11) with 55,296 cells, takes 190 MB and
-# 10 s for its groups over Z; one more torus factor, which doubles both,
-# is refused.
+# that parse_owc takes from a file.  `orbihom homology --desc
+# "surface(4,3;2,3,5,7) x torus(11)"`, 55,296 cells, takes 0.44-0.56 s
+# wall and 39 MB peak RSS in a child process (2 cores, Python 3.11.7);
+# one more torus factor doubles the cells and is refused.
 MAX_CELLS = 100_000
 # The largest dim that parse_owc takes: per-degree work does not shrink
 # with the cell count.  No built-in model under MAX_CELLS passes dim 16.

@@ -18,7 +18,7 @@ cell, model and complex through the public, checking constructors, as
 the product models were built before they used trusted cells.  The
 unreduced exactness route takes every Mayer-Vietoris lattice over the
 full relators of the homology presentations and the canonical kernel,
-as `check_mv` did before it reduced each presentation's relators.
+as `check_mv` does, on dense matrices.
 `ids` and `cells_of_dim` read a model's cells view, as the methods of
 that name did before a model held its chain complex and weights.  The
 two-step lattice route takes a kernel in any basis and then a Hermite

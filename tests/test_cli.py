@@ -52,6 +52,10 @@ def test_parse_descriptor_errors_name_position():
         ("torus(2)", "product factor"),
         ("surface(1)", "expected 2 integer"),
         ("disc2(1)", "at least 2"),
+        # More digits than int() converts, in either place a count goes.
+        ("disc2(3" + "0" * 5000 + ")", "descriptor error at position 0"),
+        ("disc2(3) x torus(1" + "0" * 5000 + ")",
+         "descriptor error at position 11"),
     ]
     for text, fragment in cases:
         with pytest.raises(ValueError) as err:

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbihom import intlin, verify
 from orbihom.intlin import AbPresentation, FgAbGroup, GroupHom, IntMatrix, lattice_hnf
@@ -32,11 +33,17 @@ from orbihom.verify import (
 
 from oracles import (
     cyclic,
+    dense,
     identity,
     ids,
     public_tensor,
     random_two_cover,
+    ref_lattice_hnf,
     sparse_columns,
+    sparse_rows,
+    to_rows,
+    transpose,
+    two_step_lattices,
     unreduced_mv_assertions,
 )
 from test_acceptance import GRID_1_TO_3
@@ -129,8 +136,8 @@ def test_mv_random_covers():
 
 
 def test_mv_matches_the_unreduced_route():
-    """Reduced relators give every assertion, lattice text included,
-    exactly as the full relators and canonical kernels do."""
+    """The sparse lattices give every assertion, lattice text included,
+    exactly as the dense route on the full relators does."""
     models = [t_model(d) for d in GRID_1_TO_3] + [
         t_model(ProductTorus(d, 1))
         for d in (Disc2(3), Ball3((2, 3, 5)), Surface(1, 1, (2, 5)))]
@@ -143,27 +150,42 @@ def test_mv_matches_the_unreduced_route():
 
 
 def test_mv_lattices_carry_a_relator_basis(monkeypatch):
+    """check_mv passes the homology presentations with their raw
+    relators, and every lattice its report prints is ref_lattice_hnf of
+    those relators beside the map's columns, by the dense two-step
+    route."""
     seen = []
     original = verify.exactness_assertion
 
     def spy(statement, image_of, kernel_of, at):
-        seen.append(at)
-        return original(statement, image_of, kernel_of, at)
+        row = original(statement, image_of, kernel_of, at)
+        seen.append((image_of, kernel_of, at, row))
+        return row
+
+    def text(rows, width):
+        return str(to_rows(transpose(dense(rows, width)))) if rows else "{0}"
 
     monkeypatch.setattr(verify, "exactness_assertion", spy)
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
     a, b = random_two_cover(wcc, random.Random(9))
     assert check_mv(wcc, a, b).passed
     assert len(seen) == 3 * (wcc.dim + 1)
-    for at in seen:
-        assert len(lattice_hnf(at.rels, at.gens)) == len(at.rels) <= at.gens
+    for image_of, kernel_of, at, row in seen:
+        image = (sparse_rows(ref_lattice_hnf(dense(at.rels, at.gens)))
+                 if image_of is None else two_step_lattices(image_of)[0])
+        assert row.left == f"image {text(image, at.gens)}"
+        assert row.right == \
+            f"kernel {text(two_step_lattices(kernel_of)[1], at.gens)}"
+    assert any(len(lattice_hnf(at.rels, at.gens)) < len(at.rels)
+               for _, _, at, _ in seen)
 
 
 def test_mv_takes_each_lattice_from_one_elimination(monkeypatch):
     """Each map's image and kernel lattices come from one elimination,
     kept on the map for both positions that read it, each cycle basis
-    of the reduced complex from one, and relators already in Hermite
-    form from none; the two-step route took 126 on this cover."""
+    of the reduced complex from one, and the relators of the top
+    degree's zero map from one: 32 on this cover, where reducing each
+    presentation's relators first took 47 and the two-step route 126."""
     calls = []
     original = intlin._echelon
 
@@ -175,7 +197,7 @@ def test_mv_takes_each_lattice_from_one_elimination(monkeypatch):
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
     a, b = random_two_cover(wcc, random.Random(9))
     assert check_mv(wcc, a, b).passed
-    assert len(calls) <= 58
+    assert len(calls) <= 32
 
 
 def test_mv_catches_a_zero_connecting_map(monkeypatch):
@@ -439,6 +461,41 @@ def test_exactness_assertion_detects_failure():
     ident = GroupHom(free1, free1, sparse_columns(identity(1)))
     row = exactness_assertion("exact", ident, to_zero, free1)
     assert row.passed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_exactness_reads_only_the_relator_lattices(data):
+    """exactness_assertion and GroupHom.lattices read a presentation
+    only through the lattice its relators span: on random presentations
+    and maps, replacing every relator list by its lattice_hnf basis,
+    giving it empty columns, duplicating it or reordering it changes
+    neither the Assertion nor the lattices."""
+    def columns(rows: int, count: int | None = None):
+        """count sparse columns (up to 4 if None), entries in [-4, 4]."""
+        col = st.lists(st.integers(-4, 4), min_size=rows, max_size=rows)
+        drawn = data.draw(st.lists(col, min_size=count or 0,
+                                   max_size=4 if count is None else count))
+        return [tuple((i, x) for i, x in enumerate(c) if x) for c in drawn]
+
+    gens = [data.draw(st.integers(0, 4)) for _ in range(3)]
+    rels = [columns(n) for n in gens]
+    f_cols, g_cols = columns(gens[1], gens[0]), columns(gens[2], gens[1])
+
+    def run(rels):
+        p0, p1, p2 = (AbPresentation(n, r) for n, r in zip(gens, rels))
+        f, g = GroupHom(p0, p1, f_cols), GroupHom(p1, p2, g_cols)
+        return (exactness_assertion("at p1", f, g, p1),
+                exactness_assertion("at p1", None, g, p1),
+                f.lattices, g.lattices)
+
+    expected = run(rels)
+    for changed in (
+            [tuple(lattice_hnf(r, n)) for n, r in zip(gens, rels)],
+            [r + [()] * 2 for r in rels],
+            [r + r for r in rels],
+            [data.draw(st.permutations(r)) for r in rels]):
+        assert run(changed) == expected
 
 
 def test_exactness_assertion_checks_presentation_match():
