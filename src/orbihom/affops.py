@@ -187,13 +187,6 @@ class AffineChain:
         n = operator.index(n)
         return AffineChain._of((s, n * c) for s, c in self._terms.items())
 
-    def degree(self) -> int:
-        """Common dimension of all terms (error if mixed or zero)."""
-        dims = {s.dim for s in self._terms}
-        if len(dims) != 1:
-            raise ValueError("chain is zero or mixes dimensions")
-        return dims.pop()
-
     def __repr__(self) -> str:
         terms = sorted(self._terms.items(), key=lambda t: t[0].vertices)
         return " ".join(f"{c:+d}*{s!r}" for s, c in terms) or "0"

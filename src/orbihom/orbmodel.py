@@ -196,11 +196,11 @@ class WeightedCellComplex:
     satisfies boundary-of-boundary equals zero, and that subcomplexes
     are closed under boundaries.  A failure raises ComplexError.  No
     subcomplex may be named all: sub_cells reserves it for every cell.
-    The given cells, in their order, are the cells view.
+    The given cells, in their order, are the cells view; a derived
+    complex reads its view off its columns and weights.
     """
 
-    __slots__ = ("name", "dim", "subs", "_chain", "_weights", "_view",
-                 "_cells", "_by_id")
+    __slots__ = ("name", "dim", "subs", "_chain", "_weights", "_cells", "_by_id")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -260,21 +260,21 @@ class WeightedCellComplex:
                             f"subcomplex {sub_name}: cell {member} has face "
                             f"{ref} outside it", member, sub_name)
         self._set(name, dim, closed, chain,
-                  [[cell.weight for cell in cells] for cells in by_dim], None, cells)
+                  [[cell.weight for cell in cells] for cells in by_dim], cells)
 
     @classmethod
     def _of(cls, name: str, dim: int, subs: dict, chain: ChainComplex,
-            weights, view: tuple) -> "WeightedCellComplex":
+            weights) -> "WeightedCellComplex":
         """Trusted build of a complex derived from a checked one; nothing
-        is checked.  view is (function, *args), and function(complex,
-        *args) gives the cells on first read."""
+        is checked.  Its cells, on first read, list each degree's columns
+        in order, each boundary by face position."""
         wcc = object.__new__(cls)
-        wcc._set(name, dim, subs, chain, weights, view)
+        wcc._set(name, dim, subs, chain, weights)
         return wcc
 
-    def _set(self, name, dim, subs, chain, weights, view, cells=None) -> None:
+    def _set(self, name, dim, subs, chain, weights, cells=None) -> None:
         for slot, value in zip(self.__slots__, (
-                name, dim, subs, chain, tuple([tuple(ws) for ws in weights]), view,
+                name, dim, subs, chain, tuple([tuple(ws) for ws in weights]),
                 cells, None)):
             object.__setattr__(self, slot, value)
 
@@ -284,8 +284,11 @@ class WeightedCellComplex:
     @property
     def cells(self) -> tuple[Cell, ...]:
         if self._cells is None:
-            view, *args = self._view
-            object.__setattr__(self, "_cells", view(self, *args))
+            basis, columns = self._chain.basis, self._chain.boundaries
+            object.__setattr__(self, "_cells", tuple([
+                Cell._of(label, q, self._weights[q][j], tuple([
+                    (basis[q - 1][i], x) for i, x in columns[q - 1][j]]) if q else ())
+                for q, labels in enumerate(basis) for j, label in enumerate(labels)]))
         return self._cells
 
     def cell(self, cell_id: str) -> Cell:
@@ -534,29 +537,19 @@ def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
     has no boundary, so a product column is the base column on the
     faces with the same suffix, with no sign: the chain complex is 2^k
     shifted copies of the base's (Hatcher, Algebraic Topology, §3.B).
-    Cells come in the order of k iterated products with the circle
-    (`oracles.public_tensor`).
+    Each dim lists its cells in the order of k iterated products with
+    the circle (`oracles.public_tensor`) of the base's cells stably
+    sorted by dimension.
     """
     c = base._chain
-    # The first product's dim p lists, in base order, the cells of dim p
-    # with '_x_z' (h = 0) and those of dim p - 1 with '_x_t' (h = 1); a
-    # column's faces share its part, so they lie in dim p - 1.
-    blocks = [[(cell.dim, c.position(cell.dim, cell.id), p - cell.dim)
-               for cell in base.cells if 0 <= p - cell.dim <= 1]
-              for p in range(base.dim + 2)]
-    rank = {key: i for block in blocks for i, key in enumerate(block)}
-    labels = [[c.basis[q][j] + ("_x_z", "_x_t")[h] for q, j, h in block]
-              for block in blocks]
-    weights = [[base._weights[q][j] for q, j, _ in block] for block in blocks]
-    columns = [[tuple([(rank[q - 1, i, h], x) for i, x in c.boundaries[q - 1][j]])
-                if q else () for q, j, h in block] for block in blocks]
-    subs = {sub_name: [[i for i, (q, j, _) in enumerate(block)
-                        if c.basis[q][j] in members] for block in blocks]
-            for sub_name, members in base.subs.items()}
-    # Each further circle makes dim p the cells of dim p - 1 with '_x_t',
-    # then those of dim p with '_x_z': these come after sizes[p] cells,
-    # and their faces after sizes[p - 1].
-    for _ in range(k - 1):
+    labels, weights = [list(ls) for ls in c.basis], [list(ws) for ws in base._weights]
+    columns = [[()] * len(labels[0])] + [list(cols) for cols in c.boundaries]
+    subs = {sub_name: [[j for j, label in enumerate(ls) if label in members]
+                       for ls in c.basis] for sub_name, members in base.subs.items()}
+    # Each circle makes dim p the cells of dim p - 1 with '_x_t', then
+    # those of dim p with '_x_z': these come after sizes[p] cells, and
+    # their faces after sizes[p - 1].
+    for _ in range(k):
         sizes = [0] + [len(cells) for cells in labels]
         labels = [[label + "_x_t" for label in low] + [label + "_x_z" for label in high]
                   for low, high in _pairs(labels)]
@@ -570,25 +563,12 @@ def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
         name, base.dim + k, {sub_name: frozenset().union(*(
             map(cells.__getitem__, picks) for cells, picks in zip(labels, members)))
             for sub_name, members in subs.items()},
-        ChainComplex._of(labels, columns[1:]), weights, (_product_cells, base, k))
+        ChainComplex._of(labels, columns[1:]), weights)
 
 
 def _pairs(lists: list[list]) -> zip:
     """(lists[p - 1], lists[p]) for each p up to len(lists), empty out of range."""
     return zip([[]] + lists, lists + [[]])
-
-
-def _product_cells(wcc: WeightedCellComplex, base: WeightedCellComplex,
-                   k: int) -> tuple[Cell, ...]:
-    """Cells of a product, each its base cell with the id's suffix on
-    every boundary ref, so each keeps the base cell's boundary order."""
-    cut, cells = -4 * k, []
-    for q, labels in enumerate(wcc._chain.basis):
-        for label in labels:
-            cell, suffix = base.cell(label[:cut]), label[cut:]
-            cells.append(Cell._of(label, q, cell.weight, tuple([
-                (ref + suffix, x) for ref, x in cell.boundary])))
-    return tuple(cells)
 
 
 def t_model(d: OrbifoldDesc) -> WeightedCellComplex:
@@ -607,44 +587,28 @@ def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
 
     The incidence from a cell onto a face is divided by the ratio of
     their weights; this is the weights-to-1 degeneration whose homology
-    is that of the underlying space.
+    is that of the underlying space.  The first incidence, in degree,
+    column and row order, that cannot be divided raises ValueError.
     """
-    c, w = wcc._chain, wcc._weights
+    c, w, boundaries = wcc._chain, wcc._weights, []
     for q, columns in enumerate(c.boundaries, start=1):
+        boundaries.append([])
         for j, col in enumerate(columns):
+            scaled = []
             for i, x in col:
                 ratio, remainder = divmod(w[q][j], w[q - 1][i])
-                if remainder or x % ratio:
-                    _unit_fault(wcc)
+                if remainder:
+                    raise ValueError(f"cell {c.basis[q][j]}: weight does not divide "
+                                     f"the weight of its face {c.basis[q - 1][i]}")
+                if x % ratio:
+                    raise ValueError(f"cell {c.basis[q][j]}: incidence on "
+                                     f"{c.basis[q - 1][i]} is not divisible by "
+                                     "the weight ratio")
+                scaled.append((i, x // ratio))
+            boundaries[-1].append(scaled)
     return WeightedCellComplex._of(
-        f"{wcc.name}_underlying", wcc.dim, wcc.subs, ChainComplex._of(c.basis, [
-            [[(i, x * w[q - 1][i] // w[q][j]) for i, x in col]
-             for j, col in enumerate(columns)]
-            for q, columns in enumerate(c.boundaries, start=1)]),
-        [[1] * len(ws) for ws in w], (_unit_cells, wcc))
-
-
-def _unit_fault(wcc: WeightedCellComplex) -> None:
-    """Raise the error of the first incidence, in cell order and each
-    cell's boundary order, that degenerate_weights cannot scale."""
-    for cell in wcc.cells:
-        for ref, coefficient in cell.boundary:
-            ratio, remainder = divmod(cell.weight, wcc.cell(ref).weight)
-            if remainder:
-                raise ValueError(f"cell {cell.id}: weight does not divide "
-                                 f"the weight of its face {ref}")
-            if coefficient % ratio:
-                raise ValueError(f"cell {cell.id}: incidence on {ref} is "
-                                 "not divisible by the weight ratio")
-
-
-def _unit_cells(wcc: WeightedCellComplex,
-                source: WeightedCellComplex) -> tuple[Cell, ...]:
-    """Cells of the weight degeneration of source, in its cell and
-    boundary order."""
-    return tuple([Cell._of(cell.id, cell.dim, 1, tuple([
-        (ref, x * source.cell(ref).weight // cell.weight)
-        for ref, x in cell.boundary])) for cell in source.cells])
+        f"{wcc.name}_underlying", wcc.dim, wcc.subs,
+        ChainComplex._of(c.basis, boundaries), [[1] * len(ws) for ws in w])
 
 
 def underlying_model(d: OrbifoldDesc) -> WeightedCellComplex:

@@ -51,10 +51,11 @@ coordinates were solved before they were read on sparse rows.
 generators and express read a degree's cycles in the canonical
 summands of its group through the Smith form of its relators.  The
 matrix, group and affine-chain helpers (identity, diagonal, column,
-is_zero, cyclic, presented_group, zero_chain, terms) are the methods
-of those classes that no code of the package reads.  Then the row
-echelon step as it was before each pivot column was scanned once; the
-tensor product of chain complexes and the point and circle complexes;
+is_zero, cyclic, presented_group, zero_chain, terms, chain_degree) are
+the methods of those classes that no code of the package reads.  Then
+the row echelon step as it was before each pivot column was scanned
+once; the tensor product of chain complexes and the point and circle
+complexes;
 dense views of chain maps, group maps and sparse columns, sparse
 columns and rows of dense matrices, and the package's sparse forms read
 on dense matrices (smith_of, lattice_of, kernel_of, sparse_echelon); the
@@ -399,6 +400,14 @@ def zero_chain() -> AffineChain:
 def terms(chain: AffineChain) -> dict:
     """The nonzero terms of chain as a simplex -> coefficient mapping."""
     return dict(chain._terms)
+
+
+def chain_degree(chain: AffineChain) -> int:
+    """Common dimension of all terms (error if mixed or zero)."""
+    dims = {s.dim for s in chain._terms}
+    if len(dims) != 1:
+        raise ValueError("chain is zero or mixes dimensions")
+    return dims.pop()
 
 
 def echelon(rows: list[list[int]], n: int) -> None:
