@@ -634,7 +634,8 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
     cohomology in degree n-k: its boundaries are the transposed columns
     of wcc, each entry times w(face) / w(coface).  With rel set, duals
     of cells in that named subcomplex are dropped (cochains vanishing
-    on it).
+    on it).  The first entry, from the top degree down and in coface
+    and face-position order, that is not integral raises ValueError.
     """
     dropped = wcc.sub_cells(rel) if rel is not None else frozenset()
     c, w, n = wcc._chain, wcc._weights, wcc.dim
@@ -652,13 +653,9 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
                     continue
                 value, remainder = divmod(x * w[q][i], w[q + 1][j])
                 if remainder:
-                    # Name the first such face in the coface's own order.
-                    coface = wcc.cell(c.basis[q + 1][j])
-                    ref = next(ref for ref, x in coface.boundary
-                               if ref not in dropped and x * wcc.cell(ref).weight
-                               % coface.weight)
                     raise ValueError(f"weights are not adapted: entry from "
-                                     f"{coface.id} to {ref} is not integral")
+                                     f"{c.basis[q + 1][j]} to {c.basis[q][i]} "
+                                     "is not integral")
                 columns[row[i]].append((r, value))
         boundaries.append(columns)
     return ChainComplex._of([[c.basis[n - k][j] for j in kept[n - k]]

@@ -7,6 +7,8 @@ a tensor-built model, integer against rational coefficients, a
 degenerated model against textbook references, an abelianized group
 presentation against first homology, and a scaled-dual cochain complex
 against the weighted homology of a second model of the same space.
+An exactness assertion prints each lattice once, as the sparse rows
+it compared.
 """
 
 from __future__ import annotations
@@ -58,15 +60,6 @@ def compare_graded(prefix: str, left, right) -> list[Assertion]:
     ]
 
 
-def _render_rows(rows, width: int) -> str:
-    """Sparse rows of the given width, printed as the dense rows they are."""
-    dense = [[0] * width for _ in rows]
-    for row, line in zip(dense, rows):
-        for j, x in line:
-            row[j] = x
-    return str(dense) if dense else "{0}"
-
-
 def exactness_assertion(statement: str, image_of: GroupHom | None,
                         kernel_of: GroupHom,
                         at: AbPresentation) -> Assertion:
@@ -74,7 +67,9 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
     subgroups of the group presented by `at`, via canonical forms of
     their preimages in its free cover, kept on each map
     (GroupHom.lattices).  A None image_of is the zero map, whose image
-    is the relators."""
+    is the relators.  Each side prints the sparse rows it compared, as
+    {column: entry} dicts; the kernel side is bare `kernel` when the
+    two lattices agree."""
     if image_of is not None and image_of.target != at:
         raise ValueError("image map does not land in the given presentation")
     if kernel_of.source != at:
@@ -82,9 +77,9 @@ def exactness_assertion(statement: str, image_of: GroupHom | None,
     im = (lattice_hnf(at.rels, at.gens) if image_of is None
           else image_of.lattices[0])
     ker = kernel_of.lattices[1]
-    image = _render_rows(im, at.gens)
-    kernel = image if im == ker else _render_rows(ker, at.gens)
-    return Assertion(statement, f"image {image}", f"kernel {kernel}", im == ker)
+    return Assertion(statement, f"image {[dict(row) for row in im]} in Z^{at.gens}",
+                     "kernel" if im == ker else f"kernel {[dict(row) for row in ker]}",
+                     im == ker)
 
 
 def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:

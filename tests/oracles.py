@@ -1012,7 +1012,9 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
     dense matrices.  Each image lattice is [matrix | rels] and each
     kernel lattice the top rows of the kernel basis of [matrix | target
     rels] beside rels, where rels are the full relators of the homology
-    presentations."""
+    presentations.  A lattice prints as the {column: entry} dicts of
+    its dense rows, and the kernel as bare `kernel` when it is the
+    image."""
     m = wcc.chain_complex()
     comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
     comp_i = subcomplex(m, cells_a & cells_b)
@@ -1035,7 +1037,8 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
         return hstack(_top_rows(ker, at.rows), at)
 
     def text(lattice):
-        return "{0}" if lattice.rows == 0 else str(to_rows(lattice))
+        return str([{j: x for j, x in enumerate(row) if x}
+                    for row in to_rows(lattice)])
 
     out = []
     for q in range(m.top_dim + 1):
@@ -1053,8 +1056,8 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
                 (f"H_{q}(whole)", j_comb, k_q, rels(pres_m))):
             im = ref_lattice_hnf(image(into, at))
             ker = ref_lattice_hnf(kernel(out_of, at))
-            out.append((f"exactness at {where}", f"image {text(im)}",
-                        f"kernel {text(ker)}", im == ker))
+            out.append((f"exactness at {where}", f"image {text(im)} in Z^{at.rows}",
+                        "kernel" if im == ker else f"kernel {text(ker)}", im == ker))
     return out
 
 

@@ -131,6 +131,15 @@ def test_verify_pass_and_result_line():
     assert text.strip().endswith("RESULT PASS")
 
 
+def test_verify_mv_prints_each_lattice_once_and_sparsely():
+    """On an 864-cell cover each lattice is printed once, as its sparse
+    rows: under 32 KB, where the dense rows printed twice took 605 KB."""
+    code, text = run(["verify", "mv", "--desc", "surface(4,3;2,3,5,7) x torus(5)",
+                      "--sub", "conedisks", "--sub", "complement"])
+    assert code == 0 and text.endswith("RESULT PASS\n")
+    assert len(text.encode()) < 32_000
+
+
 def test_verify_fail_exit_code_one():
     code, text = run(["verify", "bhomotopy",
                       "--a", "disc2(2)", "--b", "disc2(3)"])

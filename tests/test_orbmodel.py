@@ -574,11 +574,22 @@ def test_ws_closed_surface_scaled_generator():
 
 
 def test_ws_integrality_error():
+    """A non-integral entry names its coface and the first bad face by
+    face position, not by the order the coface lists its boundary."""
     wcc = WeightedCellComplex(
         name="notadapted", dim=1,
         cells=(Cell("v", 0, 1), Cell("e", 1, 2, (("v", 3),))),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights are not adapted: entry "
+                                         "from e to v is not integral$"):
+        ws_complex(wcc)
+    wcc = WeightedCellComplex(
+        name="notadapted", dim=1,
+        cells=(Cell("v", 0, 1), Cell("w", 0, 1),
+               Cell("e", 1, 2, (("w", 3), ("v", 1)))),
+    )
+    with pytest.raises(ValueError, match="^weights are not adapted: entry "
+                                         "from e to v is not integral$"):
         ws_complex(wcc)
 
 

@@ -1,5 +1,6 @@
 """Verification checks: exact sequences, products, degenerations, duality."""
 
+import ast
 import random
 from collections import Counter
 
@@ -41,8 +42,6 @@ from oracles import (
     ref_lattice_hnf,
     sparse_columns,
     sparse_rows,
-    to_rows,
-    transpose,
     two_step_lattices,
     unreduced_mv_assertions,
 )
@@ -151,9 +150,10 @@ def test_mv_matches_the_unreduced_route():
 
 def test_mv_lattices_carry_a_relator_basis(monkeypatch):
     """check_mv passes the homology presentations with their raw
-    relators, and every lattice its report prints is ref_lattice_hnf of
-    those relators beside the map's columns, by the dense two-step
-    route."""
+    relators, and every lattice its report prints, read back, is
+    ref_lattice_hnf of those relators beside the map's columns, by the
+    dense two-step route; each kernel side is bare, as the kernel
+    lattice is that image."""
     seen = []
     original = verify.exactness_assertion
 
@@ -161,9 +161,6 @@ def test_mv_lattices_carry_a_relator_basis(monkeypatch):
         row = original(statement, image_of, kernel_of, at)
         seen.append((image_of, kernel_of, at, row))
         return row
-
-    def text(rows, width):
-        return str(to_rows(transpose(dense(rows, width)))) if rows else "{0}"
 
     monkeypatch.setattr(verify, "exactness_assertion", spy)
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
@@ -173,9 +170,11 @@ def test_mv_lattices_carry_a_relator_basis(monkeypatch):
     for image_of, kernel_of, at, row in seen:
         image = (sparse_rows(ref_lattice_hnf(dense(at.rels, at.gens)))
                  if image_of is None else two_step_lattices(image_of)[0])
-        assert row.left == f"image {text(image, at.gens)}"
-        assert row.right == \
-            f"kernel {text(two_step_lattices(kernel_of)[1], at.gens)}"
+        kernel = two_step_lattices(kernel_of)[1]
+        rows, width = row.left.removeprefix("image ").split(" in Z^")
+        assert ast.literal_eval(rows) == [dict(r) for r in image]
+        assert int(width) == at.gens
+        assert row.right == "kernel" and row.passed and image == kernel
     assert any(len(lattice_hnf(at.rels, at.gens)) < len(at.rels)
                for _, _, at, _ in seen)
 
@@ -457,10 +456,12 @@ def test_exactness_assertion_detects_failure():
     to_zero = GroupHom(free1, AbPresentation.free(0), [()])
     row = exactness_assertion("not exact", None, to_zero, free1)
     assert not row.passed
+    assert (row.left, row.right) == ("image [] in Z^1", "kernel [{0: 1}]")
     # image of identity Z -> Z equals kernel of map to 0
     ident = GroupHom(free1, free1, sparse_columns(identity(1)))
     row = exactness_assertion("exact", ident, to_zero, free1)
     assert row.passed
+    assert (row.left, row.right) == ("image [{0: 1}] in Z^1", "kernel")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
