@@ -42,10 +42,11 @@ class ChainComplex:
     basis[q-1], sorted by row with zeros dropped; columns are the only
     form taken.  Labels must be unique across all degrees, so that a
     set of labels, as subcomplex and relative take, names a set of
-    cells.  validate(c) is worked out once per complex and kept.
+    cells.  A complex is valid once it exists: the constructor composes
+    d∘d once, by validate, and raises ValueError if it is nonzero.
     """
 
-    __slots__ = ("top_dim", "basis", "boundaries", "_index", "_problems")
+    __slots__ = ("top_dim", "basis", "boundaries", "_index")
 
     def __init__(self, basis: Sequence[Sequence[str]],
                  boundaries: Sequence[Sequence[Column]]):
@@ -67,16 +68,19 @@ class ChainComplex:
                                      f"{seen[label]} and in degree {q}")
                 seen[label] = q
         self._set(basis, sparse)
+        if problems := validate(self):
+            raise ValueError("invalid complex: " + "; ".join(problems))
 
     @classmethod
     def _of(cls, basis: Sequence[Sequence[str]],
             boundaries: Sequence[Sequence[Column]]) -> "ChainComplex":
         """Trusted build from labels unique across degrees and one Column
-        per cell, each merged, sorted, nonzero and in range; nothing is
-        checked.  Every tuple is built from a list of its exact length:
-        CPython keeps freed tuples of up to 20 items for reuse, and one
-        built from an iterator is resized, so it would leave one more
-        there each time, pinning memory until a full collection."""
+        per cell, each merged, sorted, nonzero and in range, whose caller
+        vouches for d∘d = 0; nothing is checked.  Every tuple is built
+        from a list of its exact length: CPython keeps freed tuples of up
+        to 20 items for reuse, and one built from an iterator is resized,
+        so it would leave one more there each time, pinning memory until
+        a full collection."""
         c = object.__new__(cls)
         basis = tuple([tuple(labels) for labels in basis])
         c._set(basis, tuple([tuple([tuple(col) for col in columns])
@@ -89,7 +93,6 @@ class ChainComplex:
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "_index", tuple([
             dict(zip(labels, range(len(labels)))) for labels in basis]))
-        object.__setattr__(self, "_problems", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -163,22 +166,18 @@ def _sparse_solver(rows: Sequence[Column]):
 
 
 def validate(c: ChainComplex) -> list[str]:
-    """Check that consecutive boundaries compose to zero.
+    """Compose consecutive boundaries, on each call.
 
-    Returns a list of violation descriptions, empty when the complex is
-    valid.  Each entry names the degree and the offending basis pair;
-    entries go column by column, rows ascending.  The work is
-    proportional to the nonzero incidences composed, and is done once
-    per complex: the result is kept on c.
+    Returns a list of violation descriptions, empty when d∘d = 0.  Each
+    entry names the degree and the offending basis pair; entries go
+    column by column, rows ascending.  The work is proportional to the
+    nonzero incidences composed.
     """
-    if c._problems is None:
-        object.__setattr__(c, "_problems", tuple(
-            f"degree {q}: boundary of boundary of {c.basis[q][j]} hits "
+    return [f"degree {q}: boundary of boundary of {c.basis[q][j]} hits "
             f"{c.basis[q - 2][i]} with coefficient {value}"
             for q in range(2, c.top_dim + 1)
             for j, col in enumerate(c.boundaries[q - 1])
-            for i, value in _compose(c.boundaries[q - 2], col)))
-    return list(c._problems)
+            for i, value in _compose(c.boundaries[q - 2], col)]
 
 
 @dataclass(frozen=True)
@@ -301,17 +300,15 @@ class HomologyResult:
 
 
 def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
-    """Homology of a valid complex, over Z (default) or Q.
+    """Homology of a complex, over Z (default) or Q.
 
-    Each boundary is ranked once, on its sparse columns.  Over Z, H_q
+    Nothing is checked: every complex is valid once built.  Each
+    boundary is ranked once, on its sparse columns.  Over Z, H_q
     is free of rank dim C_q - rank d_q - rank d_(q+1), plus the
     invariant factors above 1 of d_(q+1).  Over Q, H_q has that
     dimension, and the ranks come from _eliminate on any nonzero pivot:
     no Smith form is taken and no dense matrix is built.
     """
-    problems = validate(c)
-    if problems:
-        raise ValueError("invalid complex: " + "; ".join(problems))
     if coeff not in ("Z", "Q"):
         raise ValueError("coefficients must be 'Z' or 'Q'")
     factored = [_boundary_factors(columns, c.dim(q - 1)) if coeff == "Z" else
@@ -475,6 +472,7 @@ class _Reduction:
     (place in pairing order, unit, rest of a's column) that _substitute
     reads; the projection f: C -> d (project) substitutes them and keeps
     the unpaired cells.  f and g are chain maps, and f g is the identity.
+    d is a complex because elementary reductions keep d∘d = 0.
     """
 
     __slots__ = ("source", "d", "position", "lifts", "pairs")
@@ -545,6 +543,8 @@ def subcomplex(c: ChainComplex, cells: Iterable[str]) -> ChainComplex:
 
 
 def _restrict(c: ChainComplex, keep) -> ChainComplex:
+    """c on the cells that keep accepts, a closed set or the complement
+    of one: d∘d of a kept cell is zero in c already, so it is valid."""
     basis = [[label for label in labels if keep(label)] for labels in c.basis]
     boundaries = []
     for q in range(1, c.top_dim + 1):
@@ -554,12 +554,7 @@ def _restrict(c: ChainComplex, keep) -> ChainComplex:
         boundaries.append([[(row[i], value) for i, value in col if i in row]
                            for label, col in zip(c.basis[q], c.boundaries[q - 1])
                            if keep(label)])
-    out = ChainComplex._of(basis, boundaries)
-    if c._problems == ():
-        # A closed subcomplex of a valid complex, and the quotient by
-        # one, are valid: d∘d of a kept cell is zero in c already.
-        object.__setattr__(out, "_problems", ())
-    return out
+    return ChainComplex._of(basis, boundaries)
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,11 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import chains
 from .chains import ChainComplex
-
-
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -200,7 +193,7 @@ class WeightedCellComplex:
     complex reads its view off its columns and weights.
     """
 
-    __slots__ = ("name", "dim", "subs", "_chain", "_weights", "_cells", "_by_id")
+    __slots__ = ("name", "subs", "_chain", "_weights", "_cells", "_by_id")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -245,8 +238,7 @@ class WeightedCellComplex:
             [[sorted((position[ref], coefficient)
                      for ref, coefficient in cell.boundary)
               for cell in cells] for cells in by_dim[1:]])
-        problems = chains.validate(chain)
-        if problems:
+        if problems := chains.validate(chain):
             culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
             raise ComplexError("boundary of boundary is nonzero: "
                                + problems[0], culprit.group(1))
@@ -259,27 +251,31 @@ class WeightedCellComplex:
                         raise ComplexError(
                             f"subcomplex {sub_name}: cell {member} has face "
                             f"{ref} outside it", member, sub_name)
-        self._set(name, dim, closed, chain,
+        self._set(name, closed, chain,
                   [[cell.weight for cell in cells] for cells in by_dim], cells)
 
     @classmethod
-    def _of(cls, name: str, dim: int, subs: dict, chain: ChainComplex,
+    def _of(cls, name: str, subs: dict, chain: ChainComplex,
             weights) -> "WeightedCellComplex":
-        """Trusted build of a complex derived from a checked one; nothing
-        is checked.  Its cells, on first read, list each degree's columns
-        in order, each boundary by face position."""
+        """Trusted build of a complex derived from a checked one, valid
+        by its builder; nothing is checked.  Its cells, on first read,
+        list each degree's columns in order, each boundary by face position."""
         wcc = object.__new__(cls)
-        wcc._set(name, dim, subs, chain, weights)
+        wcc._set(name, subs, chain, weights)
         return wcc
 
-    def _set(self, name, dim, subs, chain, weights, cells=None) -> None:
+    def _set(self, name, subs, chain, weights, cells=None) -> None:
         for slot, value in zip(self.__slots__, (
-                name, dim, subs, chain, tuple([tuple(ws) for ws in weights]),
+                name, subs, chain, tuple([tuple(ws) for ws in weights]),
                 cells, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedCellComplex is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self._chain.top_dim
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -301,13 +297,14 @@ class WeightedCellComplex:
         if name == "all":
             return frozenset(self._chain.labels())
         if name not in self.subs:
-            raise ValueError(f"no subcomplex named {name!r}")
+            raise ValueError(f"no subcomplex named {name!r} (subcomplexes: "
+                             f"{', '.join(['all', *sorted(self.subs)])})")
         return self.subs[name]
 
     def chain_complex(self) -> ChainComplex:
         """The cellular chain complex, built once.  The public
-        constructor composes its d∘d; a derived complex leaves that to
-        the first homology(), and each later call reads the result."""
+        constructor composes its d∘d; a derived complex is valid by the
+        construction of its builder."""
         return self._chain
 
 
@@ -324,7 +321,7 @@ def cone_point_index(m1: int, m2: int, m3: int) -> int:
     spherical = (triple[:2] == (2, 2)) or triple in ((2, 3, 3), (2, 3, 4), (2, 3, 5))
     if not spherical:
         raise ValueError(f"({m1},{m2},{m3}) is not a spherical triple")
-    ell = _lcm(triple)
+    ell = lcm(*triple)
     if triple[:2] == (2, 2) and triple[2] % 2 == 1:
         return ell
     return 2 * ell
@@ -476,8 +473,8 @@ def _surface_cells(d: Surface) -> tuple[int, int]:
 
 # Per descriptor family: (t model builder, adapted model builder), each
 # giving (dim, cells, subs), then the cell counts of the two models.
-# _build checks the base complex once; its torus product's d∘d is
-# composed on its first homology(), as for any derived complex.
+# _build checks the base complex once; its torus product is valid by
+# construction (_torus), as is every derived complex.
 _FAMILIES = {
     Disc2: (_t_disc2, _adapted_disc2, lambda d: (7, 5)),
     Surface: (_t_surface, _adapted_surface, _surface_cells),
@@ -536,10 +533,10 @@ def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
     0) or '_x_t' (dim 1), on its id, and the base weight.  The circle
     has no boundary, so a product column is the base column on the
     faces with the same suffix, with no sign: the chain complex is 2^k
-    shifted copies of the base's (Hatcher, Algebraic Topology, §3.B).
-    Each dim lists its cells in the order of k iterated products with
-    the circle (`oracles.public_tensor`) of the base's cells stably
-    sorted by dimension.
+    shifted copies of the base's (Hatcher, Algebraic Topology, §3.B),
+    valid as the base is.  Each dim lists its cells in the order of k
+    iterated products with the circle (`oracles.public_tensor`) of the
+    base's cells stably sorted by dimension.
     """
     c = base._chain
     labels, weights = [list(ls) for ls in c.basis], [list(ws) for ws in base._weights]
@@ -560,7 +557,7 @@ def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
                            in zip(_pairs(members), sizes)]
                 for sub_name, members in subs.items()}
     return WeightedCellComplex._of(
-        name, base.dim + k, {sub_name: frozenset().union(*(
+        name, {sub_name: frozenset().union(*(
             map(cells.__getitem__, picks) for cells, picks in zip(labels, members)))
             for sub_name, members in subs.items()},
         ChainComplex._of(labels, columns[1:]), weights)
@@ -587,8 +584,10 @@ def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
 
     The incidence from a cell onto a face is divided by the ratio of
     their weights; this is the weights-to-1 degeneration whose homology
-    is that of the underlying space.  The first incidence, in degree,
-    column and row order, that cannot be divided raises ValueError.
+    is that of the underlying space, valid as wcc is: d∘d is scaled by
+    w(e)/w(c) from a cell c onto a cell e.  The first incidence, in
+    degree, column and row order, that cannot be divided raises
+    ValueError.
     """
     c, w, boundaries = wcc._chain, wcc._weights, []
     for q, columns in enumerate(c.boundaries, start=1):
@@ -607,7 +606,7 @@ def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
                 scaled.append((i, x // ratio))
             boundaries[-1].append(scaled)
     return WeightedCellComplex._of(
-        f"{wcc.name}_underlying", wcc.dim, wcc.subs,
+        f"{wcc.name}_underlying", wcc.subs,
         ChainComplex._of(c.basis, boundaries), [[1] * len(ws) for ws in w])
 
 
@@ -632,10 +631,12 @@ def ws_complex(wcc: WeightedCellComplex, rel: str | None = None) -> ChainComplex
     Degree k of the result holds the duals of the (n-k)-cells, scaled by
     their weights, so that homology in degree k is the weighted
     cohomology in degree n-k: its boundaries are the transposed columns
-    of wcc, each entry times w(face) / w(coface).  With rel set, duals
-    of cells in that named subcomplex are dropped (cochains vanishing
-    on it).  The first entry, from the top degree down and in coface
-    and face-position order, that is not integral raises ValueError.
+    of wcc, each entry times w(face) / w(coface), so its d∘d is that of
+    wcc transposed and scaled.  With rel set, duals of cells in that
+    named subcomplex are dropped: as the sub is closed, the cochains
+    vanishing on it are a subcomplex.  The first entry, from the top
+    degree down and in coface and face-position order, that is not
+    integral raises ValueError.
     """
     dropped = wcc.sub_cells(rel) if rel is not None else frozenset()
     c, w, n = wcc._chain, wcc._weights, wcc.dim

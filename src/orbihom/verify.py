@@ -101,16 +101,10 @@ def check_mv(wcc: WeightedCellComplex, piece_a, piece_b) -> VerdictReport:
             f"pieces do not cover the complex: missing {sorted(missing)}"
         )
     m = wcc.chain_complex()
-    # homology(m) first composes m's d∘d, if no one has yet, so that the
-    # three subcomplexes inherit the check.
-    h_m = homology(m)
     comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
     comp_i = subcomplex(m, cells_a & cells_b)
+    h_m, h_i, h_a, h_b = map(homology, (m, comp_i, comp_a, comp_b))
     n = m.top_dim
-
-    h_i = homology(comp_i)
-    h_a = homology(comp_a)
-    h_b = homology(comp_b)
 
     # Each inclusion is checked once, which shows d∘i = i∘d; with the
     # coverage above, that is all induced_map and connecting_hom check.

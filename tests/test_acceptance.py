@@ -8,7 +8,7 @@ of the criteria and asserted here.
 import random
 import time
 
-from orbihom.chains import homology, validate
+from orbihom.chains import homology, relative, subcomplex, validate
 from orbihom.groups import abelianization, pi1_presentation
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
@@ -243,10 +243,15 @@ def test_criterion_12_property_suites(acceptance_log):
     def check():
         # boundary-of-boundary vanishes on every constructed complex
         for d in GRID_1_TO_3:
-            assert validate(t_model(d).chain_complex()) == []
-            assert validate(adapted_model(d).chain_complex()) == []
-            assert validate(underlying_model(d).chain_complex()) == []
-            assert validate(ws_complex(adapted_model(d))) == []
+            adapted = adapted_model(d)
+            for model in (t_model(d), adapted, underlying_model(d)):
+                c = model.chain_complex()
+                assert validate(c) == []
+                for name in model.subs:
+                    assert validate(subcomplex(c, model.sub_cells(name))) == []
+                    assert validate(relative(c, model.sub_cells(name))) == []
+            for rel in (None, *adapted.subs):
+                assert validate(ws_complex(adapted, rel)) == []
         prod = tensor(t_model(Disc2(2)).chain_complex(),
                       t_model(Surface(0, 1)).chain_complex())
         assert validate(prod) == []

@@ -57,6 +57,7 @@ from oracles import (
     hnf_connecting_matrices,
     hstack,
     identity,
+    is_zero,
     kernel_of,
     lattice_of,
     point_complex,
@@ -115,16 +116,18 @@ def test_half_disk_contractible():
 
 
 def test_validate_reports_broken_boundary():
-    broken = ChainComplex(
-        basis=(("v", "w"), ("e",), ("f",)),
-        boundaries=(sparse_columns(IntMatrix([[-1], [1]])),
-                    sparse_columns(IntMatrix([[1]]))),
-    )
-    problems = validate(broken)
-    assert len(problems) == 2
-    assert all("boundary of boundary of f" in p for p in problems)
-    with pytest.raises(ValueError):
-        homology(broken)
+    """The constructor refuses d∘d != 0, naming every problem that
+    validate finds on the same columns."""
+    basis = (("v", "w"), ("e",), ("f",))
+    boundaries = (sparse_columns(IntMatrix([[-1], [1]])),
+                  sparse_columns(IntMatrix([[1]])))
+    problems = validate(ChainComplex._of(basis, boundaries))
+    assert problems == [
+        "degree 2: boundary of boundary of f hits v with coefficient -1",
+        "degree 2: boundary of boundary of f hits w with coefficient 1"]
+    with pytest.raises(ValueError) as refused:
+        ChainComplex(basis, boundaries)
+    assert str(refused.value) == "invalid complex: " + "; ".join(problems)
 
 
 def test_constructor_errors():
@@ -163,6 +166,11 @@ def test_d_gives_back_the_matrix_built_from():
                            for _ in range(dims[q - 1])], cols=dims[q])
                 for q in range(1, len(dims))]
         basis = [[f"c{q}_{i}" for i in range(n)] for q, n in enumerate(dims)]
+        if not all(is_zero(mats[q - 2] @ mats[q - 1])
+                   for q in range(2, len(mats) + 1)):
+            with pytest.raises(ValueError, match="invalid complex: "):
+                ChainComplex(basis, [sparse_columns(mat) for mat in mats])
+            continue
         c = ChainComplex(basis, [sparse_columns(mat) for mat in mats])
         for q, mat in enumerate(mats, start=1):
             assert boundary_matrix(c, q) == mat
@@ -887,10 +895,10 @@ def test_connecting_hom_checks_the_intersection_of_given_homology():
     wrong = ChainComplex([["p", "q"], ["m"]], [[[(0, 1), (1, -1)]]])
     with pytest.raises(ValueError, match="intersection cell m in degree 1"):
         connecting_hom(a, b, c, h_inter=homology(wrong))
-    # t's boundary is reversed in the first piece
+    # t's boundary is reversed in the first piece, and U's with it
     twisted = ChainComplex([["p", "q"], ["t", "m"], ["U"]],
                            [[[(0, 1), (1, -1)], [(0, -1), (1, 1)]],
-                            [[(0, 1), (1, -1)]]])
+                            [[(0, -1), (1, -1)]]])
     with pytest.raises(ValueError, match="subcomplex cell t in degree 1"):
         connecting_hom(twisted, b, c)
 

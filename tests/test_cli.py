@@ -198,9 +198,16 @@ def test_oversized_product_exits_two_before_building(monkeypatch):
 
 
 def test_empty_rel_names_no_subcomplex():
-    for command in ("homology", "ws-cohomology"):
-        code, text = run([command, "--desc", "disc2(3)", "--rel", ""])
-        assert (code, text) == (2, "error: no subcomplex named ''\n"), command
+    """An unknown --rel names the subs the command's model has: the t
+    model's for homology, the adapted model's for ws-cohomology."""
+    t_subs = "all, annulus, boundary, cone"
+    for command, rel, subs in (("homology", "", t_subs),
+                               ("ws-cohomology", "", "all, boundary"),
+                               ("ws-cohomology", "cone", "all, boundary")):
+        code, text = run([command, "--desc", "disc2(3)", "--rel", rel])
+        assert (code, text) == (2, f"error: no subcomplex named {rel!r} "
+                                   f"(subcomplexes: {subs})\n"), command
+    assert run(["homology", "--desc", "disc2(3)", "--rel", "cone"])[0] == 0
 
 
 def test_malformed_file_reports_line(tmp_path):
