@@ -9,7 +9,7 @@ sequences, products, degenerations, duality).
 
 from .intlin import FgAbGroup, IntMatrix
 from .chains import (ChainComplex, ChainMap, HomologyResult, connecting_hom,
-                     homology, induced_map)
+                     homology, inclusion_map, induced_map)
 from .orbmodel import (
     Ball3,
     Ball3Cyclic,
@@ -47,6 +47,7 @@ __all__ = [
     "ChainMap",
     "HomologyResult",
     "homology",
+    "inclusion_map",
     "induced_map",
     "connecting_hom",
     "Disc2",

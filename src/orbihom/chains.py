@@ -165,19 +165,22 @@ def _sparse_solver(rows: Sequence[Column]):
     return solve
 
 
-def validate(c: ChainComplex) -> list[str]:
-    """Compose consecutive boundaries, on each call.
+def _dd_entries(c: ChainComplex):
+    """(q, j, i, value), lazily, of each nonzero entry of d∘d: the boundary
+    of boundary of basis[q][j] hits basis[q-2][i] with value."""
+    return ((q, j, i, value) for q in range(2, c.top_dim + 1)
+            for j, col in enumerate(c.boundaries[q - 1])
+            for i, value in _compose(c.boundaries[q - 2], col))
 
-    Returns a list of violation descriptions, empty when d∘d = 0.  Each
-    entry names the degree and the offending basis pair; entries go
-    column by column, rows ascending.  The work is proportional to the
-    nonzero incidences composed.
-    """
+
+def validate(c: ChainComplex) -> list[str]:
+    """Compose consecutive boundaries, on each call: one description per
+    _dd_entries item, column by column, rows ascending, so the list is
+    empty when d∘d = 0.  The work is proportional to the nonzero
+    incidences composed."""
     return [f"degree {q}: boundary of boundary of {c.basis[q][j]} hits "
             f"{c.basis[q - 2][i]} with coefficient {value}"
-            for q in range(2, c.top_dim + 1)
-            for j, col in enumerate(c.boundaries[q - 1])
-            for i, value in _compose(c.boundaries[q - 2], col)]
+            for q, j, i, value in _dd_entries(c)]
 
 
 @dataclass(frozen=True)
@@ -515,8 +518,7 @@ class _Reduction:
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
     """cells as a set, checked to be cells of c closed under faces."""
     cells = set(cells)
-    unknown = cells - c.labels()
-    if unknown:
+    if unknown := cells - c.labels():
         raise ValueError(f"unknown cells: {sorted(unknown)}")
     for q in range(1, c.top_dim + 1):
         for label, col in zip(c.basis[q], c.boundaries[q - 1]):
@@ -589,41 +591,16 @@ class ChainMap:
         return True
 
 
-def _check_subcomplex(c: ChainComplex, sub: ChainComplex, role: str) -> None:
-    """ValueError unless sub is subcomplex(c, its cells), up to the order
-    of the cells within each degree.
-
-    Equal columns make sub's cells cells of c, closed under faces, so
-    _closed_cells runs only once a column differs, to word the error.
-    """
-    below: list[int] = []  # positions in c of sub's cells one degree down
-    for q, labels in enumerate(sub.basis):  # lower degrees are checked first
-        index = c._index[q] if q <= c.top_dim else {}
-        here = [index.get(label) for label in labels]
-        for j, (label, i) in enumerate(zip(labels, here)):
-            # sub's columns are merged and its rows distinct: just sort.
-            if i is None or q and c.boundaries[q - 1][i] != tuple(sorted(
-                    (below[r], value) for r, value in sub.boundaries[q - 1][j])):
-                _closed_cells(c, sub.labels(), role)
-                raise ValueError(f"{role} cell {label} in degree {q} is not "
-                                 "that of the whole complex")
-        below = here
+def inclusion_map(c: ChainComplex, cells: Iterable[str]) -> ChainMap:
+    """Inclusion into c of subcomplex(c, cells)."""
+    return _inclusion(c, subcomplex(c, cells))
 
 
-def inclusion_map(c: ChainComplex, sub: ChainComplex) -> ChainMap:
-    """Inclusion into c of sub, a subcomplex built by subcomplex(c, cells)."""
-    _check_subcomplex(c, sub, "subcomplex")
+def _inclusion(c: ChainComplex, sub: ChainComplex) -> ChainMap:
+    """inclusion_map of sub, c on a closed set, whose unit columns commute."""
     return _trusted(ChainMap, source=sub, target=c, matrices=tuple(
         tuple(((c.position(q, label), 1),) for label in labels)
         for q, labels in enumerate(sub.basis)))
-
-
-def _check_homology(h: HomologyResult, c: ChainComplex, role: str) -> None:
-    """ValueError unless h is the integral homology of c (same basis and boundaries)."""
-    if h.coeff != "Z":
-        raise ValueError(f"{role} homology must be over Z, not {h.coeff}")
-    if (h._complex.basis, h._complex.boundaries) != (c.basis, c.boundaries):
-        raise ValueError(f"{role} homology is not that of the {role} complex")
 
 
 def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, columns) -> GroupHom:
@@ -634,68 +611,51 @@ def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, columns) -> GroupHom:
                                  for z in src._lifts))
 
 
-def induced_map(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
-    """Induced homomorphisms on homology, one per source degree.
-
-    hc and hd must be the integral homology of f.source and f.target.
-    """
-    _check_homology(hc, f.source, "source")
-    _check_homology(hd, f.target, "target")
+def induced_map(f: ChainMap) -> tuple[GroupHom, ...]:
+    """Induced homomorphisms on integral homology, one per source degree,
+    in the cycle bases of homology(f.source) and homology(f.target)."""
     if not f.commutes():
         raise ValueError("chain map does not commute with boundaries")
-    return _induced(f, hc, hd)
+    return _induced(f, homology(f.source), homology(f.target))
 
 
 def _induced(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
-    """induced_map, unchecked."""
+    """induced_map, unchecked, on hc and hd, the homology of its ends."""
     return tuple(_cycle_hom(hc.degree(q), hd.degree(q), f.matrices[q])
                  for q in range(f.source.top_dim + 1))
 
 
-def connecting_hom(a: ChainComplex, b: ChainComplex, m: ChainComplex,
-                   h_inter: HomologyResult | None = None,
-                   h_m: HomologyResult | None = None) -> tuple[GroupHom, ...]:
+def connecting_hom(m: ChainComplex, cells_a: Iterable[str],
+                   cells_b: Iterable[str]) -> tuple[GroupHom, ...]:
     """Connecting homomorphisms of a two-piece cover, degree q to q-1.
 
-    a and b must be subcomplexes of m (matched by label) that jointly
-    contain every cell.  The short exact sequence sends a chain c of the
+    cells_a and cells_b must be closed sets of cells of m that together
+    cover it.  The short exact sequence sends a chain c of the
     intersection to (c, -c) and a pair (x, y) to x + y; the connecting
     map lifts a cycle of m to the pair whose x keeps its coefficients on
     a's cells, takes the boundary of x in a, and reads it in the
-    intersection.  h_inter, if given, must be the homology of
-    subcomplex(m, a ∩ b); its complex is then not rebuilt.
+    intersection.
     """
-    a_cells, b_cells = a.labels(), b.labels()
-    missing = m.labels() - (a_cells | b_cells)
-    if missing:
+    cells_a = _closed_cells(m, cells_a, "subcomplex")
+    cells_b = _closed_cells(m, cells_b, "subcomplex")
+    if missing := m.labels() - (cells_a | cells_b):
         raise ValueError(f"cells not covered by the two pieces: {sorted(missing)}")
-    _check_subcomplex(m, a, "subcomplex")
-    _check_subcomplex(m, b, "subcomplex")
-    if h_inter is None:
-        h_inter = homology(subcomplex(m, a_cells & b_cells))
-    inter = h_inter._complex
-    if inter.labels() != a_cells & b_cells:
-        raise ValueError("intersection homology is not that of the intersection complex")
-    _check_subcomplex(m, inter, "intersection")
-    h_m = homology(m) if h_m is None else h_m
-    _check_homology(h_inter, inter, "intersection")
-    _check_homology(h_m, m, "whole")
-    return _connecting(a, m, h_inter, h_m)
+    return _connecting(cells_a, m, homology(subcomplex(m, cells_a & cells_b)),
+                       homology(m))
 
 
-def _connecting(a: ChainComplex, m: ChainComplex, h_inter: HomologyResult,
+def _connecting(cells_a: set[str], m: ChainComplex, h_inter: HomologyResult,
                 h_m: HomologyResult) -> tuple[GroupHom, ...]:
-    """connecting_hom, unchecked: a cell of a maps to its boundary read on
-    the intersection's rows, where that of a cycle's part on a lies."""
-    inter = h_inter._complex
-    pres_0 = h_m.degree(0).presentation
+    """connecting_hom, unchecked: a cell of cells_a maps to its boundary
+    read on the intersection's rows, where that of a cycle's part on
+    cells_a lies."""
+    inter, pres_0 = h_inter._complex, h_m.degree(0).presentation
     homs = [_trusted(GroupHom, source=pres_0, target=AbPresentation.free(0),
                      matrix=((),) * pres_0.gens)]
     for q in range(1, m.top_dim + 1):
-        in_a = a._index[q] if q <= a.top_dim else {}
         row = [inter._index[q - 1].get(label) for label in m.basis[q - 1]]
         columns = [[(row[i], value) for i, value in col if row[i] is not None]
-                   if label in in_a else ()
+                   if label in cells_a else ()
                    for label, col in zip(m.basis[q], m.boundaries[q - 1])]
         homs.append(_cycle_hom(h_m.degree(q), h_inter.degree(q - 1), columns))
     return tuple(homs)

@@ -55,7 +55,7 @@ def _fail(pos: int, message: str):
 
 def _parse_int(token: str, pos: int) -> int:
     token = token.strip()
-    if not re.fullmatch(r"\d+", token):
+    if not (token.isascii() and token.isdigit()):  # int() also takes "+1", "1_0"
         _fail(pos, f"expected an integer, got {token!r}")
     try:
         return int(token)

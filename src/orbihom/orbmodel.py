@@ -239,9 +239,9 @@ class WeightedCellComplex:
                      for ref, coefficient in cell.boundary)
               for cell in cells] for cells in by_dim[1:]])
         if problems := chains.validate(chain):
-            culprit = re.search(r"boundary of boundary of (\w+)", problems[0])
+            q, j, _, _ = next(chains._dd_entries(chain))
             raise ComplexError("boundary of boundary is nonzero: "
-                               + problems[0], culprit.group(1))
+                               + problems[0], chain.basis[q][j])
         closed = {sub_name: frozenset(members)
                   for sub_name, members in listed.items()}
         for sub_name, members in listed.items():
@@ -674,6 +674,13 @@ class OwcError(ValueError):
 _KV_RE = re.compile(r"^(\w+)=(\S+)$")
 
 
+def _is_int(text: str) -> bool:
+    """Whether text is ASCII -?[0-9]+, the one integer form of .owc text
+    (int() alone also takes other digits, '+' and '_')."""
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_owc(text: str) -> WeightedCellComplex:
     """Parse the .owc text format.
 
@@ -704,7 +711,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 raise OwcError(lineno, "orbifold needs a name")
             name = line[len("orbifold"):].strip()
         elif verb == "dim":
-            if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
+            if len(parts) != 2 or not _is_int(parts[1]):
                 raise OwcError(lineno, "dim needs one integer")
             try:
                 dim = int(parts[1])
@@ -735,9 +742,10 @@ def parse_owc(text: str) -> WeightedCellComplex:
             if "dim" not in fields or "weight" not in fields:
                 raise OwcError(lineno, "cell needs dim= and weight=")
             try:
-                cell_dim = int(fields["dim"])
-                weight = int(fields["weight"])
-            except ValueError:
+                if not (_is_int(fields["dim"]) and _is_int(fields["weight"])):
+                    raise ValueError
+                cell_dim, weight = int(fields["dim"]), int(fields["weight"])
+            except ValueError:  # or more digits than int() converts
                 raise OwcError(lineno, "dim and weight must be integers")
             boundary = []
             if "boundary" in fields:
@@ -747,8 +755,10 @@ def parse_owc(text: str) -> WeightedCellComplex:
                                                f"{entry!r}, want id:int")
                     ref, _, coefficient = entry.partition(":")
                     try:
+                        if not _is_int(coefficient):
+                            raise ValueError
                         boundary.append((ref, int(coefficient)))
-                    except ValueError:
+                    except ValueError:  # or more digits than int() converts
                         raise OwcError(lineno, f"bad boundary coefficient "
                                                f"in {entry!r}")
             try:

@@ -884,15 +884,15 @@ def dense_commutes(f) -> bool:
                for q in range(1, f.source.top_dim + 1))
 
 
-def hnf_connecting_matrices(a, b, m) -> list[IntMatrix]:
-    """Matrices of the connecting maps of the cover (a, b) of m, degree
-    q to q-1 for q >= 1: each cycle of m is split as x + y over
-    [incl_a | incl_b] by solve_linear, and the boundary of x is read in
-    the intersection."""
-    cells_a, cells_b = a.labels(), b.labels()
+def hnf_connecting_matrices(m, cells_a, cells_b) -> list[IntMatrix]:
+    """Matrices of the connecting maps of the cover of m by the closed
+    cell sets cells_a and cells_b, degree q to q-1 for q >= 1: each
+    cycle of m is split as x + y over [incl_a | incl_b] by solve_linear,
+    and the boundary of x is read in the intersection."""
     inter = subcomplex(m, cells_a & cells_b)
     h_inter, h_m = homology(inter), homology(m)
-    incl_a, incl_b = inclusion_map(m, a), inclusion_map(m, b)
+    incl_a, incl_b = inclusion_map(m, cells_a), inclusion_map(m, cells_b)
+    a = incl_a.source
     matrices = []
     for q in range(1, m.top_dim + 1):
         src, dst = h_m.degree(q), h_inter.degree(q - 1)
@@ -1016,14 +1016,15 @@ def unreduced_mv_assertions(wcc, cells_a, cells_b) -> list[tuple]:
     its dense rows, and the kernel as bare `kernel` when it is the
     image."""
     m = wcc.chain_complex()
+    cells_i = cells_a & cells_b
     comp_a, comp_b = subcomplex(m, cells_a), subcomplex(m, cells_b)
-    comp_i = subcomplex(m, cells_a & cells_b)
+    comp_i = subcomplex(m, cells_i)
     h_i, h_a, h_b, h_m = map(homology, (comp_i, comp_a, comp_b, m))
-    i_a = induced_map(inclusion_map(comp_a, comp_i), h_i, h_a)
-    i_b = induced_map(inclusion_map(comp_b, comp_i), h_i, h_b)
-    j_a = induced_map(inclusion_map(m, comp_a), h_a, h_m)
-    j_b = induced_map(inclusion_map(m, comp_b), h_b, h_m)
-    k = connecting_hom(comp_a, comp_b, m, h_inter=h_i, h_m=h_m)
+    i_a = induced_map(inclusion_map(comp_a, cells_i))
+    i_b = induced_map(inclusion_map(comp_b, cells_i))
+    j_a = induced_map(inclusion_map(m, cells_a))
+    j_b = induced_map(inclusion_map(m, cells_b))
+    k = connecting_hom(m, cells_a, cells_b)
 
     def rels(p):
         return dense(p.rels, p.gens)

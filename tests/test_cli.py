@@ -218,6 +218,45 @@ def test_malformed_file_reports_line(tmp_path):
     assert "line 3" in text
 
 
+_OWC = "orbifold x\ndim 1\ncell v dim=0 weight=1\n"
+
+
+@pytest.mark.parametrize("source, text, message", [
+    # int() also takes other digits, a + sign and underscores; the input
+    # grammar takes ASCII -?[0-9]+ in .owc files, [0-9]+ in descriptors.
+    ("file", "orbifold x\ndim \u0661\n", "line 2: dim needs one integer"),
+    ("file", "orbifold x\ndim 1_0\n", "line 2: dim needs one integer"),
+    ("file", "orbifold x\ndim +1\n", "line 2: dim needs one integer"),
+    ("file", _OWC + "cell w dim=0 weight=+1\n",
+     "line 4: dim and weight must be integers"),
+    ("file", _OWC + "cell w dim=0 weight=1_0\n",
+     "line 4: dim and weight must be integers"),
+    ("file", _OWC + "cell w dim=\u0660 weight=1\n",
+     "line 4: dim and weight must be integers"),
+    ("file", _OWC + "cell e dim=1 weight=1 boundary=v:+0_0\n",
+     "line 4: bad boundary coefficient in 'v:+0_0'"),
+    ("file", _OWC + "cell e dim=1 weight=1 boundary=v:\uff11\n",
+     "line 4: bad boundary coefficient in 'v:\uff11'"),
+    ("desc", "disc2(\u0663)",
+     "descriptor error at position 0: expected an integer, got '\u0663'"),
+    ("desc", "disc2(3) x torus(\u00b9)",
+     "descriptor error at position 11: expected an integer, got '\u00b9'"),
+    ("desc", "surface(1,1;+3)",
+     "descriptor error at position 0: expected an integer, got '+3'"),
+    ("desc", "disc2(1_0)",
+     "descriptor error at position 0: expected an integer, got '1_0'"),
+], ids=["owc-dim-arabic-indic", "owc-dim-underscore", "owc-dim-plus",
+        "owc-weight-plus", "owc-weight-underscore", "owc-cell-dim-arabic-indic",
+        "owc-coefficient-plus-underscore", "owc-coefficient-fullwidth",
+        "desc-arabic-indic", "desc-superscript", "desc-plus", "desc-underscore"])
+def test_integers_are_ascii_digits(tmp_path, source, text, message):
+    if source == "file":
+        path = tmp_path / "x.owc"
+        path.write_text(text, encoding="utf-8")
+        text = str(path)
+    assert run(["homology", f"--{source}", text]) == (2, f"error: {message}\n")
+
+
 def test_oversized_file_exits_two(tmp_path):
     path = tmp_path / "big.owc"
     path.write_text(f"orbifold big\ndim {MAX_DIM + 1}\n")

@@ -636,6 +636,18 @@ def test_owc_round_trip():
             homology(wcc.chain_complex()).groups()
 
 
+def test_owc_faces_may_be_declared_after_their_cell():
+    """A face is any cell declared anywhere in the file, before or after
+    the cell whose boundary lists it; integers are ASCII -?[0-9]+,
+    leading zeros included."""
+    wcc = parse_owc("orbifold x\ndim 01\n"
+                    "cell e dim=1 weight=1 boundary=v:1,w:-01\n"
+                    "cell v dim=00 weight=1\ncell w dim=0 weight=01\n")
+    assert [cell.id for cell in wcc.cells] == ["e", "v", "w"]
+    assert wcc.cells[0].boundary == (("v", 1), ("w", -1))
+    assert homology(wcc.chain_complex()).groups() == (Z, ZERO)
+
+
 def test_owc_golden_adapted_ball3():
     golden = """orbifold ball3(2,3,4)
 dim 3

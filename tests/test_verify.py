@@ -248,11 +248,13 @@ def test_mv_builds_no_dense_matrix(monkeypatch):
         IntMatrix([[1]])
 
 
-def test_mv_checks_each_inclusion_once(monkeypatch):
-    """check_mv checks each of its four inclusions once, and then reads
-    the maps on trusted sparse lifts: no commuting check, no checked
-    chain map and no public kernel_coords (7, 4, 4 and 218 calls on
-    this cover when every map went through the public entry points)."""
+def test_mv_checks_no_map_it_built(monkeypatch):
+    """check_mv checks the closure of its three pieces where it builds
+    them, and then reads the maps on trusted sparse lifts: no public
+    inclusion_map (4 calls when each inclusion was checked once), no
+    commuting check, no checked chain map and no public kernel_coords
+    (7, 4 and 218 calls on this cover when every map went through the
+    public entry points)."""
     from orbihom import chains
     calls = Counter()
 
@@ -262,8 +264,11 @@ def test_mv_checks_each_inclusion_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(chains, "_check_subcomplex",
-                        counted("subcomplex", chains._check_subcomplex))
+    for name in ("inclusion_map", "_closed_cells"):
+        monkeypatch.setattr(chains, name, counted(name, getattr(chains, name)))
+    monkeypatch.setattr(verify, "inclusion_map",
+                        counted("inclusion_map", chains.inclusion_map),
+                        raising=False)
     for cls, name in ((chains.ChainMap, "commutes"),
                       (chains.ChainMap, "__post_init__"),
                       (chains.DegreeHomology, "kernel_coords")):
@@ -271,7 +276,8 @@ def test_mv_checks_each_inclusion_once(monkeypatch):
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 3))
     a, b = random_two_cover(wcc, random.Random(9))
     assert check_mv(wcc, a, b).passed
-    assert calls["subcomplex"] <= 4
+    assert calls["inclusion_map"] == 0
+    assert calls["_closed_cells"] == 3
     assert calls["commutes"] == calls["__post_init__"] == 0
     assert calls["kernel_coords"] == 0
 
