@@ -3,16 +3,15 @@
 Provides the kernels the chain layer runs: Smith diagonals, integer
 kernels and column lattices of maps given as sparse columns (Column),
 and finitely generated abelian groups in canonical form (free rank plus
-a divisor chain).  Every form comes from one sparse row echelon
-elimination, _echelon, with no unimodular transform: lattice_hnf is one
-row Hermite form, smith_diagonal alternates row and column Hermite
-forms until the matrix is diagonal, and a kernel basis, or the image
-and kernel lattices of a map of presented groups, is one _echelon of a
-block of sparse rows split by _split_echelon.  A form reads only the
-lattice spanned: relators in any basis, with zero, repeated or
-reordered columns, give the same form.  The dense IntMatrix
-serves one dense read, a degree's cycle basis (DegreeHomology.kernel).
-Everything is exact: entries are Python ints.
+a divisor chain).  Every form reads one kernel, _echelon: the row
+Hermite form of sparse rows, unique for the lattice they span, so
+relators in any basis or order, with zero or repeated ones, give the
+same form; no unimodular transform is carried.  lattice_hnf is one
+form, smith_diagonal alternates row and column forms until the matrix
+is diagonal, and a kernel basis, or the image and kernel lattices of a
+map of presented groups, is one form split at a column by
+_split_echelon.  The dense IntMatrix serves one dense read, a degree's
+cycle basis (DegreeHomology.kernel).  Entries are exact Python ints.
 """
 
 from __future__ import annotations
@@ -140,67 +139,58 @@ def _transposed(lines: Iterable[dict[int, int]], width: int) -> list[dict[int, i
     return out
 
 
-def _echelon(rows: list[dict[int, int]], n: int) -> list[int]:
-    """Row Hermite form of the first n columns of the sparse rows
-    ({column: entry}), in place; the entries past column n are carried
-    along by the same row operations.  Returns the pivot columns.
+def _echelon(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The nonzero rows of the row Hermite form of the sparse rows
+    ({column: entry}), reduced in place, in pivot order.
 
-    A column-to-rows index gives the rows live in each pivot column:
-    the first of least absolute value is the pivot, and only live rows
-    are reduced by it, below it and above it.  Rows change places as
-    dense rows would, so the row operations are the dense ones."""
-    order = list(range(len(rows)))  # order[p]: the row at place p
-    at = order[:]  # at[k]: the place of row k
+    A column-to-rows index gives the rows live in each column; only
+    those are reduced.  The pivot is the live row not yet taken of
+    least absolute value, then of least index; it reduces the others
+    until it alone is left, then the rows taken before it.  No choice
+    of pivot can change the result: the Hermite form is unique for the
+    row lattice (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.3)."""
     live: dict[int, set[int]] = {}
     for k, row in enumerate(rows):
         for j in row:
-            if j < n:
-                live.setdefault(j, set()).add(k)
+            live.setdefault(j, set()).add(k)
 
     def addmul(k: int, src: dict[int, int], factor: int) -> None:
         dst = rows[k]
         for j, x in src.items():
             new = dst.get(j, 0) + factor * x
             if new:
-                if j < n and j not in dst:
-                    live[j].add(k)
+                live[j].add(k)
                 dst[j] = new
             else:
                 del dst[j]
-                if j < n:
-                    live[j].discard(k)
+                live[j].discard(k)
 
-    pivots: list[int] = []
+    taken: set[int] = set()
+    out: list[dict[int, int]] = []
     for c in sorted(live):
-        ids, r = live[c], len(pivots)
-        below = [k for k in ids if at[k] >= r]
+        ids = live[c]
+        below = [k for k in ids if k not in taken]
         if not below:
             continue
-        while True:
-            k0 = below[0] if len(below) == 1 else min(
-                below, key=lambda k: (abs(rows[k][c]), at[k]))
-            p0 = at[k0]
-            if p0 != r:
-                order[r], order[p0] = k0, order[r]
-                at[order[p0]], at[k0] = p0, r
-            if len(below) == 1:
-                break
+        while len(below) > 1:
+            k0 = min(below, key=lambda k: (abs(rows[k][c]), k))
             src = rows[k0]
-            pivot = src[c]
             for k in below:
                 if k != k0:
-                    addmul(k, src, -(rows[k][c] // pivot))
-            below = [k for k in ids if at[k] >= r]
+                    addmul(k, src, -(rows[k][c] // src[c]))
+            below = [k for k in ids if k not in taken]
+        (k0,) = below
         row = rows[k0]
         if row[c] < 0:
             for j in row:
                 row[j] = -row[j]
-        for k in [k for k in ids if at[k] < r]:
+        for k in [k for k in ids if k in taken]:
             if rows[k][c] // row[c]:
                 addmul(k, row, -(rows[k][c] // row[c]))
-        pivots.append(c)
-    rows[:] = [rows[k] for k in order]
-    return pivots
+        taken.add(k0)
+        out.append(row)
+    return out
 
 
 def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
@@ -215,10 +205,7 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
     m, n = rows, len(columns)
     s = _transposed(map(dict, columns), m)
     while True:
-        _echelon(s, n)
-        s = _transposed(s, n)
-        _echelon(s, m)
-        s = _transposed(s, m)
+        s = _transposed(_echelon(_transposed(_echelon(s), n)), m)
         if not any(j != i for i, row in enumerate(s) for j in row):
             break
     d = [x for x in (s[i].get(i, 0) for i in range(min(m, n))) if x]
@@ -229,26 +216,23 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
 
 def lattice_hnf(columns: Sequence[Column], rows: int) -> list[Column]:
     """Canonical basis of the column lattice of the rows-row map with
-    these sparse columns, as sparse rows.
-
-    The rows are an echelon basis; two maps span the same column
-    lattice iff their lattice_hnf values are equal.
-    """
-    return _split_echelon([dict(col) for col in columns], rows, rows)[0]
+    these sparse columns, as sparse rows in echelon form: two maps span
+    the same column lattice iff their lattice_hnf values are equal."""
+    return _split_echelon([dict(col) for col in columns], rows)[0]
 
 
-def _split_echelon(lines: list[dict[int, int]], t: int, n: int):
-    """Row Hermite form of the sparse rows lines over all their n
-    columns, split at column t: the canonical bases, as sparse rows, of
-    the row lattice L projected to its first t coordinates, and of L
-    meet (0 + Z^(n - t)), without those t zeros.  Pivots past column t
+def _split_echelon(lines: list[dict[int, int]], t: int):
+    """Row Hermite form of the sparse rows lines, split at column t:
+    the canonical bases, as sparse rows, of the row lattice L projected
+    to its first t coordinates, and of the vectors of L whose first t
+    coordinates are zero, without those t zeros.  Pivots past column t
     never change the first t entries of a row."""
-    pivots = _echelon(lines, n)
-    r = sum(p < t for p in pivots)
-    return ([tuple(sorted((j, x) for j, x in line.items() if j < t))
-             for line in lines[:r]],
-            [tuple(sorted((j - t, x) for j, x in line.items()))
-             for line in lines[r:len(pivots)]])
+    rows = _echelon(lines)
+    r = sum(min(row) < t for row in rows)
+    return ([tuple(sorted((j, x) for j, x in row.items() if j < t))
+             for row in rows[:r]],
+            [tuple(sorted((j - t, x) for j, x in row.items()))
+             for row in rows[r:]])
 
 
 def kernel_basis(columns: Sequence[Column], rows: int) -> list[Column]:
@@ -257,8 +241,7 @@ def kernel_basis(columns: Sequence[Column], rows: int) -> list[Column]:
     from one elimination of the rows [a^T | I]: those whose first block
     is zero.  Equal kernels give equal bases."""
     return _split_echelon([{**dict(col), rows + j: 1}
-                           for j, col in enumerate(columns)],
-                          rows, rows + len(columns))[1]
+                           for j, col in enumerate(columns)], rows)[1]
 
 
 @dataclass(frozen=True)
@@ -387,4 +370,4 @@ class GroupHom:
         return _split_echelon(
             [{**dict(col), t + j: 1} for j, col in enumerate(self.matrix)]
             + [dict(col) for col in self.target.rels]
-            + [{t + i: x for i, x in col} for col in self.source.rels], t, t + s)
+            + [{t + i: x for i, x in col} for col in self.source.rels], t)

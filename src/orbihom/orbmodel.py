@@ -691,8 +691,10 @@ def parse_owc(text: str) -> WeightedCellComplex:
       sub <name> = <id>,...
 
     Structural faults found by WeightedCellComplex are reported at the
-    line of the offending cell or sub member.  A dim above MAX_DIM, or
-    more than MAX_CELLS cell lines, is refused at its line.
+    line of the offending cell or sub member.  A cell field other than
+    dim, weight and boundary, a face listed twice in one boundary, a dim
+    above MAX_DIM, or more than MAX_CELLS cell lines, is refused at its
+    line.
     """
     name = None
     dim = None
@@ -736,6 +738,8 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 if not match:
                     raise OwcError(lineno, f"bad cell field {chunk!r}")
                 key, value = match.groups()
+                if key not in ("dim", "weight", "boundary"):
+                    raise OwcError(lineno, f"unknown cell field {key!r}")
                 if key in fields:
                     raise OwcError(lineno, f"repeated field {key}")
                 fields[key] = value
@@ -747,22 +751,26 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 cell_dim, weight = int(fields["dim"]), int(fields["weight"])
             except ValueError:  # or more digits than int() converts
                 raise OwcError(lineno, "dim and weight must be integers")
-            boundary = []
+            boundary: dict[str, int] = {}
             if "boundary" in fields:
                 for entry in fields["boundary"].split(","):
                     if ":" not in entry:
                         raise OwcError(lineno, f"bad boundary entry "
                                                f"{entry!r}, want id:int")
                     ref, _, coefficient = entry.partition(":")
+                    if ref in boundary:
+                        raise OwcError(lineno, f"face {ref!r} is listed "
+                                               f"twice in the boundary")
                     try:
                         if not _is_int(coefficient):
                             raise ValueError
-                        boundary.append((ref, int(coefficient)))
+                        boundary[ref] = int(coefficient)
                     except ValueError:  # or more digits than int() converts
                         raise OwcError(lineno, f"bad boundary coefficient "
                                                f"in {entry!r}")
             try:
-                cells.append(Cell(cell_id, cell_dim, weight, tuple(boundary)))
+                cells.append(Cell(cell_id, cell_dim, weight,
+                                  tuple(boundary.items())))
             except ValueError as exc:
                 raise OwcError(lineno, str(exc))
             cell_lines[cell_id] = lineno

@@ -162,11 +162,12 @@ def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
 
 
 def dense_echelon(rows: list[list[int]], n: int) -> None:
-    """Dense reference for intlin._echelon: the row Hermite form of the
-    first n columns of rows, in place, the rest of each row carried
-    along.  Each pivot column is scanned once, for the rows live in it:
-    the first of least absolute value is the pivot, and only live rows
-    are reduced by it, below it and above it."""
+    """Dense reference for intlin._echelon, which takes n as the full
+    width: the row Hermite form of the first n columns of rows, in
+    place, the rest of each row carried along.  Each pivot column is
+    scanned once, for the rows live in it: the first of least absolute
+    value is the pivot, and only live rows are reduced by it, below it
+    and above it."""
     m, r = len(rows), 0
     for c in range(n):
         live = [i for i in range(r, m) if rows[i][c]]
@@ -192,13 +193,13 @@ def dense_echelon(rows: list[list[int]], n: int) -> None:
         r += 1
 
 
-def sparse_echelon(rows: list[list[int]], n: int) -> list[list[int]]:
-    """intlin._echelon run on the sparse rows of the dense rows, read
-    back densely."""
+def sparse_echelon(rows: list[list[int]]) -> list[list[int]]:
+    """intlin._echelon run on the sparse rows of the dense rows: the
+    nonzero rows of their row Hermite form, read back densely."""
     width = len(rows[0]) if rows else 0
     lines = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    intlin._echelon(lines, n)
-    return [[line.get(j, 0) for j in range(width)] for line in lines]
+    return [[line.get(j, 0) for j in range(width)]
+            for line in intlin._echelon(lines)]
 
 
 def ref_smith_diagonal(a: IntMatrix) -> list[int]:
@@ -411,7 +412,7 @@ def chain_degree(chain: AffineChain) -> int:
 
 
 def echelon(rows: list[list[int]], n: int) -> None:
-    """Reference for intlin._echelon: every pass rescans all the rows
+    """Reference for dense_echelon: every pass rescans all the rows
     below the pivot for the first entry of least absolute value, and
     reduces every one of them that is nonzero in the pivot column."""
     m, r = len(rows), 0

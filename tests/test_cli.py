@@ -257,6 +257,22 @@ def test_integers_are_ascii_digits(tmp_path, source, text, message):
     assert run(["homology", f"--{source}", text]) == (2, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("cell e dim=1 weight=1 boundry=v:1,w:-1",
+     "line 5: unknown cell field 'boundry'"),
+    ("cell e dim=1 weight=1 boundary=v:1,w:-1,v:-1",
+     "line 5: face 'v' is listed twice in the boundary"),
+], ids=["misspelt-field", "repeated-face"])
+def test_owc_refuses_a_cell_line_it_would_misread(tmp_path, cell, message):
+    """A misspelt cell field would be dropped, and a face listed twice
+    would have its terms summed (here to w:-1 alone): each is refused
+    at its line, with exit code 2."""
+    path = tmp_path / "x.owc"
+    path.write_text("orbifold x\ndim 1\ncell v dim=0 weight=1\n"
+                    f"cell w dim=0 weight=1\n{cell}\n")
+    assert run(["homology", "--file", str(path)]) == (2, f"error: {message}\n")
+
+
 def test_oversized_file_exits_two(tmp_path):
     path = tmp_path / "big.owc"
     path.write_text(f"orbifold big\ndim {MAX_DIM + 1}\n")

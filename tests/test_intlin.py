@@ -364,22 +364,37 @@ EDGE_MATRICES = (IntMatrix([], cols=0), IntMatrix([], cols=4),
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.one_of(st.sampled_from(EDGE_MATRICES), pooled_matrices()), st.data())
-def test_sparse_echelon_matches_the_dense_reference(a, data):
+@given(st.one_of(st.sampled_from(EDGE_MATRICES), pooled_matrices()))
+def test_sparse_echelon_matches_the_dense_reference(a):
     """On 0 x n, n x 0, all-zero, unit-free and sparse matrices, the
-    sparse elimination does the dense reference's row operations: its
-    rows, read back densely, are the reference's row for row, over the
-    first n columns with the rest carried and over the full width; and
-    so the package's Smith diagonal, lattice form and kernel basis are
-    the dense reference's."""
-    n = data.draw(st.integers(0, a.cols))
-    for width in (n, a.cols):
-        want = to_rows(a)
-        dense_echelon(want, width)
-        assert sparse_echelon(to_rows(a), width) == want
+    sparse elimination gives the dense reference's form: its rows, read
+    back densely, are the reference's nonzero rows over the full width;
+    and so the package's Smith diagonal, lattice form and kernel basis
+    are the dense reference's."""
+    want = to_rows(a)
+    dense_echelon(want, a.cols)
+    assert sparse_echelon(to_rows(a)) == [row for row in want if any(row)]
     assert smith_of(a) == ref_smith_diagonal(a)
     assert lattice_of(a) == ref_lattice_hnf(a)
     assert kernel_of(a) == ref_kernel_basis(a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pooled_matrices(), st.data())
+def test_echelon_reads_only_the_row_lattice(a, data):
+    """The form depends on the lattice the rows span, not on the rows:
+    permuting them, or adding to one a multiple of another, leaves it
+    unchanged."""
+    rows = to_rows(a)
+    want = sparse_echelon(rows)
+    assert sparse_echelon(data.draw(st.permutations(rows))) == want
+    if len(rows) >= 2:
+        i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        k = data.draw(st.integers(-5, 5))
+        moved = [list(row) for row in rows]
+        moved[i] = [x + k * y for x, y in zip(moved[i], moved[j])]
+        assert sparse_echelon(moved) == want
 
 
 @st.composite
