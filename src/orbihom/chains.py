@@ -1,15 +1,16 @@
 """Chain complexes of free abelian groups, with exact homology.
 
 The homology groups come from each sparse boundary's rank and invariant
-factors, found by unit-pivot elimination without transforms; over Q,
-from its rank alone, by the same elimination on any nonzero pivot.  The
-representatives are computed on first request, from one unit-pivot
-reduction of the whole complex C to a smaller complex D with the same
-homology, kept with its projection f: C -> D and lift g: D -> C: each
-degree's cycle lattice is g of the canonical (Hermite) basis of the
-cycles of D, with the coordinates of D's boundaries in it as relators.
-f and the coordinates in that basis run one sparse substitution
-(_substitute).  Presentations and maps are sparse columns (Column).
+factors, found by unit-pivot elimination without transforms and one
+Smith diagonal of what it leaves; over Q, from its rank alone, by the
+same elimination on any nonzero pivot.  The representatives are computed
+on first request, from one unit-pivot reduction of the whole complex C
+to a smaller complex D with the same homology, kept with its projection
+f: C -> D and lift g: D -> C: each degree's cycle lattice is g of the
+canonical (Hermite) basis of the cycles of D, with the coordinates of
+D's boundaries in it as relators.  f and the coordinates in that basis
+run one sparse substitution (_substitute).  Presentations and maps are
+sparse columns (Column).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .intlin import (
     IntMatrix,
     _columns,
     _trusted,
-    invariant_factors,
     kernel_basis,
     smith_diagonal,
 )
@@ -316,7 +316,7 @@ def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
         raise ValueError("coefficients must be 'Z' or 'Q'")
     factored = [_boundary_factors(columns, c.dim(q - 1)) if coeff == "Z" else
                 (len(_eliminate({j: dict(col) for j, col in enumerate(columns) if col},
-                                c.dim(q - 1), rational=True)[0]), ())
+                                c.dim(q - 1), rational=True)), ())
                 for q, columns in enumerate(c.boundaries, start=1)]
     # Boundaries out of degree 0 and into the top degree are zero.
     factored = [(0, ())] + factored + [(0, ())]
@@ -344,10 +344,9 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
     it is primitive and, by Cramer's rule, proportional to a vector of
     minors of the input, so its entries stay within Hadamard's bound.
     Returns the pivots (column, row, entry, rest of the column) in
-    order, and the live columns of each row.  With trans, which needs
-    unit pivots, the transform of each column ({cell: coefficient}; a
-    column missing from it is its own cell) follows its column
-    operations.
+    order.  With trans, which needs unit pivots, the transform of each
+    column ({cell: coefficient}; a column missing from it is its own
+    cell) follows its column operations.
     """
     in_row: list[set[int]] = [set() for _ in range(rows)]
     for j, col in cols.items():
@@ -420,7 +419,7 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
                         del t[k]
         in_row[r].clear()
         pivots.append((c, r, p, pivot))
-    return pivots, in_row
+    return pivots
 
 
 def _boundary_factors(columns: Sequence[Column],
@@ -428,36 +427,14 @@ def _boundary_factors(columns: Sequence[Column],
     """Rank and invariant factors above 1 of a sparse boundary.
 
     Each unit pivot of _eliminate splits off a unit invariant factor;
-    no transform is kept.  The residual with no unit entry is split
-    into components.
+    no transform is kept.  The residual, with no unit entry, takes one
+    smith_diagonal on the boundary's rows.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
-    pivots, in_row = _eliminate(cols, rows)
-    rank = len(pivots)
-
-    # The residual, with no unit entry, splits into the connected
-    # components of its row/column graph: a component of one entry is a
-    # diagonal entry as it stands, any other a small dense Smith form.
-    diagonal, seen = [], set()
-    for start in cols:
-        if start in seen:
-            continue
-        seen.add(start)
-        part, part_rows = [start], {}
-        for j in part:
-            for i in cols[j]:
-                if i not in part_rows:
-                    part_rows[i] = len(part_rows)
-                    fresh = in_row[i] - seen
-                    seen |= fresh
-                    part += fresh
-        if len(part_rows) == len(part) == 1:
-            diagonal += map(abs, cols[start].values())
-            continue
-        diagonal += filter(None, smith_diagonal(
-            [[(part_rows[i], x) for i, x in cols[j].items()] for j in part],
-            len(part_rows)))
-    return rank + len(diagonal), invariant_factors(diagonal)
+    rank = len(_eliminate(cols, rows))
+    diagonal = [x for x in smith_diagonal(
+        [tuple(col.items()) for col in cols.values()], rows) if x]
+    return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
 
 
 class _Reduction:
@@ -489,7 +466,7 @@ class _Reduction:
         for q in range(top, 0, -1):
             left[q] = {j: dict(col) for j, col in enumerate(c.boundaries[q - 1])
                        if col and j not in paired[q]}
-            for a, b, unit, rest in _eliminate(left[q], c.dim(q - 1), trans[q])[0]:
+            for a, b, unit, rest in _eliminate(left[q], c.dim(q - 1), trans[q]):
                 paired[q].add(a)
                 paired[q - 1].add(b)
                 pairs[q - 1][b] = (len(pairs[q - 1]), unit, tuple(rest.items()))

@@ -146,10 +146,7 @@ def parse_descriptor(text: str) -> OrbifoldDesc:
         k = _parse_int(args, at)
         if k < 1:
             _fail(at, "torus factor count must be at least 1")
-        if isinstance(desc, ProductTorus):
-            desc = ProductTorus(desc.base, desc.torus_factors + k)
-        else:
-            desc = ProductTorus(desc, k)
+        desc = ProductTorus(desc, k)
 
 
 def _use_color() -> bool:

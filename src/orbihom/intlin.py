@@ -7,11 +7,12 @@ a divisor chain).  Every form reads one kernel, _echelon: the row
 Hermite form of sparse rows, unique for the lattice they span, so
 relators in any basis or order, with zero or repeated ones, give the
 same form; no unimodular transform is carried.  lattice_hnf is one
-form, smith_diagonal alternates row and column forms until the matrix
-is diagonal, and a kernel basis, or the image and kernel lattices of a
-map of presented groups, is one form split at a column by
-_split_echelon.  The dense IntMatrix serves one dense read, a degree's
-cycle basis (DegreeHomology.kernel).  Entries are exact Python ints.
+form; smith_diagonal alternates row and column forms until the matrix
+is diagonal, but reads a monomial map as it stands; and a kernel
+basis, or the image and kernel lattices of a map of presented groups,
+is one form split at a column by _split_echelon.  The dense IntMatrix
+serves one dense read, a degree's cycle basis (DegreeHomology.kernel).
+Entries are exact Python ints.
 """
 
 from __future__ import annotations
@@ -197,18 +198,24 @@ def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
     """Diagonal of the Smith form of the rows x len(columns) map with
     these sparse columns, carrying no transform.
 
-    Row Hermite forms of S and of S^T alternate until S is diagonal
-    (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), positive entries
-    first, then zeros; the positive ones are then written back as their
-    divisor chain.
+    A monomial map, each column of at most one entry and no row hit
+    twice, is diagonal up to order: its entries' absolute values are
+    the diagonal.  Otherwise row Hermite forms of S and of S^T
+    alternate until S is diagonal (Kannan and Bachem, SIAM J. Comput.
+    8(4), 1979).  The nonzero entries are written back as their
+    divisor chain, then the zeros.
     """
     m, n = rows, len(columns)
-    s = _transposed(map(dict, columns), m)
-    while True:
-        s = _transposed(_echelon(_transposed(_echelon(s), n)), m)
-        if not any(j != i for i, row in enumerate(s) for j in row):
-            break
-    d = [x for x in (s[i].get(i, 0) for i in range(min(m, n))) if x]
+    hit = [i for col in columns for i, _ in col]
+    if all(len(col) < 2 for col in columns) and len(set(hit)) == len(hit):
+        d = [abs(x) for col in columns for _, x in col]
+    else:
+        s = _transposed(map(dict, columns), m)
+        while True:
+            s = _transposed(_echelon(_transposed(_echelon(s), n)), m)
+            if not any(j != i for i, row in enumerate(s) for j in row):
+                break
+        d = [x for x in (s[i].get(i, 0) for i in range(min(m, n))) if x]
     chain = invariant_factors(d)
     return ([1] * (len(d) - len(chain)) + list(chain)
             + [0] * (min(m, n) - len(d)))

@@ -82,7 +82,9 @@ class Surface:
 
 @dataclass(frozen=True)
 class ProductTorus:
-    """Product of a base orbifold with a torus of the given dimension."""
+    """Product of a base orbifold with a torus of the given dimension;
+    a product base is folded in, so (X x torus(j)) x torus(k) is
+    X x torus(j + k)."""
 
     base: "OrbifoldDesc"
     torus_factors: int
@@ -92,6 +94,10 @@ class ProductTorus:
                            operator.index(self.torus_factors))
         if self.torus_factors < 1:
             raise ValueError("torus factor count must be at least 1")
+        if isinstance(self.base, ProductTorus):
+            object.__setattr__(self, "torus_factors",
+                               self.base.torus_factors + self.torus_factors)
+            object.__setattr__(self, "base", self.base.base)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ class WeightedCellComplex:
     complex reads its view off its columns and weights.
     """
 
-    __slots__ = ("name", "subs", "_chain", "_weights", "_cells", "_by_id")
+    __slots__ = ("name", "subs", "_chain", "_weights", "_cells")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -267,7 +273,7 @@ class WeightedCellComplex:
     def _set(self, name, subs, chain, weights, cells=None) -> None:
         for slot, value in zip(self.__slots__, (
                 name, subs, chain, tuple([tuple(ws) for ws in weights]),
-                cells, None)):
+                cells)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -286,12 +292,6 @@ class WeightedCellComplex:
                     (basis[q - 1][i], x) for i, x in columns[q - 1][j]]) if q else ())
                 for q, labels in enumerate(basis) for j, label in enumerate(labels)]))
         return self._cells
-
-    def cell(self, cell_id: str) -> Cell:
-        if self._by_id is None:
-            object.__setattr__(self, "_by_id",
-                               {cell.id: cell for cell in self.cells})
-        return self._by_id[cell_id]
 
     def sub_cells(self, name: str) -> frozenset[str]:
         if name == "all":
@@ -496,15 +496,14 @@ MAX_DIM = 64
 
 
 def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
-    """The t model (adapted false) or adapted model of a descriptor,
-    with nested ProductTorus layers taken as one torus(k).
+    """The t model (adapted false) or adapted model of a descriptor.
 
     A file descriptor gives the parsed complex for both kinds.  A model
     of more than MAX_CELLS cells raises ValueError before it is built.
     """
     base, k = d, 0
-    while isinstance(base, ProductTorus):
-        base, k = base.base, k + base.torus_factors
+    if isinstance(d, ProductTorus):
+        base, k = d.base, d.torus_factors
     if isinstance(base, Custom):
         with open(base.path, encoding="utf-8") as handle:
             model = parse_owc(handle.read())

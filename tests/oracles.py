@@ -19,8 +19,9 @@ the product models were built before they used trusted cells.  The
 unreduced exactness route takes every Mayer-Vietoris lattice over the
 full relators of the homology presentations and the canonical kernel,
 as `check_mv` does, on dense matrices.
-`ids` and `cells_of_dim` read a model's cells view, as the methods of
-that name did before a model held its chain complex and weights.  The
+`ids`, `cell` and `cells_of_dim` read a model's cells view, as the
+methods of that name did before a model held its chain complex and
+weights; no code of the package looks a cell up by its id.  The
 two-step lattice route takes a kernel in any basis and then a Hermite
 pass over it, for the image and kernel lattices of a map and for the
 cycle basis, as `exactness_assertion` and `kernel_basis` did before
@@ -832,6 +833,11 @@ def ids(wcc) -> list[str]:
     return [cell.id for cell in wcc.cells]
 
 
+def cell(wcc, cell_id: str) -> Cell:
+    """The cell of wcc with this id."""
+    return next(c for c in wcc.cells if c.id == cell_id)
+
+
 def cells_of_dim(wcc, q: int) -> list[Cell]:
     """The q-cells of wcc, in cell order."""
     return [cell for cell in wcc.cells if cell.dim == q]
@@ -868,7 +874,7 @@ def dense_ws_boundary(wcc, k: int, rel: str | None = None) -> IntMatrix:
         return [cell for cell in cells_of_dim(wcc, q) if cell.id not in dropped]
 
     def scaled(coface, ref, coefficient):
-        value, remainder = divmod(coefficient * wcc.cell(ref).weight,
+        value, remainder = divmod(coefficient * cell(wcc, ref).weight,
                                   coface.weight)
         assert remainder == 0, (coface.id, ref)
         return value

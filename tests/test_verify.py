@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbihom import intlin, verify
+from orbihom.cli import parse_descriptor
 from orbihom.intlin import AbPresentation, FgAbGroup, GroupHom, IntMatrix, lattice_hnf
 from orbihom.orbmodel import (
     Ball3,
@@ -17,6 +18,7 @@ from orbihom.orbmodel import (
     ProductTorus,
     Surface,
     WeightedCellComplex,
+    describe,
     t_model,
 )
 from orbihom.verify import (
@@ -33,6 +35,7 @@ from orbihom.verify import (
 )
 
 from oracles import (
+    cell,
     cyclic,
     dense,
     identity,
@@ -316,7 +319,7 @@ def test_random_two_cover_is_closed_and_covering():
         assert a | b == set(ids(wcc))
         for cells in (a, b):
             for cid in cells:
-                for ref, _ in wcc.cell(cid).boundary:
+                for ref, _ in cell(wcc, cid).boundary:
                     assert ref in cells
 
 
@@ -388,6 +391,18 @@ def test_hurewicz_grid():
     for d in GRID:
         report = check_hurewicz(d)
         assert report.passed, report.render()
+
+
+def test_a_torus_product_of_a_torus_product_is_one_product():
+    """A product base folds into the torus count: the nested descriptor
+    equals the flat one, reads back from its text, and its fundamental
+    group names each torus generator once."""
+    nested = ProductTorus(ProductTorus(Disc2(3), 1), 1)
+    assert nested == ProductTorus(Disc2(3), 2)
+    assert describe(nested) == "disc2(3) x torus(2)"
+    assert parse_descriptor(describe(nested)) == nested
+    report = check_hurewicz(nested)
+    assert report.passed, report.render()
 
 
 # ------------------------------------------------------------ bhomotopy
