@@ -4,9 +4,12 @@ Provides the kernels the chain layer runs: Smith diagonals, integer
 kernels and column lattices of maps given as sparse columns (Column),
 and finitely generated abelian groups in canonical form (free rank plus
 a divisor chain).  Every form reads one kernel, _echelon: the row
-Hermite form of sparse rows, unique for the lattice they span, so
-relators in any basis or order, with zero or repeated ones, give the
-same form; no unimodular transform is carried.  lattice_hnf is one
+Hermite form of sparse rows with no zero entry, unique for the lattice
+they span, so relators in any basis or order, with zero or repeated
+ones, give the same form; no unimodular transform is carried.  Each
+row is inserted into a table of pivots by leading column, then the
+pivots are back-reduced once, so the work follows the fill of the
+rows, not the square of their count.  lattice_hnf is one
 form; smith_diagonal alternates row and column forms until the matrix
 is diagonal, but reads a monomial map as it stands; and a kernel
 basis, or the image and kernel lattices of a map of presented groups,
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -140,58 +144,71 @@ def _transposed(lines: Iterable[dict[int, int]], width: int) -> list[dict[int, i
     return out
 
 
+def _addmul(dst: dict[int, int], src: dict[int, int], factor: int) -> None:
+    """dst += factor * src in place, zeros dropped; factor is nonzero."""
+    for j, x in src.items():
+        new = dst.get(j, 0) + factor * x
+        if new:
+            dst[j] = new
+        else:
+            del dst[j]
+
+
 def _echelon(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     """The nonzero rows of the row Hermite form of the sparse rows
-    ({column: entry}), reduced in place, in pivot order.
+    ({column: entry}, no zero entry), reduced in place, in pivot order.
 
-    A column-to-rows index gives the rows live in each column; only
-    those are reduced.  The pivot is the live row not yet taken of
-    least absolute value, then of least index; it reduces the others
-    until it alone is left, then the rows taken before it.  No choice
-    of pivot can change the result: the Hermite form is unique for the
-    row lattice (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4.3)."""
-    live: dict[int, set[int]] = {}
-    for k, row in enumerate(rows):
-        for j in row:
-            live.setdefault(j, set()).add(k)
-
-    def addmul(k: int, src: dict[int, int], factor: int) -> None:
-        dst = rows[k]
-        for j, x in src.items():
-            new = dst.get(j, 0) + factor * x
-            if new:
-                live[j].add(k)
-                dst[j] = new
-            else:
-                del dst[j]
-                live[j].discard(k)
-
-    taken: set[int] = set()
-    out: list[dict[int, int]] = []
-    for c in sorted(live):
-        ids = live[c]
-        below = [k for k in ids if k not in taken]
-        if not below:
-            continue
-        while len(below) > 1:
-            k0 = min(below, key=lambda k: (abs(rows[k][c]), k))
-            src = rows[k0]
-            for k in below:
-                if k != k0:
-                    addmul(k, src, -(rows[k][c] // src[c]))
-            below = [k for k in ids if k not in taken]
-        (k0,) = below
-        row = rows[k0]
+    Each row is inserted into a table of pivot rows keyed by leading
+    column: the pivot there subtracts a multiple of itself when it
+    divides the row's entry; otherwise one extended-gcd step, a 2 x 2
+    unimodular combination, leaves the gcd row as the pivot, and the
+    remainder goes on being inserted.  The pivots are then made
+    positive and back-reduced once, from the last up, each row only at
+    the pivot columns it holds, popped from a heap: the work follows
+    the fill, not the square of the pivot count.  The Hermite form is
+    unique for the row lattice (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.3), so neither the order of the rows
+    nor the pivoting can change it."""
+    table: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            top = table.setdefault(c, row)
+            if top is row:
+                break
+            a, b = top[c], row[c]
+            if b % a == 0:
+                _addmul(row, top, -(b // a))
+                continue
+            g, r, x, u = a, b, 1, 0
+            while r:
+                q = g // r
+                g, r, x, u = r, g - q * r, u, x - q * u
+            y = (g - x * a) // b
+            # x*a + y*b = g: [[x, y], [b/g, -a/g]] has determinant -1.
+            pivot = {j: x * v for j, v in top.items()} if x else {}
+            _addmul(pivot, row, y)
+            rest = {j: b // g * v for j, v in top.items()}
+            _addmul(rest, row, -(a // g))
+            table[c], row = pivot, rest
+    cols = sorted(table)
+    for c in reversed(cols):
+        row = table[c]
         if row[c] < 0:
             for j in row:
                 row[j] = -row[j]
-        for k in [k for k in ids if k in taken]:
-            if rows[k][c] // row[c]:
-                addmul(k, row, -(rows[k][c] // row[c]))
-        taken.add(k0)
-        out.append(row)
-    return out
+        heap = [j for j in row if j > c and j in table]
+        heapify(heap)
+        while heap:
+            j = heappop(heap)
+            top = table[j]
+            q = row.get(j, 0) // top[j]
+            if q:
+                _addmul(row, top, -q)
+                for k in top:
+                    if k > j and k in table:
+                        heappush(heap, k)
+    return [table[c] for c in cols]
 
 
 def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:

@@ -407,18 +407,57 @@ def test_monomial_maps_take_their_entries_as_the_diagonal(case):
     assert not calls if monomial else calls
 
 
-EDGE_MATRICES = (IntMatrix([], cols=0), IntMatrix([], cols=4),
-                 IntMatrix([[], [], []], cols=0), zeros(3, 5), zeros(1, 1))
+EDGE_MATRICES = (
+    IntMatrix([], cols=0), IntMatrix([], cols=4),
+    IntMatrix([[], [], []], cols=0), zeros(3, 5), zeros(1, 1),
+    # Leading entries that do not divide each other take a gcd step.
+    IntMatrix([[4, 1, 0], [6, 0, 1]]),
+    IntMatrix([[6, 1, 0, 0], [10, 0, 1, 0], [15, 0, 0, 1]]),
+    IntMatrix([[0, 6, 10], [0, 10, 15], [0, 15, 6]]),
+    # Negative leading entries.
+    IntMatrix([[-4, 2, 1], [-6, -3, 0], [0, -5, 7]]),
+    IntMatrix([[-1, 0], [0, -3]]),
+    # Zero rows, repeated rows, and rows that reduce to zero.
+    IntMatrix([[0, 0, 0], [2, 4, 6], [2, 4, 6], [0, 0, 0], [1, 2, 3],
+               [-3, -6, -9]]),
+    IntMatrix([[4, 6], [6, 9], [2, 3], [0, 0]]),
+)
+
+
+@st.composite
+def lattice_rows(draw):
+    """The rows [matrix^T | I], [target rels^T | 0] and [0 | source
+    rels^T] of a map of presentations, as GroupHom.lattices lays them
+    out."""
+    hom = draw(presented_maps())
+    s = hom.source.gens
+    rels = block_diag(transpose(dense(hom.target.rels, hom.target.gens)),
+                      transpose(dense(hom.source.rels, s)))
+    return vstack(hstack(transpose(dense_map(hom)), identity(s)), rels)
+
+
+@st.composite
+def dense_square_matrices(draw):
+    """12 x 12 matrices with entries from range(-9, 10)."""
+    entries = st.lists(st.integers(-9, 9), min_size=12, max_size=12)
+    return IntMatrix(draw(st.lists(entries, min_size=12, max_size=12)))
+
+
+ECHELON_INPUTS = st.one_of(st.sampled_from(EDGE_MATRICES), pooled_matrices(),
+                           lattice_rows(), dense_square_matrices())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.one_of(st.sampled_from(EDGE_MATRICES), pooled_matrices()))
+@given(ECHELON_INPUTS)
 def test_sparse_echelon_matches_the_dense_reference(a):
-    """On 0 x n, n x 0, all-zero, unit-free and sparse matrices, the
-    sparse elimination gives the dense reference's form: its rows, read
-    back densely, are the reference's nonzero rows over the full width;
-    and so the package's Smith diagonal, lattice form and kernel basis
-    are the dense reference's."""
+    """On 0 x n, n x 0, all-zero, unit-free and sparse matrices, on
+    leading entries that do not divide each other or are negative, on
+    zero, repeated and dependent rows, on the identity-augmented rows of
+    a map's lattices and on dense 12 x 12 matrices, the sparse
+    elimination gives the dense reference's form: its rows, read back
+    densely, are the reference's nonzero rows over the full width; and
+    so the package's Smith diagonal, lattice form and kernel basis are
+    the dense reference's."""
     want = to_rows(a)
     dense_echelon(want, a.cols)
     assert sparse_echelon(to_rows(a)) == [row for row in want if any(row)]
@@ -428,7 +467,7 @@ def test_sparse_echelon_matches_the_dense_reference(a):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(pooled_matrices(), st.data())
+@given(ECHELON_INPUTS, st.data())
 def test_echelon_reads_only_the_row_lattice(a, data):
     """The form depends on the lattice the rows span, not on the rows:
     permuting them, or adding to one a multiple of another, leaves it
