@@ -1,16 +1,16 @@
 """Chain complexes of free abelian groups, with exact homology.
 
-The homology groups come from each sparse boundary's rank and invariant
-factors, found by unit-pivot elimination without transforms and one
-Smith diagonal of what it leaves; over Q, from its rank alone, by the
-same elimination on any nonzero pivot.  The representatives are computed
-on first request, from one unit-pivot reduction of the whole complex C
-to a smaller complex D with the same homology, kept with its projection
+Over Z, homology reduces the whole complex C once, by unit-pivot
+elimination from the top degree down (_Reduction).  Each boundary's rank
+and invariant factors are its unit pivots and one Smith diagonal of what
+the elimination leaves.  Read on first request, the same reduction gives
+a smaller complex D with the same homology, kept with its projection
 f: C -> D and lift g: D -> C: each degree's cycle lattice is g of the
 canonical (Hermite) basis of the cycles of D, with the coordinates of
 D's boundaries in it as relators.  f and the coordinates in that basis
-run one sparse substitution (_substitute).  Presentations and maps are
-sparse columns (Column).
+run one sparse substitution (_substitute).  Over Q, the groups come from
+each boundary's rank alone, by the same elimination on any nonzero
+pivot.  Presentations and maps are sparse columns (Column).
 """
 
 from __future__ import annotations
@@ -223,7 +223,8 @@ class DegreeHomology:
     @cached_property
     def _lifts(self) -> list[Column]:
         """g of each Hermite basis vector, a cycle of C, as a sparse column."""
-        return [_compose(self._reduction.lifts[self._q], y) for y in self._basis]
+        g = self._reduction.lifts(self._q)
+        return [_compose(g, y) for y in self._basis]
 
     @cached_property
     def kernel(self) -> IntMatrix | None:
@@ -263,15 +264,16 @@ class DegreeHomology:
 class HomologyResult:
     """Per-degree homology of a chain complex.
 
-    The groups are known from the start.  degree(q) computes that
-    degree's representatives on first use and keeps them; over Z the
-    first call reduces the whole complex once (_Reduction), and groups()
-    never does.
+    The groups are known from the start.  Over Z they were read off the
+    reduction of the complex (_Reduction), which is kept: degree(q)
+    computes that degree's representatives from it on first use, and
+    keeps them, without eliminating again.
     """
 
     coeff: str
     _complex: ChainComplex = field(compare=False, repr=False)
     _groups: tuple[FgAbGroup, ...]
+    _reduction: "_Reduction | None" = field(default=None, compare=False, repr=False)
     _degrees: dict[int, DegreeHomology] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -289,10 +291,6 @@ class HomologyResult:
                                 else DegreeHomology(group, self._reduction, q))
         return self._degrees[q]
 
-    @cached_property
-    def _reduction(self) -> "_Reduction":
-        return _Reduction(self._complex)
-
     def group(self, q: int) -> FgAbGroup:
         if 0 <= q <= self.top_dim:
             return self._groups[q]
@@ -305,16 +303,18 @@ class HomologyResult:
 def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
     """Homology of a complex, over Z (default) or Q.
 
-    Nothing is checked: every complex is valid once built.  Each
-    boundary is ranked once, on its sparse columns.  Over Z, H_q
-    is free of rank dim C_q - rank d_q - rank d_(q+1), plus the
-    invariant factors above 1 of d_(q+1).  Over Q, H_q has that
-    dimension, and the ranks come from _eliminate on any nonzero pivot:
-    no Smith form is taken and no dense matrix is built.
+    Nothing is checked: every complex is valid once built.  H_q is free
+    of rank dim C_q - rank d_q - rank d_(q+1), plus, over Z, the
+    invariant factors above 1 of d_(q+1).  Over Z, the ranks and factors
+    come from one _Reduction of the whole complex (_Reduction.factors),
+    kept for the representatives.  Over Q, each boundary is ranked by
+    _eliminate on any nonzero pivot: no Smith form is taken and no dense
+    matrix is built.
     """
     if coeff not in ("Z", "Q"):
         raise ValueError("coefficients must be 'Z' or 'Q'")
-    factored = [_boundary_factors(columns, c.dim(q - 1)) if coeff == "Z" else
+    reduction = _Reduction(c) if coeff == "Z" else None
+    factored = [reduction.factors(q) if reduction else
                 (len(_eliminate({j: dict(col) for j, col in enumerate(columns) if col},
                                 c.dim(q - 1), rational=True)), ())
                 for q, columns in enumerate(c.boundaries, start=1)]
@@ -324,7 +324,7 @@ def homology(c: ChainComplex, coeff: str = "Z") -> HomologyResult:
         FgAbGroup(c.dim(q) - factored[q][0] - factored[q + 1][0],
                   factored[q + 1][1])
         for q in range(c.top_dim + 1)])
-    return HomologyResult(coeff, c, groups)
+    return HomologyResult(coeff, c, groups, reduction)
 
 
 def _eliminate(cols: dict[int, dict[int, int]], rows: int,
@@ -378,8 +378,8 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
         unit = p in (1, -1)
         for i in pivot:
             in_row[i].discard(c)
-        if trans is not None:
-            lift = trans.pop(c, {c: 1})
+        if trans is not None and len(in_row[r]) > 1:  # c changes other columns
+            lift = trans.pop(c, None) or {c: 1}
         for j in in_row[r] - {c}:
             col = cols[j]
             x = col.pop(r)
@@ -410,7 +410,7 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
                     if col[i] in (1, -1):
                         heapq.heappush(heap, (cost(i, j), j, i))
             if trans is not None:
-                t = trans.setdefault(j, {j: 1})
+                t = trans.get(j) or trans.setdefault(j, {j: 1})
                 for k, value in lift.items():
                     new = t.get(k, 0) - factor * value
                     if new:
@@ -422,66 +422,80 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
     return pivots
 
 
-def _boundary_factors(columns: Sequence[Column],
-                      rows: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors above 1 of a sparse boundary.
-
-    Each unit pivot of _eliminate splits off a unit invariant factor;
-    no transform is kept.  The residual, with no unit entry, takes one
-    smith_diagonal on the boundary's rows.
-    """
-    cols = {j: dict(col) for j, col in enumerate(columns) if col}
-    rank = len(_eliminate(cols, rows))
-    diagonal = [x for x in smith_diagonal(
-        [tuple(col.items()) for col in cols.values()], rows) if x]
-    return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
-
-
 class _Reduction:
     """A reduction of a complex C to a smaller complex d with the same
     homology, by unit pivots (Kaczynski, Mischaikow and Mrozek,
     Computational Homology, 2004, elementary reductions).
 
-    The boundaries are eliminated from the top degree down by
-    _eliminate: a cell b paired as a row of d_(q+1) leaves the columns
-    of d_q, and each pivot pairs a cell a with the row b of its unit.
-    d keeps the unpaired cells (position[q] maps their positions in C to
-    those in d), each with its column as the elimination left it, read
-    on d's rows.  The lift g: d -> C sends a cell to its column
-    transform, lifts[q].  pairs[q] maps each paired b to the row
-    (place in pairing order, unit, rest of a's column) that _substitute
-    reads; the projection f: C -> d (project) substitutes them and keeps
-    the unpaired cells.  f and g are chain maps, and f g is the identity.
+    The constructor only eliminates, from the top degree down, by
+    _eliminate with transforms: a cell b paired as a row of d_(q+1)
+    leaves the columns of d_q, and each pivot pairs a cell a with the
+    row b of its unit.  It keeps d_q's pivots (pivots[q]), the columns
+    the elimination left (left[q], on C's rows) and their transforms
+    (trans[q]); the groups read these (factors), the rest is built on
+    first read.  d keeps the unpaired cells (position[q] maps their
+    positions in C to those in d), each with its column in left, read on
+    d's rows.  The lift g: d -> C sends a cell to its column transform
+    (lifts).  pairs[q] maps each paired b to the row (place in pairing
+    order, unit, rest of a's column) that _substitute reads; the
+    projection f: C -> d (project) substitutes them and keeps the
+    unpaired cells.  f and g are chain maps, and f g is the identity.
     d is a complex because elementary reductions keep d∘d = 0.
     """
 
-    __slots__ = ("source", "d", "position", "lifts", "pairs")
-
     def __init__(self, c: ChainComplex):
-        top = c.top_dim
-        paired: list[set[int]] = [set() for _ in range(top + 1)]
-        pairs: list[dict] = [{} for _ in range(top + 1)]
-        left = [{} for _ in range(top + 1)]
-        trans = [{} for _ in range(top + 1)]
-        for q in range(top, 0, -1):
-            left[q] = {j: dict(col) for j, col in enumerate(c.boundaries[q - 1])
-                       if col and j not in paired[q]}
-            for a, b, unit, rest in _eliminate(left[q], c.dim(q - 1), trans[q]):
-                paired[q].add(a)
-                paired[q - 1].add(b)
-                pairs[q - 1][b] = (len(pairs[q - 1]), unit, tuple(rest.items()))
-        position = [{j: n for n, j in enumerate(
-            i for i in range(c.dim(q)) if i not in paired[q])}
-            for q in range(top + 1)]
-        self.source, self.position, self.pairs = c, position, pairs
-        self.d = ChainComplex._of(
+        self.source = c
+        self.pivots = [[] for _ in range(c.top_dim + 1)]
+        self.left = [{} for _ in range(c.top_dim + 1)]
+        self.trans = [{} for _ in range(c.top_dim + 1)]
+        pivots = []
+        for q in range(c.top_dim, 0, -1):
+            left = self.left[q] = {j: dict(col) for j, col in enumerate(
+                c.boundaries[q - 1]) if col}
+            for _, b, _, _ in pivots:  # the rows of d_(q+1)'s pivots
+                left.pop(b, None)
+            pivots = self.pivots[q] = (_eliminate(left, c.dim(q - 1), self.trans[q])
+                                       if left else [])
+
+    def factors(self, q: int) -> tuple[int, tuple[int, ...]]:
+        """Rank and invariant factors above 1 of d_q: the columns left out
+        are integer combinations of the others, each unit pivot splits off
+        a factor 1, and the residual takes one smith_diagonal."""
+        diagonal = [x for x in smith_diagonal(
+            [tuple(col.items()) for col in self.left[q].values()],
+            self.source.dim(q - 1)) if x]
+        return len(self.pivots[q]) + len(diagonal), tuple(x for x in diagonal if x > 1)
+
+    @cached_property
+    def pairs(self) -> list[dict]:
+        pairs = [{} for _ in self.pivots]
+        for q in range(1, len(pairs)):
+            for n, (_, b, unit, rest) in enumerate(self.pivots[q]):
+                pairs[q - 1][b] = (n, unit, tuple(rest.items()))
+        return pairs
+
+    @cached_property
+    def position(self) -> list[dict[int, int]]:
+        paired = [self.pairs[q].keys() | {a for a, _, _, _ in pivots}
+                  for q, pivots in enumerate(self.pivots)]
+        return [{j: n for n, j in enumerate(j for j in range(self.source.dim(q))
+                                            if j not in p)} for q, p in enumerate(paired)]
+
+    @cached_property
+    def d(self) -> ChainComplex:
+        c, position, left = self.source, self.position, self.left
+        return ChainComplex._of(
             [[c.basis[q][j] for j in kept] for q, kept in enumerate(position)],
             [[tuple(sorted((position[q - 1][i], value)
                            for i, value in left[q].get(j, {}).items()
                            if i in position[q - 1])) for j in position[q]]
-             for q in range(1, top + 1)])
-        self.lifts = [[tuple(sorted(trans[q].get(j, {j: 1}).items()))
-                       for j in kept] for q, kept in enumerate(position)]
+             for q in range(1, c.top_dim + 1)])
+
+    def lifts(self, q: int) -> list[Column]:
+        """g on degree q: each cell of d to its column transform in C."""
+        trans = self.trans[q]
+        return [tuple(sorted(trans[j].items())) if j in trans else ((j, 1),)
+                for j in self.position[q]]
 
     def project(self, q: int, z: Column) -> dict[int, int]:
         """f(z) on d's positions, for a degree-q chain z of C: each paired

@@ -40,7 +40,11 @@ package's forms as they were on dense matrices; the dense matrix
 helpers (zeros, transpose, from_columns, hstack, vstack, block_diag)
 are those the package dropped with them.  project_by_walk walks every
 pair of a degree, as _Reduction.project did before it read only the
-pairs its chain reaches.
+pairs its chain reaches.  boundary_factors ranks and factors each
+boundary on its own, by unit-pivot elimination of all its columns
+without transforms and one Smith diagonal of the residual, as homology()
+did over Z before it read the groups off one reduction of the whole
+complex; boundary_factor_groups assembles the groups from it.
 
 The rest are references that no code of the package runs.  The
 Hermite and Smith forms with their unimodular transforms, the inverse
@@ -78,7 +82,7 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from orbihom import affops, intlin
+from orbihom import affops, chains, intlin
 from orbihom.affops import (
     AffineChain,
     AffineSimplex,
@@ -1080,3 +1084,25 @@ def project_by_walk(r, q: int, z) -> dict[int, int]:
                 z[i] = z.get(i, 0) - x * value
     at = r.position[q]
     return {at[j]: value for j, value in z.items() if value and j in at}
+
+
+def boundary_factors(columns, rows: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors above 1 of one sparse boundary: each
+    unit pivot of chains._eliminate splits off a unit invariant factor,
+    and the residual takes one smith_diagonal on the boundary's rows."""
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rank = len(chains._eliminate(cols, rows))
+    diagonal = [x for x in smith_diagonal(
+        [tuple(col.items()) for col in cols.values()], rows) if x]
+    return rank + len(diagonal), tuple(x for x in diagonal if x > 1)
+
+
+def boundary_factor_groups(c: ChainComplex) -> tuple[FgAbGroup, ...]:
+    """The integral homology groups of c from boundary_factors of each
+    boundary: H_q is free of rank dim C_q - rank d_q - rank d_(q+1),
+    plus the invariant factors above 1 of d_(q+1)."""
+    factored = ([(0, ())] + [boundary_factors(columns, c.dim(q - 1))
+                             for q, columns in enumerate(c.boundaries, start=1)]
+                + [(0, ())])
+    return tuple(FgAbGroup(c.dim(q) - factored[q][0] - factored[q + 1][0],
+                           factored[q + 1][1]) for q in range(c.top_dim + 1))

@@ -40,6 +40,7 @@ from orbihom.orbmodel import (
 
 from orbihom.verify import _torus_kunneth, check_mv, check_rational
 from oracles import (
+    boundary_factor_groups,
     boundary_matrix,
     cell_level_connecting,
     cell_level_degree,
@@ -472,6 +473,37 @@ def test_elimination_matches_sympy_invariant_factors():
         assert diagonal == factors + [0] * (len(diagonal) - len(factors)), a
 
 
+def test_reduction_groups_match_the_boundary_reference():
+    """On the reduction complexes and on ball3(2,3,5) x torus(1-3), whose
+    residuals are coupled, the groups read off one reduction of the
+    whole complex are those of each boundary eliminated on its own."""
+    coupled = 0
+    for c in _reduction_complexes() + [
+            t_model(ProductTorus(Ball3((2, 3, 5)), k)).chain_complex()
+            for k in (1, 2, 3)]:
+        h = homology(c)
+        assert h.groups() == boundary_factor_groups(c), c.basis
+        coupled += any(len(col) > 1 for left in h._reduction.left
+                       for col in left.values())
+    assert coupled >= 3
+
+
+@st.composite
+def cone_spheres_or_random_complexes(draw):
+    """A sphere with 2-60 cone points of orders 2-12, whose residual is
+    one coupled block with no unit, or a seeded random complex."""
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.integers(2, 12), min_size=2, max_size=60))
+        return t_model(Surface(0, 0, tuple(orders))).chain_complex()
+    return _random_complex(random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(cone_spheres_or_random_complexes())
+def test_reduction_groups_match_the_boundary_reference_on_drawn_complexes(c):
+    assert homology(c).groups() == boundary_factor_groups(c)
+
+
 @st.composite
 def shuffled_block_diagonals(draw):
     """Block-diagonal matrices of up to four blocks up to 4 x 4, entries
@@ -495,13 +527,18 @@ def shuffled_block_diagonals(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(shuffled_block_diagonals())
 def test_residual_components_match_the_smith_form(a):
-    """No entry is a unit, so the whole matrix is residual: its one
-    Smith diagonal gives the rank and the factors of the full Smith
-    form."""
+    """No entry is a unit, so the whole matrix is residual: in the
+    two-term complex with that boundary, its one Smith diagonal gives
+    the rank and the factors of the full Smith form, read off H_0 and
+    H_1."""
     s, _, _ = snf(a)
     diagonal = [s[i, i] for i in range(min(a.rows, a.cols)) if s[i, i]]
-    assert chains._boundary_factors(sparse_columns(a), a.rows) == \
-        (len(diagonal), tuple(x for x in diagonal if x > 1))
+    c = ChainComplex([[f"r{i}" for i in range(a.rows)],
+                      [f"c{j}" for j in range(a.cols)]], [sparse_columns(a)])
+    h = homology(c)
+    assert h.group(0) == FgAbGroup(a.rows - len(diagonal),
+                                   tuple(x for x in diagonal if x > 1))
+    assert h.group(1) == FgAbGroup.free(a.cols - len(diagonal))
 
 
 def test_monomial_residuals_build_no_dense_block(monkeypatch):
@@ -523,7 +560,7 @@ def test_monomial_residuals_build_no_dense_block(monkeypatch):
 def test_rational_route_builds_no_dense_matrix(monkeypatch):
     """Over Q, homology() and check_rational rank each boundary by the
     sparse elimination alone: no IntMatrix is built, and neither the Z
-    route's _boundary_factors nor a Smith diagonal runs.  check_rational
+    route's _Reduction nor a Smith diagonal runs.  check_rational
     takes the groups over Z too, so those two are refused only while a
     homology over Q runs, and they are seen to run outside it."""
     def refuse(*_):
@@ -545,7 +582,7 @@ def test_rational_route_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "_of", refuse)
     monkeypatch.setattr(IntMatrix, "__init__", refuse)
-    gated(chains, "_boundary_factors")
+    gated(chains, "_Reduction")
     gated(chains, "smith_diagonal")
     gated(intlin, "smith_diagonal")
     monkeypatch.setattr(verify, "homology", homology_over)
@@ -553,7 +590,7 @@ def test_rational_route_builds_no_dense_matrix(monkeypatch):
                            ProductTorus(Surface(1, 1, (2,)), 1)]
     for d in descs:
         assert check_rational(d).passed, d
-    assert {"_boundary_factors", "smith_diagonal"} <= set(z_calls)
+    assert {"_Reduction", "smith_diagonal"} <= set(z_calls)
     c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
     assert [g.rank for g in homology_over(c, "Q").groups()] == [1, 3, 2, 0]
 
@@ -565,20 +602,53 @@ def test_degree_representatives_are_kept():
         h.degree(3)
 
 
-def test_groups_build_no_reduction(monkeypatch):
-    """homology() and its groups take the transform-free elimination
-    alone; the reduction is built on the first degree(q), once."""
-    built = []
-    reduction = chains._Reduction
-    monkeypatch.setattr(chains, "_Reduction",
-                        lambda c: built.append(c) or reduction(c))
-    c = t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex()
-    h = homology(c)
-    assert h.groups() == tuple(h.group(q) for q in range(c.top_dim + 1))
-    assert built == []
-    for q in range(c.top_dim + 1):
-        h.degree(q).presentation
-    assert built == [c]
+def _nonzero_boundary_rows(c):
+    """The row count of each nonzero boundary of c, sorted."""
+    return sorted(c.dim(q - 1) for q, columns in enumerate(c.boundaries, start=1)
+                  if any(columns))
+
+
+def test_one_elimination_per_nonzero_boundary(monkeypatch):
+    """Over Z, homology() runs _eliminate once per nonzero boundary, and
+    its groups build neither D, the pairs nor any lift.  Every degree's
+    presentation, kernel and coordinates are then read off that one
+    reduction: no elimination runs again.  One check_mv eliminates each
+    nonzero boundary of its four complexes once."""
+    calls = []
+    eliminate = chains._eliminate
+    monkeypatch.setattr(chains, "_eliminate", lambda cols, rows, *args, **kw:
+                        calls.append(rows) or eliminate(cols, rows, *args, **kw))
+    lifted = []
+    lifts = chains._Reduction.lifts
+    monkeypatch.setattr(chains._Reduction, "lifts",
+                        lambda r, q: lifted.append(q) or lifts(r, q))
+    for c in (t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex(),
+              t_model(Surface(0, 0, (2, 3, 4, 6, 5))).chain_complex(),
+              half_disk()):
+        calls.clear()
+        h = homology(c)
+        assert h.groups() == tuple(h.group(q) for q in range(c.top_dim + 1))
+        assert sorted(calls) == _nonzero_boundary_rows(c)
+        assert not {"d", "pairs", "position"} & vars(h._reduction).keys()
+        assert lifted == []
+        for q in range(c.top_dim + 1):
+            deg = h.degree(q)
+            deg.presentation
+            for z in deg.kernel.columns():
+                deg._coords([(i, x) for i, x in enumerate(z) if x])
+        assert sorted(calls) == _nonzero_boundary_rows(c)
+        assert sorted(lifted) == list(range(c.top_dim + 1))
+        lifted.clear()
+    rng = random.Random(35)
+    for wcc in (t_model(ProductTorus(Surface(1, 2, (3, 5)), 2)),
+                t_model(Ball3((2, 3, 5)))):
+        a, b = random_two_cover(wcc, rng)
+        m = wcc.chain_complex()
+        calls.clear()
+        assert check_mv(wcc, a, b).passed
+        assert sorted(calls) == sorted(
+            rows for cells in (m.labels(), a, b, a & b)
+            for rows in _nonzero_boundary_rows(subcomplex(m, cells)))
 
 
 def _reduction_complexes():
@@ -600,10 +670,10 @@ def test_reduction_is_a_chain_equivalence_onto_a_smaller_complex():
         f = ChainMap(c, d, [
             [r.project(q, ((j, 1),)).items() for j in range(c.dim(q))]
             for q in range(c.top_dim + 1)])
-        g = ChainMap(d, c, r.lifts)
+        g = ChainMap(d, c, [r.lifts(q) for q in range(c.top_dim + 1)])
         assert f.commutes() and g.commutes()
         for q in range(c.top_dim + 1):
-            for k, lift in enumerate(r.lifts[q]):
+            for k, lift in enumerate(r.lifts(q)):
                 assert r.project(q, lift) == {k: 1}
             assert d.basis[q] == tuple(c.basis[q][j] for j in r.position[q])
         assert homology(d).groups() == homology(c).groups()
@@ -1074,7 +1144,7 @@ def test_trusted_cycle_reads_match_the_public_ones():
     for c in _reduction_complexes():
         h = homology(c)
         r = h._reduction
-        g = ChainMap(r.d, c, r.lifts)
+        g = ChainMap(r.d, c, [r.lifts(q) for q in range(c.top_dim + 1)])
         for q in range(c.top_dim + 1):
             deg, up = h.degree(q), boundary_matrix(c, q + 1)
             lifts = chains._dense(deg._lifts, c.dim(q), len(deg._lifts))
