@@ -27,6 +27,7 @@ from .intlin import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _addmul,
     _columns,
     _trusted,
     kernel_basis,
@@ -334,29 +335,30 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
     with the given number of rows.
 
     The candidate pivots are the +-1 entries, or with rational (over Q)
-    every nonzero entry, units first.  While one is left, one with the
-    fewest (row count - 1) x (column count - 1), the most fill-in it can
-    make (Markowitz, Management Science 3, 1957), is the pivot: column
+    every nonzero entry.  While one is left, one with the fewest (row
+    count - 1) x (column count - 1), the most fill-in it can make
+    (Markowitz, Management Science 3, 1957), is the pivot: column
     operations clear its row, after which its column is dropped.  A
-    pivot p that is no unit turns a column col with x in its row into
-    p col - x pivot, with p and x over their gcd.  With rational, each
-    column a pivot changes is then divided by the gcd of its entries:
-    it is primitive and, by Cramer's rule, proportional to a vector of
-    minors of the input, so its entries stay within Hadamard's bound.
-    Returns the pivots (column, row, entry, rest of the column) in
-    order.  With trans, which needs unit pivots, the transform of each
-    column ({cell: coefficient}; a column missing from it is its own
-    cell) follows its column operations.
+    pivot alone in its column only drops its row from the others (over
+    Q, col - (x/p) (p e_r) is col without row r).  Any other pivot p
+    that is no unit turns a column col with x in its row into p col -
+    x pivot, with p and x over their gcd.  With rational, each column a
+    pivot with a rest changes is then divided by the gcd of its
+    entries: it is primitive and, by Cramer's rule, proportional to a
+    vector of minors of the input, so its entries stay within
+    Hadamard's bound, which dropping an entry keeps.  Returns the pivots
+    (column, row, entry, rest of the column) in order.  With trans,
+    which needs unit pivots, the transform of each column ({cell:
+    coefficient}; a column missing from it is its own cell) follows its
+    column operations.
     """
     in_row: list[set[int]] = [set() for _ in range(rows)]
     for j, col in cols.items():
         for i in col:
             in_row[i].add(j)
-    penalty = rows * len(cols) + 1  # above any fill-in: units go first
 
     def cost(i: int, j: int) -> int:
-        fill = (len(in_row[i]) - 1) * (len(cols[j]) - 1)
-        return fill if not rational or cols[j][i] in (1, -1) else fill + penalty
+        return (len(in_row[i]) - 1) * (len(cols[j]) - 1)
 
     # Candidate pivots (cost, column, row), possibly stale: each is
     # checked and its cost refreshed when it is popped.
@@ -375,7 +377,6 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
             continue
         pivot = cols.pop(c)
         del pivot[r]
-        unit = p in (1, -1)
         for i in pivot:
             in_row[i].discard(c)
         if trans is not None and len(in_row[r]) > 1:  # c changes other columns
@@ -383,40 +384,32 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
         for j in in_row[r] - {c}:
             col = cols[j]
             x = col.pop(r)
-            if unit:
-                factor = x * p
-            else:
-                g = gcd(p, x)
-                factor = x // g
-                for i in col:
-                    col[i] *= p // g
-            for i, value in pivot.items():
-                new = col.get(i, 0) - factor * value
-                if new:
-                    fresh = i not in col
-                    if fresh:
-                        in_row[i].add(j)
-                    col[i] = new
-                    if new in (1, -1) or rational and fresh:
-                        heapq.heappush(heap, (cost(i, j), j, i))
-                elif i in col:
-                    del col[i]
-                    in_row[i].discard(j)
+            factor = x * p
+            if pivot:
+                if p not in (1, -1):
+                    g = gcd(p, x)
+                    factor = x // g
+                    for i in col:
+                        col[i] *= p // g
+                for i, value in pivot.items():
+                    new = col.get(i, 0) - factor * value
+                    if new:
+                        fresh = i not in col
+                        if fresh:
+                            in_row[i].add(j)
+                        col[i] = new
+                        if (fresh if rational else new in (1, -1)):
+                            heapq.heappush(heap, (cost(i, j), j, i))
+                    elif i in col:
+                        del col[i]
+                        in_row[i].discard(j)
+                if rational and (g := gcd(*col.values())) > 1:
+                    for i in col:
+                        col[i] //= g
             if not col:
                 del cols[j]
-            elif rational and (g := gcd(*col.values())) > 1:
-                for i in col:
-                    col[i] //= g
-                    if col[i] in (1, -1):
-                        heapq.heappush(heap, (cost(i, j), j, i))
             if trans is not None:
-                t = trans.get(j) or trans.setdefault(j, {j: 1})
-                for k, value in lift.items():
-                    new = t.get(k, 0) - factor * value
-                    if new:
-                        t[k] = new
-                    else:
-                        del t[k]
+                _addmul(trans.get(j) or trans.setdefault(j, {j: 1}), lift, -factor)
         in_row[r].clear()
         pivots.append((c, r, p, pivot))
     return pivots

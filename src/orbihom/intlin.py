@@ -20,6 +20,7 @@ Entries are exact Python ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -325,22 +326,24 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     """Canonical divisor chain of a direct sum of cyclic groups.
 
     values are finite cyclic orders (>= 1); factors equal to 1 vanish.
-    Each order v goes into the chain from the top: Z/d + Z/v is
-    Z/lcm(d, v) + Z/gcd(d, v), so d becomes the lcm and the gcd moves
-    on down as the next v.
+    Each order v goes into the chain, kept top first, from the top:
+    Z/d + Z/v is Z/lcm(d, v) + Z/gcd(d, v), so d becomes the lcm and
+    the gcd moves on down as the next v.  Where v divides d, nothing
+    changes, and the entries v divides are a prefix of what is left of
+    the chain, so a bisection skips them.
     """
     chain: list[int] = []
     for v in map(index, values):
         if v < 1:
             raise ValueError("cyclic orders must be positive")
-        for i in reversed(range(len(chain))):
-            if v == 1:
-                break
+        i = 0
+        while (i := bisect_left(chain, True, i, key=lambda d: d % v != 0)) < len(chain):
             g = gcd(chain[i], v)
             chain[i], v = chain[i] // g * v, g
+            i += 1
         if v > 1:
-            chain.insert(0, v)
-    return tuple(chain)
+            chain.append(v)
+    return tuple(chain[::-1])
 
 
 def cokernel_group(columns: Sequence[Column], rows: int) -> FgAbGroup:

@@ -154,15 +154,11 @@ class Cell:
             raise ValueError(f"cell {self.id}: negative dimension")
         if self.weight < 1:
             raise ValueError(f"cell {self.id}: weight must be at least 1")
-        merged: dict[str, int] = {}
-        order: list[str] = []
+        merged: dict[str, int] = {}  # in order of first appearance
         for ref, coefficient in self.boundary:
-            if ref not in merged:
-                merged[ref] = 0
-                order.append(ref)
-            merged[ref] += operator.index(coefficient)
+            merged[ref] = merged.get(ref, 0) + operator.index(coefficient)
         object.__setattr__(self, "boundary",
-                           tuple([(ref, merged[ref]) for ref in order if merged[ref]]))
+                           tuple([(ref, c) for ref, c in merged.items() if c]))
 
     @classmethod
     def _of(cls, id: str, dim: int, weight: int,

@@ -45,6 +45,9 @@ boundary on its own, by unit-pivot elimination of all its columns
 without transforms and one Smith diagonal of the residual, as homology()
 did over Z before it read the groups off one reduction of the whole
 complex; boundary_factor_groups assembles the groups from it.
+walk_invariant_factors inserts each order into the divisor chain by
+walking every entry from the top, as invariant_factors did before it
+bisected past the entries an order divides.
 
 The rest are references that no code of the package runs.  The
 Hermite and Smith forms with their unimodular transforms, the inverse
@@ -79,6 +82,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -1106,3 +1110,19 @@ def boundary_factor_groups(c: ChainComplex) -> tuple[FgAbGroup, ...]:
                 + [(0, ())])
     return tuple(FgAbGroup(c.dim(q) - factored[q][0] - factored[q + 1][0],
                            factored[q + 1][1]) for q in range(c.top_dim + 1))
+
+
+def walk_invariant_factors(values) -> tuple[int, ...]:
+    """invariant_factors by walking the chain, kept bottom first, from
+    the top for each order v: d becomes lcm(d, v), and gcd(d, v) moves
+    on down as the next v until it is 1."""
+    chain: list[int] = []
+    for v in values:
+        for i in reversed(range(len(chain))):
+            if v == 1:
+                break
+            g = gcd(chain[i], v)
+            chain[i], v = chain[i] // g * v, g
+        if v > 1:
+            chain.insert(0, v)
+    return tuple(chain)

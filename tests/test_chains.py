@@ -1,6 +1,8 @@
 """Chain complexes: homology, products, quotients, induced maps."""
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -872,6 +874,52 @@ def test_non_unit_pivots_keep_dense_entries_within_hadamard():
     for _ in range(100):
         _within_hadamard(IntMatrix([[rng.randint(2, 9) for _ in range(7)]
                                     for _ in range(7)]))
+
+
+@st.composite
+def _lone_pivot_shapes(draw):
+    """Arrow (a full first row and column beside the diagonal), star (a
+    full last column beside the diagonal) and bidiagonal maps up to
+    7 x 8, entries from (0, +-2, 3, 4, -6, 9), rows and columns shuffled:
+    the single-entry columns, and those that zeros or earlier pivots
+    leave so, are lone pivots with no unit."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(("arrow", "star", "bidiagonal")))
+    cols = n + 1 if shape == "star" else n
+    hits = {(i, i) for i in range(n)} | {
+        "arrow": {(0, j) for j in range(n)} | {(i, 0) for i in range(n)},
+        "star": {(i, n) for i in range(n)},
+        "bidiagonal": {(i, i + 1) for i in range(n - 1)}}[shape]
+    entry = st.sampled_from((0, 2, -2, 3, 4, -6, 9))
+    entries = [[draw(entry) if (i, j) in hits else 0 for j in range(cols)]
+               for i in range(n)]
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(cols)))
+    return IntMatrix([[entries[i][j] for j in col_order] for i in row_order],
+                     cols=cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_lone_pivot_shapes())
+def test_lone_pivots_keep_ranks_and_entries(a):
+    """A lone pivot only drops its row from the other columns; the rank
+    is oracles.rational_rank's, and entries stay within Hadamard's bound."""
+    _within_hadamard(a)
+
+
+def test_rational_cone_spheres_push_no_fill(monkeypatch):
+    """Over Q the 1,000-cone sphere's spokes are lone pivots of least
+    fill, taken first: sigma0 only loses rows and no entry is pushed to
+    the heap again, where taking sigma0's units first pushes 999,000."""
+    pushes = []
+    monkeypatch.setattr(chains, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop,
+        heappush=lambda heap, item: pushes.append(item) or heapq.heappush(heap, item)))
+    for orders in ([2] * 1000, ([2, 3, 4, 6, 5, 10] * 167)[:1000]):
+        pushes.clear()
+        c = t_model(Surface(0, 0, tuple(orders))).chain_complex()
+        assert [g.rank for g in homology(c, "Q").groups()] == [1, 0, 1]
+        assert len(pushes) <= 1000, len(pushes)
 
 
 def test_rational_rank_of_empty_and_zero_maps():

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: normal forms, lattices, groups."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -771,6 +772,35 @@ def test_invariant_factors_match_sympy():
         expect = [abs(int(x)) for x in sympy_factors(
             Matrix.diag(*values), domain=ZZ)] if values else []
         assert invariant_factors(values) == tuple(x for x in expect if x > 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from((1, 1, 2, 3, 4, 6, 8, 9, 12, 30, 210, 2 ** 31 - 1,
+                                 2 * (2 ** 31 - 1), 2 ** 61 - 1)), max_size=40))
+@example([])
+@example([1, 1, 1])
+@example([2 ** 61 - 1] * 3 + [2 ** 31 - 1, 1])
+def test_invariant_factors_match_the_chain_walk(values):
+    """The bisection skips only the entries the walk leaves alone: on
+    empty input, 1s, repeated values and large primes the chains agree."""
+    assert invariant_factors(values) == oracles.walk_invariant_factors(values)
+
+
+def test_invariant_factors_take_few_gcds(monkeypatch):
+    """Each gcd folds an order into the first chain entry it does not
+    divide, and the entries it divides are bisected past: on 32,000
+    orders, at most 2 gcd calls per order, where the walk makes one per
+    chain entry (quadratic in the orders)."""
+    calls = []
+    monkeypatch.setattr(intlin, "gcd", lambda *args: calls.append(1) or gcd(*args))
+    rng = random.Random(36)
+    for orders in ([2] * 32000, [2, 3, 4, 6, 5, 10] * 5333 + [2, 3],
+                   [rng.choice((2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 30, 210))
+                    for _ in range(32000)]):
+        calls.clear()
+        chain = invariant_factors(orders)
+        assert len(calls) <= 2 * len(orders), len(calls)
+        assert all(big % small == 0 for big, small in zip(chain[1:], chain))
 
 
 def test_divisor_chains_take_no_smith_form(monkeypatch):
