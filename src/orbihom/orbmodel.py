@@ -14,7 +14,7 @@ import operator
 import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import chains
 from .chains import ChainComplex
@@ -187,15 +187,15 @@ class WeightedCellComplex:
     chain complex, one weight tuple per degree, and subs of cell ids.
 
     Construction checks that boundary references exist one dimension
-    down, that subcomplex members exist, that the induced chain complex
-    satisfies boundary-of-boundary equals zero, and that subcomplexes
-    are closed under boundaries.  A failure raises ComplexError.  No
-    subcomplex may be named all: sub_cells reserves it for every cell.
-    The given cells, in their order, are the cells view; a derived
-    complex reads its view off its columns and weights.
+    down, that subcomplex members exist, that d∘d = 0, and that
+    subcomplexes are closed under boundaries.  A failure raises
+    ComplexError.  No subcomplex may be named all: sub_cells reserves it
+    for every cell.  The given cells, in their order, are the cells view;
+    a derived complex reads its view off its columns and weights, and a
+    torus product derives its subs, on first read.
     """
 
-    __slots__ = ("name", "subs", "_chain", "_weights", "_cells")
+    __slots__ = ("name", "_subs", "_chain", "_weights", "_cells")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
@@ -257,7 +257,7 @@ class WeightedCellComplex:
                   [[cell.weight for cell in cells] for cells in by_dim], cells)
 
     @classmethod
-    def _of(cls, name: str, subs: dict, chain: ChainComplex,
+    def _of(cls, name: str, subs: dict | Callable[[], dict], chain: ChainComplex,
             weights) -> "WeightedCellComplex":
         """Trusted build of a complex derived from a checked one, valid
         by its builder; nothing is checked.  Its cells, on first read,
@@ -288,6 +288,12 @@ class WeightedCellComplex:
                     (basis[q - 1][i], x) for i, x in columns[q - 1][j]]) if q else ())
                 for q, labels in enumerate(basis) for j, label in enumerate(labels)]))
         return self._cells
+
+    @property
+    def subs(self) -> dict[str, frozenset[str]]:
+        if callable(self._subs):
+            object.__setattr__(self, "_subs", self._subs())
+        return self._subs
 
     def sub_cells(self, name: str) -> frozenset[str]:
         if name == "all":
@@ -524,38 +530,40 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
 def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
     """base x torus(k), built by index arithmetic on the base columns.
 
-    A product cell is a base cell with a suffix of k parts, '_x_z' (dim
-    0) or '_x_t' (dim 1), on its id, and the base weight.  The circle
-    has no boundary, so a product column is the base column on the
-    faces with the same suffix, with no sign: the chain complex is 2^k
-    shifted copies of the base's (Hatcher, Algebraic Topology, §3.B),
-    valid as the base is.  Each dim lists its cells in the order of k
-    iterated products with the circle (`oracles.public_tensor`) of the
-    base's cells stably sorted by dimension.
+    A product cell is a base cell with a suffix of k parts, '_x_z' (dim 0)
+    or '_x_t' (dim 1), on its id, and the base weight.  The circle has no
+    boundary, so a product column is the base column on the faces with the
+    same suffix, with no sign: the chain complex is 2^k shifted copies of
+    the base's (Hatcher, Algebraic Topology, §3.B), valid as the base is.
+    Each dim lists its cells in the order of k iterated products with the
+    circle (`oracles.public_tensor`) of the base's cells stably sorted by
+    dimension.  The base's subs, shifted alike, are derived on first read.
     """
-    c = base._chain
+    c, steps = base._chain, []
     labels, weights = [list(ls) for ls in c.basis], [list(ws) for ws in base._weights]
     columns = [[()] * len(labels[0])] + [list(cols) for cols in c.boundaries]
-    subs = {sub_name: [[j for j, label in enumerate(ls) if label in members]
-                       for ls in c.basis] for sub_name, members in base.subs.items()}
     # Each circle makes dim p the cells of dim p - 1 with '_x_t', then
     # those of dim p with '_x_z': these come after sizes[p] cells, and
     # their faces after sizes[p - 1].
     for _ in range(k):
-        sizes = [0] + [len(cells) for cells in labels]
+        steps.append(sizes := [0] + [len(cells) for cells in labels])
         labels = [[label + "_x_t" for label in low] + [label + "_x_z" for label in high]
                   for low, high in _pairs(labels)]
         weights = [low + high for low, high in _pairs(weights)]
         columns = [low + [tuple([(i + shift, x) for i, x in col]) for col in high]
                    for (low, high), shift in zip(_pairs(columns), [0] + sizes)]
-        subs = {sub_name: [low + [i + shift for i in high] for (low, high), shift
-                           in zip(_pairs(members), sizes)]
-                for sub_name, members in subs.items()}
-    return WeightedCellComplex._of(
-        name, {sub_name: frozenset().union(*(
+
+    def subs():
+        picked = {sub_name: [[j for j, label in enumerate(ls) if label in members]
+                             for ls in c.basis] for sub_name, members in base.subs.items()}
+        for sizes in steps:
+            picked = {sub_name: [low + [i + shift for i in high] for (low, high), shift
+                                 in zip(_pairs(members), sizes)]
+                      for sub_name, members in picked.items()}
+        return {sub_name: frozenset().union(*(
             map(cells.__getitem__, picks) for cells, picks in zip(labels, members)))
-            for sub_name, members in subs.items()},
-        ChainComplex._of(labels, columns[1:]), weights)
+            for sub_name, members in picked.items()}
+    return WeightedCellComplex._of(name, subs, ChainComplex._of(labels, columns[1:]), weights)
 
 
 def _pairs(lists: list[list]) -> zip:
@@ -601,7 +609,7 @@ def degenerate_weights(wcc: WeightedCellComplex) -> WeightedCellComplex:
                 scaled.append((i, x // ratio))
             boundaries[-1].append(scaled)
     return WeightedCellComplex._of(
-        f"{wcc.name}_underlying", wcc.subs,
+        f"{wcc.name}_underlying", wcc._subs,
         ChainComplex._of(c.basis, boundaries), [[1] * len(ws) for ws in w])
 
 
@@ -703,6 +711,8 @@ def parse_owc(text: str) -> WeightedCellComplex:
             continue
         parts = line.split()
         verb = parts[0]
+        if verb in ("orbifold", "dim") and (dim if verb == "dim" else name) is not None:
+            raise OwcError(lineno, f"repeated {verb} line")
         if verb == "orbifold":
             if len(parts) < 2:
                 raise OwcError(lineno, "orbifold needs a name")

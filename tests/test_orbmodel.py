@@ -34,6 +34,7 @@ from orbihom.orbmodel import (
     underlying_model,
     ws_complex,
 )
+from orbihom.verify import check_kunneth
 
 from oracles import (
     boundary_matrix,
@@ -254,10 +255,14 @@ def test_product_models_match_public_builds(tmp_path):
     file base lists its cells out of dimension order, so its products
     are matched against those of the base sorted by dimension.  A
     product's cells list each boundary by face position, and its .owc
-    text reads back to the same model."""
+    text reads back to the same model.  The second file base is itself
+    a product, so its labels already end in '_x_t' or '_x_z'."""
     path = tmp_path / "unordered.owc"
     path.write_text(UNORDERED_OWC)
-    for d in PRODUCTS + (ProductTorus(Custom(str(path)), 3),):
+    suffixed = tmp_path / "suffixed.owc"
+    suffixed.write_text(serialize_owc(t_model(ProductTorus(Disc2(3), 1))))
+    for d in PRODUCTS + (ProductTorus(Custom(str(path)), 3),
+                         ProductTorus(Custom(str(suffixed)), 2)):
         for build in (t_model, adapted_model):
             model, ref = build(d), _by_dim(build(d.base))
             for _ in range(d.torus_factors):
@@ -284,6 +289,41 @@ def test_product_models_match_public_builds(tmp_path):
             for k in range(am.dim + 2):
                 assert boundary_matrix(ws, k) == \
                     dense_ws_boundary(am, k, rel), (d, rel, k)
+
+
+def test_product_subs_are_derived_on_first_read(monkeypatch):
+    """Z and Q homology and check_kunneth read no sub of a product, so
+    its subs stay underived, and the weight-one degeneration passes them
+    on as they are.  The first read of subs or sub_cells derives them
+    once; every later read returns the same dict."""
+    built, torus = [], orbmodel._torus
+
+    def recorded(*args):
+        built.append(torus(*args))
+        return built[-1]
+
+    monkeypatch.setattr(orbmodel, "_torus", recorded)
+    desc = "surface(4,3;2,3,5,7) x torus(3)"
+    assert run(["homology", "--desc", desc])[0] == 0
+    assert run(["homology", "--desc", desc, "--coeff", "q"])[0] == 0
+    assert check_kunneth(Surface(4, 3, (2, 3, 5, 7)), 3).passed
+    assert run(["verify", "rational", "--desc", desc])[0] == 0
+    # verify rational builds the product twice: as its t model, and again
+    # for the weight-one degeneration.
+    assert len(built) == 5 and all(callable(model._subs) for model in built)
+    for d in PRODUCTS:
+        for read in (lambda m: m.subs, lambda m: m.sub_cells("boundary")):
+            model, calls = t_model(d), []
+            derive = model._subs
+            object.__setattr__(model, "_subs", lambda: calls.append(1) or derive())
+            under = degenerate_weights(model)
+            assert under._subs is model._subs
+            read(model)
+            subs = model.subs
+            assert model.subs is subs and calls == [1]
+            assert all(model.sub_cells(name) is subs[name] for name in subs)
+            assert under.subs == subs and calls == [1, 1]
+            assert underlying_model(d).subs == subs
 
 
 def test_nested_products_build_as_one_product():
@@ -707,6 +747,10 @@ def test_owc_parse_errors_cite_lines():
         ("orbifold c\ndim 1\ncell v dim=0 weight=1\ncell t dim=1 weight=1\n"
          "sub all = v\nsub pt = v\n",
          5, "line 5: subcomplex name 'all' is reserved"),
+        ("orbifold a\ndim 1\ndim 0\ncell v dim=0 weight=1\n",
+         3, "line 3: repeated dim line"),
+        ("# header\norbifold a\ndim 0\ncell v dim=0 weight=1\norbifold b\n",
+         5, "line 5: repeated orbifold line"),
     ]
     for text, line, message in cases:
         with pytest.raises(OwcError) as err:
