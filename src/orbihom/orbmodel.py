@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -131,14 +132,26 @@ def describe(d: OrbifoldDesc) -> str:
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
+def _row(id: str, dim: int, weight: int, boundary: Iterable = ()) -> tuple:
+    """The checked row (id, dim, weight, boundary) of a cell's fields: boundary
+    labels merged by summing coefficients, zeros dropped; dim, weight and
+    coefficients through operator.index, so a float or a string raises TypeError."""
+    if not _ID_RE.fullmatch(id):
+        raise ValueError(f"bad cell id {id!r}")
+    dim, weight = operator.index(dim), operator.index(weight)
+    if dim < 0:
+        raise ValueError(f"cell {id}: negative dimension")
+    if weight < 1:
+        raise ValueError(f"cell {id}: weight must be at least 1")
+    merged: dict[str, int] = {}  # in order of first appearance
+    for ref, coefficient in boundary:
+        merged[ref] = merged.get(ref, 0) + operator.index(coefficient)
+    return id, dim, weight, tuple([(ref, c) for ref, c in merged.items() if c])
+
+
 @dataclass(frozen=True)
 class Cell:
-    """One cell: label, dimension, weight, and incidence list.
-
-    Repeated boundary labels are merged by summing coefficients; zero
-    coefficients are dropped.  Dimension, weight and coefficients go
-    through operator.index, so a float or a string raises TypeError.
-    """
+    """One cell: label, dimension, weight, and incidence list, as _row checks them."""
 
     id: str
     dim: int
@@ -146,25 +159,13 @@ class Cell:
     boundary: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if not _ID_RE.fullmatch(self.id):
-            raise ValueError(f"bad cell id {self.id!r}")
-        object.__setattr__(self, "dim", operator.index(self.dim))
-        object.__setattr__(self, "weight", operator.index(self.weight))
-        if self.dim < 0:
-            raise ValueError(f"cell {self.id}: negative dimension")
-        if self.weight < 1:
-            raise ValueError(f"cell {self.id}: weight must be at least 1")
-        merged: dict[str, int] = {}  # in order of first appearance
-        for ref, coefficient in self.boundary:
-            merged[ref] = merged.get(ref, 0) + operator.index(coefficient)
-        object.__setattr__(self, "boundary",
-                           tuple([(ref, c) for ref, c in merged.items() if c]))
+        for field, value in zip(("id", "dim", "weight", "boundary"), _row(
+                self.id, self.dim, self.weight, self.boundary)):
+            object.__setattr__(self, field, value)
 
     @classmethod
-    def _of(cls, id: str, dim: int, weight: int,
-            boundary: tuple[tuple[str, int], ...]) -> "Cell":
-        """Trusted build from fields that already satisfy the checks
-        above, with a merged boundary; nothing is checked or merged."""
+    def _of(cls, id: str, dim: int, weight: int, boundary: tuple) -> "Cell":
+        """Trusted build from a checked row; nothing is checked or merged."""
         cell = object.__new__(cls)
         object.__setattr__(cell, "id", id)
         object.__setattr__(cell, "dim", dim)
@@ -190,86 +191,29 @@ class WeightedCellComplex:
     down, that subcomplex members exist, that d∘d = 0, and that
     subcomplexes are closed under boundaries.  A failure raises
     ComplexError.  No subcomplex may be named all: sub_cells reserves it
-    for every cell.  The given cells, in their order, are the cells view;
-    a derived complex reads its view off its columns and weights, and a
-    torus product derives its subs, on first read.
+    for every cell.  On first read, the cells view is built from the rows
+    of the given cells, as given, or off a derived complex's columns, each
+    boundary by face position, and a torus product derives its subs.
     """
 
     __slots__ = ("name", "_subs", "_chain", "_weights", "_cells")
 
     def __init__(self, name: str, dim: int, cells: Sequence[Cell],
                  subs: Mapping[str, Iterable[str]] | None = None):
-        cells = tuple(cells)
-        by_id: dict[str, Cell] = {}
-        for cell in cells:
-            if cell.id in by_id:
-                raise ComplexError(f"duplicate cell id {cell.id}", cell.id)
-            by_id[cell.id] = cell
-        for cell in cells:
-            if cell.dim > dim:
-                raise ComplexError(f"cell {cell.id}: dimension {cell.dim} "
-                                   f"exceeds declared dim {dim}", cell.id)
-            for ref, _ in cell.boundary:
-                if ref not in by_id:
-                    raise ComplexError(f"cell {cell.id}: unknown boundary "
-                                       f"cell {ref}", cell.id)
-                if by_id[ref].dim != cell.dim - 1:
-                    raise ComplexError(
-                        f"cell {cell.id}: boundary cell {ref} has dimension "
-                        f"{by_id[ref].dim}, expected {cell.dim - 1}", cell.id)
-        listed = {sub_name: list(members)
-                  for sub_name, members in (subs or {}).items()}
-        if "all" in listed:
-            raise ValueError("subcomplex name 'all' is reserved")
-        for sub_name, members in listed.items():
-            for member in members:
-                if member not in by_id:
-                    raise ComplexError(f"subcomplex {sub_name}: unknown cell "
-                                       f"{member}", member, sub_name)
-        if dim < 0:
-            raise ValueError("a complex needs at least degree 0")
-        by_dim: list[list[Cell]] = [[] for _ in range(dim + 1)]
-        for cell in cells:
-            by_dim[cell.dim].append(cell)
-        position = {cell.id: j for cells in by_dim
-                    for j, cell in enumerate(cells)}
-        # Each boundary is merged, nonzero and checked above to lie one
-        # dimension down, so its positions only need sorting.
-        chain = ChainComplex._of(
-            [[cell.id for cell in cells] for cells in by_dim],
-            [[sorted((position[ref], coefficient)
-                     for ref, coefficient in cell.boundary)
-              for cell in cells] for cells in by_dim[1:]])
-        if problems := chains.validate(chain):
-            q, j, _, _ = next(chains._dd_entries(chain))
-            raise ComplexError("boundary of boundary is nonzero: "
-                               + problems[0], chain.basis[q][j])
-        closed = {sub_name: frozenset(members)
-                  for sub_name, members in listed.items()}
-        for sub_name, members in listed.items():
-            for member in members:
-                for ref, _ in by_id[member].boundary:
-                    if ref not in closed[sub_name]:
-                        raise ComplexError(
-                            f"subcomplex {sub_name}: cell {member} has face "
-                            f"{ref} outside it", member, sub_name)
-        self._set(name, closed, chain,
-                  [[cell.weight for cell in cells] for cells in by_dim], cells)
+        self._set(name, *_checked(dim, [(cell.id, cell.dim, cell.weight, cell.boundary)
+                                        for cell in cells], subs))
 
     @classmethod
     def _of(cls, name: str, subs: dict | Callable[[], dict], chain: ChainComplex,
-            weights) -> "WeightedCellComplex":
-        """Trusted build of a complex derived from a checked one, valid
-        by its builder; nothing is checked.  Its cells, on first read,
-        list each degree's columns in order, each boundary by face position."""
+            weights, rows: list[tuple] | None = None) -> "WeightedCellComplex":
+        """Trusted build from what _checked gives or a valid derived complex."""
         wcc = object.__new__(cls)
-        wcc._set(name, subs, chain, weights)
+        wcc._set(name, subs, chain, weights, rows)
         return wcc
 
-    def _set(self, name, subs, chain, weights, cells=None) -> None:
+    def _set(self, name, subs, chain, weights, rows=None) -> None:
         for slot, value in zip(self.__slots__, (
-                name, subs, chain, tuple([tuple(ws) for ws in weights]),
-                cells)):
+                name, subs, chain, tuple([tuple(ws) for ws in weights]), rows)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -281,12 +225,12 @@ class WeightedCellComplex:
 
     @property
     def cells(self) -> tuple[Cell, ...]:
-        if self._cells is None:
+        if type(self._cells) is not tuple:  # rows, or None: read the columns
             basis, columns = self._chain.basis, self._chain.boundaries
-            object.__setattr__(self, "_cells", tuple([
-                Cell._of(label, q, self._weights[q][j], tuple([
-                    (basis[q - 1][i], x) for i, x in columns[q - 1][j]]) if q else ())
-                for q, labels in enumerate(basis) for j, label in enumerate(labels)]))
+            rows = self._cells or ((label, q, self._weights[q][j], tuple([
+                (basis[q - 1][i], x) for i, x in columns[q - 1][j]]) if q else ())
+                for q, labels in enumerate(basis) for j, label in enumerate(labels))
+            object.__setattr__(self, "_cells", tuple([Cell._of(*row) for row in rows]))
         return self._cells
 
     @property
@@ -310,6 +254,60 @@ class WeightedCellComplex:
         return self._chain
 
 
+def _checked(dim: int, rows: list[tuple], subs: Mapping | None) -> tuple:
+    """Subs, chain complex, weights and rows of a complex of rows from
+    _row, checked as WeightedCellComplex documents."""
+    by_id: dict[str, tuple] = {}
+    for row in rows:
+        if row[0] in by_id:
+            raise ComplexError(f"duplicate cell id {row[0]}", row[0])
+        by_id[row[0]] = row
+    for cell_id, cell_dim, _, boundary in rows:
+        if cell_dim > dim:
+            raise ComplexError(f"cell {cell_id}: dimension {cell_dim} "
+                               f"exceeds declared dim {dim}", cell_id)
+        for ref, _ in boundary:
+            if ref not in by_id:
+                raise ComplexError(f"cell {cell_id}: unknown boundary cell {ref}", cell_id)
+            if by_id[ref][1] != cell_dim - 1:
+                raise ComplexError(
+                    f"cell {cell_id}: boundary cell {ref} has dimension "
+                    f"{by_id[ref][1]}, expected {cell_dim - 1}", cell_id)
+    listed = {sub_name: list(members) for sub_name, members in (subs or {}).items()}
+    if "all" in listed:
+        raise ValueError("subcomplex name 'all' is reserved")
+    for sub_name, members in listed.items():
+        for member in members:
+            if member not in by_id:
+                raise ComplexError(f"subcomplex {sub_name}: unknown cell {member}",
+                                   member, sub_name)
+    if dim < 0:
+        raise ValueError("a complex needs at least degree 0")
+    by_dim: list[list[tuple]] = [[] for _ in range(dim + 1)]
+    for row in rows:
+        by_dim[row[1]].append(row)
+    position = {row[0]: j for level in by_dim for j, row in enumerate(level)}
+    # Each boundary is merged, nonzero and checked above to lie one
+    # dimension down, so its positions only need sorting.
+    chain = ChainComplex._of(
+        [[row[0] for row in level] for level in by_dim],
+        [[sorted([(position[ref], coefficient) for ref, coefficient in row[3]])
+          for row in level] for level in by_dim[1:]])
+    if problems := chains.validate(chain):
+        q, j, _, _ = next(chains._dd_entries(chain))
+        raise ComplexError("boundary of boundary is nonzero: " + problems[0],
+                           chain.basis[q][j])
+    closed = {sub_name: frozenset(members) for sub_name, members in listed.items()}
+    for sub_name, members in listed.items():
+        for member in members:
+            for ref, _ in by_id[member][3]:
+                if ref not in closed[sub_name]:
+                    raise ComplexError(
+                        f"subcomplex {sub_name}: cell {member} has face "
+                        f"{ref} outside it", member, sub_name)
+    return closed, chain, [[row[2] for row in level] for level in by_dim], rows
+
+
 def cone_point_index(m1: int, m2: int, m3: int) -> int:
     """Order of the local group at the cone point of a ballic model.
 
@@ -331,41 +329,37 @@ def cone_point_index(m1: int, m2: int, m3: int) -> int:
 
 def _t_disc2(d: Disc2):
     n = d.order
-    cells = [
-        Cell("v0", 0, 1),
-        Cell("u", 0, 1),
-        Cell("c_out", 1, 1),
-        Cell("r", 1, 1, (("v0", 1), ("u", -1))),
-        Cell("c_in", 1, 1),
-        Cell("A", 2, 1, (("c_out", 1), ("c_in", -1))),
-        Cell("sighat", 2, n, (("c_in", n),)),
+    rows = [
+        _row("v0", 0, 1),
+        _row("u", 0, 1),
+        _row("c_out", 1, 1),
+        _row("r", 1, 1, (("v0", 1), ("u", -1))),
+        _row("c_in", 1, 1),
+        _row("A", 2, 1, (("c_out", 1), ("c_in", -1))),
+        _row("sighat", 2, n, (("c_in", n),)),
     ]
     subs = {
         "boundary": {"v0", "c_out"},
         "cone": {"u", "c_in", "sighat"},
         "annulus": {"v0", "u", "c_out", "r", "c_in", "A"},
     }
-    return 2, cells, subs
+    return 2, rows, subs
 
 
 def _t_surface(d: Surface):
     g, b, ms = d.genus, d.boundary, d.cone_orders
-    cells = [Cell("v", 0, 1)]
-    loop_names = []
-    for k in range(1, g + 1):
-        loop_names += [f"a{k}", f"b{k}"]
-    cells += [Cell(label, 1, 1) for label in loop_names]
-    cells += [Cell(f"c{i}", 1, 1) for i in range(1, len(ms) + 1)]
+    rows = [_row("v", 0, 1)]
+    rows += [_row(f"{loop}{k}", 1, 1) for k in range(1, g + 1) for loop in "ab"]
+    rows += [_row(f"c{i}", 1, 1) for i in range(1, len(ms) + 1)]
     for j in range(1, b + 1):
-        cells.append(Cell(f"w{j}", 0, 1))
-        cells.append(Cell(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
-        cells.append(Cell(f"d{j}", 1, 1))
+        rows.append(_row(f"w{j}", 0, 1))
+        rows.append(_row(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
+        rows.append(_row(f"d{j}", 1, 1))
     for i, m in enumerate(ms, start=1):
-        cells.append(Cell(f"sighat{i}", 2, m, ((f"c{i}", m),)))
-    sigma_boundary = tuple((f"c{i}", -1) for i in range(1, len(ms) + 1))
-    sigma_boundary += tuple((f"d{j}", -1) for j in range(1, b + 1))
-    cells.append(Cell("sigma0", 2, 1, sigma_boundary))
-    cells.sort(key=lambda cell: cell.dim)
+        rows.append(_row(f"sighat{i}", 2, m, ((f"c{i}", m),)))
+    rows.append(_row("sigma0", 2, 1, [(f"c{i}", -1) for i in range(1, len(ms) + 1)]
+                     + [(f"d{j}", -1) for j in range(1, b + 1)]))
+    rows.sort(key=operator.itemgetter(1))
 
     subs: dict[str, set[str]] = {}
     if b >= 1:
@@ -373,99 +367,94 @@ def _t_surface(d: Surface):
         subs["boundary"] |= {f"d{j}" for j in range(1, b + 1)}
     subs["conedisks"] = {"v"} | {f"c{i}" for i in range(1, len(ms) + 1)} \
         | {f"sighat{i}" for i in range(1, len(ms) + 1)}
-    subs["complement"] = {cell.id for cell in cells} \
+    subs["complement"] = {row[0] for row in rows} \
         - {f"sighat{i}" for i in range(1, len(ms) + 1)}
-    return 2, cells, subs
+    return 2, rows, subs
 
 
 def _t_ball(orders: tuple[int, ...], index: int):
     """Cone-point sphere with a 3-cell of weight index attached, meeting
     each cone disc with multiplicity index over its order."""
-    _, cells, _ = _t_surface(Surface(0, 0, orders))
+    _, rows, _ = _t_surface(Surface(0, 0, orders))
     boundary = tuple((f"sighat{i}", index // m)
                      for i, m in enumerate(orders, start=1))
-    tau = Cell("tauhat", 3, index, (("sigma0", index),) + boundary)
-    return 3, cells + [tau], {"boundary": {cell.id for cell in cells}}
+    tau = _row("tauhat", 3, index, (("sigma0", index),) + boundary)
+    return 3, rows + [tau], {"boundary": {row[0] for row in rows}}
 
 
 def _adapted_disc2(d: Disc2):
     n = d.order
-    cells = [
-        Cell("v", 0, 1),
-        Cell("p", 0, n),
-        Cell("a", 1, 1, (("p", 1), ("v", -1))),
-        Cell("c", 1, 1),
-        Cell("E", 2, 1, (("c", 1),)),
+    rows = [
+        _row("v", 0, 1),
+        _row("p", 0, n),
+        _row("a", 1, 1, (("p", 1), ("v", -1))),
+        _row("c", 1, 1),
+        _row("E", 2, 1, (("c", 1),)),
     ]
-    return 2, cells, {"boundary": {"v", "c"}}
+    return 2, rows, {"boundary": {"v", "c"}}
 
 
 def _adapted_surface(d: Surface):
     g, b, ms = d.genus, d.boundary, d.cone_orders
-    cells = [Cell("v", 0, 1)]
+    rows = [_row("v", 0, 1)]
     for i, m in enumerate(ms, start=1):
-        cells.append(Cell(f"p{i}", 0, m))
-        cells.append(Cell(f"e{i}", 1, 1, ((f"p{i}", 1), ("v", -1))))
-    for k in range(1, g + 1):
-        cells.append(Cell(f"a{k}", 1, 1))
-        cells.append(Cell(f"b{k}", 1, 1))
+        rows.append(_row(f"p{i}", 0, m))
+        rows.append(_row(f"e{i}", 1, 1, ((f"p{i}", 1), ("v", -1))))
+    rows += [_row(f"{loop}{k}", 1, 1) for k in range(1, g + 1) for loop in "ab"]
     for j in range(1, b + 1):
-        cells.append(Cell(f"w{j}", 0, 1))
-        cells.append(Cell(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
-        cells.append(Cell(f"d{j}", 1, 1))
-    cells.append(Cell("F", 2, 1,
-                      tuple((f"d{j}", 1) for j in range(1, b + 1))))
-    cells.sort(key=lambda cell: cell.dim)
+        rows.append(_row(f"w{j}", 0, 1))
+        rows.append(_row(f"r{j}", 1, 1, ((f"w{j}", 1), ("v", -1))))
+        rows.append(_row(f"d{j}", 1, 1))
+    rows.append(_row("F", 2, 1, tuple((f"d{j}", 1) for j in range(1, b + 1))))
+    rows.sort(key=operator.itemgetter(1))
     subs = {}
     if b >= 1:
         subs["boundary"] = {f"w{j}" for j in range(1, b + 1)} \
             | {f"d{j}" for j in range(1, b + 1)}
-    return 2, cells, subs
+    return 2, rows, subs
 
 
 def _adapted_ball3(d: Ball3):
     m1, m2, m3 = d.orders
     n0 = cone_point_index(m1, m2, m3)
-    cells = [
-        Cell("p1", 0, m1), Cell("p2", 0, m2), Cell("p3", 0, m3),
-        Cell("o", 0, n0),
-        Cell("E12", 1, 1, (("p2", 1), ("p1", -1))),
-        Cell("E23", 1, 1, (("p3", 1), ("p2", -1))),
-        Cell("E31", 1, 1, (("p1", 1), ("p3", -1))),
-        Cell("g1", 1, m1, (("p1", 1), ("o", -1))),
-        Cell("g2", 1, m2, (("p2", 1), ("o", -1))),
-        Cell("g3", 1, m3, (("p3", 1), ("o", -1))),
-        Cell("F_up", 2, 1, (("E12", 1), ("E23", 1), ("E31", 1))),
-        Cell("F_down", 2, 1, (("E12", -1), ("E23", -1), ("E31", -1))),
-        Cell("D12", 2, 1, (("g1", 1), ("E12", 1), ("g2", -1))),
-        Cell("D23", 2, 1, (("g2", 1), ("E23", 1), ("g3", -1))),
-        Cell("D31", 2, 1, (("g3", 1), ("E31", 1), ("g1", -1))),
-        Cell("T_up", 3, 1,
-             (("F_up", 1), ("D12", -1), ("D23", -1), ("D31", -1))),
-        Cell("T_down", 3, 1,
-             (("F_down", 1), ("D12", 1), ("D23", 1), ("D31", 1))),
+    rows = [
+        _row("p1", 0, m1), _row("p2", 0, m2), _row("p3", 0, m3),
+        _row("o", 0, n0),
+        _row("E12", 1, 1, (("p2", 1), ("p1", -1))),
+        _row("E23", 1, 1, (("p3", 1), ("p2", -1))),
+        _row("E31", 1, 1, (("p1", 1), ("p3", -1))),
+        _row("g1", 1, m1, (("p1", 1), ("o", -1))),
+        _row("g2", 1, m2, (("p2", 1), ("o", -1))),
+        _row("g3", 1, m3, (("p3", 1), ("o", -1))),
+        _row("F_up", 2, 1, (("E12", 1), ("E23", 1), ("E31", 1))),
+        _row("F_down", 2, 1, (("E12", -1), ("E23", -1), ("E31", -1))),
+        _row("D12", 2, 1, (("g1", 1), ("E12", 1), ("g2", -1))),
+        _row("D23", 2, 1, (("g2", 1), ("E23", 1), ("g3", -1))),
+        _row("D31", 2, 1, (("g3", 1), ("E31", 1), ("g1", -1))),
+        _row("T_up", 3, 1, (("F_up", 1), ("D12", -1), ("D23", -1), ("D31", -1))),
+        _row("T_down", 3, 1, (("F_down", 1), ("D12", 1), ("D23", 1), ("D31", 1))),
     ]
     subs = {"boundary": {"p1", "p2", "p3", "E12", "E23", "E31",
                          "F_up", "F_down"}}
-    return 3, cells, subs
+    return 3, rows, subs
 
 
 def _adapted_ball3cyclic(d: Ball3Cyclic):
     n = d.order
-    cells = [
-        Cell("p1", 0, n), Cell("p2", 0, n),
-        Cell("e_a", 1, 1, (("p2", 1), ("p1", -1))),
-        Cell("e_b", 1, 1, (("p2", 1), ("p1", -1))),
-        Cell("g", 1, n, (("p2", 1), ("p1", -1))),
-        Cell("F_a", 2, 1, (("e_a", 1), ("e_b", -1))),
-        Cell("F_b", 2, 1, (("e_b", 1), ("e_a", -1))),
-        Cell("D_a", 2, 1, (("e_a", 1), ("g", -1))),
-        Cell("D_b", 2, 1, (("e_b", 1), ("g", -1))),
-        Cell("T_a", 3, 1, (("F_a", 1), ("D_a", -1), ("D_b", 1))),
-        Cell("T_b", 3, 1, (("F_b", 1), ("D_a", 1), ("D_b", -1))),
+    rows = [
+        _row("p1", 0, n), _row("p2", 0, n),
+        _row("e_a", 1, 1, (("p2", 1), ("p1", -1))),
+        _row("e_b", 1, 1, (("p2", 1), ("p1", -1))),
+        _row("g", 1, n, (("p2", 1), ("p1", -1))),
+        _row("F_a", 2, 1, (("e_a", 1), ("e_b", -1))),
+        _row("F_b", 2, 1, (("e_b", 1), ("e_a", -1))),
+        _row("D_a", 2, 1, (("e_a", 1), ("g", -1))),
+        _row("D_b", 2, 1, (("e_b", 1), ("g", -1))),
+        _row("T_a", 3, 1, (("F_a", 1), ("D_a", -1), ("D_b", 1))),
+        _row("T_b", 3, 1, (("F_b", 1), ("D_a", 1), ("D_b", -1))),
     ]
     subs = {"boundary": {"p1", "p2", "e_a", "e_b", "F_a", "F_b"}}
-    return 3, cells, subs
+    return 3, rows, subs
 
 
 def _surface_cells(d: Surface) -> tuple[int, int]:
@@ -474,7 +463,7 @@ def _surface_cells(d: Surface) -> tuple[int, int]:
 
 
 # Per descriptor family: (t model builder, adapted model builder), each
-# giving (dim, cells, subs), then the cell counts of the two models.
+# giving (dim, rows from _row, subs), then the cell counts of the two models.
 # _build checks the base complex once; its torus product is valid by
 # construction (_torus), as is every derived complex.
 _FAMILIES = {
@@ -488,8 +477,8 @@ _FAMILIES = {
 
 # The most cells _build makes from a descriptor, and the most cell lines
 # that parse_owc takes from a file.  `orbihom homology --desc
-# "surface(4,3;2,3,5,7) x torus(11)"`, 55,296 cells, takes 0.44-0.56 s
-# wall and 39 MB peak RSS in a child process (2 cores, Python 3.11.7);
+# "surface(4,3;2,3,5,7) x torus(11)"`, 55,296 cells, takes 0.18-0.31 s
+# wall and 37 MB peak RSS in a child process (2 cores, Python 3.11.7);
 # one more torus factor doubles the cells and is refused.
 MAX_CELLS = 100_000
 # The largest dim that parse_owc takes: per-degree work does not shrink
@@ -511,7 +500,7 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
             model = parse_owc(handle.read())
         if not k:
             return model
-        n = len(model.cells)
+        n = sum(map(len, model._chain.basis))
     elif type(base) in _FAMILIES:
         model, n = None, _FAMILIES[type(base)][2](base)[adapted]
     else:
@@ -522,53 +511,64 @@ def _build(d: OrbifoldDesc, adapted: bool) -> WeightedCellComplex:
         raise ValueError(f"{describe(d)} would have {estimate} cells, "
                          f"more than the limit of {MAX_CELLS}")
     if model is None:
-        model = WeightedCellComplex(describe(base),
-                                    *_FAMILIES[type(base)][adapted](base))
+        model = WeightedCellComplex._of(
+            describe(base), *_checked(*_FAMILIES[type(base)][adapted](base)))
     return _torus(model, k, describe(d)) if k else model
 
 
 def _torus(base: WeightedCellComplex, k: int, name: str) -> WeightedCellComplex:
-    """base x torus(k), built by index arithmetic on the base columns.
+    """base x torus(k), built in one pass by index arithmetic on the base.
 
     A product cell is a base cell with a suffix of k parts, '_x_z' (dim 0)
     or '_x_t' (dim 1), on its id, and the base weight.  The circle has no
     boundary, so a product column is the base column on the faces with the
     same suffix, with no sign: the chain complex is 2^k shifted copies of
     the base's (Hatcher, Algebraic Topology, §3.B), valid as the base is.
-    Each dim lists its cells in the order of k iterated products with the
-    circle (`oracles.public_tensor`) of the base's cells stably sorted by
-    dimension.  The base's subs, shifted alike, are derived on first read.
-    """
-    c, steps = base._chain, []
-    labels, weights = [list(ls) for ls in c.basis], [list(ws) for ws in base._weights]
-    columns = [[()] * len(labels[0])] + [list(cols) for cols in c.boundaries]
-    # Each circle makes dim p the cells of dim p - 1 with '_x_t', then
-    # those of dim p with '_x_z': these come after sizes[p] cells, and
-    # their faces after sizes[p - 1].
-    for _ in range(k):
-        steps.append(sizes := [0] + [len(cells) for cells in labels])
-        labels = [[label + "_x_t" for label in low] + [label + "_x_z" for label in high]
-                  for low, high in _pairs(labels)]
-        weights = [low + high for low, high in _pairs(weights)]
-        columns = [low + [tuple([(i + shift, x) for i, x in col]) for col in high]
-                   for (low, high), shift in zip(_pairs(columns), [0] + sizes)]
+    Each dim lists its cells as k iterated products with the circle
+    (`oracles.public_tensor`) of the base's cells stably sorted by
+    dimension do: by suffix, '_x_t' before '_x_z' from the last part on,
+    then by base position.  Each sub, a base sub times the torus, is
+    derived on first read."""
+    c, sizes = base._chain, [len(labels) for labels in base._chain.basis]
+
+    def blocks() -> tuple[list[list], list[list], list[list]]:
+        """Per product dim, in product order, the base dim, suffix and face
+        start (in the dim below) of each block of cells, in flat lists: a
+        tuple per block would run the cycle collector more often."""
+        js, suffixes = [0], [""]  # count of '_x_t' parts, suffix: by doubling
+        for _ in range(k):
+            js = [j + 1 for j in js] + js
+            suffixes = [s + "_x_t" for s in suffixes] + [s + "_x_z" for s in suffixes]
+        qs, tails, faces = ([[] for _ in range(len(sizes) + k)] for _ in range(3))
+        filled = [0] * len(qs)
+        for j, suffix in zip(js, suffixes):
+            face = 0
+            for p, size in enumerate(sizes, j):  # product dim p, base dim p - j
+                qs[p].append(p - j)
+                tails[p].append(suffix)
+                faces[p].append(face)
+                face, filled[p] = filled[p], filled[p] + size
+        return qs, tails, faces
+
+    (qs, tails, faces), columns = blocks(), [[()] * len(c.basis[0]), *c.boundaries]
+    chain = ChainComplex._of(
+        [[label + tail for q, tail in zip(*level) for label in c.basis[q]]
+         for level in zip(qs, tails)],
+        [[tuple([(i + face, x) for i, x in col]) if face and col else col
+          for q, face in zip(*level) for col in columns[q]]
+         for level in zip(qs[1:], faces[1:])])
 
     def subs():
-        picked = {sub_name: [[j for j, label in enumerate(ls) if label in members]
+        picked = {sub_name: [[i for i, label in enumerate(ls) if label in members]
                              for ls in c.basis] for sub_name, members in base.subs.items()}
-        for sizes in steps:
-            picked = {sub_name: [low + [i + shift for i in high] for (low, high), shift
-                                 in zip(_pairs(members), sizes)]
-                      for sub_name, members in picked.items()}
-        return {sub_name: frozenset().union(*(
-            map(cells.__getitem__, picks) for cells, picks in zip(labels, members)))
-            for sub_name, members in picked.items()}
-    return WeightedCellComplex._of(name, subs, ChainComplex._of(labels, columns[1:]), weights)
-
-
-def _pairs(lists: list[list]) -> zip:
-    """(lists[p - 1], lists[p]) for each p up to len(lists), empty out of range."""
-    return zip([[]] + lists, lists + [[]])
+        starts = [list(zip(level, accumulate([sizes[q] for q in level], initial=0)))
+                  for level in blocks()[0]]
+        return {sub_name: frozenset([
+            labels[start + i] for labels, level in zip(chain.basis, starts)
+            for q, start in level for i in picks[q]])
+            for sub_name, picks in picked.items()}
+    return WeightedCellComplex._of(
+        name, subs, chain, [[w for q in level for w in base._weights[q]] for level in qs])
 
 
 def t_model(d: OrbifoldDesc) -> WeightedCellComplex:
@@ -693,15 +693,15 @@ def parse_owc(text: str) -> WeightedCellComplex:
       cell <id> dim=<q> weight=<w> [boundary=<id>:<int>,...]
       sub <name> = <id>,...
 
-    Structural faults found by WeightedCellComplex are reported at the
-    line of the offending cell or sub member.  A cell field other than
+    Each cell line is checked as a row at its line, and the rows as a
+    complex, as WeightedCellComplex checks cells, with each fault at the
+    line of its cell or sub member; no Cell is built.  A field other than
     dim, weight and boundary, a face listed twice in one boundary, a dim
-    above MAX_DIM, or more than MAX_CELLS cell lines, is refused at its
-    line.
+    above MAX_DIM, or more than MAX_CELLS cell lines, is refused at its line.
     """
     name = None
     dim = None
-    cells: list[Cell] = []
+    rows: list[tuple] = []
     cell_lines: dict[str, int] = {}
     subs: dict[str, list[str]] = {}
     sub_lines: dict[tuple[str, str], int] = {}
@@ -730,7 +730,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
                 raise OwcError(lineno, f"dim {dim} is more than the limit "
                                        f"of {MAX_DIM}")
         elif verb == "cell":
-            if len(cells) >= MAX_CELLS:
+            if len(rows) >= MAX_CELLS:
                 raise OwcError(lineno, f"more than the limit of {MAX_CELLS} cells")
             if len(parts) < 2:
                 raise OwcError(lineno, "cell needs an id")
@@ -774,8 +774,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
                         raise OwcError(lineno, f"bad boundary coefficient "
                                                f"in {entry!r}")
             try:
-                cells.append(Cell(cell_id, cell_dim, weight,
-                                  tuple(boundary.items())))
+                rows.append(_row(cell_id, cell_dim, weight, boundary.items()))
             except ValueError as exc:
                 raise OwcError(lineno, str(exc))
             cell_lines[cell_id] = lineno
@@ -800,7 +799,7 @@ def parse_owc(text: str) -> WeightedCellComplex:
     if dim is None:
         raise OwcError(1, "missing 'dim <n>' line")
     try:
-        return WeightedCellComplex(name, dim, cells, subs)
+        return WeightedCellComplex._of(name, *_checked(dim, rows, subs))
     except ComplexError as exc:
         line = (cell_lines[exc.cell] if exc.sub is None
                 else sub_lines[exc.sub, exc.cell])

@@ -36,6 +36,7 @@ from .orbmodel import (
     Surface,
     WeightedCellComplex,
     adapted_model,
+    degenerate_weights,
     describe,
     t_model,
     underlying_model,
@@ -187,10 +188,10 @@ def _torus_kunneth(groups, k: int) -> tuple[FgAbGroup, ...]:
 def check_rational(d: OrbifoldDesc) -> VerdictReport:
     """Free rank over the integers vs dimension over the rationals,
     and the latter vs the rational homology of the underlying space."""
-    c = t_model(d).chain_complex()
-    hz = homology(c).groups()
-    hq = homology(c, coeff="Q").groups()
-    uq = homology(underlying_model(d).chain_complex(), coeff="Q").groups()
+    model = t_model(d)
+    hz = homology(model.chain_complex()).groups()
+    hq = homology(model.chain_complex(), coeff="Q").groups()
+    uq = homology(degenerate_weights(model).chain_complex(), coeff="Q").groups()
     n = max(len(hz), len(hq), len(uq))
     hz, hq, uq = _pad(hz, n), _pad(hq, n), _pad(uq, n)
     report = VerdictReport(check="rational", subject=describe(d))

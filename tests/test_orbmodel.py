@@ -6,7 +6,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbihom import chains, intlin, orbmodel
 from orbihom.chains import ChainComplex, homology, relative, subcomplex, validate
@@ -308,9 +308,8 @@ def test_product_subs_are_derived_on_first_read(monkeypatch):
     assert run(["homology", "--desc", desc, "--coeff", "q"])[0] == 0
     assert check_kunneth(Surface(4, 3, (2, 3, 5, 7)), 3).passed
     assert run(["verify", "rational", "--desc", desc])[0] == 0
-    # verify rational builds the product twice: as its t model, and again
-    # for the weight-one degeneration.
-    assert len(built) == 5 and all(callable(model._subs) for model in built)
+    # verify rational builds the product once, and degenerates that model.
+    assert len(built) == 4 and all(callable(model._subs) for model in built)
     for d in PRODUCTS:
         for read in (lambda m: m.subs, lambda m: m.sub_cells("boundary")):
             model, calls = t_model(d), []
@@ -340,9 +339,10 @@ def test_nested_products_build_as_one_product():
 
 def test_product_build_checks_only_the_base_cells(monkeypatch):
     """A product is built from its checked base by index arithmetic: the
-    build makes only the 27 base cells and composes only the base's
-    d∘d.  The product is valid by construction, so no homology() of it
-    composes d∘d, and its cells view is built once, on first read."""
+    build checks each of the 27 base rows once, builds no Cell, and
+    composes only the base's d∘d.  The product is valid by construction,
+    so no homology() of it composes d∘d, and its cells view is built
+    once, on first read."""
     base = t_model(Surface(4, 3, (2, 3, 5, 7))).chain_complex()
     calls = Counter()
 
@@ -355,10 +355,12 @@ def test_product_build_checks_only_the_base_cells(monkeypatch):
     monkeypatch.setattr(Cell, "__post_init__",
                         counted("cell", Cell.__post_init__))
     monkeypatch.setattr(Cell, "_of", staticmethod(counted("view", Cell._of)))
+    monkeypatch.setattr(orbmodel, "_row", counted("row", orbmodel._row))
     monkeypatch.setattr(intlin, "_column", counted("column", intlin._column))
     monkeypatch.setattr(chains, "_compose", counted("compose", chains._compose))
     model = t_model(ProductTorus(Surface(4, 3, (2, 3, 5, 7)), 3))
-    assert (calls["cell"], calls["view"], calls["column"]) == (27, 0, 0)
+    assert (calls["cell"], calls["view"], calls["column"]) == (0, 0, 0)
+    assert calls["row"] == 27
     assert calls["compose"] == sum(map(len, base.boundaries[1:])) == 5
     calls.clear()
     c = model.chain_complex()
@@ -373,7 +375,7 @@ def test_product_build_checks_only_the_base_cells(monkeypatch):
     # The order of face positions, not the base cell's boundary order.
     assert cell(model, "r1_x_t_x_z_x_t").boundary == (
         ("v_x_t_x_z_x_t", -1), ("w1_x_t_x_z_x_t", 1))
-    assert (calls["cell"], calls["view"]) == (0, 216)
+    assert (calls["cell"], calls["view"], calls["row"]) == (0, 216, 0)
 
 
 def test_homology_of_derived_complexes_composes_nothing(monkeypatch):
@@ -583,6 +585,26 @@ def test_underlying_cells_view_rebuilds_the_model(tmp_path):
         assert _model_data(parse_owc(serialize_owc(m))) == _model_data(m), d
         assert m.cells == _in_face_order(m), d
         assert {cell.weight for cell in m.cells} == {1}
+
+
+def test_row_built_models_match_public_builds():
+    """Every model built from rows (each family builder, and parse_owc,
+    also on a file out of dimension order) and every torus(1-3) product
+    of one equals its rebuild from its cells view by the public
+    constructor: in its data, in its cells (order and boundary order),
+    in its subs and in its .owc text."""
+    models = [build(d) for d in GRID_1_TO_3 for build in (t_model, adapted_model)]
+    models += [parse_owc(serialize_owc(m)) for m in models] + [parse_owc(UNORDERED_OWC)]
+    models += [orbmodel._torus(m, k, f"{m.name} x torus({k})")
+               for m in list(models) for k in (1, 2, 3)]
+    for m in models:
+        ref = WeightedCellComplex(m.name, m.dim, m.cells, m.subs)
+        assert _model_data(ref) == _model_data(m), m.name
+        assert ref.cells == m.cells and ref.subs == m.subs, m.name
+        assert serialize_owc(ref) == serialize_owc(m), m.name
+    unordered = parse_owc(UNORDERED_OWC)
+    assert [(cell.id, cell.boundary) for cell in unordered.cells][:2] == [
+        ("sighat", (("c_in", 3),)), ("A", (("c_out", 1), ("c_in", -1)))]
 
 
 def test_degenerate_weights_requires_divisibility(tmp_path):
@@ -841,6 +863,103 @@ def test_parse_owc_raises_only_owc_errors(text):
         parse_owc(text)
     except OwcError:
         pass
+
+
+# Valid models whose rows the fault test below damages.
+FAULT_BASES = [parse_owc(text) for text in FUZZ_TEXTS]
+
+
+def _outcome(build):
+    """The exception type and message build raises, or None."""
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def faulty_rows(draw) -> tuple:
+    """(dim, rows, subs, kind) of a valid model with one fault put into
+    its rows or subs: a bad id, weight 0, a float dim, an unknown face,
+    a face of the wrong dimension, a duplicate id, an unclosed sub, or a
+    face whose boundary makes d∘d nonzero."""
+    rng = draw(st.randoms(use_true_random=False))
+    model = rng.choice(FAULT_BASES)
+    rows = [[cell.id, cell.dim, cell.weight, list(cell.boundary)] for cell in model.cells]
+    subs = {name: sorted(members, key=ids(model).index)
+            for name, members in sorted(model.subs.items())}
+    kind = rng.choice(("id", "weight", "dim", "unknown", "face dim", "duplicate",
+                       "sub", "dd"))
+    at = rng.randrange(len(rows))
+    row = rows[at]
+    if kind == "id":
+        row[0] = "bad-id"
+    elif kind == "weight":
+        row[2] = 0
+    elif kind == "dim":
+        row[1] = row[1] + 0.5
+    elif kind == "unknown":
+        row[3].insert(rng.randint(0, len(row[3])), ("ghost", 1))
+    elif kind == "face dim":
+        row[3].append((rng.choice([other for other in rows if other[1] != row[1] - 1])[0], 1))
+    elif kind == "duplicate":
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    elif kind == "sub":
+        cell = rng.choice([other for other in rows if other[3]])
+        subs["broken"] = [cell[0]]
+    else:
+        # A face with a nonzero boundary, added to a cell one dim up
+        # that does not have it, gives that cell d∘d = d(face).
+        pairs = [(cell, face) for cell in rows for face in rows
+                 if face[1] == cell[1] - 1 and face[3]
+                 and face[0] not in dict(cell[3])]
+        assume(pairs)
+        cell, face = rng.choice(pairs)
+        cell[3].append((face[0], 1))
+    return model.dim, [tuple(row[:3]) + (tuple(row[3]),) for row in rows], subs, kind
+
+
+def _owc_text(dim, rows, subs) -> str:
+    lines = ["orbifold faulty", f"dim {dim}"]
+    for cell_id, cell_dim, weight, boundary in rows:
+        line = f"cell {cell_id} dim={cell_dim} weight={weight}"
+        if boundary:
+            line += " boundary=" + ",".join(f"{ref}:{c}" for ref, c in boundary)
+        lines.append(line)
+    lines += [f"sub {name} = {','.join(members)}" for name, members in subs.items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(faulty_rows())
+def test_row_faults_match_public_cells(fault):
+    """A fault in the rows fails the row build (_row, then the one
+    structural check) with the exception type and message of public
+    Cells and the constructor.  parse_owc refuses the text at the line
+    of the faulty cell, of the later copy of a duplicate id, or of the
+    sub line, with the same message, except where its own integer check
+    refuses a float dim first."""
+    dim, rows, subs, kind = fault
+    public = _outcome(lambda: WeightedCellComplex(
+        "faulty", dim, [Cell(*row) for row in rows], subs))
+    assert public is not None, kind
+    assert _outcome(lambda: WeightedCellComplex._of("faulty", *orbmodel._checked(
+        dim, [orbmodel._row(*row) for row in rows], subs))) == public, kind
+    bad_rows = [i for i, row in enumerate(rows) if _outcome(lambda: Cell(*row))]
+    if bad_rows:
+        line = 3 + bad_rows[0]
+    else:
+        with pytest.raises(ComplexError) as err:
+            WeightedCellComplex("faulty", dim, [Cell(*row) for row in rows], subs)
+        at = [i for i, row in enumerate(rows) if row[0] == err.value.cell]
+        line = (3 + len(rows) + list(subs).index(err.value.sub) if err.value.sub
+                else 3 + at[-1] if kind == "duplicate" else 3 + at[0])
+    with pytest.raises(OwcError) as err:
+        parse_owc(_owc_text(dim, rows, subs))
+    assert err.value.line == line, (kind, public)
+    if kind != "dim":
+        assert str(err.value) == f"line {line}: {public[1]}", kind
 
 
 def test_custom_file_loading(tmp_path: pathlib.Path):
