@@ -3,19 +3,20 @@
 Over Z, homology reduces the whole complex C once, by unit-pivot
 elimination from the top degree down (_Reduction).  Each boundary's rank
 and invariant factors are its unit pivots and one Smith diagonal of what
-the elimination leaves.  Read on first request, the same reduction gives
-a smaller complex D with the same homology, kept with its projection
-f: C -> D and lift g: D -> C: each degree's cycle lattice is g of the
-canonical (Hermite) basis of the cycles of D, with the coordinates of
-D's boundaries in it as relators.  f and the coordinates in that basis
-run one sparse substitution (_substitute).  Over Q, the groups come from
-each boundary's rank alone, by the same elimination on any nonzero
-pivot.  Presentations and maps are sparse columns (Column).
+the elimination leaves.  The same reduction gives a smaller complex D
+with the same homology, read in place on C's unpaired cells, with its
+projection f: C -> D and lift g: D -> C: each degree's cycle lattice is
+g of the canonical (Hermite) basis of the cycles of D, with the
+coordinates of D's boundaries in it as relators.  f and the coordinates
+in that basis run one sparse substitution (_substitute).  Over Q, the
+groups come from each boundary's rank alone, by the same elimination on
+any nonzero pivot.  Presentations and maps are sparse columns (Column).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -28,6 +29,7 @@ from .intlin import (
     GroupHom,
     IntMatrix,
     _addmul,
+    _column,
     _columns,
     _trusted,
     kernel_basis,
@@ -189,13 +191,13 @@ class DegreeHomology:
     """Homology of one degree, with cycle lattice and coordinates.
 
     Over Z, the data come from the reduction of the complex (see
-    _Reduction), read on first use: presentation has as generators the
-    Hermite basis of the degree-q cycles of D, and as relators the
-    coordinates in that basis of D's boundaries out of degree q + 1;
-    kernel holds the lifts by g of that basis, cycles of C, as columns.
-    The basis is the unit vectors of the zero columns of D's d_q beside
-    intlin.kernel_basis of its other columns: on disjoint supports, the
-    two are together in Hermite form, so they are kernel_basis(D.d(q)).
+    _Reduction), read on first use on C's cells: presentation has as
+    generators the Hermite basis of Z_q(D), and as relators the
+    coordinates in it of D's boundaries out of degree q + 1; kernel
+    holds that basis lifted by g, cycles of C.  The basis is unit vectors
+    for D's zero columns beside kernel_basis of the others less, pass by
+    pass, each alone on a row (zero on every cycle): on disjoint
+    supports, the two are in Hermite form, so are kernel_basis(D's d_q).
     Over Q only the group is set.
     """
 
@@ -206,15 +208,18 @@ class DegreeHomology:
 
     @cached_property
     def _basis(self) -> list[Column]:
-        """Hermite basis of the degree-q cycles of D, as sparse rows
-        sorted by pivot."""
-        d, q = self._reduction.d, self._q
-        columns = d.boundaries[q - 1] if q else ((),) * d.dim(0)
-        live = [j for j, col in enumerate(columns) if col]
-        basis = [((j, 1),) for j, col in enumerate(columns) if not col]
+        """Hermite basis of Z_q(D), as sparse rows on C's cells, by pivot."""
+        r, q = self._reduction, self._q
+        live = dict(r.columns[q])
+        basis = [((j, 1),) for j in r.unpaired[q] if j not in live]
+        hits = Counter(i for col in live.values() for i in col)
+        while lone := [j for j, col in live.items() if any(hits[i] == 1 for i in col)]:
+            for j in lone:  # alone on a row, so zero in every cycle
+                hits.subtract(live.pop(j).keys())
         if live:
-            basis += [tuple((live[k], x) for k, x in y) for y in kernel_basis(
-                [columns[j] for j in live], d.dim(q - 1))]
+            keep = list(live)
+            basis += [tuple((keep[k], x) for k, x in y) for y in kernel_basis(
+                list(live.values()), r.source.dim(q - 1))]
         return sorted(basis)
 
     @cached_property
@@ -223,9 +228,12 @@ class DegreeHomology:
 
     @cached_property
     def _lifts(self) -> list[Column]:
-        """g of each Hermite basis vector, a cycle of C, as a sparse column."""
-        g = self._reduction.lifts(self._q)
-        return [_compose(g, y) for y in self._basis]
+        """g of each Hermite basis vector, a cycle of C, as a sparse column;
+        cycles are saturated, so a vector of one entry is a unit vector."""
+        trans = self._reduction.trans[self._q]
+        g = {j: tuple(sorted(trans[j].items())) if j in trans else ((j, 1),)
+             for y in self._basis for j, _ in y}
+        return [g[y[0][0]] if len(y) == 1 else _compose(g, y) for y in self._basis]
 
     @cached_property
     def kernel(self) -> IntMatrix | None:
@@ -238,9 +246,10 @@ class DegreeHomology:
     def presentation(self) -> AbPresentation | None:
         if self._reduction is None:
             return None
-        d, q, gens = self._reduction.d, self._q, len(self._basis)
+        r, q, gens = self._reduction, self._q, len(self._basis)
+        up = r.unpaired[q + 1] if q < r.source.top_dim else ()
         return _trusted(AbPresentation, gens=gens, rels=tuple(
-            self._solve(b) for b in (d.boundaries[q] if q < d.top_dim else ())))
+            self._solve(b) if (b := r.columns[q + 1].get(j)) else () for j in up))
 
     def kernel_coords(self, cycle: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in the kernel lattice basis of the class of a
@@ -250,7 +259,7 @@ class DegreeHomology:
             raise ValueError("no integral cycle data (rational coefficients)")
         if len(cycle) != r.source.dim(q):
             raise ValueError("vector length does not match the cell count")
-        z = [(i, value) for i, value in enumerate(cycle) if value]
+        z = _column(enumerate(cycle))
         if q and _compose(r.source.boundaries[q - 1], z):
             raise ValueError("vector is not a cycle")
         coords = dict(self._coords(z))
@@ -416,7 +425,7 @@ def _eliminate(cols: dict[int, dict[int, int]], rows: int,
 
 
 class _Reduction:
-    """A reduction of a complex C to a smaller complex d with the same
+    """A reduction of a complex C to a smaller complex D with the same
     homology, by unit pivots (Kaczynski, Mischaikow and Mrozek,
     Computational Homology, 2004, elementary reductions).
 
@@ -426,14 +435,14 @@ class _Reduction:
     row b of its unit.  It keeps d_q's pivots (pivots[q]), the columns
     the elimination left (left[q], on C's rows) and their transforms
     (trans[q]); the groups read these (factors), the rest is built on
-    first read.  d keeps the unpaired cells (position[q] maps their
-    positions in C to those in d), each with its column in left, read on
-    d's rows.  The lift g: d -> C sends a cell to its column transform
-    (lifts).  pairs[q] maps each paired b to the row (place in pairing
-    order, unit, rest of a's column) that _substitute reads; the
-    projection f: C -> d (project) substitutes them and keeps the
+    first read.  D is read in place: its cells are C's unpaired cells,
+    in C order (the keys of unpaired[q]), and its d_q is left[q] on the
+    unpaired rows (columns).  The lift g: D -> C sends a cell to its
+    column transform.  pairs[q] maps each paired b to the row (place in
+    pairing order, unit, rest of a's column) that _substitute reads; the
+    projection f: C -> D (project) substitutes them and keeps the
     unpaired cells.  f and g are chain maps, and f g is the identity.
-    d is a complex because elementary reductions keep d∘d = 0.
+    D is a complex because elementary reductions keep d∘d = 0.
     """
 
     def __init__(self, c: ChainComplex):
@@ -468,35 +477,27 @@ class _Reduction:
         return pairs
 
     @cached_property
-    def position(self) -> list[dict[int, int]]:
+    def unpaired(self) -> list[dict[int, None]]:
         paired = [self.pairs[q].keys() | {a for a, _, _, _ in pivots}
                   for q, pivots in enumerate(self.pivots)]
-        return [{j: n for n, j in enumerate(j for j in range(self.source.dim(q))
-                                            if j not in p)} for q, p in enumerate(paired)]
+        return [dict.fromkeys(j for j in range(self.source.dim(q)) if j not in p)
+                for q, p in enumerate(paired)]
 
     @cached_property
-    def d(self) -> ChainComplex:
-        c, position, left = self.source, self.position, self.left
-        return ChainComplex._of(
-            [[c.basis[q][j] for j in kept] for q, kept in enumerate(position)],
-            [[tuple(sorted((position[q - 1][i], value)
-                           for i, value in left[q].get(j, {}).items()
-                           if i in position[q - 1])) for j in position[q]]
-             for q in range(1, c.top_dim + 1)])
-
-    def lifts(self, q: int) -> list[Column]:
-        """g on degree q: each cell of d to its column transform in C."""
-        trans = self.trans[q]
-        return [tuple(sorted(trans[j].items())) if j in trans else ((j, 1),)
-                for j in self.position[q]]
+    def columns(self) -> list[dict[int, dict[int, int]]]:
+        """D's d_q at q, its nonzero columns on C's rows by cell in C
+        order: left[q], whose cells are unpaired, on the unpaired rows."""
+        return [{}] + [{j: col for j, full in self.left[q].items()
+                        if (col := {i: x for i, x in full.items() if i in kept})}
+                       for q, kept in enumerate(self.unpaired[:-1], start=1)]
 
     def project(self, q: int, z: Column) -> dict[int, int]:
-        """f(z) on d's positions, for a degree-q chain z of C: each paired
-        b is -unit times the rest of a's column, in pairing order, and each
-        paired a is zero."""
-        z, at = dict(z), self.position[q]
+        """f(z), for a degree-q chain z of C: each paired b is -unit times
+        the rest of a's column, in pairing order, and each paired a is
+        zero."""
+        z, kept = dict(z), self.unpaired[q]
         _substitute(z, self.pairs[q])
-        return {at[j]: value for j, value in z.items() if value and j in at}
+        return {j: value for j, value in z.items() if value and j in kept}
 
 
 def _closed_cells(c: ChainComplex, cells: Iterable[str], role: str) -> set[str]:
@@ -587,6 +588,12 @@ def _inclusion(c: ChainComplex, sub: ChainComplex) -> ChainMap:
         for q, labels in enumerate(sub.basis)))
 
 
+def _to_zero(source: AbPresentation) -> GroupHom:
+    """The zero map of source onto the trivial group."""
+    return _trusted(GroupHom, source=source, target=AbPresentation.free(0),
+                    matrix=((),) * source.gens)
+
+
 def _cycle_hom(src: DegreeHomology, dst: DegreeHomology, columns) -> GroupHom:
     """Map of presentations sending each cycle-lattice generator of src, as
     its sparse lift z, to dst's kernel coordinates of columns @ z; unchecked."""
@@ -606,6 +613,7 @@ def induced_map(f: ChainMap) -> tuple[GroupHom, ...]:
 def _induced(f: ChainMap, hc: HomologyResult, hd: HomologyResult) -> tuple[GroupHom, ...]:
     """induced_map, unchecked, on hc and hd, the homology of its ends."""
     return tuple(_cycle_hom(hc.degree(q), hd.degree(q), f.matrices[q])
+                 if q <= hd.top_dim else _to_zero(hc.degree(q).presentation)
                  for q in range(f.source.top_dim + 1))
 
 
@@ -633,9 +641,7 @@ def _connecting(cells_a: set[str], m: ChainComplex, h_inter: HomologyResult,
     """connecting_hom, unchecked: a cell of cells_a maps to its boundary
     read on the intersection's rows, where that of a cycle's part on
     cells_a lies."""
-    inter, pres_0 = h_inter._complex, h_m.degree(0).presentation
-    homs = [_trusted(GroupHom, source=pres_0, target=AbPresentation.free(0),
-                     matrix=((),) * pres_0.gens)]
+    inter, homs = h_inter._complex, [_to_zero(h_m.degree(0).presentation)]
     for q in range(1, m.top_dim + 1):
         row = [inter._index[q - 1].get(label) for label in m.basis[q - 1]]
         columns = [[(row[i], value) for i, value in col if row[i] is not None]

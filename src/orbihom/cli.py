@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .affops import selftest
 from .chains import homology, relative
@@ -250,6 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for str-keyed dicts, lists, strings,
+    ints, bools and None, strings by json's C encoder: the pure-Python
+    encoder that indent selects leaves reference cycles on every call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (list, dict)) or not value:  # [] and {} too
+        return "null" if value is None else str(value).lower()
+    inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    items = ([f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+             if isinstance(value, dict) else [_json(v, inner) for v in value])
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1]
+
+
 def _emit_groups(kind: str, subject: str, groups, coeff: str,
                  rel, as_json: bool) -> None:
     rendered = [_render_group(g, coeff) for g in groups]
@@ -261,7 +275,7 @@ def _emit_groups(kind: str, subject: str, groups, coeff: str,
             "rel": rel,
             "groups": rendered,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
         return
     sign = "H^" if kind == "ws-cohomology" else "H_"
     for q, text in enumerate(rendered):
@@ -270,7 +284,7 @@ def _emit_groups(kind: str, subject: str, groups, coeff: str,
 
 def _emit_report(report, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json(report.to_json()))
     else:
         print(report.render(color=_use_color()))
     return 0 if report.passed else 1

@@ -40,7 +40,10 @@ package's forms as they were on dense matrices; the dense matrix
 helpers (zeros, transpose, from_columns, hstack, vstack, block_diag)
 are those the package dropped with them.  project_by_walk walks every
 pair of a degree, as _Reduction.project did before it read only the
-pairs its chain reaches.  boundary_factors ranks and factors each
+pairs its chain reaches.  reduced_complex builds the reduced complex D
+of a reduction as its own ChainComplex, with the positions of its cells
+in C, the lift g and the projection f on D's indices, as _Reduction did
+before it read D in place on C's cells.  boundary_factors ranks and factors each
 boundary on its own, by unit-pivot elimination of all its columns
 without transforms and one Smith diagonal of the residual, as homology()
 did over Z before it read the groups off one reduction of the whole
@@ -1086,8 +1089,49 @@ def project_by_walk(r, q: int, z) -> dict[int, int]:
             x = unit * z[b]
             for i, value in rest:
                 z[i] = z.get(i, 0) - x * value
-    at = r.position[q]
-    return {at[j]: value for j, value in z.items() if value and j in at}
+    paired = r.pairs[q].keys() | {a for a, _, _, _ in r.pivots[q]}
+    return {j: value for j, value in z.items() if value and j not in paired}
+
+
+@dataclass(frozen=True)
+class ReducedComplex:
+    """The reduced complex D of a chains._Reduction, as its own complex:
+    position[q] maps each unpaired degree-q cell's index in C to its
+    index in D, and d keeps each unpaired cell with its column as the
+    elimination left it, read on D's rows."""
+
+    reduction: object
+    position: list
+    d: ChainComplex
+
+    def lifts(self, q: int) -> list:
+        """g on degree q: each cell of D to its column transform in C."""
+        trans = self.reduction.trans[q]
+        return [tuple(sorted(trans[j].items())) if j in trans else ((j, 1),)
+                for j in self.position[q]]
+
+    def project(self, q: int, z) -> dict[int, int]:
+        """f(z) on D's positions, for a degree-q chain z of C."""
+        z, at = dict(z), self.position[q]
+        chains._substitute(z, self.reduction.pairs[q])
+        return {at[j]: value for j, value in z.items() if value and j in at}
+
+
+def reduced_complex(r) -> ReducedComplex:
+    """D of the reduction r built as a ChainComplex, with its positions,
+    as _Reduction.d, position, lifts and project were before D was read
+    in place on C's cells."""
+    paired = [r.pairs[q].keys() | {a for a, _, _, _ in pivots}
+              for q, pivots in enumerate(r.pivots)]
+    position = [{j: n for n, j in enumerate(
+        j for j in range(r.source.dim(q)) if j not in p)} for q, p in enumerate(paired)]
+    d = ChainComplex._of(
+        [[r.source.basis[q][j] for j in kept] for q, kept in enumerate(position)],
+        [[tuple(sorted((position[q - 1][i], value)
+                       for i, value in r.left[q].get(j, {}).items()
+                       if i in position[q - 1])) for j in position[q]]
+         for q in range(1, r.source.top_dim + 1)])
+    return ReducedComplex(r, position, d)
 
 
 def boundary_factors(columns, rows: int) -> tuple[int, tuple[int, ...]]:

@@ -72,6 +72,7 @@ from oracles import (
     public_tensor,
     random_two_cover,
     rational_rank,
+    reduced_complex,
     ref_kernel_basis,
     smith_of,
     snf,
@@ -340,6 +341,19 @@ def test_kernel_coords_rejects_non_cycles():
     non_cycle = cell_vector(c, 1, {"r": 1})
     with pytest.raises(ValueError):
         h.degree(1).kernel_coords(non_cycle)
+
+
+def test_kernel_coords_takes_integer_entries_only():
+    """A float entry is refused, as intlin._columns refuses one, even
+    where a failed division would have dropped it (1.5) or it would
+    have come back as a float coordinate (1.0)."""
+    deg = homology(ChainComplex([["v", "w"], ["e"]],
+                                [[((0, 1), (1, -1))]])).degree(0)
+    for bad in ([1.5, 0], [1.0, 0], [0, 2.0]):
+        with pytest.raises(TypeError):
+            deg.kernel_coords(bad)
+    assert deg.kernel_coords([1, 0]) == (1,)
+    assert deg.kernel_coords([True, 0]) == (1,)
 
 
 def test_kernel_coords_round_trip_on_random_cycles():
@@ -612,18 +626,15 @@ def _nonzero_boundary_rows(c):
 
 def test_one_elimination_per_nonzero_boundary(monkeypatch):
     """Over Z, homology() runs _eliminate once per nonzero boundary, and
-    its groups build neither D, the pairs nor any lift.  Every degree's
-    presentation, kernel and coordinates are then read off that one
-    reduction: no elimination runs again.  One check_mv eliminates each
-    nonzero boundary of its four complexes once."""
+    its groups build neither the pairs, the unpaired cells nor any
+    degree's lift.  Every degree's presentation, kernel and coordinates
+    are then read off that one reduction: no elimination runs again.
+    One check_mv eliminates each nonzero boundary of its four complexes
+    once."""
     calls = []
     eliminate = chains._eliminate
     monkeypatch.setattr(chains, "_eliminate", lambda cols, rows, *args, **kw:
                         calls.append(rows) or eliminate(cols, rows, *args, **kw))
-    lifted = []
-    lifts = chains._Reduction.lifts
-    monkeypatch.setattr(chains._Reduction, "lifts",
-                        lambda r, q: lifted.append(q) or lifts(r, q))
     for c in (t_model(ProductTorus(Surface(2, 1, (2, 3)), 2)).chain_complex(),
               t_model(Surface(0, 0, (2, 3, 4, 6, 5))).chain_complex(),
               half_disk()):
@@ -631,16 +642,15 @@ def test_one_elimination_per_nonzero_boundary(monkeypatch):
         h = homology(c)
         assert h.groups() == tuple(h.group(q) for q in range(c.top_dim + 1))
         assert sorted(calls) == _nonzero_boundary_rows(c)
-        assert not {"d", "pairs", "position"} & vars(h._reduction).keys()
-        assert lifted == []
+        assert not {"pairs", "unpaired"} & vars(h._reduction).keys()
+        assert h._degrees == {}
         for q in range(c.top_dim + 1):
             deg = h.degree(q)
             deg.presentation
             for z in deg.kernel.columns():
                 deg._coords([(i, x) for i, x in enumerate(z) if x])
         assert sorted(calls) == _nonzero_boundary_rows(c)
-        assert sorted(lifted) == list(range(c.top_dim + 1))
-        lifted.clear()
+        assert all("_lifts" in vars(h.degree(q)) for q in range(c.top_dim + 1))
     rng = random.Random(35)
     for wcc in (t_model(ProductTorus(Surface(1, 2, (3, 5)), 2)),
                 t_model(Ball3((2, 3, 5)))):
@@ -662,22 +672,36 @@ def _reduction_complexes():
 
 
 def test_reduction_is_a_chain_equivalence_onto_a_smaller_complex():
-    """D satisfies d∘d = 0, the projection f and the lift g are chain
-    maps, f g is the identity of D, and D keeps the groups."""
+    """D, built as its own complex by the reference reduced_complex,
+    satisfies d∘d = 0, the projection f and the lift g are chain maps,
+    f g is the identity of D, and D keeps the groups.  The reduction
+    reads the same D in place: its unpaired cells are D's, in C order,
+    its columns are D's on C's rows, and its projection is f on C's
+    cells."""
     dropped = 0
     for c in _reduction_complexes():
         r = chains._Reduction(c)
-        d = r.d
+        ref = reduced_complex(r)
+        d = ref.d
         assert validate(d) == []
         f = ChainMap(c, d, [
-            [r.project(q, ((j, 1),)).items() for j in range(c.dim(q))]
+            [ref.project(q, ((j, 1),)).items() for j in range(c.dim(q))]
             for q in range(c.top_dim + 1)])
-        g = ChainMap(d, c, [r.lifts(q) for q in range(c.top_dim + 1)])
+        g = ChainMap(d, c, [ref.lifts(q) for q in range(c.top_dim + 1)])
         assert f.commutes() and g.commutes()
         for q in range(c.top_dim + 1):
-            for k, lift in enumerate(r.lifts(q)):
-                assert r.project(q, lift) == {k: 1}
-            assert d.basis[q] == tuple(c.basis[q][j] for j in r.position[q])
+            at = ref.position[q]
+            for k, lift in enumerate(ref.lifts(q)):
+                assert ref.project(q, lift) == {k: 1}
+            assert d.basis[q] == tuple(c.basis[q][j] for j in ref.position[q])
+            assert list(r.unpaired[q]) == list(at)
+            for j in range(c.dim(q)):
+                assert {at[i]: x for i, x in r.project(q, ((j, 1),)).items()} == \
+                    ref.project(q, ((j, 1),))
+            if q:
+                assert [tuple(sorted((ref.position[q - 1][i], x)
+                                     for i, x in r.columns[q].get(j, {}).items()))
+                        for j in r.unpaired[q]] == list(d.boundaries[q - 1])
         assert homology(d).groups() == homology(c).groups()
         dropped += sum(c.dim(q) - d.dim(q) for q in range(c.top_dim + 1))
     assert dropped > 1000
@@ -723,19 +747,78 @@ def _cycle_basis_complexes():
 
 
 def test_sparse_cycle_basis_is_the_dense_kernel_basis():
-    """Each degree's sparse cycle basis of D (unit vectors of D's zero
-    columns beside the kernel of its other columns), densified, is the
-    Hermite basis kernel_basis of D's whole dense boundary."""
+    """Each degree's sparse cycle basis of D, on C's cells (unit vectors
+    of D's zero columns beside the kernel of its other columns), read on
+    D's positions and densified, is the Hermite basis kernel_basis of the
+    whole dense boundary of D as reduced_complex builds it."""
     blocks = 0
     for c in _cycle_basis_complexes():
         h = homology(c)
-        d = h._reduction.d
+        ref = reduced_complex(h._reduction)
+        d = ref.d
         for q in range(c.top_dim + 1):
             basis = h.degree(q)._basis
-            assert chains._dense(basis, d.dim(q), len(basis)) == \
+            at = ref.position[q]
+            on_d = [tuple((at[j], x) for j, x in row) for row in basis]
+            assert chains._dense(on_d, d.dim(q), len(basis)) == \
                 ref_kernel_basis(boundary_matrix(d, q))
             blocks += any(len(row) > 1 or row[0][1] != 1 for row in basis)
     assert blocks > 200
+
+
+@st.composite
+def peelable_blocks(draw):
+    """Sparse columns with no unit entry, so that no pivot pairs a cell:
+    a random core, chains of columns each alone on a row of its own and
+    sharing one with the link before it (or with the core), and zero
+    columns, rows and columns shuffled.  Returns (rows, columns)."""
+    entries = st.sampled_from((2, -2, 3, -3, 4, 6))
+    rows = draw(st.integers(0, 4))
+    columns = [{i: draw(entries) for i in draw(st.sets(st.integers(0, rows - 1)))}
+               for _ in range(draw(st.integers(0, 4) if rows else st.just(0)))]
+    for _ in range(draw(st.integers(0, 3))):
+        before = draw(st.none() | st.integers(0, rows - 1)) if rows else None
+        for _ in range(draw(st.integers(1, 4))):
+            link = {rows: draw(entries)}
+            if before is not None:
+                link[before] = draw(entries)
+            columns.append(link)
+            before, rows = rows, rows + 1
+    columns += [{} for _ in range(draw(st.integers(0, 2)))]
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(len(columns))))
+    return rows, [tuple(sorted((row_order[i], x) for i, x in columns[j].items()))
+                  for j in col_order]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(peelable_blocks())
+def test_peeled_cycle_basis_is_the_kernel_basis_of_the_whole_block(block):
+    """In the two-term complex with this boundary, which no unit pivot
+    reduces, the degree-1 cycle basis, which drops each column alone on
+    a row before kernel_basis runs, is the unit vectors of the zero
+    columns beside kernel_basis of every other column; kernel_basis runs
+    once, on the columns left when those alone on a row are dropped
+    until none is, and not at all when none is left."""
+    rows, columns = block
+    c = ChainComplex([[f"r{i}" for i in range(rows)],
+                      [f"c{j}" for j in range(len(columns))]], [columns])
+    live = [j for j, col in enumerate(columns) if col]
+    expect = sorted([((j, 1),) for j, col in enumerate(columns) if not col]
+                    + [tuple((live[k], x) for k, x in y) for y in kernel_basis(
+                        [columns[j] for j in live], rows)])
+    widths = []
+    original = chains.kernel_basis
+    chains.kernel_basis = lambda cols, n: widths.append(len(cols)) or original(cols, n)
+    try:
+        assert homology(c).degree(1)._basis == expect
+    finally:
+        chains.kernel_basis = original
+    left = set(live)
+    while lone := {j for j in left if any(
+            sum(i in dict(columns[k]) for k in left) == 1 for i, _ in columns[j])}:
+        left -= lone
+    assert widths == ([len(left)] if left else [])
 
 
 @settings(max_examples=300, deadline=None)
@@ -761,29 +844,55 @@ def test_sparse_solver_matches_the_dense_oracle(data):
         echelon_solver(rows)(b)
 
 
+def _monomial(columns) -> bool:
+    """True when no row and no column of these sparse columns holds two
+    entries."""
+    hit = [i for col in columns for i, _ in col]
+    return all(len(col) <= 1 for col in columns) and len(hit) == len(set(hit))
+
+
 def test_degree_reads_no_dense_boundary(monkeypatch):
     """presentation, kernel and kernel_coords, and so check_mv, read no
-    dense boundary: a ChainComplex has none to give.  kernel_basis runs
-    once per degree, on no more columns than D has nonzero ones there,
-    and not at all when it has none."""
+    dense boundary and build no complex: a ChainComplex has no dense
+    boundary to give, and no ChainComplex._of runs while a degree is
+    read.  kernel_basis runs at most once per degree, on no more columns
+    than D has nonzero ones there, and not at all when D's boundary
+    there is monomial or zero.  check_mv builds its four complexes and
+    no other."""
     assert not hasattr(ChainComplex, "d")
-    widths = []
+    widths, built = [], []
     monkeypatch.setattr(chains, "kernel_basis", lambda columns, rows:
                         widths.append(len(columns)) or kernel_basis(columns, rows))
+    build = ChainComplex._of.__func__
+    monkeypatch.setattr(ChainComplex, "_of", classmethod(
+        lambda cls, *args: built.append(cls) or build(cls, *args)))
     rng = random.Random(8)
+    monomial = skipped = 0
     for c in _reduction_complexes()[::4]:
         h = homology(c)
-        d = h._reduction.d
+        d = reduced_complex(h._reduction).d
+        built.clear()
         for q in range(c.top_dim + 1):
-            live = sum(map(bool, d.boundaries[q - 1])) if q else 0
+            columns = d.boundaries[q - 1] if q else ()
+            live = sum(map(bool, columns))
             widths.clear()
             deg = h.degree(q)
             deg.presentation
             for z in deg.kernel.columns():
                 assert deg.kernel.apply(deg.kernel_coords(z)) == z
-            assert widths == ([live] if live else [])
+            assert len(widths) <= 1 and all(0 < w <= live for w in widths)
+            if live and _monomial(columns):
+                assert widths == []
+                monomial += 1
+            skipped += live and not widths
+        assert built == []
+    assert monomial > 25 and skipped > monomial
     wcc = t_model(ProductTorus(Surface(1, 2, (3, 5)), 2))
-    assert check_mv(wcc, *random_two_cover(wcc, rng)).passed
+    cover = random_two_cover(wcc, rng)
+    m = wcc.chain_complex()
+    built.clear()
+    assert check_mv(wcc, *cover).passed
+    assert len(built) == 3
 
 
 def test_rational_homology_ranks():
@@ -941,6 +1050,21 @@ def test_chain_map_commutes_and_induced():
     induced = induced_map(double)
     assert dense_map(induced[1]) == IntMatrix([[2]])
     assert dense_map(induced[0]) == IntMatrix([[1]])
+
+
+def test_induced_map_above_the_target_top_degree_is_zero():
+    """A commuting map whose source has a higher top degree than its
+    target induces the zero map, onto no generator, in those degrees."""
+    interval = ChainComplex([["v", "w"], ["e"]], [[((0, -1), (1, 1))]])
+    circle = circle_complex()
+    for target in (point_complex(), ChainComplex([["a", "b"]], [])):
+        f = ChainMap(circle, target, [[((0, 1),)], [()]])
+        induced = induced_map(f)
+        assert [hom.target.gens for hom in induced] == [target.dim(0), 0]
+        assert induced[0].matrix == (((0, 1),),)
+        assert induced[1].source.gens == 1 and induced[1].matrix == ((),)
+    f = ChainMap(interval, point_complex(), [[((0, 1),), ((0, 1),)], [()]])
+    assert [hom.matrix for hom in induced_map(f)] == [(((0, 1),),), ()]
 
 
 def test_non_commuting_map_rejected():
@@ -1191,13 +1315,13 @@ def test_trusted_cycle_reads_match_the_public_ones():
     cycles = 0
     for c in _reduction_complexes():
         h = homology(c)
-        r = h._reduction
-        g = ChainMap(r.d, c, [r.lifts(q) for q in range(c.top_dim + 1)])
+        ref = reduced_complex(h._reduction)
+        g = ChainMap(ref.d, c, [ref.lifts(q) for q in range(c.top_dim + 1)])
         for q in range(c.top_dim + 1):
             deg, up = h.degree(q), boundary_matrix(c, q + 1)
             lifts = chains._dense(deg._lifts, c.dim(q), len(deg._lifts))
             assert lifts == deg.kernel == \
-                dense_map(g, q) @ ref_kernel_basis(boundary_matrix(r.d, q))
+                dense_map(g, q) @ ref_kernel_basis(boundary_matrix(ref.d, q))
             for _ in range(2):
                 y = [rng.randint(-3, 3) for _ in range(deg.kernel.cols)]
                 w = [rng.randint(-2, 2) for _ in range(up.cols)]

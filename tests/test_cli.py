@@ -1,13 +1,15 @@
 """Command-line interface: output grammar, exit codes, JSON."""
 
+import gc
 import json
 import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbihom import orbmodel
-from orbihom.cli import build_parser, main, parse_descriptor
+from orbihom.cli import _json, build_parser, main, parse_descriptor
 from orbihom.intlin import FgAbGroup
 from orbihom.orbmodel import (
     MAX_CELLS,
@@ -343,6 +345,43 @@ def test_verify_json_schema():
     assert len(payload["assertions"]) == 6
     row = payload["assertions"][0]
     assert set(row) == {"statement", "left", "right", "passed"}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    """--json output is json.dumps(payload, indent=2), byte for byte,
+    for any nesting of lists and str-keyed dicts, empty ones too, over
+    strings (any code point), ints, bools and None."""
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_leaves_no_cyclic_garbage():
+    """The writer frees all it builds by reference counting, where
+    json.dumps with indent leaves closures that only a collection frees;
+    the mv report still reads as json.dumps writes it."""
+    code, text = run(["verify", "mv", "--desc", "surface(0,0;2,3,5)", "--sub",
+                      "conedisks", "--sub", "complement", "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        _json(payload)
+        assert gc.collect() == 0
+        json.dumps(payload, indent=2)
+        assert gc.collect() > 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_failed_verify_json_still_exit_one():
