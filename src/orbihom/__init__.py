@@ -7,7 +7,7 @@ verification of the structural identities relating them (exact
 sequences, products, degenerations, duality).
 """
 
-from .intlin import FgAbGroup, IntMatrix
+from .intlin import FgAbGroup
 from .chains import (ChainComplex, ChainMap, HomologyResult, connecting_hom,
                      homology, inclusion_map, induced_map)
 from .orbmodel import (
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FgAbGroup",
-    "IntMatrix",
     "ChainComplex",
     "ChainMap",
     "HomologyResult",

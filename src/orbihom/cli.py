@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) for str-keyed dicts, lists, strings,
     ints, bools and None, strings by json's C encoder: the pure-Python
-    encoder that indent selects leaves reference cycles on every call."""
+    encoder that indent selects leaves cycles on every call before 3.13."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if not isinstance(value, (list, dict)) or not value:  # [] and {} too

@@ -13,9 +13,9 @@ rows, not the square of their count.  lattice_hnf is one
 form; smith_diagonal alternates row and column forms until the matrix
 is diagonal, but reads a monomial map as it stands; and a kernel
 basis, or the image and kernel lattices of a map of presented groups,
-is one form split at a column by _split_echelon.  The dense IntMatrix
-serves one dense read, a degree's cycle basis (DegreeHomology.kernel).
-Entries are exact Python ints.
+is one form split at a column by _split_echelon.  The package builds
+no dense IntMatrix: it stays for the benchmark's tracer and the test
+oracles, and _columns refuses one.  Entries are exact Python ints.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of([[-x for x in row] for row in self._e], self.cols)
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(map(mul, row, vector)) for row in self._e)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._e[i]

@@ -60,8 +60,9 @@ module, so a test that swaps oracles.dense_echelon swaps theirs.
 echelon_solver back-substitutes on dense echelon rows, as a degree's
 coordinates were solved before they were read on sparse rows.
 generators and express read a degree's cycles in the canonical
-summands of its group through the Smith form of its relators.  The
-matrix, group and affine-chain helpers (identity, diagonal, column,
+summands of its group through the Smith form of its relators, on the
+dense matrix kernel_matrix of its sparse cycle basis.  The matrix,
+group and affine-chain helpers (identity, diagonal, column, apply,
 is_zero, cyclic, presented_group, zero_chain, terms, chain_degree) are
 the methods of those classes that no code of the package reads.  Then
 the row echelon step as it was before each pivot column was scanned
@@ -349,25 +350,33 @@ def _summands(deg):
         (i, d) for i, d in enumerate(diag) if d > 1]
 
 
+def kernel_matrix(deg) -> IntMatrix:
+    """The dense matrix of deg.kernel, the sparse cycle basis of a Z
+    degree, on the cells of that degree of its complex."""
+    return dense(deg.kernel, deg._reduction.source.dim(deg._q))
+
+
 def generators(deg) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the canonical summands of the degree deg, free ones
-    first, then torsion ones in divisor order; () over Q."""
+    """Cycles of the canonical summands of the degree deg as dense
+    vectors, free ones first, then torsion ones in divisor order; ()
+    over Q."""
     if deg.kernel is None:
         return ()
     u, summands = _summands(deg)
-    basis = deg.kernel @ unimodular_inverse(u)
+    basis = kernel_matrix(deg) @ unimodular_inverse(u)
     return tuple(column(basis, i) for i, _ in summands)
 
 
 def express(deg, cycle) -> tuple[int, ...]:
-    """Canonical coordinates of a cycle class of the degree deg.
+    """Canonical coordinates of a cycle class of the degree deg, for the
+    cycle as a dense vector.
 
     Free coordinates come first and are exact integers; torsion
     coordinates follow, reduced modulo their divisors.
     """
-    coords = deg.kernel_coords(cycle)  # over Q this raises first
+    coords = deg.kernel_coords(enumerate(cycle))  # over Q this raises first
     u, summands = _summands(deg)
-    y = u.apply(coords)
+    y = apply(u, coords)
     return tuple(y[i] % d if d else y[i] for i, d in summands)
 
 
@@ -388,6 +397,13 @@ def diagonal(values, rows: int | None = None, cols: int | None = None) -> IntMat
 
 def column(m: IntMatrix, j: int) -> tuple[int, ...]:
     return tuple(m[i, j] for i in range(m.rows))
+
+
+def apply(m: IntMatrix, vector) -> tuple[int, ...]:
+    """The matrix-vector product m @ vector."""
+    if len(vector) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum(map(mul, m.row(i), vector)) for i in range(m.rows))
 
 
 def is_zero(m: IntMatrix) -> bool:
@@ -916,12 +932,13 @@ def hnf_connecting_matrices(m, cells_a, cells_b) -> list[IntMatrix]:
         src, dst = h_m.degree(q), h_inter.degree(q - 1)
         stacked = hstack(dense_map(incl_a, q), dense_map(incl_b, q))
         columns = []
-        for z in src.kernel.columns():
-            sol = solve_linear(stacked, z)
-            boundary = boundary_matrix(a, q).apply(sol[:a.dim(q)])
+        for z in src.kernel:
+            sol = solve_linear(stacked, vector(z, m.dim(q)))
+            boundary = apply(boundary_matrix(a, q), sol[:a.dim(q)])
             coeffs = {a.basis[q - 1][r]: value
                       for r, value in enumerate(boundary) if value}
-            columns.append(dst.kernel_coords(cell_vector(inter, q - 1, coeffs)))
+            columns.append(dst.kernel_coords(
+                enumerate(cell_vector(inter, q - 1, coeffs))))
         matrices.append(from_columns(
             columns, rows=dst.presentation.gens))
     return matrices
@@ -968,20 +985,24 @@ def cell_vector(c: ChainComplex, q: int, coefficients: dict) -> tuple:
 
 @dataclass(frozen=True)
 class CellLevelDegree:
-    """One degree's cycle lattice on the cells of the complex itself:
-    kernel is kernel_basis(boundary_matrix(c, q)), and kernel_coords
-    solves a cycle in it exactly, with no boundary to spare."""
+    """One degree's cycle lattice on the cells of the complex itself, in
+    the form a degree of the package takes: matrix is
+    kernel_basis(boundary_matrix(c, q)), kernel its sparse columns, and
+    kernel_coords solves a cycle, given as (cell, coefficient) pairs, in
+    it exactly, with no boundary to spare."""
 
-    kernel: IntMatrix
+    matrix: IntMatrix
+
+    @cached_property
+    def kernel(self) -> list:
+        return sparse_columns(self.matrix)
 
     @cached_property
     def _solve(self):
-        return echelon_solver(self.kernel.columns())
+        return echelon_solver(self.matrix.columns())
 
     def kernel_coords(self, cycle) -> tuple[int, ...]:
-        if len(cycle) != self.kernel.rows:
-            raise ValueError("vector length does not match the cell count")
-        coords = self._solve(cycle)
+        coords = self._solve(vector(cycle, self.matrix.rows))
         if coords is None:
             raise ValueError("vector is not a cycle")
         return tuple(coords)
@@ -999,8 +1020,8 @@ def cell_level_induced(f, q: int) -> IntMatrix:
     src, dst = cell_level_degree(f.source, q), cell_level_degree(f.target, q)
     mat = dense_map(f, q)
     return from_columns(
-        [dst.kernel_coords(mat.apply(z)) for z in src.kernel.columns()],
-        rows=dst.kernel.cols)
+        [dst.kernel_coords(enumerate(apply(mat, z))) for z in src.matrix.columns()],
+        rows=dst.matrix.cols)
 
 
 def cell_level_connecting(a, m, inter, q: int) -> IntMatrix:
@@ -1011,13 +1032,13 @@ def cell_level_connecting(a, m, inter, q: int) -> IntMatrix:
     cells, and that is solved in inter's basis."""
     src, dst = cell_level_degree(m, q), cell_level_degree(inter, q - 1)
     columns = []
-    for z in src.kernel.columns():
-        boundary = boundary_matrix(a, q).apply(
-            [z[m.position(q, label)] for label in a.basis[q]])
-        columns.append(dst.kernel_coords(cell_vector(
+    for z in src.matrix.columns():
+        boundary = apply(boundary_matrix(a, q),
+                         [z[m.position(q, label)] for label in a.basis[q]])
+        columns.append(dst.kernel_coords(enumerate(cell_vector(
             inter, q - 1, {a.basis[q - 1][r]: value
-                           for r, value in enumerate(boundary) if value})))
-    return from_columns(columns, rows=dst.kernel.cols)
+                           for r, value in enumerate(boundary) if value}))))
+    return from_columns(columns, rows=dst.matrix.cols)
 
 
 def _top_rows(m: IntMatrix, k: int) -> IntMatrix:

@@ -42,6 +42,7 @@ from orbihom.orbmodel import (
 
 from orbihom.verify import _torus_kunneth, check_mv, check_rational
 from oracles import (
+    apply,
     boundary_factor_groups,
     boundary_matrix,
     cell_level_connecting,
@@ -63,6 +64,7 @@ from oracles import (
     hstack,
     identity,
     is_zero,
+    kernel_matrix,
     kernel_of,
     lattice_of,
     point_complex,
@@ -338,22 +340,22 @@ def test_euler_characteristic_matches_ranks():
 def test_kernel_coords_rejects_non_cycles():
     c = t_model(Disc2(2)).chain_complex()
     h = homology(c)
-    non_cycle = cell_vector(c, 1, {"r": 1})
-    with pytest.raises(ValueError):
+    non_cycle = [(c.position(1, "r"), 1)]
+    with pytest.raises(ValueError, match="not a cycle"):
         h.degree(1).kernel_coords(non_cycle)
 
 
 def test_kernel_coords_takes_integer_entries_only():
-    """A float entry is refused, as intlin._columns refuses one, even
-    where a failed division would have dropped it (1.5) or it would
-    have come back as a float coordinate (1.0)."""
+    """A float coefficient or cell is refused, as intlin._columns refuses
+    one, even where a failed division would have dropped it (1.5) or it
+    would have come back as a float coordinate (1.0)."""
     deg = homology(ChainComplex([["v", "w"], ["e"]],
                                 [[((0, 1), (1, -1))]])).degree(0)
-    for bad in ([1.5, 0], [1.0, 0], [0, 2.0]):
+    for bad in ([(0, 1.5)], [(0, 1.0)], [(1, 2.0)], [(0.0, 1)]):
         with pytest.raises(TypeError):
             deg.kernel_coords(bad)
-    assert deg.kernel_coords([1, 0]) == (1,)
-    assert deg.kernel_coords([True, 0]) == (1,)
+    assert deg.kernel_coords([(0, 1)]) == (1,)
+    assert deg.kernel_coords([(0, True)]) == (1,)
 
 
 def test_kernel_coords_round_trip_on_random_cycles():
@@ -371,27 +373,28 @@ def test_kernel_coords_round_trip_on_random_cycles():
         for q in range(c.top_dim + 1):
             deg = h.degree(q)
             dq, up = boundary_matrix(c, q), boundary_matrix(c, q + 1)
+            kernel = dense(deg.kernel, c.dim(q))
             s, _, v = snf(dq)
             free = [j for j in range(dq.cols)
                     if j >= min(dq.rows, dq.cols) or s[j, j] == 0]
             for _ in range(3):
-                y = tuple(rng.randint(-3, 3) for _ in range(deg.kernel.cols))
-                assert deg.kernel_coords(deg.kernel.apply(y)) == y
+                y = tuple(rng.randint(-3, 3) for _ in range(kernel.cols))
+                assert deg.kernel_coords(enumerate(apply(kernel, y))) == y
                 z = [0] * c.dim(q)
                 for j in free:
                     t = rng.randint(-3, 3)
                     z = [x + t * y for x, y in zip(z, column(v, j))]
-                back = deg.kernel.apply(deg.kernel_coords(z))
+                back = apply(kernel, deg.kernel_coords(enumerate(z)))
                 assert solve_linear(up, [x - y for x, y in zip(z, back)]) \
                     is not None
                 cell = rng.randrange(c.dim(q))
                 if any(column(dq, cell)):
                     z[cell] += 1
                     with pytest.raises(ValueError, match="not a cycle"):
-                        deg.kernel_coords(z)
+                        deg.kernel_coords(enumerate(z))
                     rejected += 1
             with pytest.raises(ValueError):
-                deg.kernel_coords([0] * (c.dim(q) + 1))
+                deg.kernel_coords([(c.dim(q), 1)])
     assert rejected > 50
 
 
@@ -404,11 +407,11 @@ def test_one_degree_builds_one_cycle_solver(monkeypatch):
                         lambda rows: built.append(rows) or solver(rows))
     c = t_model(ProductTorus(Surface(1, 1, (2,)), 1)).chain_complex()
     deg = homology(c).degree(1)
-    cycles = deg.kernel.columns()
+    kernel = kernel_matrix(deg)
     gens = generators(deg)
     for _ in range(3):
-        for z in cycles:
-            assert deg.kernel.apply(deg.kernel_coords(z)) == tuple(z)
+        for z in deg.kernel:
+            assert apply(kernel, deg.kernel_coords(z)) == vector(z, c.dim(1))
         for i, g in enumerate(gens):
             assert express(deg, g) == tuple(int(i == j) for j in
                                             range(len(gens)))
@@ -432,9 +435,75 @@ def test_rational_degrees_have_no_cycle_data():
     deg = homology(c, coeff="Q").degree(1)
     assert generators(deg) == ()
     cycle = generators(homology(c).degree(1))[0]
-    for read in (deg.kernel_coords, lambda z: express(deg, z)):
+    for read in (lambda z: deg.kernel_coords(enumerate(z)),
+                 lambda z: express(deg, z)):
         with pytest.raises(ValueError, match="no integral cycle data"):
             read(cycle)
+
+
+@st.composite
+def drawn_degrees(draw):
+    """A seeded random complex, one of its degrees, and coordinates in
+    that degree's cycle basis."""
+    c = _random_complex(random.Random(draw(st.integers(0, 2 ** 32))))
+    q = draw(st.integers(0, c.top_dim))
+    deg = homology(c).degree(q)
+    y = draw(st.lists(st.integers(-5, 5), min_size=len(deg.kernel),
+                      max_size=len(deg.kernel)))
+    return c, q, deg, tuple(y)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(drawn_degrees())
+def test_kernel_columns_are_cycles_that_kernel_coords_reads_back(drawn):
+    """Each kernel column is a cycle of C in the Column form; the sum of
+    y_k times the k-th column, given as unmerged (cell, coefficient)
+    pairs, has coordinates y; and kernel_coords refuses a float
+    coefficient (TypeError), a cell outside the degree and a non-cycle
+    (ValueError)."""
+    c, q, deg, y = drawn
+    n = c.dim(q)
+    assert intlin._columns(deg.kernel, n, len(y), "out of range") == deg.kernel
+    assert is_zero(boundary_matrix(c, q) @ dense(deg.kernel, n))
+    z = [(i, k * x) for k, col in zip(y, deg.kernel) for i, x in col]
+    assert deg.kernel_coords(z) == y
+    with pytest.raises(TypeError):
+        deg.kernel_coords(z + [(0, 1.0)])
+    for cell in (-1, n):
+        with pytest.raises(ValueError, match=f"a cell is outside degree {q}"):
+            deg.kernel_coords(z + [(cell, 1)])
+    for j, col in enumerate(c.boundaries[q - 1] if q else ()):
+        if col:
+            with pytest.raises(ValueError, match="not a cycle"):
+                deg.kernel_coords(z + [(j, 1)])
+
+
+def test_a_degree_kernel_builds_no_dense_matrix(monkeypatch):
+    """homology(c).degree(q).kernel builds no IntMatrix, by the checking
+    constructor or the trusted one, and reads what an unpatched run
+    reads: on seeded random complexes, a ball3 product, whose residual
+    blocks are not monomial, and a cone sphere."""
+    rng = random.Random(40)
+    complexes = [_random_complex(rng) for _ in range(50)] + [
+        t_model(ProductTorus(Ball3((2, 3, 5)), 1)).chain_complex(),
+        t_model(Surface(0, 0, (2, 3, 4, 6, 5))).chain_complex()]
+
+    def kernels():
+        return [[homology(c).degree(q).kernel for q in range(c.top_dim + 1)]
+                for c in complexes]
+
+    expected = kernels()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(IntMatrix, "_of", refuse)
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    assert kernels() == expected
+    assert any(len(z) > 1 for degrees in expected for kernel in degrees
+               for z in kernel)
+    with pytest.raises(AssertionError, match="a dense matrix was built"):
+        IntMatrix([[1]])
 
 
 # ------------------------------------------------------ group routes agree
@@ -647,10 +716,10 @@ def test_one_elimination_per_nonzero_boundary(monkeypatch):
         for q in range(c.top_dim + 1):
             deg = h.degree(q)
             deg.presentation
-            for z in deg.kernel.columns():
-                deg._coords([(i, x) for i, x in enumerate(z) if x])
+            for z in deg.kernel:
+                deg._coords(z)
         assert sorted(calls) == _nonzero_boundary_rows(c)
-        assert all("_lifts" in vars(h.degree(q)) for q in range(c.top_dim + 1))
+        assert all("kernel" in vars(h.degree(q)) for q in range(c.top_dim + 1))
     rng = random.Random(35)
     for wcc in (t_model(ProductTorus(Surface(1, 2, (3, 5)), 2)),
                 t_model(Ball3((2, 3, 5)))):
@@ -760,8 +829,7 @@ def test_sparse_cycle_basis_is_the_dense_kernel_basis():
             basis = h.degree(q)._basis
             at = ref.position[q]
             on_d = [tuple((at[j], x) for j, x in row) for row in basis]
-            assert chains._dense(on_d, d.dim(q), len(basis)) == \
-                ref_kernel_basis(boundary_matrix(d, q))
+            assert dense(on_d, d.dim(q)) == ref_kernel_basis(boundary_matrix(d, q))
             blocks += any(len(row) > 1 or row[0][1] != 1 for row in basis)
     assert blocks > 200
 
@@ -878,8 +946,9 @@ def test_degree_reads_no_dense_boundary(monkeypatch):
             widths.clear()
             deg = h.degree(q)
             deg.presentation
-            for z in deg.kernel.columns():
-                assert deg.kernel.apply(deg.kernel_coords(z)) == z
+            for z in deg.kernel:
+                assert apply(kernel_matrix(deg), deg.kernel_coords(z)) == \
+                    vector(z, c.dim(q))
             assert len(widths) <= 1 and all(0 < w <= live for w in widths)
             if live and _monomial(columns):
                 assert widths == []
@@ -1237,8 +1306,8 @@ def test_chain_map_layer_builds_no_dense_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense matrix algebra in the chain-map layer")
 
-    monkeypatch.setattr(chains, "_dense", forbidden)
-    monkeypatch.setattr(IntMatrix, "apply", forbidden)
+    monkeypatch.setattr(IntMatrix, "_of", forbidden)
+    monkeypatch.setattr(IntMatrix, "__init__", forbidden)
     monkeypatch.setattr(IntMatrix, "__matmul__", forbidden)
     monkeypatch.setattr(intlin, "_echelon", forbidden)
     assert inclusion_map(m, cells_a).commutes()
@@ -1264,9 +1333,8 @@ def _coords(into, out_of):
     """Matrix of into's kernel coordinates of out_of's kernel columns,
     for two cycle lattices of one degree: the change of basis between
     two routes."""
-    return from_columns([into.kernel_coords(z)
-                                   for z in out_of.kernel.columns()],
-                                  rows=into.kernel.cols)
+    return from_columns([into.kernel_coords(z) for z in out_of.kernel],
+                        rows=len(into.kernel))
 
 
 def test_reduced_maps_match_the_cell_level_route():
@@ -1306,11 +1374,10 @@ def test_reduced_maps_match_the_cell_level_route():
 
 def test_trusted_cycle_reads_match_the_public_ones():
     """On the grid models, their torus(1-2) products and seeded random
-    complexes, the sparse lifts each degree keeps, densified, are the
-    columns of kernel and g of the Hermite basis of Z_q(D) by dense
-    products; and the unchecked coordinates of random cycles, read from
-    their sparse columns, are what kernel_coords reads from their dense
-    vectors, and give them back up to a boundary."""
+    complexes, each degree's sparse kernel, densified, is g of the
+    Hermite basis of Z_q(D) by dense products; and the unchecked
+    coordinates of random cycles are what kernel_coords reads from
+    them, and give them back up to a boundary."""
     rng = random.Random(5)
     cycles = 0
     for c in _reduction_complexes():
@@ -1319,17 +1386,17 @@ def test_trusted_cycle_reads_match_the_public_ones():
         g = ChainMap(ref.d, c, [ref.lifts(q) for q in range(c.top_dim + 1)])
         for q in range(c.top_dim + 1):
             deg, up = h.degree(q), boundary_matrix(c, q + 1)
-            lifts = chains._dense(deg._lifts, c.dim(q), len(deg._lifts))
-            assert lifts == deg.kernel == \
+            kernel = dense(deg.kernel, c.dim(q))
+            assert kernel == \
                 dense_map(g, q) @ ref_kernel_basis(boundary_matrix(ref.d, q))
             for _ in range(2):
-                y = [rng.randint(-3, 3) for _ in range(deg.kernel.cols)]
+                y = [rng.randint(-3, 3) for _ in range(kernel.cols)]
                 w = [rng.randint(-2, 2) for _ in range(up.cols)]
-                z = [s + t for s, t in zip(deg.kernel.apply(y), up.apply(w))]
+                z = [s + t for s, t in zip(apply(kernel, y), apply(up, w))]
                 coords = vector(deg._coords([(i, x) for i, x in enumerate(z) if x]),
-                                deg.kernel.cols)
-                assert coords == deg.kernel_coords(z)
-                back = deg.kernel.apply(coords)
+                                kernel.cols)
+                assert coords == deg.kernel_coords(enumerate(z))
+                back = apply(kernel, coords)
                 assert solve_linear(up, [s - t for s, t in zip(z, back)]) is not None
                 cycles += 1
     assert cycles > 1000
@@ -1413,14 +1480,14 @@ def test_connecting_hom_class_ignores_preimage_choice():
     incl_b = inclusion_map(m, torus.sub_cells("right"))
     a = incl_a.source
     h_m = homology(m)
-    z = column(h_m.degree(q).kernel, 0)
+    z = vector(h_m.degree(q).kernel[0], m.dim(q))
     stacked = hstack(dense_map(incl_a, q), dense_map(incl_b, q))
     sol = solve_linear(stacked, z)
     assert sol is not None
     xa = list(sol[: a.dim(q)])
 
     def push_class(xa_vec):
-        bd = boundary_matrix(a, q).apply(xa_vec)
+        bd = apply(boundary_matrix(a, q), xa_vec)
         coeffs = {}
         for i, lab in enumerate(a.basis[q - 1]):
             if bd[i]:

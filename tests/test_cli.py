@@ -3,6 +3,7 @@
 import gc
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -365,8 +366,10 @@ def test_json_writer_matches_json_dumps(value):
 
 def test_json_writer_leaves_no_cyclic_garbage():
     """The writer frees all it builds by reference counting, where
-    json.dumps with indent leaves closures that only a collection frees;
-    the mv report still reads as json.dumps writes it."""
+    json.dumps with indent leaves closures that only a collection frees
+    before Python 3.13 (whose encoder leaves none, so that premise is
+    checked only below it); the mv report still reads as json.dumps
+    writes it."""
     code, text = run(["verify", "mv", "--desc", "surface(0,0;2,3,5)", "--sub",
                       "conedisks", "--sub", "complement", "--json"])
     assert code == 0
@@ -377,8 +380,9 @@ def test_json_writer_leaves_no_cyclic_garbage():
     try:
         _json(payload)
         assert gc.collect() == 0
-        json.dumps(payload, indent=2)
-        assert gc.collect() > 0
+        if sys.version_info < (3, 13):
+            json.dumps(payload, indent=2)
+            assert gc.collect() > 0
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -51,9 +51,7 @@ def test_src_holds_no_test_only_function():
 # the file that reads them: the README documents them as library API,
 # or the benchmark calls them.
 KEPT_METHODS = {
-    "chains.DegreeHomology.kernel": ("README.md", "the cycle basis of a degree"),
     "chains.DegreeHomology.kernel_coords": ("README.md", "coordinates of a cycle"),
-    "intlin.IntMatrix.apply": ("README.md", "kernel.apply(y), a cycle"),
     "intlin.IntMatrix.row": ("perfbench/tracer.py", "rows of a product"),
 }
 
