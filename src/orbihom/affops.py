@@ -15,21 +15,27 @@ The self-test exercises both identities on seeded random inputs.
 
 Coordinates, barycentric weights and chain coefficients are exact:
 coordinates and weights must be int or Fraction, coefficients must be
-integers, and anything else raises TypeError.  A simplex hashes each
-vertex once, when the public constructor builds it; faces,
-restrictions and the fan and prism terms are trusted builds that reuse
-the parent's points and vertex hashes.  The marked point is checked,
-placed and hashed once per operator call, and once per trial in the
-self-test, whose two identities share one boundary(c) and one Sd(c).
-Likewise the chains that affops sums itself skip the public
-constructor's conversion and checks.
+integers, and anything else raises TypeError.  Each distinct point is
+one interned vertex while anything holds it, found by one hash of the
+point, so equal points share a vertex and points whose hashes collide
+stay distinct.  A chain maps tuples of vertices to coefficients, and a
+vertex hashes and compares by identity, so the operators hash and
+compare in C alone: boundary slices keys, a face match compares
+vertices, and fan and prism terms index a key with the marked vertex
+appended, on layouts cached per (dimension, face).  AffineSimplex is
+the public value over one key.  The marked point is checked, placed and
+interned once per operator call, and once per trial in the self-test,
+whose two identities share one boundary(c) and one Sd(c).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
+import threading
+import weakref
 from fractions import Fraction
 from numbers import Rational
 
@@ -50,15 +56,50 @@ def _as_point(coords) -> Point:
     return tuple(map(_exact, coords))
 
 
+class _Vertex:
+    """The one vertex of a point: hashed and compared by identity."""
+
+    __slots__ = ("point", "__weakref__")
+
+    def __init__(self, point: Point):
+        self.point = point
+
+    def __reduce__(self):
+        """Copy and pickle by point, so the copy is interned again."""
+        return _vertex, (self.point,)
+
+
+class _PointKey:
+    """A point with its hash, taken once: the intern table's key."""
+
+    __slots__ = ("point", "_hash")
+
+    def __init__(self, point: Point):
+        self.point, self._hash = point, hash(point)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.point == other.point
+
+
+_vertices: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_vertices_lock = threading.Lock()
+
+
+def _vertex(point: Point) -> _Vertex:
+    """The vertex of point, made on first use and dropped when unheld."""
+    key, vertex = _PointKey(point), _Vertex(point)
+    with _vertices_lock:
+        return _vertices.setdefault(key, vertex)
+
+
 class AffineSimplex:
     """An ordered tuple of points in a common ambient dimension.
+    Immutable: the value over its key, the tuple of its vertices."""
 
-    Immutable.  Each vertex is hashed once, when it first enters a
-    simplex; faces, restrictions and fan terms reuse those hashes, and
-    the simplex hash is taken once from them.
-    """
-
-    __slots__ = ("vertices", "_vertex_hashes", "_hash")
+    __slots__ = ("_key",)
 
     def __init__(self, vertices):
         verts = tuple(_as_point(v) for v in vertices)
@@ -67,21 +108,14 @@ class AffineSimplex:
         ambient = len(verts[0])
         if any(len(v) != ambient for v in verts):
             raise ValueError("vertices have mixed ambient dimensions")
-        self._set(verts, tuple(map(hash, verts)))
+        object.__setattr__(self, "_key", tuple(map(_vertex, verts)))
 
     @classmethod
-    def _of(cls, verts: tuple[Point, ...], vertex_hashes: tuple[int, ...]):
-        """Trusted build from points of already-built simplices or from
-        _marked, with their hashes: no conversion, no checks and no
-        hashing of coordinates."""
+    def _of(cls, key: tuple[_Vertex, ...]) -> "AffineSimplex":
+        """Trusted build over a key of vertices: nothing is checked."""
         self = object.__new__(cls)
-        self._set(verts, vertex_hashes)
+        object.__setattr__(self, "_key", key)
         return self
-
-    def _set(self, verts, vertex_hashes) -> None:
-        _set_vertices(self, verts)
-        _set_vertex_hashes(self, vertex_hashes)
-        _set_hash(self, hash(vertex_hashes))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AffineSimplex is immutable: cannot set {name}")
@@ -97,18 +131,18 @@ class AffineSimplex:
     def __eq__(self, other):
         if not isinstance(other, AffineSimplex):
             return NotImplemented
-        return self._hash == other._hash and self.vertices == other.vertices
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(v.point for v in self._key)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def ambient(self) -> int:
-        return len(self.vertices[0])
+        return len(self._key) - 1
 
     def restrict(self, indices) -> "AffineSimplex":
         """Sub-simplex on an increasing tuple of vertex indices."""
@@ -117,28 +151,15 @@ class AffineSimplex:
             raise ValueError("face indices must be strictly increasing")
         if not idx or idx[0] < 0 or idx[-1] > self.dim:
             raise ValueError(f"face indices {idx} out of range")
-        return _pick(self.vertices, self._vertex_hashes, idx)
+        return AffineSimplex._of(tuple(map(self._key.__getitem__, idx)))
 
     def __repr__(self) -> str:
-        pts = ", ".join(
-            "(" + ", ".join(str(x) for x in v) + ")" for v in self.vertices
-        )
-        return f"<{pts}>"
-
-
-# Slot setters that pass by the refusing __setattr__.
-_set_vertices, _set_vertex_hashes, _set_hash = (
-    getattr(AffineSimplex, slot).__set__ for slot in AffineSimplex.__slots__)
-
-
-def _pick(verts, vertex_hashes, idx) -> AffineSimplex:
-    """Trusted simplex on the vertices at the indices idx."""
-    return AffineSimplex._of(tuple(map(verts.__getitem__, idx)),
-                             tuple(map(vertex_hashes.__getitem__, idx)))
+        return "<" + ", ".join("(" + ", ".join(map(str, v)) + ")"
+                               for v in self.vertices) + ">"
 
 
 class AffineChain:
-    """Integer combination of affine simplices of one ambient space."""
+    """Integer combination of affine simplices, as {key: coefficient}."""
 
     __slots__ = ("_terms",)
 
@@ -146,12 +167,12 @@ class AffineChain:
         """Sum (simplex, coefficient) pairs in order of first appearance."""
         pairs = terms.items() if isinstance(terms, dict) else terms or ()
         self._terms = _summed(
-            (s if isinstance(s, AffineSimplex) else AffineSimplex(s),
+            ((s if isinstance(s, AffineSimplex) else AffineSimplex(s))._key,
              operator.index(c)) for s, c in pairs)
 
     @classmethod
     def _of(cls, pairs) -> "AffineChain":
-        """Trusted sum of (AffineSimplex, int) pairs: nothing is checked."""
+        """Trusted sum of (key, int) pairs: nothing is checked."""
         self = object.__new__(cls)
         self._terms = _summed(pairs)
         return self
@@ -181,46 +202,51 @@ class AffineChain:
         if not isinstance(other, AffineChain):
             return NotImplemented
         return AffineChain._of([*self._terms.items(),
-                                *((s, -c) for s, c in other._terms.items())])
+                                *((k, -c) for k, c in other._terms.items())])
 
     def scale(self, n: int) -> "AffineChain":
         n = operator.index(n)
-        return AffineChain._of((s, n * c) for s, c in self._terms.items())
+        return AffineChain._of((k, n * c) for k, c in self._terms.items())
 
     def __repr__(self) -> str:
-        terms = sorted(self._terms.items(), key=lambda t: t[0].vertices)
+        terms = sorted(((AffineSimplex._of(k), c)
+                        for k, c in self._terms.items()),
+                       key=lambda t: t[0].vertices)
         return " ".join(f"{c:+d}*{s!r}" for s, c in terms) or "0"
 
 
-def _summed(pairs) -> dict[AffineSimplex, int]:
-    """The nonzero sums of (simplex, coefficient) pairs, in order of first
+def _summed(pairs) -> dict[tuple[_Vertex, ...], int]:
+    """The nonzero sums of (key, coefficient) pairs, in order of first
     appearance with a nonzero coefficient."""
-    data: dict[AffineSimplex, int] = {}
+    data: dict[tuple[_Vertex, ...], int] = {}
     get = data.get
-    for simplex, coeff in pairs:
+    for key, coeff in pairs:
         if coeff:
-            data[simplex] = get(simplex, 0) + coeff
-    return data if all(data.values()) else {s: c for s, c in data.items() if c}
+            data[key] = get(key, 0) + coeff
+    return data if all(data.values()) else {k: c for k, c in data.items() if c}
+
+
+def _terms_of(c) -> dict[tuple[_Vertex, ...], int]:
+    """The terms of a chain, or of a simplex as its one-term chain."""
+    if isinstance(c, AffineChain):
+        return c._terms
+    if isinstance(c, AffineSimplex):
+        return {c._key: 1}
+    raise TypeError(f"expected a chain or simplex, got {type(c).__name__}")
 
 
 def boundary(c) -> AffineChain:
     """Alternating-sign sum of vertex deletions, extended linearly."""
-    if isinstance(c, AffineSimplex):
-        c = AffineChain._of([(c, 1)])
-    return AffineChain._of(
-        (AffineSimplex._of(v[:i] + v[i + 1:], h[:i] + h[i + 1:]),
-         -n if i & 1 else n) for s, n in c._terms.items()
-        for v, h in [(s.vertices, s._vertex_hashes)] if len(v) > 1
-        for i in range(len(v)))
+    return AffineChain._of((k[:i] + k[i + 1:], -n if i & 1 else n)
+                           for k, n in _terms_of(c).items() if len(k) > 1
+                           for i in range(len(k)))
 
 
 def _check_interior(a, p: int) -> tuple[Fraction, ...]:
     weights = tuple(map(_exact, a))
     if len(weights) != p + 1:
-        raise ValueError(
-            f"interior point needs {p + 1} barycentric coordinates, "
-            f"got {len(weights)}"
-        )
+        raise ValueError(f"interior point needs {p + 1} barycentric "
+                         f"coordinates, got {len(weights)}")
     if any(w.numerator <= 0 for w in weights):
         raise ValueError("interior point needs strictly positive coordinates")
     num, den = _dot(weights, itertools.repeat(1))
@@ -229,11 +255,11 @@ def _check_interior(a, p: int) -> tuple[Fraction, ...]:
     return weights
 
 
-def _marked(phi: AffineSimplex, a) -> tuple[Point, int]:
-    """phi's point with the checked barycentric coordinates a, and its hash."""
+def _marked(phi: AffineSimplex, a) -> _Vertex:
+    """The vertex of phi's point with the checked barycentric coordinates a."""
     weights = _check_interior(a, phi.dim)
-    point = tuple(Fraction(*_dot(weights, x)) for x in zip(*phi.vertices))
-    return point, hash(point)
+    return _vertex(
+        tuple(Fraction(*_dot(weights, x)) for x in zip(*phi.vertices)))
 
 
 def _dot(ws, xs) -> tuple[int, int]:
@@ -255,89 +281,87 @@ def _fan(v, idx, point: int, start: int = 0):
              (-1) ** (ik + ip)) for ik in idx]
 
 
-def _simplices(s: AffineSimplex, marked, layouts) -> list:
-    """(simplex, sign) for each (vertex indices, sign) in layouts, where
-    index s.dim + 1 stands for the point of marked, a (point, hash) pair."""
-    verts = s.vertices + marked[:1]
-    hashes = s._vertex_hashes + marked[1:]
-    return [(_pick(verts, hashes, ix), m) for ix, m in layouts]
-
-
-def _refine(s: AffineSimplex, idx, marked) -> list:
-    """(simplex, sign) terms of the fan of s through the marked point of
-    its face with vertex indices idx, one per face vertex, or s itself."""
+@functools.lru_cache(maxsize=256)
+def _refine(q: int, idx) -> tuple:
+    """(getter, sign) of each fan term of a q-simplex through the marked
+    point of its face with vertex indices idx, or of the simplex itself
+    with idx None.  A getter reads its term, of two vertices or more,
+    from the simplex's key with the marked vertex appended."""
     if idx is None:
-        return [(s, 1)]
-    q = s.dim
-    return _simplices(s, marked, _fan(tuple(range(q + 1)), idx, q + 1))
+        return ((operator.itemgetter(slice(q + 1)), 1),)
+    return tuple((operator.itemgetter(*ix), m)
+                 for ix, m in _fan(tuple(range(q + 1)), idx, q + 1))
 
 
-def _prism(s: AffineSimplex, idx, marked) -> list:
-    """(simplex, sign) terms of the degree +1 homotopy term for one
-    simplex, with the marked face given by vertex indices idx.
+@functools.lru_cache(maxsize=256)
+def _prism(q: int, idx) -> tuple:
+    """(getter, sign) of each term of the degree +1 homotopy term of a
+    q-simplex whose marked face has vertex indices idx, as in _refine.
 
     Term j doubles v_j: v_0..v_j followed by v_j..v_q.  The terms with
     j up to the face's first index continue instead with the fan
     through the point from v_j on.  With idx None the result is the
-    plain vertex-doubling prism, and no term uses marked.
+    plain vertex-doubling prism, and no term reads the marked vertex.
     """
-    q, i0 = s.dim, -1 if idx is None else idx[0]
-    v = tuple(range(q + 1))
+    i0, v = -1 if idx is None else idx[0], tuple(range(q + 1))
     layouts = []
     for j in range(q + 1):
         tails = [(v[j:], 1)] if j > i0 else _fan(v, idx, q + 1, j)
-        layouts += [(v[:j + 1] + tail, (-1) ** (j + 1) * m)
-                    for tail, m in tails]
-    return _simplices(s, marked, layouts)
+        layouts += [(operator.itemgetter(*v[:j + 1], *tail),
+                     (-1) ** (j + 1) * m) for tail, m in tails]
+    return tuple(layouts)
+
+
+def _laid(layout, key, marked: _Vertex, n: int) -> list:
+    """(key, coefficient) terms of n times the terms that layout reads
+    from key with the marked vertex appended."""
+    ext = key + (marked,)
+    return [(get(ext), n * m) for get, m in layout]
 
 
 def find_face(s: AffineSimplex, phi: AffineSimplex):
     """First increasing index tuple of s whose restriction equals phi,
-    or None when phi does not occur as a face of s."""
-    if phi.dim > s.dim or phi.ambient != s.ambient:
+    or None when phi does not occur as a face of s.  The leftmost match
+    of each vertex of phi after the last one is that first tuple."""
+    idx = [-1]
+    try:
+        for v in phi._key:
+            idx.append(s._key.index(v, idx[-1] + 1))
+    except ValueError:
         return None
-    verts, hashes = s.vertices, s._vertex_hashes
-    for idx in itertools.combinations(range(s.dim + 1), phi.dim + 1):
-        if (tuple(map(hashes.__getitem__, idx)) == phi._vertex_hashes
-                and tuple(map(verts.__getitem__, idx)) == phi.vertices):
-            return idx
-    return None
+    return tuple(idx[1:])
 
 
-def _apply(op, phi: AffineSimplex, marked, c: AffineChain) -> list:
-    """(simplex, coefficient) terms of the sum of n * op(s, idx, marked)
-    over the terms n*s of c, where idx is find_face(s, phi) and marked is
-    phi's (point, hash); a vertex phi is refused where it occurs."""
-    terms = []
-    for s, n in c._terms.items():
-        idx = find_face(s, phi)
+def _apply(op, phi: AffineSimplex, marked: _Vertex, terms: dict) -> list:
+    """(key, coefficient) terms of the sum of n times the terms laid out
+    by op(dim, idx) over the terms n*key, where idx is find_face of key's
+    simplex and phi; a vertex phi is refused where it occurs."""
+    out = []
+    for key, n in terms.items():
+        idx = find_face(AffineSimplex._of(key), phi)
         if idx is not None and len(idx) < 2:
             raise ValueError("the marked face must have dimension at least 1")
-        terms += [(t, n * m) for t, m in op(s, idx, marked)]
-    return terms
+        out += _laid(op(len(key) - 1, idx), key, marked, n)
+    return out
 
 
-def sd_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
+def sd_operator(phi: AffineSimplex, a, c) -> AffineChain:
     """Refinement operator on chains: fan every simplex containing phi
     as a face through the marked interior point, keep the rest."""
-    return AffineChain._of(_apply(_refine, phi, _marked(phi, a), c))
+    return AffineChain._of(_apply(_refine, phi, _marked(phi, a), _terms_of(c)))
 
 
-def prism_operator(phi: AffineSimplex, a, c: AffineChain) -> AffineChain:
+def prism_operator(phi: AffineSimplex, a, c) -> AffineChain:
     """Chain homotopy between the identity and the refinement operator."""
-    return AffineChain._of(_apply(_prism, phi, _marked(phi, a), c))
+    return AffineChain._of(_apply(_prism, phi, _marked(phi, a), _terms_of(c)))
 
 
 def _random_simplex(rng: random.Random, q: int, ambient: int) -> AffineSimplex:
     while True:
-        verts = tuple(
+        s = AffineSimplex(tuple(
             tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-                  for _ in range(ambient))
-            for _ in range(q + 1)
-        )
-        s = AffineSimplex(verts)
-        # Distinct hashes are distinct points; only a tie hashes again.
-        if len(set(s._vertex_hashes)) == q + 1 or len(set(verts)) == q + 1:
+                  for _ in range(ambient)) for _ in range(q + 1)))
+        if len(set(s._key)) == q + 1:
             return s
 
 
@@ -345,14 +369,15 @@ _IDENTITIES = (("i", "boundary commutes with refinement"),
                ("ii", "prism homotopy matches identity minus refinement"))
 
 
-def _sides(phi: AffineSimplex, marked, c: AffineChain) -> tuple:
+def _sides(phi: AffineSimplex, marked: _Vertex, c: AffineChain) -> tuple:
     """Both sides of each identity on c, from one boundary(c) and one
     Sd(c); boundary is looked up at call time, so a patched one is checked."""
     of = AffineChain._of
-    bc, sd_c = boundary(c), of(_apply(_refine, phi, marked, c))
-    return ((boundary(sd_c), of(_apply(_refine, phi, marked, bc))),
-            (boundary(of(_apply(_prism, phi, marked, c))),
-             c - of([*sd_c._terms.items(), *_apply(_prism, phi, marked, bc)])))
+    bc, sd_c = boundary(c), of(_apply(_refine, phi, marked, c._terms))
+    return ((boundary(sd_c), of(_apply(_refine, phi, marked, bc._terms))),
+            (boundary(of(_apply(_prism, phi, marked, c._terms))),
+             c - of([*sd_c._terms.items(),
+                     *_apply(_prism, phi, marked, bc._terms)])))
 
 
 def selftest(trials: int = 200, seed: int = 0) -> VerdictReport:

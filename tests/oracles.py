@@ -63,8 +63,9 @@ generators and express read a degree's cycles in the canonical
 summands of its group through the Smith form of its relators, on the
 dense matrix kernel_matrix of its sparse cycle basis.  The matrix,
 group and affine-chain helpers (identity, diagonal, column, apply,
-is_zero, cyclic, presented_group, zero_chain, terms, chain_degree) are
-the methods of those classes that no code of the package reads.  Then
+is_zero, cyclic, presented_group, zero_chain, terms, chain_degree,
+ambient) are the methods of those classes that no code of the package
+reads.  Then
 the row echelon step as it was before each pivot column was scanned
 once; the tensor product of chain complexes and the point and circle
 complexes;
@@ -94,6 +95,7 @@ from orbihom import affops, chains, intlin
 from orbihom.affops import (
     AffineChain,
     AffineSimplex,
+    _laid,
     _marked,
     _prism,
     _refine,
@@ -428,15 +430,20 @@ def zero_chain() -> AffineChain:
 
 def terms(chain: AffineChain) -> dict:
     """The nonzero terms of chain as a simplex -> coefficient mapping."""
-    return dict(chain._terms)
+    return {AffineSimplex._of(key): c for key, c in chain._terms.items()}
 
 
 def chain_degree(chain: AffineChain) -> int:
     """Common dimension of all terms (error if mixed or zero)."""
-    dims = {s.dim for s in chain._terms}
+    dims = {len(key) - 1 for key in chain._terms}
     if len(dims) != 1:
         raise ValueError("chain is zero or mixes dimensions")
     return dims.pop()
+
+
+def ambient(s: AffineSimplex) -> int:
+    """The number of coordinates of each vertex of s."""
+    return len(s.vertices[0])
 
 
 def echelon(rows: list[list[int]], n: int) -> None:
@@ -737,7 +744,8 @@ def refine(s: AffineSimplex, face, a) -> AffineChain:
     face vertex.
     """
     idx = check_face(s, face)
-    return AffineChain._of(_refine(s, idx, _marked(s.restrict(idx), a)))
+    return AffineChain._of(
+        _laid(_refine(s.dim, idx), s._key, _marked(s.restrict(idx), a), 1))
 
 
 def prism(s: AffineSimplex, face, a) -> AffineChain:
@@ -746,9 +754,10 @@ def prism(s: AffineSimplex, face, a) -> AffineChain:
     its interior point, or the plain vertex-doubling prism with face
     None."""
     if face is None:
-        return AffineChain._of(_prism(s, None, ()))
+        return AffineChain._of(_laid(_prism(s.dim, None), s._key, None, 1))
     idx = check_face(s, face)
-    return AffineChain._of(_prism(s, idx, _marked(s.restrict(idx), a)))
+    return AffineChain._of(
+        _laid(_prism(s.dim, idx), s._key, _marked(s.restrict(idx), a), 1))
 
 
 # Label, statement and the two sides on (phi, a, c) of each identity, on

@@ -1,6 +1,11 @@
 """Affine chains: refinement, prism, and their boundary identities."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -17,7 +22,15 @@ from orbihom.affops import (
     selftest,
 )
 
-from oracles import chain_degree, prism, public_selftest, refine, terms, zero_chain
+from oracles import (
+    ambient,
+    chain_degree,
+    prism,
+    public_selftest,
+    refine,
+    terms,
+    zero_chain,
+)
 
 F = Fraction
 
@@ -53,7 +66,7 @@ def test_simplex_validation():
         AffineSimplex(((F(0),), (F(0), F(1))))
     s = simplex((0, 0), (1, 0), (0, 1))
     assert s.dim == 2
-    assert s.ambient == 2
+    assert ambient(s) == 2
     assert terms(boundary(s)) == {simplex((1, 0), (0, 1)): 1,
                                   simplex((0, 0), (0, 1)): -1,
                                   simplex((0, 0), (1, 0)): 1}
@@ -80,10 +93,94 @@ def test_simplex_is_immutable():
     assert s == simplex((0, 0), (1, 0))
 
 
+def test_points_with_colliding_hashes_stay_distinct():
+    """hash(-1) == hash(-2) in CPython, so these points hash alike; their
+    vertices, simplices and chain terms stay distinct all the same."""
+    low, high = simplex((-1, 0)), simplex((-2, 0))
+    assert hash(low.vertices[0]) == hash(high.vertices[0])
+    assert low != high and low._key[0] is not high._key[0]
+    c = AffineChain([(low, 1), (high, -1)])
+    assert terms(c) == {low: 1, high: -1}
+    assert boundary(AffineChain.of(simplex((-1, 0), (-2, 0)))) == c.scale(-1)
+
+
+def test_marked_point_equal_to_a_vertex():
+    """On a collinear simplex the marked point of (v0, v1) is v2 itself:
+    it is interned to v2's vertex, and the fan and both identities read
+    as with distinct points."""
+    s = simplex((0, 0), (2, 0), (1, 0))
+    phi, a, c = s.restrict((0, 1)), (F(1, 2), F(1, 2)), AffineChain.of(s)
+    assert affops._marked(phi, a) is s._key[2]
+    assert repr(sd_operator(phi, a, c)) == \
+        "+1*<(0, 0), (1, 0), (1, 0)> -1*<(2, 0), (1, 0), (1, 0)>"
+    assert boundary(sd_operator(phi, a, c)) == \
+        sd_operator(phi, a, boundary(c))
+    assert boundary(prism_operator(phi, a, c)) == \
+        c - sd_operator(phi, a, c) - prism_operator(phi, a, boundary(c))
+
+
+def test_copies_and_pickles_intern_again():
+    """A copied or unpickled simplex or chain holds the very vertices of
+    the original, so it compares equal and cancels against it."""
+    s = simplex((0, 0), (1, F(1, 3)), (0, 1))
+    c = AffineChain([(s, 2), (s.restrict((0, 2)), -1)])
+    for value in (s, c):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+    # keys of vertices compare equal only when their vertices are one
+    assert list(pickle.loads(pickle.dumps(c))._terms) == list(c._terms)
+    assert c - copy.deepcopy(c) == zero_chain()
+
+
+def test_intern_table_keeps_no_dead_vertex():
+    """The intern table holds its vertices weakly: after a self-test, once
+    its chains are gone, the table has no more entries than before."""
+    gc.collect()
+    before = len(affops._vertices)
+    assert selftest(200, 3).passed
+    gc.collect()
+    assert len(affops._vertices) <= before
+
+
+def test_threads_intern_each_point_once():
+    """Four threads intern the same fresh points at once, round after
+    round, with a short switch interval: every point still gets one
+    vertex, so a lookup and an insert are never split between threads."""
+    workers, rounds = 4, 10
+    barrier = threading.Barrier(workers, timeout=30)
+    got = [[] for _ in range(workers)]
+
+    def intern(k):
+        rng = random.Random(k)
+        for r in range(rounds):
+            order = [(F(i, 7), F(r, 3)) for i in range(300)]
+            rng.shuffle(order)
+            barrier.wait()
+            got[k].append({p: AffineSimplex([p])._key[0] for p in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(k,))
+                   for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for r in range(rounds):
+        firsts = got[0][r]
+        assert all(seen[r][p] is v for seen in got for p, v in firsts.items())
+
+
 def test_internal_builds_match_public_simplices():
-    """Boundary faces, restrictions and fan terms are built without
-    re-checking or re-hashing their points; each equals, hashes like and
-    looks up as the same simplex built through the public constructor."""
+    """Boundary faces, restrictions and fan terms are built on the
+    interned vertices of their inputs, without re-checking their points:
+    each holds the very vertices of, equals, hashes like and looks up as
+    the same simplex built through the public constructor."""
     s = simplex((0, 0), (1, 0), (0, 1))
     half = (F(1, 2), F(1, 2))
     faces = list(terms(boundary(s)))
@@ -96,6 +193,7 @@ def test_internal_builds_match_public_simplices():
          simplex((0, 0), (0, 0), (0, 1), (F(1, 2), F(1, 2)))),
     ]
     for built, public in pairs:
+        assert all(u is v for u, v in zip(built._key, public._key))
         assert built == public and public == built
         assert hash(built) == hash(public)
         assert {built: 1}[public] == 1
@@ -160,6 +258,31 @@ def test_selftest_hashes_each_vertex_once(monkeypatch):
     assert 0 < calls[0] < 400
 
 
+def test_selftest_hashes_and_compares_no_simplex(monkeypatch):
+    """A count, not a timing: 20 trials used to make 3,766 Python-level
+    AffineSimplex.__hash__ and 932 __eq__ calls, when chains kept
+    simplices as keys; chains keep tuples of vertices now, which hash
+    and compare in C, so the self-test makes none."""
+    calls = {"hash": 0, "eq": 0}
+    exact_hash, exact_eq = AffineSimplex.__hash__, AffineSimplex.__eq__
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return exact_hash(self)
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return exact_eq(self, other)
+
+    monkeypatch.setattr(AffineSimplex, "__hash__", counting_hash)
+    monkeypatch.setattr(AffineSimplex, "__eq__", counting_eq)
+    assert simplex((0,), (1,)) == simplex((0,), (1,))
+    assert calls["eq"] == 1
+    calls["eq"] = 0
+    assert selftest(20, 0).passed
+    assert calls == {"hash": 0, "eq": 0}
+
+
 def test_selftest_builds_few_fractions(monkeypatch):
     """A count, not a timing: 20 trials used to construct 3,422
     Fractions when the marked point and the sum-to-1 check ran on
@@ -190,20 +313,23 @@ def test_selftest_places_the_marked_point_once_per_trial(monkeypatch):
 
 
 def test_trusted_sums_match_public_chains():
-    """AffineChain._of sums like the public constructor: same terms,
+    """AffineChain._of sums (vertex key, coefficient) pairs like the
+    public constructor sums (simplex, coefficient) pairs: same terms,
     same order of first nonzero appearance, same repr."""
     rng = random.Random(21)
     pool = [rand_simplex(rng, 1, 1) for _ in range(5)]
     for _ in range(200):
         pairs = [(rng.choice(pool), rng.randint(-2, 2))
                  for _ in range(rng.randint(0, 12))]
-        public, trusted = AffineChain(pairs), AffineChain._of(pairs)
+        public = AffineChain(pairs)
+        trusted = AffineChain._of([(s._key, c) for s, c in pairs])
         assert trusted == public
         assert list(terms(trusted).items()) == list(terms(public).items())
         assert repr(trusted) == repr(public)
     s, t = simplex((0,), (1,)), simplex((1,), (2,))
     assert list(terms(AffineChain([(t, 0), (s, 1), (t, 1)]))) == [s, t]
-    assert list(terms(AffineChain._of([(t, 0), (s, 1), (t, 1)]))) == [s, t]
+    assert list(terms(AffineChain._of(
+        [(t._key, 0), (s._key, 1), (t._key, 1)]))) == [s, t]
 
 
 def test_operators_build_no_public_chains(monkeypatch):
@@ -283,6 +409,24 @@ def test_chain_operators_refuse_foreign_operands():
         c - simplex((1,), (2,))
     with pytest.raises(TypeError):
         1 + c
+
+
+def test_operators_take_a_simplex_as_its_one_term_chain():
+    """boundary, sd_operator and prism_operator read a simplex as the
+    chain 1*s, and refuse anything else with TypeError."""
+    s = simplex((0, 0), (1, 0), (0, 1))
+    c = AffineChain.of(s)
+    phi, a = s.restrict((0, 1)), (F(1, 3), F(2, 3))
+    assert boundary(s) == boundary(c)
+    assert sd_operator(phi, a, s) == sd_operator(phi, a, c)
+    assert prism_operator(phi, a, s) == prism_operator(phi, a, c)
+    for bad in (5, None, [(s, 1)], s.vertices):
+        with pytest.raises(TypeError):
+            boundary(bad)
+        with pytest.raises(TypeError):
+            sd_operator(phi, a, bad)
+        with pytest.raises(TypeError):
+            prism_operator(phi, a, bad)
 
 
 def test_boundary_of_boundary_vanishes():
